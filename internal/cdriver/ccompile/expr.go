@@ -805,7 +805,10 @@ func (c *compiler) call(x *cast.CallExpr, line int) exprFn {
 		if direct := c.directBuiltin(x, argFns, line); direct != nil {
 			return direct
 		}
-		impl = c.builtin(x)
+		if direct := c.directStub(x, argFns, line); direct != nil {
+			return direct
+		}
+		impl = c.builtin(x, line)
 	}
 	n := len(argFns)
 	return func(st *state, fr []Value) (Value, error) {
@@ -1248,7 +1251,7 @@ func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) 
 
 // builtin resolves a non-driver call at compile time: kernel builtins,
 // the Devil stub surface, or the undefined-function fault.
-func (c *compiler) builtin(x *cast.CallExpr) callImpl {
+func (c *compiler) builtin(x *cast.CallExpr, line int) callImpl {
 	switch x.Name {
 	case "inb", "inw", "inl", "outb", "outw", "outl":
 		// A wrong-arity I/O call (a mutant artefact) stays on the
@@ -1338,7 +1341,7 @@ func (c *compiler) builtin(x *cast.CallExpr) callImpl {
 		}
 	}
 	if c.stubs != nil {
-		if impl := c.stubCall(x); impl != nil {
+		if impl := c.stubCall(x, line); impl != nil {
 			return impl
 		}
 	}
@@ -1365,7 +1368,7 @@ func (c *compiler) undefinedCall(x *cast.CallExpr) callImpl {
 // indexed accessor dispatch, replacing the interpreter's per-call string
 // prefix matching and stub-table lookups. Returns nil when the name does
 // not resolve to a stub (the undefined-function fault applies).
-func (c *compiler) stubCall(x *cast.CallExpr) callImpl {
+func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
 	name := x.Name
 	switch {
 	case strings.HasPrefix(name, "get_block_"), strings.HasPrefix(name, "set_block_"):
@@ -1394,33 +1397,11 @@ func (c *compiler) stubCall(x *cast.CallExpr) callImpl {
 		if !acc.Readable() {
 			return modeFaultImpl(varName, acc)
 		}
-		switch {
-		case sig.Kind == codegen.KindEnum:
-			return func(st *state, args []Value) (Value, error) {
-				dv, err := acc.Get()
-				if err != nil {
-					return voidValue, err
-				}
-				return Value{Kind: cinterp.ValDevil, Devil: dv}, nil
-			}
-		case sig.Kind == codegen.KindSignedInt && sig.Width > 0 && sig.Width < 64:
-			shift := uint(64 - sig.Width)
-			return func(st *state, args []Value) (Value, error) {
-				dv, err := acc.Get()
-				if err != nil {
-					return voidValue, err
-				}
-				// Sign-extend the raw field.
-				return intValue(int64(dv.Val) << shift >> shift), nil
-			}
-		default:
-			return func(st *state, args []Value) (Value, error) {
-				dv, err := acc.Get()
-				if err != nil {
-					return voidValue, err
-				}
-				return intValue(int64(dv.Val)), nil
-			}
+		// A get with arguments evaluated them for their side effects
+		// only; the stub itself is the direct call site's.
+		get := stubGetSite(acc, sig, line)
+		return func(st *state, args []Value) (Value, error) {
+			return get(st, nil)
 		}
 
 	case strings.HasPrefix(name, "set_"):
@@ -1437,12 +1418,92 @@ func (c *compiler) stubCall(x *cast.CallExpr) callImpl {
 		}
 		return func(st *state, args []Value) (Value, error) {
 			var dv codegen.Value
-			if len(args) == 1 && args[0].Kind == cinterp.ValDevil {
-				dv = args[0].Devil
-			} else if len(args) == 1 {
-				dv = codegen.UntypedInt(args[0].I)
+			if len(args) == 1 {
+				dv = toDevil(args[0])
 			}
 			return voidValue, acc.Set(dv)
+		}
+	}
+	return nil
+}
+
+// stubGetSite compiles a get_X() call site over the variable's access
+// plan. The Devil value converts to the value the call yields: enum values
+// stay typed, signed fields are sign-extended, other integers widen.
+func stubGetSite(acc *codegen.Accessor, sig codegen.VarSig, line int) exprFn {
+	switch {
+	case sig.Kind == codegen.KindEnum:
+		return func(st *state, fr []Value) (Value, error) {
+			st.cov.Add(line)
+			dv, err := acc.Get()
+			if err != nil {
+				return voidValue, err
+			}
+			return Value{Kind: cinterp.ValDevil, Devil: dv}, nil
+		}
+	case sig.Kind == codegen.KindSignedInt && sig.Width > 0 && sig.Width < 64:
+		shift := uint(64 - sig.Width)
+		return func(st *state, fr []Value) (Value, error) {
+			st.cov.Add(line)
+			dv, err := acc.Get()
+			if err != nil {
+				return voidValue, err
+			}
+			// Sign-extend the raw field.
+			return intValue(int64(dv.Val) << shift >> shift), nil
+		}
+	}
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
+		dv, err := acc.Get()
+		if err != nil {
+			return voidValue, err
+		}
+		return intValue(int64(dv.Val)), nil
+	}
+}
+
+// directStub compiles the well-formed Devil stub call sites — get_X() and
+// set_X(v) on a public variable whose access mode allows the call — to
+// direct closures over the variable's access plan, skipping the pooled
+// argument buffer and the callImpl indirection of the generic path.
+// Wrong-arity calls, unknown variables, mode faults and the block stubs
+// return nil and take the generic path.
+func (c *compiler) directStub(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
+	name := x.Name
+	if c.stubs == nil ||
+		strings.HasPrefix(name, "get_block_") || strings.HasPrefix(name, "set_block_") {
+		return nil
+	}
+	switch {
+	case len(argFns) == 0 && strings.HasPrefix(name, "get_"):
+		varName := name[len("get_"):]
+		sig, ok := c.varSigs[varName]
+		if !ok {
+			return nil
+		}
+		acc, ok := c.stubs.Accessor(varName)
+		if !ok || !acc.Readable() {
+			return nil
+		}
+		return stubGetSite(acc, sig, line)
+	case len(argFns) == 1 && strings.HasPrefix(name, "set_"):
+		varName := name[len("set_"):]
+		if _, ok := c.varSigs[varName]; !ok {
+			return nil
+		}
+		acc, ok := c.stubs.Accessor(varName)
+		if !ok || !acc.Writable() {
+			return nil
+		}
+		af := argFns[0]
+		return func(st *state, fr []Value) (Value, error) {
+			st.cov.Add(line)
+			a, err := af(st, fr)
+			if err != nil {
+				return voidValue, err
+			}
+			return voidValue, acc.Set(toDevil(a))
 		}
 	}
 	return nil

@@ -8,7 +8,10 @@
 //
 // Here the generated artefact is a Stubs object whose Get/Set/Eq methods
 // implement exactly the semantics of those C functions against a simulated
-// hw.Bus. The same object also publishes the typed interface (signatures of
+// hw.Bus. Like the C stubs, whose ports, masks, shifts and pre-actions are
+// constants of the generated text, every register and variable is compiled
+// once into an access plan, so a stub call resolves nothing at run time.
+// The same object also publishes the typed interface (signatures of
 // every stub and enum constant) that the strict mini-C front end uses to
 // reproduce the compile-time checking of debug mode, and the C emitter in
 // this package renders the Figure-4 style source text for inspection.
@@ -16,6 +19,7 @@ package codegen
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/devil/ast"
 	"repro/internal/devil/check"
@@ -134,12 +138,23 @@ type Interface struct {
 // Stubs is the generated, executable stub set for one device instance.
 type Stubs struct {
 	filename string
-	info     *check.Info
-	cfg      Config
-	// cache holds the last value written to each register, seeded with the
-	// mask-fixed bits — the generated C keeps the same cache struct so that
-	// read-modify-write of write-only registers is possible.
-	cache map[string]uint32
+	mode     Mode
+	bus      *hw.Bus
+	// cache holds the last value written to each register, indexed by the
+	// register plan's slot and seeded with the mask-fixed bits — the
+	// generated C keeps the same cache struct so that read-modify-write of
+	// write-only registers is possible.
+	cache []uint32
+	// seed is the power-on cache contents Reset restores.
+	seed []uint32
+	// regs holds the register plans in slot (register name) order.
+	regs []regPlan
+	// vars maps every variable, private ones included, to its access plan.
+	vars map[string]*Accessor
+	// preDepth counts the pre-action chains in progress; it bounds the
+	// cycles the checker does not reject (a pre-action variable living in
+	// a register whose own pre-actions lead back).
+	preDepth int
 	// consts maps enum constant names to their typed values.
 	consts map[string]Value
 	// constVar maps enum constant names to their variable.
@@ -147,7 +162,45 @@ type Stubs struct {
 	iface    *Interface
 }
 
-// Generate builds the stub set for a checked specification.
+// regPlan is one register's access plan, fixed at generation time.
+type regPlan struct {
+	name string
+	// slot indexes the register in the stub set's cache.
+	slot                int
+	readPort, writePort hw.Port
+	width               hw.AccessWidth
+	// set and clear are the mask's write semantics: '1' bits are forced
+	// set, '0' and '*' bits forced clear, '.' bits kept.
+	set, clear uint32
+	pre        []preAction
+}
+
+// preAction is a resolved register pre-action: store val into target
+// before the register's port is touched.
+type preAction struct {
+	target *Accessor
+	val    uint32
+}
+
+// fragPlan is one fragment of a variable: a bit field of a register.
+type fragPlan struct {
+	reg *regPlan
+	// lo is the field's least-significant register bit, mask its width
+	// mask, and width its width in bits.
+	lo, width uint
+	mask      uint32
+	// shift places the field within the assembled variable value.
+	shift uint
+}
+
+// readPattern is an enum read mapping compiled to bit masks: a value
+// matches when value&care == want.
+type readPattern struct {
+	care, want uint32
+}
+
+// Generate builds the stub set for a checked specification, compiling every
+// register and variable to its access plan.
 func Generate(filename string, info *check.Info, cfg Config) (*Stubs, error) {
 	if cfg.Bus == nil {
 		return nil, fmt.Errorf("generate %s: no bus", filename)
@@ -163,14 +216,29 @@ func Generate(filename string, info *check.Info, cfg Config) (*Stubs, error) {
 	}
 	s := &Stubs{
 		filename: filename,
-		info:     info,
-		cfg:      cfg,
-		cache:    make(map[string]uint32, len(info.Registers)),
+		mode:     cfg.Mode,
+		bus:      cfg.Bus,
+		vars:     make(map[string]*Accessor, len(info.Variables)),
 		consts:   make(map[string]Value),
 		constVar: make(map[string]string),
 	}
-	for name, r := range info.Registers {
-		s.cache[name] = fixedBits(r)
+	regs, err := s.planRegisters(info, cfg.Bases)
+	if err != nil {
+		return nil, err
+	}
+	for name, vi := range info.Variables {
+		s.vars[name] = s.planVariable(vi, info.TypeIDs[name], regs)
+	}
+	for _, r := range info.Registers {
+		rp := regs[r]
+		for _, pa := range r.Pre {
+			target, ok := s.vars[pa.Var]
+			if !ok {
+				return nil, fmt.Errorf("generate %s: pre-action of %s: unknown variable %s",
+					filename, r.Name, pa.Var)
+			}
+			rp.pre = append(rp.pre, preAction{target: target, val: uint32(pa.Value)})
+		}
 	}
 	iface := &Interface{SpecFile: filename, Consts: make(map[string]string)}
 	for _, name := range info.VarOrder {
@@ -210,6 +278,117 @@ func Generate(filename string, info *check.Info, cfg Config) (*Stubs, error) {
 	}
 	s.iface = iface
 	return s, nil
+}
+
+// planRegisters gives every register a cache slot, in name order, and
+// resolves its ports, access width and write mask.
+func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) (map[*ast.Register]*regPlan, error) {
+	names := make([]string, 0, len(info.Registers))
+	for name := range info.Registers {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	s.regs = make([]regPlan, len(names))
+	byReg := make(map[*ast.Register]*regPlan, len(names))
+	s.seed = make([]uint32, len(names))
+	for i, name := range names {
+		r := info.Registers[name]
+		rp := &s.regs[i]
+		*rp = regPlan{name: name, slot: i, width: accessWidth(r.Size)}
+		for _, ref := range []struct {
+			port *ast.PortRef
+			dst  *hw.Port
+		}{{r.ReadPort, &rp.readPort}, {r.WritePort, &rp.writePort}} {
+			if ref.port == nil {
+				continue
+			}
+			base, ok := bases[ref.port.Name]
+			if !ok {
+				return nil, fmt.Errorf("generate %s: register %s: unbound port %s",
+					s.filename, name, ref.port.Name)
+			}
+			*ref.dst = base + hw.Port(ref.port.Offset)
+		}
+		for bit := 0; bit < r.Size && r.Mask != ""; bit++ {
+			idx := len(r.Mask) - 1 - bit
+			if idx < 0 {
+				break
+			}
+			switch r.Mask[idx] {
+			case '1':
+				rp.set |= 1 << uint(bit)
+			case '0', '*':
+				rp.clear |= 1 << uint(bit)
+			}
+		}
+		s.seed[i] = fixedBits(r)
+		byReg[r] = rp
+	}
+	s.cache = append([]uint32(nil), s.seed...)
+	return byReg, nil
+}
+
+// planVariable lays out a variable's fragments over the register plans and
+// compiles its enum read mappings.
+func (s *Stubs) planVariable(vi *check.VarInfo, typeID int, regs map[*ast.Register]*regPlan) *Accessor {
+	a := &Accessor{
+		s:        s,
+		vi:       vi,
+		typeID:   typeID,
+		valMask:  loMask(vi.Width),
+		frags:    make([]fragPlan, len(vi.Fragments)),
+		readable: vi.Mode.CanRead(),
+		writable: vi.Mode.CanWrite(),
+	}
+	remaining := vi.Width
+	for i, fi := range vi.Fragments {
+		remaining -= fi.Width
+		a.frags[i] = fragPlan{
+			reg:   regs[fi.Reg],
+			lo:    uint(fi.Lo),
+			width: uint(fi.Width),
+			mask:  loMask(fi.Width),
+			shift: uint(remaining),
+		}
+	}
+	if t := vi.Decl.Type; t.Kind == ast.TypeEnum {
+		for _, cs := range t.Cases {
+			if cs.Dir == token.MapTo {
+				continue // write-only mapping
+			}
+			if p, ok := compilePattern(cs.Pattern, vi.Width); ok {
+				a.reads = append(a.reads, p)
+			}
+		}
+	}
+	return a
+}
+
+// compilePattern turns an enum bit pattern over a width-bit value into its
+// (care, want) masks; '*' bits are wildcards. ok is false for a pattern no
+// value can match: one of the wrong length, or demanding a set bit above
+// bit 31.
+func compilePattern(pattern string, width int) (readPattern, bool) {
+	var p readPattern
+	if len(pattern) != width {
+		return p, false
+	}
+	for i := 0; i < width; i++ {
+		bit := width - 1 - i
+		switch pattern[i] {
+		case '0':
+			if bit < 32 {
+				p.care |= 1 << uint(bit)
+			}
+		case '1':
+			if bit >= 32 {
+				return p, false
+			}
+			p.care |= 1 << uint(bit)
+			p.want |= 1 << uint(bit)
+		}
+	}
+	return p, true
 }
 
 func kindOf(t *ast.TypeExpr) VarKind {
@@ -264,60 +443,102 @@ func (s *Stubs) Interface() *Interface { return s.iface }
 // freshly generated stub set starts from — so one generated stub set can
 // be reused across boots instead of being regenerated per mutant.
 func (s *Stubs) Reset() {
-	for name, r := range s.info.Registers {
-		s.cache[name] = fixedBits(r)
-	}
+	copy(s.cache, s.seed)
+	s.preDepth = 0
 }
 
-// Accessor is a pre-resolved handle to one public device variable. A
-// compiled driver resolves each get_X/set_X call site once and then
-// dispatches through the handle, skipping the per-call name lookup (and
-// its error paths) that Get/Set pay on every invocation.
+// Accessor is one device variable's access plan: its fragments over the
+// register plans, its type and its compiled read mappings. Generate builds
+// one per variable; Stubs.Get/Set run the same plan after a name lookup,
+// and a compiled driver resolves each get_X/set_X call site to the handle
+// once and then dispatches through it.
 type Accessor struct {
-	s  *Stubs
-	vi *check.VarInfo
+	s      *Stubs
+	vi     *check.VarInfo
+	typeID int
+	// valMask keeps the variable's width of a written value.
+	valMask            uint32
+	frags              []fragPlan // most-significant first
+	readable, writable bool
+	// reads lists the enum read mappings a debug-mode read must match.
+	reads []readPattern
 }
 
-// Accessor resolves a public device variable to a dispatch handle; ok is
-// false for unknown or private variables (for which the compiler keeps
-// the interpreter's undefined-call behaviour).
+// Accessor returns a public device variable's dispatch handle; ok is false
+// for unknown or private variables (for which the compiler keeps the
+// interpreter's undefined-call behaviour).
 func (s *Stubs) Accessor(name string) (*Accessor, bool) {
-	vi, ok := s.info.Variables[name]
-	if !ok || vi.Decl.Private {
+	a, ok := s.vars[name]
+	if !ok || a.vi.Decl.Private {
 		return nil, false
 	}
-	return &Accessor{s: s, vi: vi}, true
+	return a, true
 }
 
 // Readable reports whether the variable can be read.
-func (a *Accessor) Readable() bool { return a.vi.Mode.CanRead() }
+func (a *Accessor) Readable() bool { return a.readable }
 
 // Writable reports whether the variable can be written.
-func (a *Accessor) Writable() bool { return a.vi.Mode.CanWrite() }
+func (a *Accessor) Writable() bool { return a.writable }
 
 // ModeString renders the variable's access mode (for error messages that
 // must match the unresolved Get/Set paths byte for byte).
 func (a *Accessor) ModeString() string { return fmt.Sprintf("%s", a.vi.Mode) }
 
-// Get reads the variable, with exactly the semantics of Stubs.Get minus
-// the name lookup. The caller must have checked Readable.
+// Get reads the variable: pre-actions, port reads, bit extraction and
+// fragment concatenation. In debug mode the value is verified against the
+// variable's type before being returned. The caller must have checked
+// Readable.
 func (a *Accessor) Get() (Value, error) {
-	return a.s.getVar(a.vi)
+	s := a.s
+	var assembled uint32
+	for i := range a.frags {
+		f := &a.frags[i]
+		raw, err := s.readReg(f.reg)
+		if err != nil {
+			return Value{}, err
+		}
+		assembled = assembled<<f.width | (raw>>f.lo)&f.mask
+	}
+	if s.mode == Debug {
+		if err := a.assertRead(assembled); err != nil {
+			return Value{}, err
+		}
+	}
+	return Value{File: s.filename, Type: a.typeID, Val: assembled}, nil
 }
 
-// Set writes the variable, with exactly the semantics of Stubs.Set minus
-// the name lookup. The caller must have checked Writable.
+// Set writes the variable: the value is type-checked (debug mode), split
+// into fragments, merged into each target register via the register
+// cache, mask-fixed and written out. The caller must have checked Writable.
 func (a *Accessor) Set(v Value) error {
-	if a.s.cfg.Mode == Debug {
-		if err := a.s.assertWriteValue(a.vi, v); err != nil {
+	if a.s.mode == Debug {
+		if err := a.assertWrite(v); err != nil {
 			return err
 		}
 	}
-	return a.s.setVar(a.vi, v)
+	return a.store(v.Val)
+}
+
+// store distributes a raw value over the fragments, most-significant
+// fragment first. Each fragment merges against the cached register value
+// before the register's pre-actions run.
+func (a *Accessor) store(val uint32) error {
+	s := a.s
+	val &= a.valMask
+	for i := range a.frags {
+		f := &a.frags[i]
+		field := (val >> f.shift) & f.mask
+		merged := s.cache[f.reg.slot]&^(f.mask<<f.lo) | field<<f.lo
+		if err := s.writeReg(f.reg, merged); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Mode returns the generation mode.
-func (s *Stubs) Mode() Mode { return s.cfg.Mode }
+func (s *Stubs) Mode() Mode { return s.mode }
 
 // SpecFile returns the specification filename.
 func (s *Stubs) SpecFile() string { return s.filename }
@@ -339,20 +560,23 @@ func (s *Stubs) ConstNames() []string {
 
 // TypeID returns the specification-unique type counter of a variable.
 func (s *Stubs) TypeID(varName string) (int, bool) {
-	id, ok := s.info.TypeIDs[varName]
-	return id, ok
+	a, ok := s.vars[varName]
+	if !ok {
+		return 0, false
+	}
+	return a.typeID, true
 }
 
-// lookupVar fetches a public variable, rejecting private ones.
-func (s *Stubs) lookupVar(name string) (*check.VarInfo, error) {
-	vi, ok := s.info.Variables[name]
+// lookupVar fetches a public variable's plan, rejecting private ones.
+func (s *Stubs) lookupVar(name string) (*Accessor, error) {
+	a, ok := s.vars[name]
 	if !ok {
 		return nil, fmt.Errorf("no device variable %s in %s", name, s.filename)
 	}
-	if vi.Decl.Private {
+	if a.vi.Decl.Private {
 		return nil, fmt.Errorf("device variable %s is private to %s", name, s.filename)
 	}
-	return vi, nil
+	return a, nil
 }
 
 // width returns the hw access width for a register size.
@@ -369,108 +593,65 @@ func accessWidth(size int) hw.AccessWidth {
 
 // runPre executes the pre-actions of a register: each sets a (usually
 // private) variable to a constant before the guarded port is touched.
-func (s *Stubs) runPre(r *ast.Register) error {
-	for _, pa := range r.Pre {
-		vi, ok := s.info.Variables[pa.Var]
-		if !ok {
-			return fmt.Errorf("pre-action of %s: unknown variable %s", r.Name, pa.Var)
-		}
-		if err := s.setVar(vi, Value{Val: uint32(pa.Value), Raw: pa.Value}); err != nil {
+func (s *Stubs) runPre(r *regPlan) error {
+	if s.preDepth >= len(s.cache) {
+		return fmt.Errorf("pre-action of %s: cyclic pre-actions", r.name)
+	}
+	s.preDepth++
+	for _, pa := range r.pre {
+		if err := pa.target.store(pa.val); err != nil {
+			s.preDepth--
 			return err
 		}
 	}
+	s.preDepth--
 	return nil
 }
 
-// writeMaskFix applies the mask's write semantics to a register value:
-// '1' forces the bit set, '0' and '*' force it clear, '.' keeps it.
-func writeMaskFix(r *ast.Register, v uint32) uint32 {
-	if r.Mask == "" {
-		return v
-	}
-	for bit := 0; bit < r.Size; bit++ {
-		idx := len(r.Mask) - 1 - bit
-		switch r.Mask[idx] {
-		case '1':
-			v |= 1 << uint(bit)
-		case '0', '*':
-			v &^= 1 << uint(bit)
+// readReg performs the port read for a register, including pre-actions.
+func (s *Stubs) readReg(r *regPlan) (uint32, error) {
+	if len(r.pre) > 0 {
+		if err := s.runPre(r); err != nil {
+			return 0, err
 		}
 	}
-	return v
-}
-
-// readReg performs the port read for a register, including pre-actions.
-func (s *Stubs) readReg(r *ast.Register) (uint32, error) {
-	if err := s.runPre(r); err != nil {
-		return 0, err
-	}
-	base, ok := s.cfg.Bases[r.ReadPort.Name]
-	if !ok {
-		return 0, fmt.Errorf("register %s: unbound port %s", r.Name, r.ReadPort.Name)
-	}
-	return s.cfg.Bus.Read(base+hw.Port(r.ReadPort.Offset), accessWidth(r.Size))
+	return s.bus.Read(r.readPort, r.width)
 }
 
 // writeReg performs the port write for a register, including pre-actions,
 // mask fixing and cache maintenance.
-func (s *Stubs) writeReg(r *ast.Register, v uint32) error {
-	if err := s.runPre(r); err != nil {
+func (s *Stubs) writeReg(r *regPlan, v uint32) error {
+	if len(r.pre) > 0 {
+		if err := s.runPre(r); err != nil {
+			return err
+		}
+	}
+	v = (v | r.set) &^ r.clear
+	if err := s.bus.Write(r.writePort, r.width, v); err != nil {
 		return err
 	}
-	base, ok := s.cfg.Bases[r.WritePort.Name]
-	if !ok {
-		return fmt.Errorf("register %s: unbound port %s", r.Name, r.WritePort.Name)
-	}
-	v = writeMaskFix(r, v)
-	if err := s.cfg.Bus.Write(base+hw.Port(r.WritePort.Offset), accessWidth(r.Size), v); err != nil {
-		return err
-	}
-	s.cache[r.Name] = v
+	s.cache[r.slot] = v
 	return nil
 }
 
-// Get reads a device variable through its stub, performing pre-actions,
-// port reads, bit extraction and fragment concatenation. In debug mode the
-// value is verified against the variable's type before being returned.
+// Get reads a device variable through its stub.
 func (s *Stubs) Get(name string) (Value, error) {
-	vi, err := s.lookupVar(name)
+	a, err := s.lookupVar(name)
 	if err != nil {
 		return Value{}, err
 	}
-	if !vi.Mode.CanRead() {
-		return Value{}, fmt.Errorf("device variable %s is %s", name, vi.Mode)
+	if !a.readable {
+		return Value{}, fmt.Errorf("device variable %s is %s", name, a.vi.Mode)
 	}
-	return s.getVar(vi)
+	return a.Get()
 }
 
-func (s *Stubs) getVar(vi *check.VarInfo) (Value, error) {
-	name := vi.Decl.Name
-	var assembled uint32
-	for _, fi := range vi.Fragments {
-		raw, err := s.readReg(fi.Reg)
-		if err != nil {
-			return Value{}, err
-		}
-		field := (raw >> uint(fi.Lo)) & loMask(fi.Width)
-		assembled = assembled<<uint(fi.Width) | field
-	}
-	v := Value{File: s.filename, Type: s.info.TypeIDs[name], Val: assembled}
-	if s.cfg.Mode == Debug {
-		if err := s.assertReadValue(vi, assembled); err != nil {
-			return Value{}, err
-		}
-	}
-	return v, nil
-}
-
-// assertReadValue implements the debug-mode assertion that a value read
-// from the device matches the variable's declared type: an out-of-set
-// integer or an enum value no read pattern covers means either the
-// specification is wrong or the device misbehaves (§2.3).
-func (s *Stubs) assertReadValue(vi *check.VarInfo, val uint32) error {
-	t := vi.Decl.Type
-	name := vi.Decl.Name
+// assertRead implements the debug-mode assertion that a value read from
+// the device matches the variable's declared type: an out-of-set integer
+// or an enum value no read pattern covers means either the specification
+// is wrong or the device misbehaves (§2.3).
+func (a *Accessor) assertRead(val uint32) error {
+	t := a.vi.Decl.Type
 	switch t.Kind {
 	case ast.TypeIntSet:
 		for _, allowed := range t.Set {
@@ -478,74 +659,44 @@ func (s *Stubs) assertReadValue(vi *check.VarInfo, val uint32) error {
 				return nil
 			}
 		}
-		return &AssertError{Variable: name,
+		return &AssertError{Variable: a.vi.Decl.Name,
 			Msg: fmt.Sprintf("read value %d outside declared set %s", val, t)}
 	case ast.TypeEnum:
-		for _, cs := range t.Cases {
-			if cs.Dir == token.MapTo {
-				continue // write-only mapping
-			}
-			if patternMatches(cs.Pattern, val, vi.Width) {
+		for _, p := range a.reads {
+			if val&p.care == p.want {
 				return nil
 			}
 		}
-		return &AssertError{Variable: name,
+		return &AssertError{Variable: a.vi.Decl.Name,
 			Msg: fmt.Sprintf("read value %d matches no read mapping of %s", val, t)}
 	}
 	return nil
 }
 
-func patternMatches(pattern string, value uint32, width int) bool {
-	if len(pattern) != width {
-		return false
-	}
-	for i := 0; i < width; i++ {
-		bit := (value >> uint(width-1-i)) & 1
-		switch pattern[i] {
-		case '0':
-			if bit != 0 {
-				return false
-			}
-		case '1':
-			if bit != 1 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Set writes a device variable through its stub: the value is type-checked
-// (debug mode), split into fragments, merged into each target register via
-// the register cache, mask-fixed and written out.
+// Set writes a device variable through its stub.
 func (s *Stubs) Set(name string, v Value) error {
-	vi, err := s.lookupVar(name)
+	a, err := s.lookupVar(name)
 	if err != nil {
 		return err
 	}
-	if !vi.Mode.CanWrite() {
-		return fmt.Errorf("device variable %s is %s", name, vi.Mode)
+	if !a.writable {
+		return fmt.Errorf("device variable %s is %s", name, a.vi.Mode)
 	}
-	if s.cfg.Mode == Debug {
-		if err := s.assertWriteValue(vi, v); err != nil {
-			return err
-		}
-	}
-	return s.setVar(vi, v)
+	return a.Set(v)
 }
 
-// assertWriteValue implements the debug-mode write assertions: type
-// identity for enum-typed variables (the dil struct check) and value-range
+// assertWrite implements the debug-mode write assertions: type identity
+// for enum-typed variables (the dil struct check) and value-range
 // membership for integer-typed ones.
-func (s *Stubs) assertWriteValue(vi *check.VarInfo, v Value) error {
+func (a *Accessor) assertWrite(v Value) error {
+	vi := a.vi
 	t := vi.Decl.Type
 	name := vi.Decl.Name
-	wantType := s.info.TypeIDs[name]
 	if !v.Untyped() {
-		if v.File != s.filename || v.Type != wantType {
+		if v.File != a.s.filename || v.Type != a.typeID {
 			return &AssertError{Variable: name,
 				Msg: fmt.Sprintf("type mismatch: value has type #%d (%s), variable requires #%d (%s)",
-					v.Type, v.File, wantType, s.filename)}
+					v.Type, v.File, a.typeID, a.s.filename)}
 		}
 		return nil
 	}
@@ -588,28 +739,11 @@ func (s *Stubs) assertWriteValue(vi *check.VarInfo, v Value) error {
 	return nil
 }
 
-func (s *Stubs) setVar(vi *check.VarInfo, v Value) error {
-	// Distribute the assembled value over the fragments, most-significant
-	// fragment first.
-	remaining := vi.Width
-	val := v.Val & loMask(vi.Width)
-	for _, fi := range vi.Fragments {
-		remaining -= fi.Width
-		field := (val >> uint(remaining)) & loMask(fi.Width)
-		r := fi.Reg
-		merged := s.cache[r.Name]&^(loMask(fi.Width)<<uint(fi.Lo)) | field<<uint(fi.Lo)
-		if err := s.writeReg(r, merged); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Eq implements the paper's dil_eq macro: in debug mode it asserts that the
 // two values carry the same Devil type before comparing representations; in
 // production mode it compares raw values only.
 func (s *Stubs) Eq(a, b Value) (bool, error) {
-	if s.cfg.Mode == Debug && !a.Untyped() && !b.Untyped() {
+	if s.mode == Debug && !a.Untyped() && !b.Untyped() {
 		if a.File != b.File || a.Type != b.Type {
 			return false, &AssertError{Variable: "dil_eq",
 				Msg: fmt.Sprintf("comparing values of different Devil types #%d (%s) and #%d (%s)",

@@ -1,17 +1,13 @@
 package codegen
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // CacheDump renders the register cache as "name=value" entries sorted by
 // register name, so port-level tests can pin the cache contents.
 func CacheDump(s *Stubs) []string {
-	out := make([]string, 0, len(s.cache))
-	for name, v := range s.cache {
-		out = append(out, fmt.Sprintf("%s=%#x", name, v))
+	out := make([]string, len(s.regs))
+	for i, r := range s.regs {
+		out[i] = fmt.Sprintf("%s=%#x", r.name, s.cache[r.slot])
 	}
-	sort.Strings(out)
 	return out
 }

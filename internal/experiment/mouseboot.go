@@ -91,19 +91,6 @@ func runMouseBoot(r *Rig, ex Engine, res *BootResult) (error, bool) {
 	return nil, damaged
 }
 
-// BootMouse compiles and boots one busmouse driver build on a freshly
-// built rig. A compatibility wrapper over the generic BootDriver path.
-func BootMouse(input BootInput) (*BootResult, error) {
-	return BootDriver("busmouse_c", input)
-}
-
-// BootMouseOn compiles and boots one busmouse driver build on m, which
-// must be a busmouse rig, freshly built or Reset. A compatibility
-// wrapper over the generic BootOn path.
-func BootMouseOn(m *Rig, input BootInput) (*BootResult, error) {
-	return BootOn(m, input)
-}
-
 // MouseMutation runs the driver-mutation experiment for a busmouse driver
 // ("busmouse_c" or "busmouse_devil"). It is DriverMutation under a
 // historical name: the workload registry routes busmouse_* tasks to the

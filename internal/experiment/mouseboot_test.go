@@ -20,7 +20,7 @@ func TestCleanMouseBoot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BootMouse(BootInput{Tokens: toks, Devil: src.Devil})
+			res, err := BootDriver(name, BootInput{Tokens: toks, Devil: src.Devil})
 			if err != nil {
 				t.Fatal(err)
 			}

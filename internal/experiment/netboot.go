@@ -150,16 +150,3 @@ func runNetBoot(r *Rig, ex Engine, res *BootResult) (error, bool) {
 	kern.Printk("ne2000: packet round trip complete")
 	return nil, damaged
 }
-
-// BootNet compiles and boots one NE2000 driver build on a freshly built
-// rig. A compatibility wrapper over the generic BootDriver path.
-func BootNet(input BootInput) (*BootResult, error) {
-	return BootDriver("ne2000_c", input)
-}
-
-// BootNetOn compiles and boots one NE2000 driver build on m, which must
-// be an NE2000 rig, freshly built or Reset. A compatibility wrapper over
-// the generic BootOn path.
-func BootNetOn(m *Rig, input BootInput) (*BootResult, error) {
-	return BootOn(m, input)
-}

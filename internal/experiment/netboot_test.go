@@ -21,7 +21,7 @@ func TestCleanNetBoot(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := BootNet(BootInput{Tokens: toks, Devil: src.Devil})
+			res, err := BootDriver(name, BootInput{Tokens: toks, Devil: src.Devil})
 			if err != nil {
 				t.Fatal(err)
 			}
