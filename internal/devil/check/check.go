@@ -143,6 +143,9 @@ func (c *checker) collect() {
 		if p.RangeHi < p.RangeLo {
 			c.errorf(p.NamePos, "size",
 				"port %s: empty offset range {%d..%d}", p.Name, p.RangeLo, p.RangeHi)
+		} else if portRangeTooLarge(p) {
+			c.errorf(p.NamePos, "size",
+				"port %s: offset range {%d..%d} exceeds %d offsets", p.Name, p.RangeLo, p.RangeHi, maxPortRange)
 		}
 		switch p.DataBits {
 		case 8, 16, 32:
@@ -180,6 +183,14 @@ func (c *checker) collect() {
 		c.info.TypeIDs[v.Name] = typeID
 		typeID++
 	}
+}
+
+// maxPortRange bounds a port parameter's offset range: the no-omission
+// rule checks every offset, and a device's register window is small.
+const maxPortRange = 1 << 16
+
+func portRangeTooLarge(p *ast.PortParam) bool {
+	return p.RangeHi >= p.RangeLo && uint64(p.RangeHi-p.RangeLo) >= maxPortRange
 }
 
 // checkPortRef validates that a port reference names a declared parameter
@@ -548,8 +559,11 @@ func (c *checker) checkNoOmission() {
 				"port parameter %s is never used by a register", p.Name)
 			continue
 		}
-		for off := p.RangeLo; off <= p.RangeHi; off++ {
-			if !u.used[off] {
+		if p.RangeHi < p.RangeLo || portRangeTooLarge(p) {
+			continue // size error already reported
+		}
+		for n := p.RangeHi - p.RangeLo; n >= 0; n-- {
+			if off := p.RangeHi - n; !u.used[off] {
 				c.errorf(p.NamePos, "no-omission",
 					"offset %d of port %s is not used by any register", off, p.Name)
 			}

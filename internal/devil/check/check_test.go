@@ -230,3 +230,15 @@ func TestTypeIDsAreStable(t *testing.T) {
 		t.Errorf("V width = %d", info.Variables["V"].Width)
 	}
 }
+
+// TestPortRangeBounded: an oversized port offset range is one size error,
+// not one no-omission diagnostic per unused offset.
+func TestPortRangeBounded(t *testing.T) {
+	rules := checkSrc(t, `device d (a : bit[8] port @ {0..4294967295}) {
+		register r = a @ 0 : bit[8];
+		variable V = r : int(8);
+	}`)
+	if len(rules) != 1 || !strings.HasPrefix(rules[0], "size: port a: offset range") {
+		t.Errorf("diagnostics = %v", rules)
+	}
+}

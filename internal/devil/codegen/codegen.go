@@ -289,43 +289,46 @@ func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) (map[*
 	}
 	sort.Strings(names)
 	s.regs = make([]regPlan, len(names))
-	byReg := make(map[*ast.Register]*regPlan, len(names))
 	s.seed = make([]uint32, len(names))
+	byReg := make(map[*ast.Register]*regPlan, len(names))
 	for i, name := range names {
 		r := info.Registers[name]
 		rp := &s.regs[i]
 		*rp = regPlan{name: name, slot: i, width: accessWidth(r.Size)}
-		for _, ref := range []struct {
-			port *ast.PortRef
-			dst  *hw.Port
-		}{{r.ReadPort, &rp.readPort}, {r.WritePort, &rp.writePort}} {
-			if ref.port == nil {
-				continue
-			}
-			base, ok := bases[ref.port.Name]
-			if !ok {
-				return nil, fmt.Errorf("generate %s: register %s: unbound port %s",
-					s.filename, name, ref.port.Name)
-			}
-			*ref.dst = base + hw.Port(ref.port.Offset)
+		var err error
+		if rp.readPort, err = s.port(bases, r, r.ReadPort); err != nil {
+			return nil, err
 		}
-		for bit := 0; bit < r.Size && r.Mask != ""; bit++ {
-			idx := len(r.Mask) - 1 - bit
-			if idx < 0 {
-				break
-			}
-			switch r.Mask[idx] {
+		if rp.writePort, err = s.port(bases, r, r.WritePort); err != nil {
+			return nil, err
+		}
+		for j := 0; j < len(r.Mask); j++ {
+			bit := uint32(1) << uint(len(r.Mask)-1-j)
+			switch r.Mask[j] {
 			case '1':
-				rp.set |= 1 << uint(bit)
+				rp.set |= bit
 			case '0', '*':
-				rp.clear |= 1 << uint(bit)
+				rp.clear |= bit
 			}
 		}
-		s.seed[i] = fixedBits(r)
+		s.seed[i] = rp.set
 		byReg[r] = rp
 	}
 	s.cache = append([]uint32(nil), s.seed...)
 	return byReg, nil
+}
+
+// port resolves a register's port reference to an absolute port; a nil
+// reference (the unused side of a read- or write-only register) is 0.
+func (s *Stubs) port(bases map[string]hw.Port, r *ast.Register, ref *ast.PortRef) (hw.Port, error) {
+	if ref == nil {
+		return 0, nil
+	}
+	base, ok := bases[ref.Name]
+	if !ok {
+		return 0, fmt.Errorf("generate %s: register %s: unbound port %s", s.filename, r.Name, ref.Name)
+	}
+	return base + hw.Port(ref.Offset), nil
 }
 
 // planVariable lays out a variable's fragments over the register plans and

@@ -305,3 +305,39 @@ func TestGenerateValidation(t *testing.T) {
 		t.Error("zero mode accepted")
 	}
 }
+
+// TestCyclicPreActionsFail: the checker rejects a pre-action on the
+// register it guards, but not two registers whose pre-actions set each
+// other's variables. Reading through such a register must fail with an
+// error instead of recursing without bound.
+func TestCyclicPreActionsFail(t *testing.T) {
+	const src = `
+device cyclic (base : bit[8] port @ {0..1})
+{
+    register a = base @ 0, pre {vb = 0} : bit[8];
+    register b = base @ 1, pre {va = 0} : bit[8];
+    private variable va = a[3..0] : int(4);
+    private variable vb = b[3..0] : int(4);
+    variable X = a[7..4], volatile : int(4);
+    variable Y = b[7..4], volatile : int(4);
+}
+`
+	spec, err := devil.Compile("cyclic.dil", src)
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	bus := hw.NewBus()
+	bus.SetFloating(true)
+	stubs, err := spec.Generate(devil.Config{Bus: bus, Bases: map[string]hw.Port{"base": 0x40}, Mode: codegen.Debug})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := stubs.Get("X"); err == nil || !strings.Contains(err.Error(), "cyclic pre-actions") {
+			t.Errorf("Get through cyclic pre-actions: %v", err)
+		}
+	}
+	if err := stubs.Set("X", codegen.UntypedInt(1)); err == nil || !strings.Contains(err.Error(), "cyclic pre-actions") {
+		t.Errorf("Set through cyclic pre-actions: %v", err)
+	}
+}

@@ -240,6 +240,11 @@ func (p *parser) parsePortRef() *ast.PortRef {
 	return &ast.PortRef{NamePos: name.Pos, Name: name.Lit, Offset: off}
 }
 
+// maxIntSet bounds the values an integer set type expands to. A Devil
+// variable is at most 32 bits wide and a set lists the values it may hold;
+// a larger range is a typo, and expanding it would exhaust memory.
+const maxIntSet = 1 << 16
+
 func (p *parser) parseRegister() *ast.Register {
 	kw := p.expect(token.KwRegister)
 	name := p.expect(token.Ident)
@@ -425,11 +430,15 @@ func (p *parser) parseType() *ast.TypeExpr {
 			lo, pos := p.parseInt()
 			if _, ok := p.accept(token.DotDot); ok {
 				hi, _ := p.parseInt()
-				if hi < lo {
+				switch {
+				case hi < lo:
 					p.errorf(pos, "empty integer range %d..%d", lo, hi)
-				}
-				for v := lo; v <= hi; v++ {
-					te.Set = append(te.Set, v)
+				case uint64(hi-lo) >= uint64(maxIntSet-len(te.Set)):
+					p.errorf(pos, "integer set exceeds %d values at range %d..%d", maxIntSet, lo, hi)
+				default:
+					for n := hi - lo; n >= 0; n-- {
+						te.Set = append(te.Set, hi-n)
+					}
 				}
 			} else {
 				te.Set = append(te.Set, lo)

@@ -160,3 +160,22 @@ func TestParseErrorCases(t *testing.T) {
 		}
 	}
 }
+
+// TestIntSetRangeBounded: a range expanding past the set bound is an
+// error, not an allocation of billions of values; a small range ending at
+// the top of the integer range expands without wrapping around.
+func TestIntSetRangeBounded(t *testing.T) {
+	spec := func(set string) string {
+		return `device d (a : bit[8] port @ {0..0}) {
+			register r = a @ 0 : bit[8];
+			variable v = r : int {` + set + `};
+		}`
+	}
+	if _, errs := parser.Parse(spec("0..4294967295")); len(errs) == 0 {
+		t.Error("oversized range parsed without errors")
+	}
+	dev := mustParse(t, spec("9223372036854775806..9223372036854775807"))
+	if set := dev.Variable("v").Type.Set; len(set) != 2 || set[1] != 9223372036854775807 {
+		t.Errorf("set = %v", set)
+	}
+}
