@@ -1374,24 +1374,16 @@ func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
 	case strings.HasPrefix(name, "get_block_"), strings.HasPrefix(name, "set_block_"):
 		reading := strings.HasPrefix(name, "get_block_")
 		varName := strings.TrimPrefix(strings.TrimPrefix(name, "get_block_"), "set_block_")
-		sig, ok := c.varSigs[varName]
+		sig, acc, ok := c.stubVar(varName)
 		if !ok || !sig.Block {
-			return nil
-		}
-		acc, ok := c.stubs.Accessor(varName)
-		if !ok {
 			return nil
 		}
 		return c.blockCall(name, varName, reading, sig, acc)
 
 	case strings.HasPrefix(name, "get_"):
 		varName := name[len("get_"):]
-		sig, ok := c.varSigs[varName]
+		sig, acc, ok := c.stubVar(varName)
 		if !ok {
-			return nil
-		}
-		acc, aok := c.stubs.Accessor(varName)
-		if !aok {
 			return nil
 		}
 		if !acc.Readable() {
@@ -1406,11 +1398,8 @@ func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
 
 	case strings.HasPrefix(name, "set_"):
 		varName := name[len("set_"):]
-		if _, ok := c.varSigs[varName]; !ok {
-			return nil
-		}
-		acc, aok := c.stubs.Accessor(varName)
-		if !aok {
+		_, acc, ok := c.stubVar(varName)
+		if !ok {
 			return nil
 		}
 		if !acc.Writable() {
@@ -1425,6 +1414,18 @@ func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
 		}
 	}
 	return nil
+}
+
+// stubVar resolves the variable a stub call names to its published
+// signature and its access-plan handle; ok is false for unknown and
+// private variables.
+func (c *compiler) stubVar(varName string) (codegen.VarSig, *codegen.Accessor, bool) {
+	sig, ok := c.varSigs[varName]
+	if !ok {
+		return sig, nil, false
+	}
+	acc, ok := c.stubs.Accessor(varName)
+	return sig, acc, ok
 }
 
 // stubGetSite compiles a get_X() call site over the variable's access
@@ -1477,22 +1478,13 @@ func (c *compiler) directStub(x *cast.CallExpr, argFns []exprFn, line int) exprF
 	}
 	switch {
 	case len(argFns) == 0 && strings.HasPrefix(name, "get_"):
-		varName := name[len("get_"):]
-		sig, ok := c.varSigs[varName]
-		if !ok {
-			return nil
-		}
-		acc, ok := c.stubs.Accessor(varName)
+		sig, acc, ok := c.stubVar(name[len("get_"):])
 		if !ok || !acc.Readable() {
 			return nil
 		}
 		return stubGetSite(acc, sig, line)
 	case len(argFns) == 1 && strings.HasPrefix(name, "set_"):
-		varName := name[len("set_"):]
-		if _, ok := c.varSigs[varName]; !ok {
-			return nil
-		}
-		acc, ok := c.stubs.Accessor(varName)
+		_, acc, ok := c.stubVar(name[len("set_"):])
 		if !ok || !acc.Writable() {
 			return nil
 		}

@@ -335,13 +335,11 @@ func (s *Stubs) port(bases map[string]hw.Port, r *ast.Register, ref *ast.PortRef
 // compiles its enum read mappings.
 func (s *Stubs) planVariable(vi *check.VarInfo, typeID int, regs map[*ast.Register]*regPlan) *Accessor {
 	a := &Accessor{
-		s:        s,
-		vi:       vi,
-		typeID:   typeID,
-		valMask:  loMask(vi.Width),
-		frags:    make([]fragPlan, len(vi.Fragments)),
-		readable: vi.Mode.CanRead(),
-		writable: vi.Mode.CanWrite(),
+		s:       s,
+		vi:      vi,
+		typeID:  typeID,
+		valMask: loMask(vi.Width),
+		frags:   make([]fragPlan, len(vi.Fragments)),
 	}
 	remaining := vi.Width
 	for i, fi := range vi.Fragments {
@@ -460,9 +458,8 @@ type Accessor struct {
 	vi     *check.VarInfo
 	typeID int
 	// valMask keeps the variable's width of a written value.
-	valMask            uint32
-	frags              []fragPlan // most-significant first
-	readable, writable bool
+	valMask uint32
+	frags   []fragPlan // most-significant first
 	// reads lists the enum read mappings a debug-mode read must match.
 	reads []readPattern
 }
@@ -479,10 +476,10 @@ func (s *Stubs) Accessor(name string) (*Accessor, bool) {
 }
 
 // Readable reports whether the variable can be read.
-func (a *Accessor) Readable() bool { return a.readable }
+func (a *Accessor) Readable() bool { return a.vi.Mode.CanRead() }
 
 // Writable reports whether the variable can be written.
-func (a *Accessor) Writable() bool { return a.writable }
+func (a *Accessor) Writable() bool { return a.vi.Mode.CanWrite() }
 
 // ModeString renders the variable's access mode (for error messages that
 // must match the unresolved Get/Set paths byte for byte).
@@ -643,7 +640,7 @@ func (s *Stubs) Get(name string) (Value, error) {
 	if err != nil {
 		return Value{}, err
 	}
-	if !a.readable {
+	if !a.Readable() {
 		return Value{}, fmt.Errorf("device variable %s is %s", name, a.vi.Mode)
 	}
 	return a.Get()
@@ -682,7 +679,7 @@ func (s *Stubs) Set(name string, v Value) error {
 	if err != nil {
 		return err
 	}
-	if !a.writable {
+	if !a.Writable() {
 		return fmt.Errorf("device variable %s is %s", name, a.vi.Mode)
 	}
 	return a.Set(v)
