@@ -335,11 +335,10 @@ func (s *Stubs) port(bases map[string]hw.Port, r *ast.Register, ref *ast.PortRef
 // compiles its enum read mappings.
 func (s *Stubs) planVariable(vi *check.VarInfo, typeID int, regs map[*ast.Register]*regPlan) *Accessor {
 	a := &Accessor{
-		s:       s,
-		vi:      vi,
-		typeID:  typeID,
-		valMask: loMask(vi.Width),
-		frags:   make([]fragPlan, len(vi.Fragments)),
+		s:      s,
+		vi:     vi,
+		typeID: typeID,
+		frags:  make([]fragPlan, len(vi.Fragments)),
 	}
 	remaining := vi.Width
 	for i, fi := range vi.Fragments {
@@ -457,9 +456,7 @@ type Accessor struct {
 	s      *Stubs
 	vi     *check.VarInfo
 	typeID int
-	// valMask keeps the variable's width of a written value.
-	valMask uint32
-	frags   []fragPlan // most-significant first
+	frags  []fragPlan // most-significant first
 	// reads lists the enum read mappings a debug-mode read must match.
 	reads []readPattern
 }
@@ -521,11 +518,11 @@ func (a *Accessor) Set(v Value) error {
 }
 
 // store distributes a raw value over the fragments, most-significant
-// fragment first. Each fragment merges against the cached register value
-// before the register's pre-actions run.
+// fragment first; bits above the variable's width fall outside every
+// fragment. Each fragment merges against the cached register value before
+// the register's pre-actions run.
 func (a *Accessor) store(val uint32) error {
 	s := a.s
-	val &= a.valMask
 	for i := range a.frags {
 		f := &a.frags[i]
 		field := (val >> f.shift) & f.mask
