@@ -2,6 +2,7 @@ package ccompile_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,8 +12,10 @@ import (
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/cparser"
 	"repro/internal/cdriver/ctypes"
+	"repro/internal/devil"
 	"repro/internal/hw"
 	"repro/internal/kernel"
+	"repro/internal/specs"
 )
 
 // rig is one freshly assembled plain-C execution context.
@@ -318,6 +321,115 @@ int f(void) { return A; }`
 	_, err := ccompile.Compile(prog, r.kern, r.bus, nil, nil)
 	if !errors.Is(err, ccompile.ErrUnsupported) {
 		t.Fatalf("cyclic macro: err = %v, want ErrUnsupported", err)
+	}
+}
+
+// TestStubCallArityMatchesInterpreter runs get_X/set_X calls of every
+// arity over the busmouse stubs on the interpreter and both compiled
+// backends. The program is parsed but not type-checked, since the checker
+// rejects wrong-arity stub calls; a mutant that reaches execution without
+// it must still see the interpreter's semantics: arguments evaluate in
+// order and stop at the first error, a get ignores them, and a set of any
+// arity other than one stores the zero value.
+func TestStubCallArityMatchesInterpreter(t *testing.T) {
+	src := `
+int trace(int v) { printk("arg %d", v); return v; }
+int f(int n) {
+	set_signature(trace(0x11), trace(0x22));
+	set_signature();
+	set_signature(trace(0x5a));
+	int a = get_signature(trace(3), trace(4));
+	return a + get_dx() + get_dx(trace(7)) + get_signature(10 / n);
+}
+int g(void) { return get_interrupt(trace(9)); }`
+	prog, perrs := cparser.Parse(src)
+	if len(perrs) != 0 {
+		t.Fatalf("parse: %v", perrs)
+	}
+	s, err := specs.Load("busmouse")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := devil.Compile(s.Filename, s.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		val     cinterp.Value
+		errText string
+		console string
+		trace   []hw.Access
+		cov     []int
+	}
+	run := func(backend, fn string, n int64) result {
+		bus := hw.NewBus()
+		bus.SetFloating(true)
+		bus.SetTracing(true)
+		kern := kernel.New(&hw.Clock{})
+		stubs, err := spec.Generate(devil.Config{
+			Bus: bus, Bases: map[string]hw.Port{"base": 0x23c}, Mode: devil.Debug,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := ctypes.NewEnv(false)
+		if err := env.AddStubs(stubs.Interface()); err != nil {
+			t.Fatal(err)
+		}
+		var call func(string, ...cinterp.Value) (cinterp.Value, error)
+		var cov *ccov.Set
+		switch backend {
+		case "interp":
+			in, err := cinterp.New(prog, env, kern, bus, stubs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			call, cov = in.Call, in.Coverage()
+		default:
+			compile := ccompile.Compile
+			if backend == "block" {
+				compile = ccompile.CompileBlocks
+			}
+			p, err := compile(prog, kern, bus, stubs, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Init(); err != nil {
+				t.Fatal(err)
+			}
+			call, cov = p.Call, p.Coverage()
+		}
+		var args []cinterp.Value
+		if fn == "f" {
+			args = append(args, cinterp.IntValue(n))
+		}
+		v, err := call(fn, args...)
+		r := result{val: v, console: strings.Join(kern.Console(), "\n"),
+			trace: bus.Trace(), cov: cov.Slice()}
+		if err != nil {
+			r.errText = err.Error()
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		fn      string
+		n       int64
+		wantErr string
+	}{
+		{"f", 1, ""},
+		{"f", 0, "division by zero"},
+		{"g", 0, "device variable interrupt is write-only"},
+	} {
+		want := run("interp", tc.fn, tc.n)
+		if !strings.Contains(want.errText, tc.wantErr) || (tc.wantErr == "") != (want.errText == "") {
+			t.Fatalf("%s(%d): interpreter error = %q, want %q", tc.fn, tc.n, want.errText, tc.wantErr)
+		}
+		for _, backend := range []string{"compiled", "block"} {
+			got := run(backend, tc.fn, tc.n)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s(%d) on %s:\n got  %+v\n want %+v", tc.fn, tc.n, backend, got, want)
+			}
+		}
 	}
 }
 

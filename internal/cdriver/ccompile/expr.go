@@ -808,7 +808,7 @@ func (c *compiler) call(x *cast.CallExpr, line int) exprFn {
 		if direct := c.directStub(x, argFns, line); direct != nil {
 			return direct
 		}
-		impl = c.builtin(x, line)
+		impl = c.builtin(x)
 	}
 	n := len(argFns)
 	return func(st *state, fr []Value) (Value, error) {
@@ -1251,7 +1251,7 @@ func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) 
 
 // builtin resolves a non-driver call at compile time: kernel builtins,
 // the Devil stub surface, or the undefined-function fault.
-func (c *compiler) builtin(x *cast.CallExpr, line int) callImpl {
+func (c *compiler) builtin(x *cast.CallExpr) callImpl {
 	switch x.Name {
 	case "inb", "inw", "inl", "outb", "outw", "outl":
 		// A wrong-arity I/O call (a mutant artefact) stays on the
@@ -1341,7 +1341,7 @@ func (c *compiler) builtin(x *cast.CallExpr, line int) callImpl {
 		}
 	}
 	if c.stubs != nil {
-		if impl := c.stubCall(x, line); impl != nil {
+		if impl := c.stubCall(x); impl != nil {
 			return impl
 		}
 	}
@@ -1364,11 +1364,11 @@ func (c *compiler) undefinedCall(x *cast.CallExpr) callImpl {
 	}
 }
 
-// stubCall resolves a get_X/set_X/get_block_X/set_block_X call to an
-// indexed accessor dispatch, replacing the interpreter's per-call string
-// prefix matching and stub-table lookups. Returns nil when the name does
-// not resolve to a stub (the undefined-function fault applies).
-func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
+// stubCall resolves the stub calls directStub leaves to the generic path:
+// get_block_X/set_block_X, and get_X/set_X on a variable whose access mode
+// forbids the call. Returns nil when the name does not resolve to a stub
+// (the undefined-function fault applies).
+func (c *compiler) stubCall(x *cast.CallExpr) callImpl {
 	name := x.Name
 	switch {
 	case strings.HasPrefix(name, "get_block_"), strings.HasPrefix(name, "set_block_"):
@@ -1380,37 +1380,10 @@ func (c *compiler) stubCall(x *cast.CallExpr, line int) callImpl {
 		}
 		return c.blockCall(name, varName, reading, sig, acc)
 
-	case strings.HasPrefix(name, "get_"):
+	case strings.HasPrefix(name, "get_"), strings.HasPrefix(name, "set_"):
 		varName := name[len("get_"):]
-		sig, acc, ok := c.stubVar(varName)
-		if !ok {
-			return nil
-		}
-		if !acc.Readable() {
+		if _, acc, ok := c.stubVar(varName); ok {
 			return modeFaultImpl(varName, acc)
-		}
-		// A get with arguments evaluated them for their side effects
-		// only; the stub itself is the direct call site's.
-		get := stubGetSite(acc, sig, line)
-		return func(st *state, args []Value) (Value, error) {
-			return get(st, nil)
-		}
-
-	case strings.HasPrefix(name, "set_"):
-		varName := name[len("set_"):]
-		_, acc, ok := c.stubVar(varName)
-		if !ok {
-			return nil
-		}
-		if !acc.Writable() {
-			return modeFaultImpl(varName, acc)
-		}
-		return func(st *state, args []Value) (Value, error) {
-			var dv codegen.Value
-			if len(args) == 1 {
-				dv = toDevil(args[0])
-			}
-			return voidValue, acc.Set(dv)
 		}
 	}
 	return nil
@@ -1464,12 +1437,13 @@ func stubGetSite(acc *codegen.Accessor, sig codegen.VarSig, line int) exprFn {
 	}
 }
 
-// directStub compiles the well-formed Devil stub call sites — get_X() and
-// set_X(v) on a public variable whose access mode allows the call — to
-// direct closures over the variable's access plan, skipping the pooled
-// argument buffer and the callImpl indirection of the generic path.
-// Wrong-arity calls, unknown variables, mode faults and the block stubs
-// return nil and take the generic path.
+// directStub compiles the Devil stub call sites get_X and set_X on a
+// public variable whose access mode allows the call to direct closures over
+// the variable's access plan, skipping the pooled argument buffer and the
+// callImpl indirection of the generic path. Arguments evaluate in order,
+// stopping at the first error; a get ignores their values, and a set of
+// any arity other than one stores the zero value. Unknown variables, mode
+// faults and the block stubs return nil and take the generic path.
 func (c *compiler) directStub(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
 	name := x.Name
 	if c.stubs == nil ||
@@ -1477,25 +1451,43 @@ func (c *compiler) directStub(x *cast.CallExpr, argFns []exprFn, line int) exprF
 		return nil
 	}
 	switch {
-	case len(argFns) == 0 && strings.HasPrefix(name, "get_"):
+	case strings.HasPrefix(name, "get_"):
 		sig, acc, ok := c.stubVar(name[len("get_"):])
 		if !ok || !acc.Readable() {
 			return nil
 		}
-		return stubGetSite(acc, sig, line)
-	case len(argFns) == 1 && strings.HasPrefix(name, "set_"):
+		get := stubGetSite(acc, sig, line)
+		if len(argFns) == 0 {
+			return get
+		}
+		return func(st *state, fr []Value) (Value, error) {
+			st.cov.Add(line)
+			for _, af := range argFns {
+				if _, err := af(st, fr); err != nil {
+					return voidValue, err
+				}
+			}
+			return get(st, fr)
+		}
+	case strings.HasPrefix(name, "set_"):
 		_, acc, ok := c.stubVar(name[len("set_"):])
 		if !ok || !acc.Writable() {
 			return nil
 		}
-		af := argFns[0]
+		one := len(argFns) == 1
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
-			a, err := af(st, fr)
-			if err != nil {
-				return voidValue, err
+			var dv codegen.Value
+			for _, af := range argFns {
+				a, err := af(st, fr)
+				if err != nil {
+					return voidValue, err
+				}
+				if one {
+					dv = toDevil(a)
+				}
 			}
-			return voidValue, acc.Set(toDevil(a))
+			return voidValue, acc.Set(dv)
 		}
 	}
 	return nil

@@ -222,22 +222,15 @@ func Generate(filename string, info *check.Info, cfg Config) (*Stubs, error) {
 		consts:   make(map[string]Value),
 		constVar: make(map[string]string),
 	}
-	regs, err := s.planRegisters(info, cfg.Bases)
-	if err != nil {
-		return nil, err
-	}
+	regs := s.planRegisters(info, cfg.Bases)
 	for name, vi := range info.Variables {
 		s.vars[name] = s.planVariable(vi, info.TypeIDs[name], regs)
 	}
 	for _, r := range info.Registers {
 		rp := regs[r]
 		for _, pa := range r.Pre {
-			target, ok := s.vars[pa.Var]
-			if !ok {
-				return nil, fmt.Errorf("generate %s: pre-action of %s: unknown variable %s",
-					filename, r.Name, pa.Var)
-			}
-			rp.pre = append(rp.pre, preAction{target: target, val: uint32(pa.Value)})
+			// The checker guarantees the pre-action variable exists.
+			rp.pre = append(rp.pre, preAction{target: s.vars[pa.Var], val: uint32(pa.Value)})
 		}
 	}
 	iface := &Interface{SpecFile: filename, Consts: make(map[string]string)}
@@ -282,7 +275,7 @@ func Generate(filename string, info *check.Info, cfg Config) (*Stubs, error) {
 
 // planRegisters gives every register a cache slot, in name order, and
 // resolves its ports, access width and write mask.
-func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) (map[*ast.Register]*regPlan, error) {
+func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) map[*ast.Register]*regPlan {
 	names := make([]string, 0, len(info.Registers))
 	for name := range info.Registers {
 		names = append(names, name)
@@ -294,13 +287,12 @@ func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) (map[*
 	for i, name := range names {
 		r := info.Registers[name]
 		rp := &s.regs[i]
-		*rp = regPlan{name: name, slot: i, width: accessWidth(r.Size)}
-		var err error
-		if rp.readPort, err = s.port(bases, r, r.ReadPort); err != nil {
-			return nil, err
-		}
-		if rp.writePort, err = s.port(bases, r, r.WritePort); err != nil {
-			return nil, err
+		*rp = regPlan{
+			name:      name,
+			slot:      i,
+			width:     accessWidth(r.Size),
+			readPort:  port(bases, r.ReadPort),
+			writePort: port(bases, r.WritePort),
 		}
 		for j := 0; j < len(r.Mask); j++ {
 			bit := uint32(1) << uint(len(r.Mask)-1-j)
@@ -315,20 +307,18 @@ func (s *Stubs) planRegisters(info *check.Info, bases map[string]hw.Port) (map[*
 		byReg[r] = rp
 	}
 	s.cache = append([]uint32(nil), s.seed...)
-	return byReg, nil
+	return byReg
 }
 
 // port resolves a register's port reference to an absolute port; a nil
-// reference (the unused side of a read- or write-only register) is 0.
-func (s *Stubs) port(bases map[string]hw.Port, r *ast.Register, ref *ast.PortRef) (hw.Port, error) {
+// reference (the unused side of a read- or write-only register) is 0. The
+// checker guarantees the reference names a port parameter, and Generate
+// that every parameter is bound.
+func port(bases map[string]hw.Port, ref *ast.PortRef) hw.Port {
 	if ref == nil {
-		return 0, nil
+		return 0
 	}
-	base, ok := bases[ref.Name]
-	if !ok {
-		return 0, fmt.Errorf("generate %s: register %s: unbound port %s", s.filename, r.Name, ref.Name)
-	}
-	return base + hw.Port(ref.Offset), nil
+	return bases[ref.Name] + hw.Port(ref.Offset)
 }
 
 // planVariable lays out a variable's fragments over the register plans and
