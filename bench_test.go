@@ -199,7 +199,7 @@ func BenchmarkFigure1CleanBoot(b *testing.B) {
 			}
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.Boot(experiment.BootInput{Tokens: toks, Devil: src.Devil})
+				res, err := experiment.BootDriver(name, experiment.BootInput{Tokens: toks, Devil: src.Devil})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -392,11 +392,11 @@ func BenchmarkCampaignThroughputObserved(b *testing.B) {
 	}
 }
 
-// BenchmarkBackendComparison pits the compiled execution backend against
+// BenchmarkBackendComparison pits the block execution backend against
 // the tree-walking reference oracle on the same campaign, isolating the
 // win of closure compilation from the rest of the engine.
 func BenchmarkBackendComparison(b *testing.B) {
-	for _, backend := range []experiment.Backend{experiment.BackendCompiled, experiment.BackendInterp} {
+	for _, backend := range []experiment.Backend{experiment.BackendBlock, experiment.BackendInterp} {
 		backend := backend
 		b.Run(string(backend), func(b *testing.B) {
 			wl := experiment.NewWorkload()
@@ -431,13 +431,13 @@ func BenchmarkMachineReuse(b *testing.B) {
 	input := experiment.BootInput{Tokens: toks, Devil: true, Budget: experiment.ExperimentBudget}
 	b.Run("fresh", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := experiment.Boot(input); err != nil {
+			if _, err := experiment.BootDriver("ide_devil", input); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("reused", func(b *testing.B) {
-		m, err := experiment.NewMachine()
+		m, err := experiment.NewRig("ide")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -478,7 +478,7 @@ func BenchmarkMutantBoot(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		if _, err := experiment.Boot(experiment.BootInput{
+		if _, err := experiment.BootDriver("ide_devil", experiment.BootInput{
 			Tokens: toks, Devil: true, Budget: experiment.ExperimentBudget,
 		}); err != nil {
 			b.Fatal(err)

@@ -251,7 +251,7 @@ func runBench(args []string) error {
 	minBoots := fs.Int("min-boots", 25,
 		"per-driver minimum boots: raise a driver's sampling percentage until at least this many mutants boot (0 disables)")
 	seed := fs.Uint64("seed", 2001, "sampling seed")
-	backendFlag := fs.String("backend", "", "hwC execution backend: block (default), compiled or interp")
+	backendFlag := fs.String("backend", "", "hwC execution backend: block (default) or interp")
 	comparePath := fs.String("compare", "",
 		"older BENCH_campaign.json to gate against: exit non-zero if any driver regresses beyond -compare-pct")
 	comparePct := fs.Float64("compare-pct", 25,

@@ -135,7 +135,7 @@ func campaignRun(args []string, resume bool) error {
 		shards = fs.Int("shards", 1, "shard count the work-list partitions into")
 		stub = fs.String("stub", "", "Devil stub mode: debug (default) or production")
 		permissive = fs.Bool("permissive", false, "downgrade CDevil typing to plain C rules")
-		backend = fs.String("backend", "", "hwC execution backend: block (default), compiled or interp")
+		backend = fs.String("backend", "", "hwC execution backend: block (default) or interp")
 		scenarios = fs.String("scenario", "",
 			"comma-separated hardware scenario cells to cross with the driver list "+
 				"(see `driverlab scenarios`; e.g. pristine,flaky-bus:5,timing — default pristine only)")
@@ -305,15 +305,12 @@ func campaignRun(args []string, resume bool) error {
 	if err != nil {
 		return err
 	}
-	dedup := ""
-	if sum.Deduped > 0 {
-		dedup = fmt.Sprintf(", %d recorded from identical streams", sum.Deduped)
-	}
+	panics := ""
 	if sum.Panics > 0 {
-		dedup += fmt.Sprintf(", %d harness panics quarantined", sum.Panics)
+		panics = fmt.Sprintf(", %d harness panics quarantined", sum.Panics)
 	}
 	fmt.Printf("campaign %q: %d selected, %d already stored, %d booted this run%s\n",
-		spec.Normalized().Name, sum.Total, sum.Skipped, sum.Ran, dedup)
+		spec.Normalized().Name, sum.Total, sum.Skipped, sum.Ran, panics)
 	if metrics != nil {
 		for _, line := range fallbackSummary(metrics.Collector()) {
 			fmt.Println("  " + line)
@@ -326,7 +323,7 @@ func campaignRun(args []string, resume bool) error {
 }
 
 // fallbackSummary reports the boot pipeline's fallback counters of an
-// observed run: compiled-backend boots that executed on the reference
+// observed run: block-backend boots that executed on the reference
 // interpreter, and incremental-front-end boots that re-ran the full
 // pipeline.
 func fallbackSummary(col *obs.Collector) []string {
@@ -462,14 +459,6 @@ func campaignReport(args []string) error {
 			fmt.Println("  " + d)
 		}
 		fmt.Println()
-	}
-	// Dedup savings, from the dedup_of provenance: results recorded by
-	// copying an identical mutant's outcome instead of booting. (The
-	// interpreter-fallback counters are live-only; an observed run
-	// prints them — see fallbackSummary.)
-	if snap := campaign.SnapshotFromRecords(st.Records()); snap.Recorded > 0 {
-		fmt.Printf("dedup savings: %d of %d recorded results copied from identical mutant streams (%.1f%% of boots avoided)\n",
-			snap.Deduped, snap.Recorded, 100*float64(snap.Deduped)/float64(snap.Recorded))
 	}
 	return nil
 }

@@ -42,7 +42,7 @@ func runServe(args []string) error {
 		"(should comfortably exceed the worker count)")
 	stub := fs.String("stub", "", "Devil stub mode: debug (default) or production")
 	permissive := fs.Bool("permissive", false, "downgrade CDevil typing to plain C rules")
-	backend := fs.String("backend", "", "hwC execution backend: block (default), compiled or interp")
+	backend := fs.String("backend", "", "hwC execution backend: block (default) or interp")
 	scenarios := fs.String("scenario", "",
 		"comma-separated hardware scenario cells to cross with the driver list (see `driverlab scenarios`)")
 	flushEvery := fs.Int("flush-every", 0,

@@ -127,10 +127,9 @@ coordinator's snapshot adds per-worker throughput and lease counters.
 Drivers: %s.
 Extension tables: %s.
 Backends (-backend): block (closure compilation plus basic-block fusion
-and batched port I/O, the default), compiled (per-statement closures)
-or interp (the tree-walking reference oracle). All three charge the
-watchdog per basic block, so step counts and every other observable are
-identical across backends.
+and batched port I/O, the default) or interp (the tree-walking
+reference oracle). Both charge the watchdog per basic block, so step
+counts and every other observable are identical across backends.
 Front ends (campaign/bench -frontend): incremental (re-run the front
 end only on the mutated declaration, the default) or full (re-lex,
 re-parse, re-check and re-compile the whole driver per mutant).
@@ -181,7 +180,7 @@ func run(args []string) error {
 	ablation := fs.Bool("ablation", false, "run the design-choice ablations")
 	sample := fs.Int("sample", 25, "percentage of driver mutants to boot (paper: 25)")
 	seed := fs.Uint64("seed", 2001, "sampling seed")
-	backendFlag := fs.String("backend", "", "hwC execution backend: block (default), compiled or interp")
+	backendFlag := fs.String("backend", "", "hwC execution backend: block (default) or interp")
 	fs.Usage = func() {
 		fmt.Fprint(fs.Output(), usageText())
 		fs.PrintDefaults()

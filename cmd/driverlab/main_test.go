@@ -59,7 +59,7 @@ func TestUsageEnumeratesSurface(t *testing.T) {
 	usage := usageText()
 	wants := []string{
 		"campaign", "run", "resume", "merge", "report", "status", "bench",
-		"metrics", "block", "compiled", "interp", "BENCH_campaign.json",
+		"metrics", "block", "interp", "BENCH_campaign.json",
 		"-compare", "-min-boots",
 		"-status-addr", "-phases", "/metrics", "/status",
 		"scenarios", "-scenario",
@@ -237,7 +237,7 @@ func TestCampaignCLI(t *testing.T) {
 		return campaign.SnapshotFromRecords(st.Records())
 	}
 	s := snap(m)
-	if s.Recorded == 0 || s.Recorded != s.Ran+s.Deduped || len(s.Outcomes) == 0 {
+	if s.Recorded == 0 || s.Recorded != s.Ran || len(s.Outcomes) == 0 {
 		t.Errorf("offline snapshot inconsistent: %+v", s)
 	}
 	if s.Total == 0 || s.Recorded > s.Total {
@@ -251,7 +251,7 @@ func TestCampaignCLI(t *testing.T) {
 func TestCampaignStatusLive(t *testing.T) {
 	want := campaign.Snapshot{
 		Name: "wire", Live: true, Workers: 2, ElapsedSec: 3.5,
-		Total: 10, Recorded: 6, Ran: 5, Deduped: 1,
+		Total: 10, Recorded: 6, Ran: 6,
 		BootsPerSec: 1.5, ETASec: 2.7,
 		Outcomes: map[string]int{"Boot": 5, "Crash": 1},
 		Drivers:  []campaign.DriverStatus{{Driver: "ide_c", Selected: 10, Recorded: 6, Ran: 5}},
@@ -300,7 +300,7 @@ func TestCampaignStatusLive(t *testing.T) {
 func TestStatusFormatting(t *testing.T) {
 	s := campaign.Snapshot{
 		Name: "fmt", Live: true, Workers: 4, ElapsedSec: 61,
-		Total: 200, Recorded: 50, Ran: 40, Deduped: 7, Skipped: 3,
+		Total: 200, Recorded: 50, Ran: 40, Skipped: 10,
 		BootsPerSec: 12.5, ETASec: 12,
 		Outcomes: map[string]int{"Boot": 30, "Crash": 10, "Halt": 10},
 		Drivers:  []campaign.DriverStatus{{Driver: "ide_c", Selected: 200, Recorded: 50, Ran: 40, BootsPerSec: 12.5}},
@@ -352,6 +352,37 @@ func TestCampaignCLIErrors(t *testing.T) {
 		filepath.Join(dir, "empty.jsonl"), "-quiet"}); err == nil {
 		t.Error("resume of an empty store accepted")
 	}
+	// A store written when a third backend, "compiled", still existed:
+	// resume must refuse it with the backend error, before any boot, not
+	// with a panic or a fingerprint mismatch.
+	old := filepath.Join(dir, "compiled.jsonl")
+	st, err := campaign.OpenFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append(campaign.SpecRecord(campaign.Spec{Name: "old",
+		Drivers: []string{"busmouse_c"}, SamplePct: 10, Seed: 1, Backend: "compiled"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err := os.ReadFile(old); err != nil || !strings.Contains(string(raw), `"backend":"compiled"`) {
+		t.Fatalf("fixture store lacks the compiled backend: %q, %v", raw, err)
+	}
+	err = run([]string{"campaign", "resume", "-store", old, "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), `unknown execution backend "compiled"`) ||
+		!strings.Contains(err.Error(), "block") || !strings.Contains(err.Error(), "interp") {
+		t.Errorf("resume of a compiled-backend store: err = %v, want the unknown-backend error", err)
+	}
+	st, err = campaign.OpenFile(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.Records()); n != 1 {
+		t.Errorf("refused resume left %d records, want only the spec record", n)
+	}
+	st.Close()
 	if err := run([]string{"campaign", "merge", "-out", filepath.Join(dir, "out.jsonl")}); err == nil {
 		t.Error("merge without inputs accepted")
 	}

@@ -123,8 +123,8 @@ func formatSnapshot(s campaign.Snapshot, source string) string {
 				f.RejectedFrames, f.StaleRecords)
 		}
 	}
-	fmt.Fprintf(&b, "  progress: %d/%d recorded (%.1f%%) — %d booted, %d deduped, %d skipped\n",
-		s.Recorded, s.Total, s.Percent(), s.Ran, s.Deduped, s.Skipped)
+	fmt.Fprintf(&b, "  progress: %d/%d recorded (%.1f%%) — %d booted, %d skipped\n",
+		s.Recorded, s.Total, s.Percent(), s.Ran, s.Skipped)
 	if s.Panics > 0 {
 		fmt.Fprintf(&b, "  panics: %d (harness panics recovered and quarantined)\n", s.Panics)
 	}

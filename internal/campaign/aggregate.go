@@ -116,7 +116,7 @@ func scenarioCells(s *Spec) string {
 // matrix — the same work-list crossed with different cells — the error
 // names the mismatched cells instead of leaving the user to diff hashes:
 // such stores are separate matrices, not shards of one, and must not be
-// merged (their per-cell fault seeds and dedup policies differ).
+// merged (their per-cell fault seeds differ).
 func fingerprintMismatch(i int, got Record, wantFP string, wantSpec *Spec) error {
 	if got.Spec != nil && wantSpec != nil {
 		a, b := *got.Spec, *wantSpec

@@ -7,7 +7,7 @@
 // The record stream — not the in-memory run — is the source of truth:
 // an interrupted campaign resumes by skipping mutants the store already
 // holds, independent shard runs merge by concatenation and
-// deduplication, and the paper's Tables 3/4 are re-derived purely from
+// de-duplication of records, and the paper's Tables 3/4 are re-derived purely from
 // stored records, so a serial run and a 4-way sharded run of the same
 // spec aggregate to identical tables.
 //
@@ -50,8 +50,7 @@ type Spec struct {
 	// Budget overrides the per-boot watchdog budget when non-zero.
 	Budget int64 `json:"budget,omitempty"`
 	// Backend forces the hwC execution backend: "" (the block-compiled
-	// default), "block", "compiled" (per-statement closures) or "interp"
-	// (the tree-walking reference oracle).
+	// default), "block" or "interp" (the tree-walking reference oracle).
 	Backend string `json:"backend,omitempty"`
 	// Scenarios lists the hardware scenarios to cross the driver list
 	// with, making the spec a scenario × driver matrix: every driver's
@@ -164,14 +163,6 @@ type Task struct {
 	// same mutant boots once per matrix cell.
 	Scenario string
 	Shard    int
-	// Dedup, when non-empty, identifies the task's mutated token stream
-	// exactly. Distinct mutation operators occasionally synthesise
-	// byte-identical streams (two literal edits with the same result);
-	// tasks sharing a Dedup key within one driver boot once, and the
-	// engine records the shared outcome for the rest with dedup_of
-	// provenance. The workload only sets Dedup on keys shared by at
-	// least two mutants.
-	Dedup string
 }
 
 // Key is the task's stable identity in stores.
@@ -295,11 +286,6 @@ type Record struct {
 	Lost   bool   `json:"lost,omitempty"`
 	Steps  int64  `json:"steps,omitempty"`
 	Shard  int    `json:"shard"`
-	// DedupOf, when set, records that this mutant's token stream was
-	// byte-identical to the named mutant's, which is the one that
-	// actually booted; the outcome fields are copies of its record.
-	// Pure provenance: aggregation treats the record like any other.
-	DedupOf *int `json:"dedup_of,omitempty"`
 	// HarnessPanic marks a quarantined boot: the harness panicked, the
 	// engine recovered, and Row is RowHarnessPanic. Panic carries the
 	// recovered value's text for forensics.

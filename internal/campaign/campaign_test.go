@@ -207,6 +207,9 @@ func TestBackendSpellingsFingerprintIdentically(t *testing.T) {
 	if explicit.Fingerprint() != want {
 		t.Error(`"block" fingerprints differently from the "" default`)
 	}
+	// A name that is not a spelling of block (here the removed
+	// per-statement backend) must not canonicalize to it: its store
+	// would otherwise resume as a block campaign.
 	compiled := spec2()
 	compiled.Backend = "compiled"
 	if compiled.Fingerprint() == want {
@@ -426,172 +429,6 @@ func TestMergeRejectsForeignStore(t *testing.T) {
 	dst := campaign.NewMemStore()
 	if err := campaign.Merge(dst, a, b); err == nil {
 		t.Error("merge of stores with different fingerprints accepted")
-	}
-}
-
-// dedupWorkload is fakeWorkload with stream-hash collisions: driver
-// "alpha" mutants 3k, 3k+1 and 3k+2 share one mutated token stream.
-type dedupWorkload struct {
-	fakeWorkload
-}
-
-func (f *dedupWorkload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task, error) {
-	metas, tasks, err := f.fakeWorkload.Expand(spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	for i := range tasks {
-		if tasks[i].Driver == "alpha" {
-			tasks[i].Dedup = fmt.Sprintf("grp%d", tasks[i].Mutant/3)
-		}
-	}
-	return metas, tasks, nil
-}
-
-func (f *dedupWorkload) NewWorker(campaign.Spec) (campaign.Worker, error) {
-	return &fakeWorker{f: &f.fakeWorkload}, nil
-}
-
-// The fake outcome is a pure function of the mutant ID, so mutants of
-// one dedup group would NOT boot identically — which is exactly how the
-// test proves the engine copies the representative's outcome instead of
-// booting duplicates.
-func dedupSpec() campaign.Spec {
-	return campaign.Spec{Name: "dd", Drivers: []string{"alpha", "beta"}, Seed: 1}
-}
-
-// TestDedupBootsOnceAndRecordsAll: duplicate streams boot once, every
-// mutant still gets a result record, and the duplicates carry dedup_of
-// provenance pointing at the mutant that booted.
-func TestDedupBootsOnceAndRecordsAll(t *testing.T) {
-	wl := &dedupWorkload{}
-	store := campaign.NewMemStore()
-	sum, err := campaign.Run(dedupSpec(), wl, store, campaign.Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// alpha: 40 mutants in ceil(40/3)=14 groups → 14 boots; beta: 25.
-	if wl.boots != 14+25 {
-		t.Errorf("boots = %d, want 39", wl.boots)
-	}
-	if sum.Ran != 39 || sum.Deduped != 26 || sum.Total != 65 {
-		t.Errorf("summary = %+v, want Ran=39 Deduped=26 Total=65", sum)
-	}
-	byMutant := make(map[string]campaign.Record)
-	for _, r := range store.Records() {
-		if r.Kind == campaign.KindResult {
-			byMutant[campaign.TaskKey(r.Driver, r.Mutant)] = r
-		}
-	}
-	if len(byMutant) != 65 {
-		t.Fatalf("%d result records, want 65 (every selected mutant records)", len(byMutant))
-	}
-	for m := 0; m < 40; m++ {
-		r := byMutant[campaign.TaskKey("alpha", m)]
-		rep := (m / 3) * 3
-		if m == rep {
-			if r.DedupOf != nil {
-				t.Errorf("alpha#%d is a representative but has dedup_of=%d", m, *r.DedupOf)
-			}
-			continue
-		}
-		if r.DedupOf == nil || *r.DedupOf != rep {
-			t.Errorf("alpha#%d: dedup_of = %v, want %d", m, r.DedupOf, rep)
-			continue
-		}
-		want := byMutant[campaign.TaskKey("alpha", rep)]
-		if r.Row != want.Row || r.Site != want.Site || r.Steps != want.Steps || r.Lost != want.Lost {
-			t.Errorf("alpha#%d outcome differs from its representative", m)
-		}
-		if r.Shard != campaign.ShardOf("alpha", m, 1) {
-			t.Errorf("alpha#%d: dedup record keeps the representative's shard", m)
-		}
-	}
-	for _, r := range byMutant {
-		if r.Driver == "beta" && r.DedupOf != nil {
-			t.Errorf("beta#%d deduped without a dedup key", r.Mutant)
-		}
-	}
-}
-
-// TestDedupResumeUsesStoredRepresentative: when the representative's
-// record survived a crash but the duplicates' did not, a resume records
-// them from the stored outcome without booting anything in the group.
-func TestDedupResumeUsesStoredRepresentative(t *testing.T) {
-	full := campaign.NewMemStore()
-	if _, err := campaign.Run(dedupSpec(), &dedupWorkload{}, full, campaign.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// Keep spec/meta records plus only the representatives' results.
-	partial := campaign.NewMemStore()
-	for _, r := range full.Records() {
-		if r.Kind == campaign.KindResult && r.DedupOf != nil {
-			continue
-		}
-		if err := partial.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wl := &dedupWorkload{}
-	sum, err := campaign.Run(dedupSpec(), wl, partial, campaign.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wl.boots != 0 {
-		t.Errorf("resume booted %d mutants; all outcomes were derivable from stored representatives", wl.boots)
-	}
-	if sum.Deduped != 26 || sum.Ran != 0 {
-		t.Errorf("resume summary = %+v, want Ran=0 Deduped=26", sum)
-	}
-	wantAgg, _, _ := campaign.Aggregate(full.Records())
-	gotAgg, _, _ := campaign.Aggregate(partial.Records())
-	if !reflect.DeepEqual(gotAgg, wantAgg) {
-		t.Error("resumed-with-dedup aggregate differs from the original run")
-	}
-}
-
-// TestDedupInvisibleToAggregation: tables derived from a deduped store
-// are identical to tables from a store where every mutant booted.
-func TestDedupInvisibleToAggregation(t *testing.T) {
-	deduped := campaign.NewMemStore()
-	if _, err := campaign.Run(dedupSpec(), &dedupWorkload{}, deduped, campaign.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	booted := campaign.NewMemStore()
-	if _, err := campaign.Run(dedupSpec(), &fakeWorkload{}, booted, campaign.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	// The fake outcome is a function of the mutant ID, so a deduped
-	// group's duplicates aggregate with the representative's row; to
-	// compare apples to apples, rewrite the booted store's records for
-	// duplicates to their representative's outcome — what identical
-	// streams would have produced in a real workload.
-	rewritten := campaign.NewMemStore()
-	byMutant := make(map[int]campaign.Record)
-	for _, r := range booted.Records() {
-		if r.Kind == campaign.KindResult && r.Driver == "alpha" {
-			byMutant[r.Mutant] = r
-		}
-	}
-	for _, r := range booted.Records() {
-		if r.Kind == campaign.KindResult && r.Driver == "alpha" {
-			rep := byMutant[(r.Mutant/3)*3]
-			r.Row, r.Site, r.Steps, r.Lost = rep.Row, rep.Site, rep.Steps, rep.Lost
-		}
-		if err := rewritten.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, _, err := campaign.Aggregate(rewritten.Records())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := campaign.Aggregate(deduped.Records())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("deduped aggregate differs:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -50,7 +50,7 @@ type Options struct {
 	// Progress, when non-nil, is called after every recorded boot with
 	// the number of selected tasks already in the store and the total.
 	Progress func(done, total int)
-	// Metrics, when non-nil, receives boot/outcome/dedup/store-latency
+	// Metrics, when non-nil, receives boot/outcome/store-latency
 	// instrumentation. The disabled (nil) bundle costs nothing.
 	Metrics *Metrics
 	// Status, when non-nil, accumulates the live progress the /status
@@ -76,13 +76,10 @@ type Summary struct {
 	Skipped int
 	// Ran is how many booted in this run.
 	Ran int
-	// Deduped is how many were recorded without booting because their
-	// mutated token stream was identical to another task's (dedup_of).
-	Deduped int
 	// Panics is how many boots the harness panicked on; each was
 	// recovered, recorded as RowHarnessPanic and quarantined.
 	Panics int
-	// Rows histograms the outcomes recorded this run (boots + dedups).
+	// Rows histograms the outcomes recorded this run.
 	Rows map[string]int
 }
 
@@ -103,13 +100,6 @@ func expandMatrix(spec Spec, metas []Meta, tasks []Task) ([]Meta, []Task) {
 		}
 		for _, t := range tasks {
 			t.Scenario = sc
-			if sc != "" {
-				// Off the pristine cell, stream-identical mutants no longer
-				// boot identically: each task's injector seed includes its
-				// mutant ID, so the engine boots every mutant rather than
-				// copying a representative's outcome.
-				t.Dedup = ""
-			}
 			outT = append(outT, t)
 		}
 	}
@@ -200,12 +190,10 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 		wantShard = func(sh int) bool { return sel[sh] }
 	}
 
-	existing := store.Records()
-	done := make(map[string]bool)
-	resultAt := make(map[string]int) // stored-outcome index, for dedup copies
+	storedRow := make(map[string]string) // first stored outcome per task key
 	haveSpec := false
 	haveMeta := make(map[string]bool)
-	for i, r := range existing {
+	for _, r := range store.Records() {
 		switch r.Kind {
 		case KindSpec:
 			if r.Fingerprint != fp {
@@ -217,9 +205,8 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 			haveMeta[CellLabel(r.Driver, r.Scenario)] = true
 		case KindResult:
 			key := recordKey(r)
-			if !done[key] {
-				done[key] = true
-				resultAt[key] = i
+			if _, dup := storedRow[key]; !dup {
+				storedRow[key] = r.Row
 			}
 		}
 	}
@@ -251,72 +238,25 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 
 	sum := &Summary{Rows: make(map[string]int)}
 
-	// Mutant deduplication: tasks of one driver sharing a Dedup key have
-	// byte-identical mutated token streams, hence identical boot
-	// outcomes. The first such task in enumeration order (or one whose
-	// outcome the store already holds) is the group's representative;
-	// the rest are recorded from its outcome with dedup_of provenance
-	// instead of booting. Groups form within this invocation's shard
-	// selection, so independent shard runs stay independent — a
-	// duplicate whose representative lives in another shard simply
-	// boots, and the tables agree either way.
-	type dedupGroup struct {
-		repMutant int
-		repKey    string
-		stored    bool   // representative's outcome already in the store
-		dups      []Task // pending tasks awaiting the representative's boot
-	}
-	groups := make(map[string]*dedupGroup)
-	groupKey := func(t Task) string { return t.Driver + "\x00" + t.Scenario + "\x00" + t.Dedup }
-
 	var pending []Task
 	for _, t := range tasks {
 		if !wantShard(t.Shard) {
 			continue
 		}
 		sum.Total++
-		key := t.Key()
 		cell := CellLabel(t.Driver, t.Scenario)
 		if opts.Status != nil {
 			opts.Status.Plan(cell, t.Shard)
 		}
-		if done[key] {
-			if t.Dedup != "" && groups[groupKey(t)] == nil {
-				groups[groupKey(t)] = &dedupGroup{repMutant: t.Mutant, repKey: key, stored: true}
-			}
+		if row, ok := storedRow[t.Key()]; ok {
 			sum.Skipped++
-			row := existing[resultAt[key]].Row
 			opts.Metrics.skip(cell, row)
 			if opts.Status != nil {
 				opts.Status.Record(cell, t.Shard, row, RecordSkip)
 			}
 			continue
 		}
-		if t.Dedup == "" {
-			pending = append(pending, t)
-			continue
-		}
-		g := groups[groupKey(t)]
-		switch {
-		case g == nil:
-			groups[groupKey(t)] = &dedupGroup{repMutant: t.Mutant, repKey: key}
-			pending = append(pending, t)
-		case g.stored:
-			// The identical stream booted in a previous run: record the
-			// shared outcome immediately (resume path).
-			rep := existing[resultAt[g.repKey]]
-			if err := put(dedupRecord(rep, g.repMutant, t)); err != nil {
-				return sum, err
-			}
-			sum.Deduped++
-			sum.Rows[rep.Row]++
-			opts.Metrics.dedup(cell, rep.Row)
-			if opts.Status != nil {
-				opts.Status.Record(cell, t.Shard, rep.Row, RecordDedup)
-			}
-		default:
-			g.dups = append(g.dups, t)
-		}
+		pending = append(pending, t)
 	}
 	if len(pending) == 0 {
 		return sum, nil
@@ -328,7 +268,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 
 	var (
 		mu       sync.Mutex // guards sum, recorded, firstErr
-		recorded = sum.Skipped + sum.Deduped
+		recorded = sum.Skipped
 		firstErr error
 		stopped  atomic.Bool // aborts the feed after the first error
 	)
@@ -395,28 +335,6 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 					fail(err)
 					continue
 				}
-				// If this task represents a dedup group, its duplicates are
-				// now decided: record them from the fresh outcome. The
-				// representative's record is always appended first, so a
-				// crash can orphan duplicates (rerun on resume) but never a
-				// dedup_of reference.
-				extra := 0
-				if t.Dedup != "" {
-					if g := groups[groupKey(t)]; g != nil && g.repKey == t.Key() {
-						for _, d := range g.dups {
-							if err := put(dedupRecord(rec, t.Mutant, d)); err != nil {
-								fail(err)
-								break
-							}
-							extra++
-							opts.Metrics.dedup(CellLabel(d.Driver, d.Scenario), rec.Row)
-							if opts.Status != nil {
-								opts.Status.Record(CellLabel(d.Driver, d.Scenario),
-									d.Shard, rec.Row, RecordDedup)
-							}
-						}
-					}
-				}
 				kind := RecordRan
 				if panicked {
 					kind = RecordPanic
@@ -433,9 +351,8 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 				} else {
 					sum.Ran++
 				}
-				sum.Deduped += extra
-				sum.Rows[out.Row] += 1 + extra
-				recorded += 1 + extra
+				sum.Rows[out.Row]++
+				recorded++
 				prog := recorded
 				mu.Unlock()
 				if opts.Progress != nil {
@@ -468,22 +385,6 @@ feedLoop:
 		return sum, ErrInterrupted
 	}
 	return sum, nil
-}
-
-// dedupRecord builds the result record of a task whose mutated stream
-// is identical to an already-recorded representative: the same outcome
-// fields under the task's own identity, with dedup_of pointing at the
-// mutant that actually booted (following an existing dedup_of chain to
-// its origin).
-func dedupRecord(rep Record, repMutant int, t Task) Record {
-	r := rep
-	r.Mutant = t.Mutant
-	r.Shard = t.Shard
-	if r.DedupOf == nil {
-		m := repMutant
-		r.DedupOf = &m
-	}
-	return r
 }
 
 // ExpandPlan derives a spec's complete work plan: the workload's

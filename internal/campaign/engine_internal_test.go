@@ -115,8 +115,8 @@ func TestStoreAppendGivesUpAfterBackoff(t *testing.T) {
 func TestExpandMatrix(t *testing.T) {
 	metas := []Meta{{Driver: "a", Selected: 2}}
 	tasks := []Task{
-		{Driver: "a", Mutant: 0, Dedup: "g0"},
-		{Driver: "a", Mutant: 1, Dedup: "g0"},
+		{Driver: "a", Mutant: 0},
+		{Driver: "a", Mutant: 1},
 	}
 
 	// No scenarios: exact passthrough, same slices.
@@ -131,9 +131,9 @@ func TestExpandMatrix(t *testing.T) {
 	}
 	// Scenario-major order: the whole pristine cell, then the flaky cell.
 	wantTasks := []Task{
-		{Driver: "a", Mutant: 0, Dedup: "g0"},
-		{Driver: "a", Mutant: 1, Dedup: "g0"},
-		{Driver: "a", Mutant: 0, Scenario: "flaky"}, // dedup cleared off-pristine
+		{Driver: "a", Mutant: 0},
+		{Driver: "a", Mutant: 1},
+		{Driver: "a", Mutant: 0, Scenario: "flaky"},
 		{Driver: "a", Mutant: 1, Scenario: "flaky"},
 	}
 	if !reflect.DeepEqual(ts, wantTasks) {

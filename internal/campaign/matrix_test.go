@@ -169,33 +169,6 @@ func TestMatrixSerialShardedResumedIdentical(t *testing.T) {
 	}
 }
 
-// TestMatrixDedupPristineCellOnly: identical mutant streams are deduped
-// on the pristine cell but boot individually on scenario cells, where
-// per-task fault seeds make identical streams diverge.
-func TestMatrixDedupPristineCellOnly(t *testing.T) {
-	spec := dedupSpec()
-	spec.Scenarios = []string{"pristine", "flaky"}
-	wl := &dedupWorkload{}
-	store := campaign.NewMemStore()
-	sum, err := campaign.Run(spec, wl, store, campaign.Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pristine: alpha dedupes 40 mutants to 14 boots, beta boots 25.
-	// Flaky: everything boots (40 + 25).
-	if wl.boots != 14+25+40+25 {
-		t.Errorf("boots = %d, want 104 (dedup only on the pristine cell)", wl.boots)
-	}
-	if sum.Deduped != 26 {
-		t.Errorf("deduped = %d, want 26 (the pristine alpha duplicates)", sum.Deduped)
-	}
-	for _, r := range store.Records() {
-		if r.Kind == campaign.KindResult && r.DedupOf != nil && r.Scenario != "" {
-			t.Fatalf("scenario-cell record alpha#%d@%s carries dedup_of", r.Mutant, r.Scenario)
-		}
-	}
-}
-
 // TestMergeRejectsScenarioCellMismatch (the merge satellite): stores
 // whose specs differ only in their scenario matrix are separate
 // campaigns; the merge error must name the mismatched cells instead of

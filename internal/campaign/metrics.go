@@ -15,12 +15,9 @@ const (
 	// MetricBoots counts boots actually executed, per driver.
 	MetricBoots = "driverlab_campaign_boots_total"
 	// MetricOutcomes histograms recorded results by outcome row, per
-	// driver — booted, deduped and resume-skipped results all count,
-	// so the totals match the store.
+	// driver — booted and resume-skipped results both count, so the
+	// totals match the store.
 	MetricOutcomes = "driverlab_campaign_outcomes_total"
-	// MetricDedup counts results recorded from a representative's
-	// outcome instead of booting, per driver.
-	MetricDedup = "driverlab_campaign_dedup_hits_total"
 	// MetricSkipped counts results the store already held (resume),
 	// per driver.
 	MetricSkipped = "driverlab_campaign_skipped_total"
@@ -46,7 +43,7 @@ const (
 // register, for the docs check and the `driverlab metrics` subcommand.
 func MetricNames() []string {
 	return []string{
-		MetricBoots, MetricOutcomes, MetricDedup, MetricSkipped,
+		MetricBoots, MetricOutcomes, MetricSkipped,
 		MetricWorkerBoots, MetricSteps, MetricAppend, MetricFlush,
 		MetricPanics, MetricStoreRetries,
 	}
@@ -69,7 +66,6 @@ type Metrics struct {
 
 type driverMetrics struct {
 	boots   *obs.Counter
-	dedups  *obs.Counter
 	skipped *obs.Counter
 	panics  *obs.Counter
 	steps   *obs.Histogram
@@ -122,9 +118,6 @@ func (m *Metrics) driver(name string) *driverMetrics {
 		d = &driverMetrics{
 			boots: m.col.Counter(MetricBoots,
 				"Boots executed, per driver.", "driver", name),
-			dedups: m.col.Counter(MetricDedup,
-				"Results recorded from an identical mutant's outcome instead of booting.",
-				"driver", name),
 			skipped: m.col.Counter(MetricSkipped,
 				"Results the store already held on resume.", "driver", name),
 			panics: m.col.Counter(MetricPanics,
@@ -147,16 +140,6 @@ func (m *Metrics) boot(driver, row string, steps int64) {
 	d := m.driver(driver)
 	d.boots.Inc()
 	d.steps.Observe(float64(steps))
-	m.outcomeCounter(d, driver, row).Inc()
-}
-
-// dedup records one result copied from a representative's outcome.
-func (m *Metrics) dedup(driver, row string) {
-	if m == nil {
-		return
-	}
-	d := m.driver(driver)
-	d.dedups.Inc()
 	m.outcomeCounter(d, driver, row).Inc()
 }
 
@@ -195,7 +178,7 @@ func (m *Metrics) outcomeCounter(d *driverMetrics, driver, row string) *obs.Coun
 	c, ok := d.outcomes[row]
 	if !ok {
 		c = m.col.Counter(MetricOutcomes,
-			"Recorded results by outcome row (booted, deduped and resumed alike).",
+			"Recorded results by outcome row (booted and resumed alike).",
 			"driver", driver, "row", row)
 		d.outcomes[row] = c
 	}

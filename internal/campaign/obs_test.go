@@ -28,16 +28,13 @@ func gatherSums(col *obs.Collector) map[string]float64 {
 }
 
 // TestMetricsMatchStoreExactly is the concurrency-exactness contract:
-// a sharded run on a busy worker pool with dedup in play must end with
-// counter totals equal to the store's record counts — no lost or
+// a sharded run on a busy worker pool must end with counter totals equal to the store's record counts — no lost or
 // double counts. CI runs this package under -race.
 func TestMetricsMatchStoreExactly(t *testing.T) {
 	col := obs.New()
 	store := campaign.NewMemStore()
-	spec := dedupSpec()
-	spec.Shards = 4
 	tracker := campaign.NewStatusTracker()
-	sum, err := campaign.Run(spec, &dedupWorkload{}, store, campaign.Options{
+	sum, err := campaign.Run(spec2(), &fakeWorkload{}, store, campaign.Options{
 		Workers: 8,
 		Metrics: campaign.NewMetrics(col),
 		Status:  tracker,
@@ -56,9 +53,6 @@ func TestMetricsMatchStoreExactly(t *testing.T) {
 	if int(got[campaign.MetricBoots]) != sum.Ran {
 		t.Errorf("%s = %v, want %d", campaign.MetricBoots, got[campaign.MetricBoots], sum.Ran)
 	}
-	if int(got[campaign.MetricDedup]) != sum.Deduped {
-		t.Errorf("%s = %v, want %d", campaign.MetricDedup, got[campaign.MetricDedup], sum.Deduped)
-	}
 	if int(got[campaign.MetricOutcomes]) != results {
 		t.Errorf("%s = %v, want %d (every result record counts once)",
 			campaign.MetricOutcomes, got[campaign.MetricOutcomes], results)
@@ -72,9 +66,9 @@ func TestMetricsMatchStoreExactly(t *testing.T) {
 
 	// The tracker is the same arithmetic through the other door.
 	snap := tracker.Snapshot()
-	if snap.Recorded != results || snap.Ran != sum.Ran || snap.Deduped != sum.Deduped {
-		t.Errorf("snapshot %d/%d/%d does not match summary %d/%d", snap.Recorded, snap.Ran,
-			snap.Deduped, results, sum.Ran)
+	if snap.Recorded != results || snap.Ran != sum.Ran {
+		t.Errorf("snapshot %d/%d does not match summary %d/%d", snap.Recorded, snap.Ran,
+			results, sum.Ran)
 	}
 	if snap.Total != sum.Total {
 		t.Errorf("snapshot total = %d, want %d", snap.Total, sum.Total)
@@ -133,9 +127,9 @@ func TestResumeMetricsCountSkips(t *testing.T) {
 func TestSnapshotFromRecordsMatchesLive(t *testing.T) {
 	store := campaign.NewMemStore()
 	tracker := campaign.NewStatusTracker()
-	spec := dedupSpec()
+	spec := spec2()
 	spec.Shards = 2
-	if _, err := campaign.Run(spec, &dedupWorkload{}, store, campaign.Options{Status: tracker}); err != nil {
+	if _, err := campaign.Run(spec, &fakeWorkload{}, store, campaign.Options{Status: tracker}); err != nil {
 		t.Fatal(err)
 	}
 	live := tracker.Snapshot()
@@ -143,14 +137,14 @@ func TestSnapshotFromRecordsMatchesLive(t *testing.T) {
 	if off.Live {
 		t.Error("offline snapshot claims to be live")
 	}
-	if off.Name != "dd" || off.Fingerprint != spec.Fingerprint() {
+	if off.Name != "t" || off.Fingerprint != spec.Fingerprint() {
 		t.Errorf("offline identity = %q/%q", off.Name, off.Fingerprint)
 	}
 	if off.Total != live.Total || off.Recorded != live.Recorded ||
-		off.Ran != live.Ran || off.Deduped != live.Deduped {
-		t.Errorf("offline %d/%d/%d/%d differs from live %d/%d/%d/%d",
-			off.Total, off.Recorded, off.Ran, off.Deduped,
-			live.Total, live.Recorded, live.Ran, live.Deduped)
+		off.Ran != live.Ran {
+		t.Errorf("offline %d/%d/%d differs from live %d/%d/%d",
+			off.Total, off.Recorded, off.Ran,
+			live.Total, live.Recorded, live.Ran)
 	}
 	if !reflect.DeepEqual(off.Outcomes, live.Outcomes) {
 		t.Errorf("outcome histograms differ:\noffline %v\nlive    %v", off.Outcomes, live.Outcomes)

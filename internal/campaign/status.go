@@ -23,12 +23,11 @@ type Snapshot struct {
 	ElapsedSec float64 `json:"elapsed_s,omitempty"`
 
 	// Total is the number of selected tasks; Recorded how many have a
-	// result (Ran booted + Deduped copied + Skipped already stored +
-	// Panics quarantined).
+	// result (Ran booted + Skipped already stored + Panics
+	// quarantined).
 	Total    int `json:"total"`
 	Recorded int `json:"recorded"`
 	Ran      int `json:"ran"`
-	Deduped  int `json:"deduped"`
 	Skipped  int `json:"skipped"`
 	// Panics counts quarantined harness panics: the boot blew up in the
 	// harness, was recovered and recorded as RowHarnessPanic.
@@ -118,7 +117,6 @@ type StatusTracker struct {
 
 	total   int
 	ran     int
-	deduped int
 	skipped int
 	panics  int
 
@@ -183,30 +181,24 @@ func (t *StatusTracker) Plan(driver string, shard int) {
 // RecordKind distinguishes how a result was obtained.
 type RecordKind int
 
-// The four ways a result reaches a store: booted in this run, copied
-// from an identical mutant's outcome, already stored before the run,
-// or quarantined after a harness panic.
+// The three ways a result reaches a store: booted in this run, already
+// stored before the run, or quarantined after a harness panic.
 const (
 	RecordRan RecordKind = iota
-	RecordDedup
 	RecordSkip
 	RecordPanic
 )
 
 // KindOfRecord classifies a result record the way the tracker counts
-// it: dedup copies and quarantined panics are distinguished by their
-// provenance fields, everything else counts as a boot. Skips are a
+// it: quarantined panics are distinguished by their provenance field,
+// everything else counts as a boot. Skips are a
 // run-local notion (the store already held the record when the run
 // started), so streamed records never classify as RecordSkip.
 func KindOfRecord(r Record) RecordKind {
-	switch {
-	case r.HarnessPanic:
+	if r.HarnessPanic {
 		return RecordPanic
-	case r.DedupOf != nil:
-		return RecordDedup
-	default:
-		return RecordRan
 	}
+	return RecordRan
 }
 
 // Record registers one recorded result.
@@ -217,8 +209,6 @@ func (t *StatusTracker) Record(driver string, shard int, row string, kind Record
 	case RecordRan:
 		t.ran++
 		t.driverLocked(driver).ran++
-	case RecordDedup:
-		t.deduped++
 	case RecordSkip:
 		t.skipped++
 	case RecordPanic:
@@ -260,10 +250,9 @@ func (t *StatusTracker) Snapshot() Snapshot {
 		Workers:     t.workers,
 		Total:       t.total,
 		Ran:         t.ran,
-		Deduped:     t.deduped,
 		Skipped:     t.skipped,
 		Panics:      t.panics,
-		Recorded:    t.ran + t.deduped + t.skipped + t.panics,
+		Recorded:    t.ran + t.skipped + t.panics,
 	}
 	var elapsed float64
 	if t.started {
@@ -342,12 +331,9 @@ func SnapshotFromRecords(records []Record) *Snapshot {
 			seen[key] = true
 			d := agg(CellLabel(r.Driver, r.Scenario))
 			d.prog.recorded++
-			switch {
-			case r.HarnessPanic:
+			if r.HarnessPanic {
 				s.Panics++
-			case r.DedupOf != nil:
-				s.Deduped++
-			default:
+			} else {
 				s.Ran++
 				d.prog.ran++
 			}
@@ -360,7 +346,7 @@ func SnapshotFromRecords(records []Record) *Snapshot {
 			sh.recorded++
 		}
 	}
-	s.Recorded = s.Ran + s.Deduped + s.Panics
+	s.Recorded = s.Ran + s.Panics
 	for _, name := range order {
 		d := drivers[name]
 		ds := DriverStatus{Driver: name, Recorded: d.prog.recorded, Ran: d.prog.ran}

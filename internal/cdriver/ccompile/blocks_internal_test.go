@@ -82,7 +82,7 @@ func newBlocksIncr(t *testing.T, prog *cast.Program) *Incr {
 	t.Helper()
 	bus := hw.NewBus()
 	bus.SetFloating(true)
-	in, err := NewIncrBlocks(prog, kernel.New(&hw.Clock{}), bus, nil, nil)
+	in, err := NewIncr(prog, kernel.New(&hw.Clock{}), bus, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,27 +186,5 @@ func TestBlocksMacroPatchInvalidatesDependents(t *testing.T) {
 	}
 	if v.I != 10 {
 		t.Errorf("uses_macro() after LIMIT=5 patch = %d, want 10", v.I)
-	}
-}
-
-// TestNonFusedIncrReportsNoBlocks: the per-statement backend never fuses,
-// so its stats — compile-time and per-patch — stay zero.
-func TestNonFusedIncrReportsNoBlocks(t *testing.T) {
-	prog := parseProg(t, blocksSrc)
-	bus := hw.NewBus()
-	bus.SetFloating(true)
-	in, err := NewIncr(prog, kernel.New(&hw.Clock{}), bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := in.proc.Stats(); s != (BlockStats{}) {
-		t.Errorf("non-fused compile stats = %+v, want zero", s)
-	}
-	repl := parseProg(t, `int helper(int x) { return x; }`).Decls[0]
-	if _, err := in.Patch(declIdx(t, prog, "helper"), repl); err != nil {
-		t.Fatal(err)
-	}
-	if s := in.PatchStats(); s != (BlockStats{}) {
-		t.Errorf("non-fused PatchStats = %+v, want zero", s)
 	}
 }

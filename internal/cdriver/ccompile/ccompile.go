@@ -1,4 +1,4 @@
-// Package ccompile is the compiled hwC execution backend: a one-pass
+// Package ccompile is the block hwC execution backend: a one-pass
 // compiler from the checked AST to closure form, built for the campaign
 // hot path where tens of thousands of mutants boot per run.
 //
@@ -153,8 +153,7 @@ type BlockStats struct {
 	// single-resolution bus handle.
 	BatchedIO int64
 	// FallbackIO is the number of port-I/O sites left on the generic
-	// per-access bus lookup (wrong arity or no bus bound at compile
-	// time).
+	// per-access bus lookup (wrong-arity calls).
 	FallbackIO int64
 	// Superblocks is the number of while/for loops compiled to loop
 	// superblocks: the whole loop runs inside one closure with a
@@ -194,32 +193,14 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 // initialisers, whose faults are insmod-time boot outcomes, not compile
 // errors. Compile itself fails only with ErrUnsupported.
 //
-// Compile emits one closure per statement — the "compiled" backend.
-// CompileBlocks additionally fuses straight-line statement runs into
-// basic-block closures — the "block" backend, the campaign default.
-// Both charge the watchdog per basic block (see cinterp.SimpleStmt for
-// the shared fusion rule), so step counts are identical across every
-// backend.
+// Compile fuses straight-line statement runs into basic-block
+// closures charged one watchdog step at entry (see cinterp.SimpleStmt
+// for the shared fusion rule, so step counts are identical to the
+// interpreter's), batches port I/O through cached hw.Bus resolutions,
+// and runs eligible loops as superblocks.
 func Compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	stubs *codegen.Stubs, m *Mach) (*Proc, error) {
-	return compile(prog, kern, bus, stubs, m, false)
-}
-
-// CompileBlocks is Compile with the block-fusion pass enabled: maximal
-// runs of simple statements compile to single basic-block closures
-// (same one-charge-per-block watchdog accounting, fewer closure
-// dispatches), and port-I/O sites batch consecutive accesses to the
-// same device through one cached hw.Bus resolution.
-func CompileBlocks(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach) (*Proc, error) {
-	return compile(prog, kern, bus, stubs, m, true)
-}
-
-func compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach, fuse bool) (*Proc, error) {
 	c := newCompiler(prog, stubs)
-	c.fuse = fuse
-	c.bus = bus
 	c.registerDecls()
 	inits := c.compileInits(nil)
 	c.compileFuncs(nil)

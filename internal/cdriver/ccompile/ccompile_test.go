@@ -39,9 +39,9 @@ type outcome struct {
 	steps   int64
 }
 
-// runBoth executes fn on the interpreter and both compiled backends
-// (per-statement and block-fused) and requires identical observable
-// results, returning the (shared) outcome.
+// runBoth executes fn on the interpreter and the block backend and
+// requires identical observable results, returning the (shared)
+// outcome.
 func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 	t.Helper()
 	prog, perrs := cparser.Parse(src)
@@ -55,77 +55,52 @@ func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 
 	interpRig := newRig()
 	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, nil)
-
-	backends := []struct {
-		name    string
-		compile func(*rig) (*ccompile.Proc, error)
-	}{
-		{"compiled", func(r *rig) (*ccompile.Proc, error) {
-			return ccompile.Compile(prog, r.kern, r.bus, nil, nil)
-		}},
-		{"block", func(r *rig) (*ccompile.Proc, error) {
-			return ccompile.CompileBlocks(prog, r.kern, r.bus, nil, nil)
-		}},
+	compRig := newRig()
+	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, nil, nil)
+	if cerr != nil {
+		t.Fatalf("compile: %v", cerr)
 	}
-	var out outcome
-	for _, b := range backends {
-		compRig := newRig()
-		p, cerr := b.compile(compRig)
-		if cerr != nil {
-			t.Fatalf("%s: compile: %v", b.name, cerr)
-		}
-		perr := p.Init()
+	perr := p.Init()
 
-		if (ierr == nil) != (perr == nil) || (ierr != nil && ierr.Error() != perr.Error()) {
-			t.Fatalf("%s: init divergence: interp=%v compiled=%v", b.name, ierr, perr)
-		}
-		if ierr != nil {
-			out = outcome{errText: ierr.Error()}
-			continue
-		}
-
-		iv, ie := in.Call(fn, args...)
-		cv, ce := p.Call(fn, args...)
-		if (ie == nil) != (ce == nil) || (ie != nil && ie.Error() != ce.Error()) {
-			t.Fatalf("%s: error divergence: interp=%v compiled=%v", b.name, ie, ce)
-		}
-		if ie == nil && iv != cv {
-			t.Fatalf("%s: value divergence: interp=%+v compiled=%+v", b.name, iv, cv)
-		}
-		if ic, cc := interpRig.kern.Console(), compRig.kern.Console(); strings.Join(ic, "\n") != strings.Join(cc, "\n") {
-			t.Fatalf("%s: console divergence:\ninterp:   %q\ncompiled: %q", b.name, ic, cc)
-		}
-		// Compare coverage through the CoveredLines iterator both backends
-		// expose, then through the bitset equality the hot path uses.
-		var iLines, cLines []int
-		for line := range in.CoveredLines() {
-			iLines = append(iLines, line)
-		}
-		for line := range p.CoveredLines() {
-			cLines = append(cLines, line)
-		}
-		if !in.Coverage().Equal(p.Coverage()) || len(iLines) != len(cLines) {
-			t.Fatalf("%s: coverage divergence: interp=%v compiled=%v", b.name, iLines, cLines)
-		}
-		if is, cs := interpRig.kern.Steps(), compRig.kern.Steps(); is != cs {
-			t.Fatalf("%s: step divergence: interp=%d compiled=%d", b.name, is, cs)
-		}
-		var errText string
-		if ie != nil {
-			errText = ie.Error()
-		}
-		out = outcome{val: cv, errText: errText, console: compRig.kern.Console(),
-			cov: p.Coverage(), steps: compRig.kern.Steps()}
-
-		// The interpreter's per-call state is compared against each
-		// backend in turn; rewind it so the next backend sees the same
-		// reference run.
-		if len(backends) > 1 && b.name != backends[len(backends)-1].name {
-			interpRig = newRig()
-			in, ierr = cinterp.New(prog, env, interpRig.kern, interpRig.bus, nil)
-		}
+	if (ierr == nil) != (perr == nil) || (ierr != nil && ierr.Error() != perr.Error()) {
+		t.Fatalf("init divergence: interp=%v block=%v", ierr, perr)
 	}
-	return out
+	if ierr != nil {
+		return outcome{errText: ierr.Error()}
+	}
+
+	iv, ie := in.Call(fn, args...)
+	cv, ce := p.Call(fn, args...)
+	if (ie == nil) != (ce == nil) || (ie != nil && ie.Error() != ce.Error()) {
+		t.Fatalf("error divergence: interp=%v block=%v", ie, ce)
+	}
+	if ie == nil && iv != cv {
+		t.Fatalf("value divergence: interp=%+v block=%+v", iv, cv)
+	}
+	if ic, cc := interpRig.kern.Console(), compRig.kern.Console(); strings.Join(ic, "\n") != strings.Join(cc, "\n") {
+		t.Fatalf("console divergence:\ninterp:   %q\nblock:    %q", ic, cc)
+	}
+	// Compare coverage through the CoveredLines iterator both backends
+	// expose, then through the bitset equality the hot path uses.
+	var iLines, cLines []int
+	for line := range in.CoveredLines() {
+		iLines = append(iLines, line)
+	}
+	for line := range p.CoveredLines() {
+		cLines = append(cLines, line)
+	}
+	if !in.Coverage().Equal(p.Coverage()) || len(iLines) != len(cLines) {
+		t.Fatalf("coverage divergence: interp=%v block=%v", iLines, cLines)
+	}
+	if is, cs := interpRig.kern.Steps(), compRig.kern.Steps(); is != cs {
+		t.Fatalf("step divergence: interp=%d block=%d", is, cs)
+	}
+	var errText string
+	if ie != nil {
+		errText = ie.Error()
+	}
+	return outcome{val: cv, errText: errText, console: compRig.kern.Console(),
+		cov: p.Coverage(), steps: compRig.kern.Steps()}
 }
 
 func callInt(t *testing.T, src, fn string, args ...cinterp.Value) int64 {
@@ -325,8 +300,8 @@ int f(void) { return A; }`
 }
 
 // TestStubCallArityMatchesInterpreter runs get_X/set_X calls of every
-// arity over the busmouse stubs on the interpreter and both compiled
-// backends. The program is parsed but not type-checked, since the checker
+// arity over the busmouse stubs on the interpreter and the block
+// backend. The program is parsed but not type-checked, since the checker
 // rejects wrong-arity stub calls; a mutant that reaches execution without
 // it must still see the interpreter's semantics: arguments evaluate in
 // order and stop at the first error, a get ignores them, and a set of any
@@ -386,11 +361,7 @@ int g(void) { return get_interrupt(trace(9)); }`
 			}
 			call, cov = in.Call, in.Coverage()
 		default:
-			compile := ccompile.Compile
-			if backend == "block" {
-				compile = ccompile.CompileBlocks
-			}
-			p, err := compile(prog, kern, bus, stubs, nil)
+			p, err := ccompile.Compile(prog, kern, bus, stubs, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,11 +395,8 @@ int g(void) { return get_interrupt(trace(9)); }`
 		if !strings.Contains(want.errText, tc.wantErr) || (tc.wantErr == "") != (want.errText == "") {
 			t.Fatalf("%s(%d): interpreter error = %q, want %q", tc.fn, tc.n, want.errText, tc.wantErr)
 		}
-		for _, backend := range []string{"compiled", "block"} {
-			got := run(backend, tc.fn, tc.n)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s(%d) on %s:\n got  %+v\n want %+v", tc.fn, tc.n, backend, got, want)
-			}
+		if got := run("block", tc.fn, tc.n); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s(%d) on block:\n got  %+v\n want %+v", tc.fn, tc.n, got, want)
 		}
 	}
 }

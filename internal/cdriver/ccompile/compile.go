@@ -7,7 +7,6 @@ import (
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/ctoken"
 	"repro/internal/devil/codegen"
-	"repro/internal/hw"
 	"repro/internal/kernel"
 )
 
@@ -35,20 +34,12 @@ type compiler struct {
 	prog    *cast.Program
 	stubs   *codegen.Stubs
 	varSigs map[string]codegen.VarSig
-	// bus is the machine's I/O space, bound at compile time so port-I/O
-	// sites can batch their bus resolution (nil in unit tests that
-	// compile without a machine).
-	bus *hw.Bus
-	// fuse enables the block-fusion pass: maximal runs of simple
-	// statements compile to single basic-block closures. Watchdog
-	// charging is per basic block either way (see seq).
-	fuse bool
 	// domLine is the source line the innermost enclosing statement
 	// closure unconditionally covers before any sub-expression runs
-	// (-1 outside statements). Under fuse, expression closures on that
-	// line skip their own redundant coverage add: line coverage is a
-	// set, so re-adding a line the dominating statement already added
-	// is unobservable. Compile-time state only.
+	// (-1 outside statements). Expression closures on that line skip
+	// their own redundant coverage add: line coverage is a set, so
+	// re-adding a line the dominating statement already added is
+	// unobservable. Compile-time state only.
 	domLine int
 	// stats counts what the fusion pass produced.
 	stats BlockStats
@@ -178,25 +169,8 @@ func fuseRun(run []stmtFn) stmtFn {
 // seq compiles a statement list with basic-block step accounting: one
 // watchdog charge at the head of every maximal run of simple statements
 // (cinterp.SimpleStmt is the shared fusion rule), one per control-flow
-// statement. With fusion on, each run additionally collapses into a
-// single closure; with fusion off, the per-statement closures are kept
-// and only the charges are elided — the "compiled" backend, the oracle
-// midpoint between the interpreter and the block backend.
+// statement. Each run collapses into a single closure.
 func (c *compiler) seq(stmts []cast.Stmt) []stmtFn {
-	if !c.fuse {
-		out := make([]stmtFn, len(stmts))
-		prevSimple := false
-		for i, s := range stmts {
-			simple := cinterp.SimpleStmt(s)
-			f := c.stmtBody(s)
-			if !simple || !prevSimple {
-				f = chargeWrap(f)
-			}
-			out[i] = f
-			prevSimple = simple
-		}
-		return out
-	}
 	var out []stmtFn
 	var run []stmtFn
 	flush := func() {
@@ -339,7 +313,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.WhileStmt:
-		if c.fuse && c.loopEligible(s.Body, nil) {
+		if c.loopEligible(s.Body, nil) {
 			return c.whileSuper(s, line)
 		}
 		condFn := c.expr(s.Cond)
@@ -402,7 +376,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.ForStmt:
-		if c.fuse && c.loopEligible(s.Body, s.Post) {
+		if c.loopEligible(s.Body, s.Post) {
 			return c.forSuper(s, line)
 		}
 		c.pushScope() // the init declaration's scope, as in the interpreter

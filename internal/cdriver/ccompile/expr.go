@@ -354,18 +354,18 @@ func macroLate(st *state, name string) (int64, error) {
 }
 
 // skipCov reports whether an expression on line may omit its own
-// coverage add: under fuse, the innermost enclosing statement closure
-// has already added that exact line before the expression runs, and
-// the covered-line set is idempotent.
+// coverage add: the innermost enclosing statement closure has already
+// added that exact line before the expression runs, and the
+// covered-line set is idempotent.
 func (c *compiler) skipCov(line int) bool {
-	return c.fuse && line == c.domLine
+	return line == c.domLine
 }
 
 // covLine resolves an operand's coverage line at compile time: -1 when
 // the add is redundant (the operator's own line or the dominating
 // statement's line covers it first), the line itself otherwise.
 func (c *compiler) covLine(useLine, opLine int) int {
-	if useLine == opLine || (c.fuse && useLine == c.domLine) {
+	if useLine == opLine || useLine == c.domLine {
 		return -1
 	}
 	return useLine
@@ -494,9 +494,6 @@ func (c *compiler) fusedBinary(op ctoken.Kind, line int, xo, yo fop) exprFn {
 // before the compiled side runs, a right one only after the compiled
 // side succeeded.
 func (c *compiler) halfFused(op ctoken.Kind, line int, ef exprFn, o fop, fusedLeft bool) exprFn {
-	if !c.fuse {
-		return nil
-	}
 	f := intBinOp(op)
 	if f == nil {
 		return nil
@@ -624,7 +621,7 @@ func (c *compiler) binary(x *cast.BinaryExpr, line int) exprFn {
 	if op != ctoken.LAnd && op != ctoken.LOr {
 		xo, xok := c.fuseOperand(x.X)
 		yo, yok := c.fuseOperand(x.Y)
-		if c.fuse && xok && yok {
+		if xok && yok {
 			if f := c.fusedBinary(op, line, xo, yo); f != nil {
 				return f
 			}
@@ -859,79 +856,47 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 	switch {
 	case ok && x.Name[0] == 'i' && len(argFns) == 1:
 		af := argFns[0]
-		if c.fuse {
-			// Block backend: batch consecutive accesses to the same
-			// device through a per-site one-entry resolution cache. The
-			// typical poll loop reads one status register thousands of
-			// times; after the first access the mapping scan is gone.
-			// The cache is sound because a rig's port map is fixed at
-			// machine assembly and a Proc is bound to one rig. Unmapped
-			// ports resolve to nil and take the generic path, which
-			// owns the floating/fault semantics.
-			c.stats.BatchedIO++
-			if o, fok := c.fuseOperand(x.Args[0]); fok {
-				// The port operand fused: no argument closure call, and
-				// a compile-time-constant port pins its handle for good.
-				return c.fusedRead(o, line, width)
-			}
-			var cp hw.Port
-			var ch *hw.PortHandle
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				a, err := af(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				p := hw.Port(a.I)
-				if ch == nil || p != cp {
-					ch, cp = st.bus.Resolve(p), p
-				}
-				if ch == nil {
-					v, err := st.bus.Read(p, width)
-					return intValue(int64(v)), err
-				}
-				v, err := ch.Read(width)
-				return intValue(int64(v)), err
-			}
+		// Batch consecutive accesses to the same device through a
+		// per-site one-entry resolution cache. The typical poll loop
+		// reads one status register thousands of times; after the
+		// first access the mapping scan is gone. The cache is sound
+		// because a rig's port map is fixed at machine assembly and a
+		// Proc is bound to one rig. Unmapped ports resolve to nil and
+		// take the generic path, which owns the floating/fault
+		// semantics.
+		c.stats.BatchedIO++
+		if o, fok := c.fuseOperand(x.Args[0]); fok {
+			// The port operand fused: no argument closure call, and
+			// a compile-time-constant port pins its handle for good.
+			return c.fusedRead(o, line, width)
 		}
+		var cp hw.Port
+		var ch *hw.PortHandle
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			a, err := af(st, fr)
 			if err != nil {
 				return voidValue, err
 			}
-			v, err := st.bus.Read(hw.Port(a.I), width)
+			p := hw.Port(a.I)
+			if ch == nil || p != cp {
+				ch, cp = st.bus.Resolve(p), p
+			}
+			if ch == nil {
+				v, err := st.bus.Read(p, width)
+				return intValue(int64(v)), err
+			}
+			v, err := ch.Read(width)
 			return intValue(int64(v)), err
 		}
 	case ok && x.Name[0] == 'o' && len(argFns) == 2:
 		vf, pf := argFns[0], argFns[1]
-		if c.fuse {
-			c.stats.BatchedIO++
-			if o, fok := c.fuseOperand(x.Args[1]); fok {
-				return c.fusedWrite(vf, o, line, width)
-			}
-			var cp hw.Port
-			var ch *hw.PortHandle
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				v, err := vf(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				p, err := pf(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				pp := hw.Port(p.I)
-				if ch == nil || pp != cp {
-					ch, cp = st.bus.Resolve(pp), pp
-				}
-				if ch == nil {
-					return voidValue, st.bus.Write(pp, width, uint32(v.I))
-				}
-				return voidValue, ch.Write(width, uint32(v.I))
-			}
+		c.stats.BatchedIO++
+		if o, fok := c.fuseOperand(x.Args[1]); fok {
+			return c.fusedWrite(vf, o, line, width)
 		}
+		var cp hw.Port
+		var ch *hw.PortHandle
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			v, err := vf(st, fr)
@@ -942,7 +907,14 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 			if err != nil {
 				return voidValue, err
 			}
-			return voidValue, st.bus.Write(hw.Port(p.I), width, uint32(v.I))
+			pp := hw.Port(p.I)
+			if ch == nil || pp != cp {
+				ch, cp = st.bus.Resolve(pp), pp
+			}
+			if ch == nil {
+				return voidValue, st.bus.Write(pp, width, uint32(v.I))
+			}
+			return voidValue, ch.Write(width, uint32(v.I))
 		}
 	}
 	switch x.Name {
@@ -1097,9 +1069,6 @@ func (c *compiler) fusedRead(o fop, line int, width hw.AccessWidth) exprFn {
 // binary line, call line, port use line, port read, mask use line,
 // mask guards. Returns nil whenever any piece falls outside the shape.
 func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo fop) exprFn {
-	if !c.fuse {
-		return nil
-	}
 	f := intBinOp(op)
 	if f == nil {
 		return nil
@@ -1257,9 +1226,7 @@ func (c *compiler) builtin(x *cast.CallExpr) callImpl {
 		// A wrong-arity I/O call (a mutant artefact) stays on the
 		// generic bus path — count the site so the fallback rate is
 		// observable.
-		if c.fuse {
-			c.stats.FallbackIO++
-		}
+		c.stats.FallbackIO++
 	}
 	switch x.Name {
 	case "inb":

@@ -65,23 +65,11 @@ type Incr struct {
 // NewIncr compiles a checked pristine program against a concrete machine
 // and retains everything needed to recompile single declarations. It
 // fails only with ErrUnsupported, exactly like Compile; callers then use
-// the interpreter for every boot, as the full path would.
+// the interpreter for every boot, as the full path would. Recompiled
+// units get the same fusion as Compile, so a patched declaration's
+// observables — including step counts — match a from-scratch compile.
 func NewIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	stubs *codegen.Stubs, m *Mach) (*Incr, error) {
-	return newIncr(prog, kern, bus, stubs, m, false)
-}
-
-// NewIncrBlocks is NewIncr for the block backend: recompiled units get
-// the same basic-block fusion and batched port I/O as CompileBlocks, so
-// a patched declaration's observables — including step counts — match a
-// from-scratch block compile.
-func NewIncrBlocks(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach) (*Incr, error) {
-	return newIncr(prog, kern, bus, stubs, m, true)
-}
-
-func newIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach, fuse bool) (*Incr, error) {
 	if m == nil {
 		m = NewMach()
 	}
@@ -94,8 +82,6 @@ func newIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 		pristineMacros: make(map[string]macroRef),
 	}
 	c := newCompiler(prog, stubs)
-	c.fuse = fuse
-	c.bus = bus
 	in.c = c
 	c.registerDecls()
 	for name, mr := range c.macros {

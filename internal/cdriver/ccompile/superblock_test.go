@@ -9,8 +9,8 @@ import (
 
 // Loop-superblock edge cases: every control-flow shape that can break a
 // fused loop out of its lean fast path must stay byte-identical — value,
-// console, coverage and step count — across the interpreter, the
-// per-statement backend and the block backend. runBoth enforces all four.
+// console, coverage and step count — between the interpreter and the
+// block backend. runBoth enforces all four.
 
 func intArg(v int64) cinterp.Value { return cinterp.Value{Kind: cinterp.ValInt, I: v} }
 
@@ -142,9 +142,9 @@ int sum(int n) {
 `
 	prog, env := parseChecked(t, src)
 	r := newRig()
-	in, err := ccompile.NewIncrBlocks(prog, r.kern, r.bus, nil, nil)
+	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	if err != nil {
-		t.Fatalf("NewIncrBlocks: %v", err)
+		t.Fatalf("NewIncr: %v", err)
 	}
 	idx := declIdx(t, prog, "sum")
 	// The cmut-style predicate mutation: relational operator flipped to

@@ -207,7 +207,7 @@ func (in *Interp) cover(pos ctoken.Pos) {
 // basic-block fusion: in a statement list, a maximal run of consecutive
 // simple statements charges ONE watchdog step at run entry instead of
 // one per statement. The predicate is the single definition of the
-// fusion rule — the compiled backend (ccompile) segments its basic
+// fusion rule — the block backend (ccompile) segments its basic
 // blocks with this exact function, so both backends charge identically
 // by construction. Control-flow statements (blocks, conditionals,
 // loops, switches — and unknown kinds) are not simple: they charge
@@ -232,7 +232,7 @@ func (in *Interp) execBlock(fr *frame, b *cast.Block) (flow, Value, error) {
 // one watchdog charge at the head of every maximal run of simple
 // statements (see SimpleStmt), one per control-flow statement. When the
 // charge at a run's head fails, none of the run's statements execute or
-// cover — the compiled backends reproduce exactly this.
+// cover — the block backends reproduce exactly this.
 func (in *Interp) execSeq(fr *frame, stmts []cast.Stmt) (flow, Value, error) {
 	prevSimple := false
 	for _, s := range stmts {
@@ -529,7 +529,7 @@ func (in *Interp) execAssign(fr *frame, s *cast.AssignStmt) error {
 }
 
 // Truncate applies C storage semantics for the declared type. It is
-// exported so the compiled backend shares the exact store semantics.
+// exported so the block backend shares the exact store semantics.
 func Truncate(t cast.CType, v Value) Value { return truncate(t, v) }
 
 // truncate applies C storage semantics for the declared type.
@@ -932,7 +932,7 @@ func (in *Interp) blockCall(name string, args []Value) (Value, bool, error) {
 }
 
 // FormatPrintk renders a printk call: %d, %x, %s and %% are supported. It
-// is exported so the compiled backend (ccompile) produces byte-identical
+// is exported so the block backend (ccompile) produces byte-identical
 // console output.
 func FormatPrintk(args []Value) string {
 	if len(args) == 0 || args[0].Kind != ValString {

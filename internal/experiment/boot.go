@@ -33,17 +33,15 @@ const (
 // Backend names an hwC execution engine.
 type Backend string
 
-// The three execution backends. The block backend — closure compilation
+// The two execution backends. The block backend — closure compilation
 // plus basic-block fusion and batched port I/O — is the campaign hot
-// path; the per-statement compiled backend is the oracle midpoint; the
-// tree-walking interpreter is the reference oracle the differential
-// test holds both to. All three charge the watchdog per basic block
-// (one step per straight-line run), so every observable, step counts
-// included, is identical across backends.
+// path; the tree-walking interpreter is the reference oracle the
+// differential test holds it to. Both charge the watchdog per basic
+// block (one step per straight-line run), so every observable, step
+// counts included, is identical across backends.
 const (
-	BackendBlock    Backend = "block"
-	BackendCompiled Backend = "compiled"
-	BackendInterp   Backend = "interp"
+	BackendBlock  Backend = "block"
+	BackendInterp Backend = "interp"
 )
 
 // ParseBackend normalises a backend name; the empty string selects the
@@ -52,12 +50,10 @@ func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "", string(BackendBlock):
 		return BackendBlock, nil
-	case string(BackendCompiled):
-		return BackendCompiled, nil
 	case string(BackendInterp), "tree", "interpreter":
 		return BackendInterp, nil
 	}
-	return "", fmt.Errorf("unknown execution backend %q (want block, compiled or interp)", s)
+	return "", fmt.Errorf("unknown execution backend %q (want block or interp)", s)
 }
 
 // envKey indexes the cached type environments: the environment depends
@@ -69,7 +65,7 @@ type envKey struct {
 
 // execCaches is the per-worker hot-path state every rig carries:
 // generated stubs reset rather than regenerated between boots, type
-// environments, and the compiled backend's pooled execution buffers.
+// environments, and the block backend's pooled execution buffers.
 // ccheck never mutates an environment, so one cached instance serves
 // every boot of a worker.
 type execCaches struct {
@@ -77,7 +73,7 @@ type execCaches struct {
 	stubs map[codegen.Mode]*codegen.Stubs
 	envs  map[envKey]*ctypes.Env
 	// incr holds the incremental front end's pristine pipelines: parsed
-	// and checked pristine ASTs plus (compiled backend) the in-place
+	// and checked pristine ASTs plus (block backend) the in-place
 	// patching compiler, one per boot configuration.
 	incr map[incrKey]*incrState
 	// obs is the boot pipeline's instrumentation bundle — noObs (every
@@ -255,7 +251,7 @@ type BootResult struct {
 	// must copy it.
 	Console []string
 	// Coverage is the executed-line set (for dead-code classification).
-	// With the compiled backend it aliases the machine's pooled buffer:
+	// With the block backend it aliases the machine's pooled buffer:
 	// it is valid until the machine that produced it boots again, so
 	// callers that keep results across boots must Clone it.
 	Coverage *ccov.Set
@@ -283,15 +279,7 @@ func newEngine(b Backend, prog *cast.Program, env *ctypes.Env, kern *kernel.Kern
 	if b == BackendInterp {
 		return cinterp.New(prog, env, kern, bus, stubs)
 	}
-	var (
-		p    *ccompile.Proc
-		cerr error
-	)
-	if b == BackendBlock {
-		p, cerr = ccompile.CompileBlocks(prog, kern, bus, stubs, mach)
-	} else {
-		p, cerr = ccompile.Compile(prog, kern, bus, stubs, mach)
-	}
+	p, cerr := ccompile.Compile(prog, kern, bus, stubs, mach)
 	if cerr != nil {
 		o.interpFallback.Inc()
 		return cinterp.New(prog, env, kern, bus, stubs)
@@ -436,18 +424,6 @@ func runIDEBoot(r *Rig, ex Engine, res *BootResult) (error, bool) {
 	res.DamagedSectors = damaged
 	res.PartitionTableLost = lost
 	return nil, (rep != nil && rep.Damaged()) || len(damaged) > 0
-}
-
-// NewMachine builds the IDE rig — the full simulated PC of Tables 3/4.
-// A compatibility wrapper over the generic registry path.
-func NewMachine() (*Rig, error) {
-	return NewRig("ide")
-}
-
-// Boot compiles and boots one IDE driver build on a freshly built rig.
-// A compatibility wrapper over the generic BootDriver path.
-func Boot(input BootInput) (*BootResult, error) {
-	return BootDriver("ide_c", input)
 }
 
 // ParseDriver lexes a driver source for mutation or direct boot.

@@ -19,7 +19,7 @@ func bootDriver(t *testing.T, name string) *BootResult {
 	if err != nil {
 		t.Fatalf("lex %s: %v", name, err)
 	}
-	res, err := Boot(BootInput{Tokens: toks, Devil: src.Devil})
+	res, err := BootDriver(name, BootInput{Tokens: toks, Devil: src.Devil})
 	if err != nil {
 		t.Fatalf("boot %s: %v", name, err)
 	}

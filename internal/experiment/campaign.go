@@ -83,9 +83,6 @@ type driverPlan struct {
 	// of the incremental front end (nil when the source is outside the
 	// splitter's shape; workers then use the full pipeline).
 	incr *cincr.Source
-	// dedup holds, per mutant ID, the stream hash shared with at least
-	// one other mutant ("" for unique streams).
-	dedup []string
 }
 
 // workload implements campaign.Workload over the embedded driver corpus.
@@ -144,7 +141,7 @@ func (w *workload) plan(driver string) (*driverPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driver %s: %w", driver, err)
 	}
-	p := &driverPlan{src: src, res: res, dedup: res.DedupKeys()}
+	p := &driverPlan{src: src, res: res}
 	if incr, err := cincr.Analyze(res.Tokens); err == nil {
 		p.incr = incr
 	}
@@ -194,7 +191,7 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 			Selected:   len(selected),
 		})
 		for _, id := range selected {
-			tasks = append(tasks, campaign.Task{Driver: driver, Mutant: id, Dedup: p.dedup[id]})
+			tasks = append(tasks, campaign.Task{Driver: driver, Mutant: id})
 		}
 	}
 	return metas, tasks, nil

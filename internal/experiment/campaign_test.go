@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/fleet"
+	"repro/internal/cdriver/ctoken"
+	"repro/internal/drivers"
 )
 
 // assertCampaignDeterminism runs the determinism protocol every
@@ -17,7 +19,7 @@ import (
 // to byte-identical tables whether the campaign runs serially, sharded
 // into separate stores and merged, killed halfway and resumed from the
 // JSONL store, or executed on the tree-walking oracle instead of the
-// compiled backend. The serial run's aggregated tables are returned
+// block backend. The serial run's aggregated tables are returned
 // for workload-specific assertions.
 func assertCampaignDeterminism(t *testing.T, spec campaign.Spec) map[string]*campaign.TableData {
 	t.Helper()
@@ -168,6 +170,46 @@ func TestCampaignDeterminism(t *testing.T) {
 	assertCampaignDeterminism(t, spec)
 }
 
+// TestEveryMutantStreamIsUnique: across every embedded driver's real
+// enumeration, C and CDevil alike, no two mutants replace the same token
+// with the same text. Every mutant shares the pristine stream and
+// differs in exactly one token, so this is the invariant that makes each
+// mutant's program distinct and every boot necessary: an operator that
+// breaks it would boot one program twice and count it twice in the
+// tables.
+func TestEveryMutantStreamIsUnique(t *testing.T) {
+	type edit struct {
+		index int
+		kind  ctoken.Kind
+		lit   string
+	}
+	wl := NewWorkload().(*workload)
+	kinds := make(map[bool]int) // drivers seen, keyed by CDevil-ness
+	for _, driver := range drivers.Names() {
+		p, err := wl.plan(driver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[p.src.Devil]++
+		seen := make(map[edit]int, len(p.res.Mutants))
+		for _, m := range p.res.Mutants {
+			e := edit{m.TokenIndex, m.Replacement.Kind, m.Replacement.Lit}
+			if prev, dup := seen[e]; dup {
+				t.Errorf("%s: mutants %d and %d both replace token %d with %q",
+					driver, prev, m.ID, m.TokenIndex, m.Replacement.Lit)
+				continue
+			}
+			seen[e] = m.ID
+		}
+		if len(seen) == 0 {
+			t.Errorf("%s: empty enumeration", driver)
+		}
+	}
+	if kinds[false] == 0 || kinds[true] == 0 {
+		t.Errorf("enumerated %d C and %d CDevil drivers, want both kinds", kinds[false], kinds[true])
+	}
+}
+
 // TestMachineReuseMatchesFreshBoots: booting through a Reset machine
 // must classify identically to booting on a fresh machine — the
 // machine-reuse fast path may not leak state between boots.
@@ -178,14 +220,14 @@ func TestMachineReuseMatchesFreshBoots(t *testing.T) {
 		t.Fatal(err)
 	}
 	selected := selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 1, Seed: 3})
-	m, err := NewMachine()
+	m, err := NewRig("ide")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, id := range selected {
 		mut := p.res.Mutants[id]
 		input := BootInput{Tokens: p.res.Apply(mut), Budget: ExperimentBudget}
-		fresh, err := Boot(input)
+		fresh, err := BootDriver("ide_c", input)
 		if err != nil {
 			t.Fatalf("mutant %d: fresh boot: %v", id, err)
 		}

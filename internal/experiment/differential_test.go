@@ -2,13 +2,14 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/cdriver/cincr"
 )
 
-// The differential oracle: the compiled backend and the incremental
+// The differential oracle: the block backend and the incremental
 // front end exist for throughput, the tree-walking interpreter over a
 // full per-mutant recompile for trust. These tests boot generated
 // mutants on every backend × front-end combination — through the same
@@ -170,8 +171,6 @@ func TestDifferentialOracle(t *testing.T) {
 				name string
 				rig  *diffRig
 			}{
-				{"compiled/full", &diffRig{backend: BackendCompiled, scenario: tc.scenario}},
-				{"compiled/incremental", &diffRig{backend: BackendCompiled, incremental: true, scenario: tc.scenario}},
 				{"block/full", &diffRig{backend: BackendBlock, scenario: tc.scenario}},
 				{"block/incremental", &diffRig{backend: BackendBlock, incremental: true, scenario: tc.scenario}},
 				{"interp/incremental", &diffRig{backend: BackendInterp, incremental: true, scenario: tc.scenario}},
@@ -215,12 +214,7 @@ func TestDifferentialTables(t *testing.T) {
 		{"ide_c", "Table 3"},
 		{"ide_devil", "Table 4"},
 	} {
-		opts := MutationOptions{SamplePct: sample, Seed: 2001, Backend: BackendCompiled}
-		compiled, err := DriverMutation(tc.driver, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Backend = BackendBlock
+		opts := MutationOptions{SamplePct: sample, Seed: 2001, Backend: BackendBlock}
 		block, err := DriverMutation(tc.driver, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -230,12 +224,8 @@ func TestDifferentialTables(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ct := FormatDriverTable(compiled, tc.caption)
 		bt := FormatDriverTable(block, tc.caption)
 		it := FormatDriverTable(interp, tc.caption)
-		if ct != it {
-			t.Errorf("%s differs between backends:\ncompiled:\n%s\ninterp:\n%s", tc.caption, ct, it)
-		}
 		if bt != it {
 			t.Errorf("%s differs between backends:\nblock:\n%s\ninterp:\n%s", tc.caption, bt, it)
 		}
@@ -261,7 +251,9 @@ func TestCampaignBlockBackendSmoke(t *testing.T) {
 }
 
 // TestCampaignBackendField: a campaign spec naming a backend flows it to
-// every boot, and an unknown backend is rejected at expansion.
+// every boot, and an unknown backend — including "compiled", a removed
+// per-statement backend old stores may name — is rejected at expansion
+// with a message naming the valid choices.
 func TestCampaignBackendField(t *testing.T) {
 	spec := CampaignSpec("busmouse_devil", MutationOptions{SamplePct: 20, Seed: 5})
 	spec.Backend = "interp"
@@ -269,9 +261,12 @@ func TestCampaignBackendField(t *testing.T) {
 	if _, err := campaign.Run(spec, NewWorkload(), store, campaign.Options{}); err != nil {
 		t.Fatalf("interp-backend campaign: %v", err)
 	}
-	bad := spec
-	bad.Backend = "jit"
-	if _, _, err := NewWorkload().Expand(bad); err == nil {
-		t.Error("unknown backend accepted by Expand")
+	for _, name := range []string{"jit", "compiled"} {
+		bad := spec
+		bad.Backend = name
+		_, _, err := NewWorkload().Expand(bad)
+		if err == nil || !strings.Contains(err.Error(), "block") || !strings.Contains(err.Error(), "interp") {
+			t.Errorf("Expand with backend %q: err = %v, want one naming block and interp", name, err)
+		}
 	}
 }

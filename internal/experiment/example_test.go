@@ -8,10 +8,10 @@ import (
 	"repro/internal/experiment"
 )
 
-// ExampleBoot compiles the unmutated C IDE driver and boots it on a
-// freshly assembled simulated PC: the kernel initialises the driver,
+// ExampleBootDriver compiles the unmutated C IDE driver and boots it on
+// a freshly assembled simulated PC: the kernel initialises the driver,
 // mounts and checks the filesystem through it, and classifies the run.
-func ExampleBoot() {
+func ExampleBootDriver() {
 	src, err := drivers.Load("ide_c")
 	if err != nil {
 		log.Fatal(err)
@@ -20,7 +20,7 @@ func ExampleBoot() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := experiment.Boot(experiment.BootInput{Tokens: toks, Devil: src.Devil})
+	res, err := experiment.BootDriver("ide_c", experiment.BootInput{Tokens: toks, Devil: src.Devil})
 	if err != nil {
 		log.Fatal(err)
 	}

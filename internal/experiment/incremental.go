@@ -18,7 +18,7 @@ import (
 // BootInput.Mutation the per-mutant work shrinks from "re-lex, re-parse,
 // re-check and re-compile the whole driver" to "re-run the front end on
 // the one declaration span containing the mutated token". The pristine
-// driver is parsed, checked and (on the compiled backend) compiled once
+// driver is parsed, checked and (on the block backend) compiled once
 // per worker configuration; each mutant then costs one span re-parse,
 // one declaration re-check, and one in-place declaration recompile.
 // Anything the span analysis cannot prove equivalent (cincr.ErrSpanUnsafe)
@@ -68,7 +68,7 @@ type incrKey struct {
 
 // incrState is the per-worker pristine pipeline of one configuration:
 // the parsed and checked pristine AST, the collected check scope, the
-// cached stubs/env, and — for the compiled backend — the incremental
+// cached stubs/env, and — for the block backend — the incremental
 // compiler with its in-place patching tables.
 type incrState struct {
 	src   *cincr.Source
@@ -155,11 +155,7 @@ func (c *execCaches) incrFor(kern *kernel.Kernel, bus *hw.Bus,
 			// leaves inc nil and every incremental boot uses the
 			// interpreter, exactly as the full path's per-boot fallback
 			// would.
-			build := ccompile.NewIncr
-			if input.Backend == BackendBlock {
-				build = ccompile.NewIncrBlocks
-			}
-			if inc, err := build(prog, kern, bus, st.stubs, c.exec); err == nil {
+			if inc, err := ccompile.NewIncr(prog, kern, bus, st.stubs, c.exec); err == nil {
 				st.inc = inc
 			}
 		}
@@ -257,7 +253,7 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		}
 	}
 	if input.Backend != BackendInterp {
-		// Compiled backend requested, interpreter executing: the pristine
+		// Block backend requested, interpreter executing: the pristine
 		// compile was rejected (inc == nil) or the patch was.
 		o.interpFallback.Inc()
 	}

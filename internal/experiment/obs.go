@@ -30,7 +30,7 @@ const (
 	// MetricBootPhase histograms wall time per pipeline phase, labelled
 	// {workload, phase}.
 	MetricBootPhase = "driverlab_boot_phase_seconds"
-	// MetricInterpFallbacks counts boots that requested the compiled
+	// MetricInterpFallbacks counts boots that requested the block
 	// backend but executed on the reference interpreter because the
 	// compiler rejected the program shape (ErrUnsupported).
 	MetricInterpFallbacks = "driverlab_boot_interp_fallbacks_total"
@@ -131,7 +131,7 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 		execute:  h(PhaseExecute),
 		classify: h(PhaseClassify),
 		interpFallback: col.Counter(MetricInterpFallbacks,
-			"Compiled-backend boots that executed on the reference interpreter (ErrUnsupported).",
+			"Block-backend boots that executed on the reference interpreter (ErrUnsupported).",
 			"workload", workload),
 		fullFrontend: col.Counter(MetricFullFrontend,
 			"Incremental-front-end boots that fell back to the full pipeline (span-unsafe).",

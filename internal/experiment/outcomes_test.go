@@ -42,9 +42,10 @@ func mutateToken(t *testing.T, driver, old, new string, kind ctoken.Kind, nth in
 	return nil
 }
 
-func bootTokens(t *testing.T, toks []ctoken.Token, isDevil bool) *BootResult {
+// bootTokens boots one build of an IDE driver (ide_c or ide_devil).
+func bootTokens(t *testing.T, driver string, toks []ctoken.Token) *BootResult {
 	t.Helper()
-	res, err := Boot(BootInput{Tokens: toks, Devil: isDevil, Budget: ExperimentBudget})
+	res, err := BootDriver(driver, BootInput{Tokens: toks, Devil: driver == "ide_devil", Budget: ExperimentBudget})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestOutcomeHalt(t *testing.T) {
 	// read: IDE_STATUS (0x1f7) -> 0x1f1 (error register, reads 0 = never
 	// READY) makes wait_ready time out and panic.
 	toks := mutateToken(t, "ide_c", "0x1f7", "0x1f1", 0, 0)
-	res := bootTokens(t, toks, false)
+	res := bootTokens(t, "ide_c", toks)
 	if res.Outcome != kernel.OutcomeHalt && res.Outcome != kernel.OutcomeInfiniteLoop {
 		t.Errorf("outcome = %v (%v), want Halt or InfiniteLoop", res.Outcome, res.RunErr)
 	}
@@ -69,7 +70,7 @@ func TestOutcomeHalt(t *testing.T) {
 func TestOutcomeCrash(t *testing.T) {
 	// IDE_CONTROL 0x3f6 -> 0x21 (PIC mask register).
 	toks := mutateToken(t, "ide_c", "0x3f6", "0x21", 0, 0)
-	res := bootTokens(t, toks, false)
+	res := bootTokens(t, "ide_c", toks)
 	if res.Outcome != kernel.OutcomeCrash {
 		t.Errorf("outcome = %v (%v), want Crash", res.Outcome, res.RunErr)
 	}
@@ -79,7 +80,7 @@ func TestOutcomeCrash(t *testing.T) {
 // makes BSY read as stuck-on; the unbounded busy-wait never exits.
 func TestOutcomeInfiniteLoop(t *testing.T) {
 	toks := mutateToken(t, "ide_c", "0x1f7", "0x2f7", 0, 0)
-	res := bootTokens(t, toks, false)
+	res := bootTokens(t, "ide_c", toks)
 	if res.Outcome != kernel.OutcomeInfiniteLoop {
 		t.Errorf("outcome = %v (%v), want InfiniteLoop", res.Outcome, res.RunErr)
 	}
@@ -91,7 +92,7 @@ func TestOutcomeInfiniteLoop(t *testing.T) {
 func TestOutcomeDamagedBoot(t *testing.T) {
 	// In "(s << 9) + i + i", 9 -> 8 halves the per-sector stride.
 	toks := mutateToken(t, "ide_c", "9", "8", 0, 0)
-	res := bootTokens(t, toks, false)
+	res := bootTokens(t, "ide_c", toks)
 	if res.Outcome != kernel.OutcomeDamagedBoot {
 		t.Errorf("outcome = %v (%v), want DamagedBoot", res.Outcome, res.RunErr)
 		for _, l := range res.Console {
@@ -105,7 +106,7 @@ func TestOutcomeDamagedBoot(t *testing.T) {
 func TestOutcomeRuntimeCheck(t *testing.T) {
 	// In wait_not_busy: dil_eq(get_Busy(), BUSY) with BUSY -> MASTER.
 	toks := mutateToken(t, "ide_devil", "BUSY", "MASTER", 0, 0)
-	res := bootTokens(t, toks, true)
+	res := bootTokens(t, "ide_devil", toks)
 	if res.CompileDetected() {
 		t.Fatalf("unexpected compile error: %v", res.CompileErrors[0])
 	}
@@ -122,7 +123,7 @@ func TestOutcomeRuntimeCheck(t *testing.T) {
 // setter is a compile-time type error in the strict world.
 func TestOutcomeCompileCheck(t *testing.T) {
 	toks := mutateToken(t, "ide_devil", "MASTER", "CMD_IDENTIFY", 0, 0)
-	res := bootTokens(t, toks, true)
+	res := bootTokens(t, "ide_devil", toks)
 	if !res.CompileDetected() {
 		t.Fatalf("mutant compiled; outcome %v", res.Outcome)
 	}
@@ -160,7 +161,7 @@ func TestOutcomeDeadCode(t *testing.T) {
 		t.Fatal("write-fault arm not found")
 	}
 	line := toks[idx].Pos.Line
-	res := bootTokens(t, toks, true)
+	res := bootTokens(t, "ide_devil", toks)
 	if res.Outcome != kernel.OutcomeBoot {
 		t.Fatalf("baseline boot failed: %v", res.Outcome)
 	}
@@ -173,7 +174,7 @@ func TestOutcomeDeadCode(t *testing.T) {
 // observable — the worst case.
 func TestOutcomeSilentBoot(t *testing.T) {
 	toks := mutateToken(t, "ide_c", "20000", "60000", 0, 0)
-	res := bootTokens(t, toks, false)
+	res := bootTokens(t, "ide_c", toks)
 	if res.Outcome != kernel.OutcomeBoot {
 		t.Errorf("outcome = %v (%v), want Boot", res.Outcome, res.RunErr)
 	}
@@ -207,7 +208,7 @@ func TestPartitionTableLossScenario(t *testing.T) {
 	out := make([]ctoken.Token, len(toks))
 	copy(out, toks)
 	out[hits[3]].Lit = "0x0"
-	res := bootTokens(t, out, false)
+	res := bootTokens(t, "ide_c", out)
 	if !res.PartitionTableLost && res.Outcome != kernel.OutcomeDamagedBoot {
 		t.Errorf("outcome = %v, PT lost = %v; want damage", res.Outcome, res.PartitionTableLost)
 	}

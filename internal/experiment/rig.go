@@ -308,7 +308,7 @@ func Workloads() []*WorkloadDesc {
 // (system board plus the workload's devices), kernel, the workload's
 // device handle, and the per-worker caches of the campaign hot path —
 // generated stubs (reset, not regenerated, between boots), type
-// environments, the compiled backend's pooled execution buffers and the
+// environments, the block backend's pooled execution buffers and the
 // incremental front end's pristine pipelines. A campaign worker builds
 // one rig per workload and Resets it between boots.
 type Rig struct {
@@ -426,7 +426,7 @@ func (r *Rig) Boot(input BootInput) (*BootResult, error) {
 
 // BootOn compiles and boots one driver build on r. It is the generic
 // boot entry point campaign workers use to amortise machine
-// construction — and, with the compiled backend, stub generation, type
+// construction — and, with the block backend, stub generation, type
 // environments and execution buffers — across boots.
 func BootOn(r *Rig, input BootInput) (*BootResult, error) {
 	return r.Boot(input)

@@ -132,7 +132,7 @@ func TestRegistryBootAndReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []Backend{BackendBlock, BackendCompiled, BackendInterp} {
+	for _, backend := range []Backend{BackendBlock, BackendInterp} {
 		res, err := BootDriver(driver, BootInput{Tokens: toks, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
@@ -144,8 +144,8 @@ func TestRegistryBootAndReuse(t *testing.T) {
 			t.Errorf("%s: console = %v", backend, res.Console)
 		}
 	}
-	if dev.builds != 3 || dev.runs != 3 {
-		t.Errorf("fresh-rig boots: builds=%d runs=%d, want 3/3", dev.builds, dev.runs)
+	if dev.builds != 2 || dev.runs != 2 {
+		t.Errorf("fresh-rig boots: builds=%d runs=%d, want 2/2", dev.builds, dev.runs)
 	}
 
 	// A worker's rig pool builds the workload's rig once and Resets it
@@ -162,8 +162,8 @@ func TestRegistryBootAndReuse(t *testing.T) {
 	if r1 != r2 {
 		t.Error("worker built a second rig instead of reusing the first")
 	}
-	if dev.builds != 4 {
-		t.Errorf("builds = %d after worker reuse, want 4", dev.builds)
+	if dev.builds != 3 {
+		t.Errorf("builds = %d after worker reuse, want 3", dev.builds)
 	}
 	if dev.resets != 1 {
 		t.Errorf("resets = %d after worker reuse, want 1", dev.resets)

@@ -8,12 +8,12 @@ import (
 )
 
 // TestGoldenPristineSteps pins the watchdog step count of every embedded
-// driver's pristine boot, on all three execution backends.
+// driver's pristine boot, on both execution backends.
 //
 // Step counts were re-based once, when basic-block charging landed: the
 // watchdog charges one step per maximal run of straight-line statements
 // (plus one per control-flow statement and per loop back edge), in the
-// interpreter and both compiled backends alike. These constants pin that
+// interpreter and the block backend alike. These constants pin that
 // contract. If a change moves them, it changed the charging semantics —
 // which moves every budget-edge mutant's outcome and the device timing
 // of every boot — and must re-base deliberately: update the constants,
@@ -45,7 +45,7 @@ func TestGoldenPristineSteps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, backend := range []Backend{BackendInterp, BackendCompiled, BackendBlock} {
+		for _, backend := range []Backend{BackendInterp, BackendBlock} {
 			res, err := BootDriver(driver, BootInput{Tokens: toks, Devil: src.Devil, Backend: backend})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", driver, backend, err)

@@ -111,37 +111,6 @@ func (r *Result) Apply(m Mutant) []ctoken.Token {
 	return out
 }
 
-// StreamKey identifies a mutant's full token stream without
-// materialising it: all mutants share the pristine stream and differ in
-// exactly one token, so (position, replacement kind, replacement text)
-// identifies the stream completely — and exactly, with no hash-collision
-// risk a campaign could silently mis-record through. Two mutants of the
-// same enumeration with equal StreamKeys produce byte-identical
-// programs — the campaign engine boots such groups once.
-func (r *Result) StreamKey(m Mutant) string {
-	return fmt.Sprintf("%d\x00%d\x00%s", m.TokenIndex, m.Replacement.Kind, m.Replacement.Lit)
-}
-
-// DedupKeys returns, per mutant ID, the StreamKey when at least one
-// other mutant of the enumeration yields the same token stream, and ""
-// for unique mutants. Identical streams arise when two literal-typo
-// edits synthesise the same text (e.g. inserting '0' at either position
-// of "00"); operator and identifier pools never collide.
-func (r *Result) DedupKeys() []string {
-	count := make(map[string]int, len(r.Mutants))
-	keys := make([]string, len(r.Mutants))
-	for i, m := range r.Mutants {
-		keys[i] = r.StreamKey(m)
-		count[keys[i]]++
-	}
-	for i, k := range keys {
-		if count[k] < 2 {
-			keys[i] = ""
-		}
-	}
-	return keys
-}
-
 // Options configures enumeration.
 type Options struct {
 	// Interface is the Devil stub interface for CDevil sources; nil for

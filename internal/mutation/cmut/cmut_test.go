@@ -245,52 +245,3 @@ func TestEnumerateRejectsBrokenSource(t *testing.T) {
 		t.Error("broken source enumerated")
 	}
 }
-
-// TestStreamKeysIdentifyMutatedStreams: equal keys exactly for equal
-// (position, replacement) pairs — the identity of a mutated stream —
-// and DedupKeys marks only keys shared by at least two mutants.
-func TestStreamKeysIdentifyMutatedStreams(t *testing.T) {
-	toks, _ := clexer.Lex("//@hw\nint f(void) { return 10 + 2; }\n//@endhw\n")
-	res, err := cmut.Enumerate(toks, cmut.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Mutants) < 2 {
-		t.Fatalf("expected several literal mutants, got %d", len(res.Mutants))
-	}
-	seen := make(map[string]int)
-	for i, m := range res.Mutants {
-		key := res.StreamKey(m)
-		if j, dup := seen[key]; dup {
-			a, b := res.Mutants[j], m
-			if a.TokenIndex != b.TokenIndex || a.Replacement.Kind != b.Replacement.Kind ||
-				a.Replacement.Lit != b.Replacement.Lit {
-				t.Fatalf("mutants %d and %d share a key but differ in stream", j, i)
-			}
-		}
-		seen[key] = i
-	}
-	// The enumeration pre-deduplicates literal edits per site, so every
-	// stream is unique and DedupKeys must be all-empty.
-	for i, k := range res.DedupKeys() {
-		if k != "" {
-			t.Errorf("mutant %d marked as duplicate in a dedup-free enumeration", i)
-		}
-	}
-
-	// Synthetic duplicates: two operators yielding the same stream.
-	dup := *res
-	dup.Mutants = append([]cmut.Mutant(nil), res.Mutants[:2]...)
-	dup.Mutants = append(dup.Mutants, cmut.Mutant{
-		ID: 2, SiteIndex: dup.Mutants[0].SiteIndex,
-		TokenIndex:  dup.Mutants[0].TokenIndex,
-		Replacement: dup.Mutants[0].Replacement,
-	})
-	keys := dup.DedupKeys()
-	if keys[0] == "" || keys[2] == "" || keys[0] != keys[2] {
-		t.Errorf("identical streams not keyed together: %q vs %q", keys[0], keys[2])
-	}
-	if keys[1] != "" {
-		t.Errorf("unique stream keyed as duplicate: %q", keys[1])
-	}
-}

@@ -17,7 +17,7 @@
 #  6. the fleet subcommands (serve, worker) must be named in the
 #     driverlab -h banner, so the scale-out surface is discoverable
 #     from the CLI;
-#  7. every execution backend (block, compiled, interp) must be named
+#  7. every execution backend (block, interp) must be named
 #     in the driverlab -h banner, ARCHITECTURE.md and README.md, so
 #     the -backend axis stays discoverable from the docs.
 #
@@ -126,7 +126,7 @@ fi
 echo "scenario names in ARCHITECTURE.md and README.md: ok"
 
 fail=0
-for b in block compiled interp; do
+for b in block interp; do
     for doc in usage arch readme; do
         eval "text=\$$doc"
         case "$text" in

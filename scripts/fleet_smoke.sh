@@ -5,12 +5,6 @@
 # `worker` processes over loopback TCP) and require the report tables
 # to be byte-identical.
 #
-# The `dedup savings` report line is excluded from the comparison on
-# purpose: dedup groups form within one engine invocation, so a fleet
-# worker booting one shard per lease may legitimately dedup fewer
-# mutants than a serial run — the *tables* (every mutant's outcome)
-# are what must not differ, and they are compared byte for byte.
-#
 # Run from the repository root.
 set -e
 
@@ -67,10 +61,8 @@ done
 cat "$tmp/serve.out"
 
 echo "comparing report tables (serial vs fleet)..."
-"$tmp/driverlab" campaign report -store "$tmp/serial.jsonl" \
-    | grep -v '^dedup savings' >"$tmp/serial.report"
-"$tmp/driverlab" campaign report -store "$tmp/fleet.jsonl" \
-    | grep -v '^dedup savings' >"$tmp/fleet.report"
+"$tmp/driverlab" campaign report -store "$tmp/serial.jsonl" >"$tmp/serial.report"
+"$tmp/driverlab" campaign report -store "$tmp/fleet.jsonl" >"$tmp/fleet.report"
 if ! diff -u "$tmp/serial.report" "$tmp/fleet.report"; then
     echo "fleet report tables differ from the serial baseline" >&2
     exit 1
