@@ -191,9 +191,9 @@ const (
 
 // KindOfRecord classifies a result record the way the tracker counts
 // it: quarantined panics are distinguished by their provenance field,
-// everything else counts as a boot. Skips are a
-// run-local notion (the store already held the record when the run
-// started), so streamed records never classify as RecordSkip.
+// everything else counts as a boot. Skips are a run-local notion (the
+// store already held the record when the run started), so streamed
+// records never classify as RecordSkip.
 func KindOfRecord(r Record) RecordKind {
 	if r.HarnessPanic {
 		return RecordPanic
