@@ -148,8 +148,6 @@ func campaignRun(args []string, resume bool) error {
 		"store checkpoint interval in records (0: the store default of 64); raise on long campaigns to trade crash-loss window for fewer writes")
 	bootTimeout := fs.Duration("boot-timeout", 0,
 		"per-boot wall-clock deadline behind the step watchdog (0: the 30s default)")
-	snapshot := fs.String("snapshot", "",
-		"pristine-prefix snapshotting on worker rigs: on (default) or off")
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
 	}
@@ -181,9 +179,6 @@ func campaignRun(args []string, resume bool) error {
 		}
 		if *frontend != "" {
 			spec.Frontend = *frontend
-		}
-		if *snapshot != "" {
-			spec.Snapshot = *snapshot
 		}
 		if *flushEvery > 0 {
 			spec.FlushEvery = *flushEvery
@@ -228,7 +223,6 @@ func campaignRun(args []string, resume bool) error {
 			Scenarios:  scenarioList,
 			Frontend:   *frontend,
 			FlushEvery: *flushEvery,
-			Snapshot:   *snapshot,
 		}
 		if *bootTimeout > 0 {
 			spec.BootTimeoutMS = int(bootTimeout.Milliseconds())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -383,6 +384,79 @@ func TestCampaignCLIErrors(t *testing.T) {
 		t.Errorf("refused resume left %d records, want only the spec record", n)
 	}
 	st.Close()
+	// A finished store written while prefix snapshotting was a spec knob:
+	// the field was omitempty and fingerprint-excluded, so a spec record
+	// saying "snapshot":"off" must resume under the same fingerprint,
+	// boot nothing and leave the store byte-identical.
+	snapStore := filepath.Join(dir, "snapshot-off.jsonl")
+	if err := run([]string{"campaign", "run", "-store", snapStore,
+		"-drivers", "busmouse_c", "-sample", "3", "-seed", "1", "-quiet"}); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(snapStore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specLine, rest, _ := strings.Cut(string(raw), "\n")
+	var rec, spec map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(specLine), &rec); err != nil || string(rec["kind"]) != `"spec"` {
+		t.Fatalf("first store line is not a spec record: %q, %v", specLine, err)
+	}
+	if err := json.Unmarshal(rec["spec"], &spec); err != nil {
+		t.Fatal(err)
+	}
+	spec["snapshot"] = json.RawMessage(`"off"`)
+	if rec["spec"], err = json.Marshal(spec); err != nil {
+		t.Fatal(err)
+	}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = append(append(line, '\n'), rest...)
+	if err := os.WriteFile(snapStore, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = campaign.OpenFile(snapStore); err != nil {
+		t.Fatal(err)
+	}
+	if r := st.Records()[0]; r.Spec == nil || r.Spec.Fingerprint() != r.Fingerprint {
+		t.Errorf("snapshot=off spec record does not fingerprint as stored: %+v", r)
+	}
+	st.Close()
+	if err := run([]string{"campaign", "resume", "-store", snapStore, "-quiet"}); err != nil {
+		t.Errorf("resume of a snapshot=off store: %v", err)
+	}
+	if after, err := os.ReadFile(snapStore); err != nil || !bytes.Equal(after, raw) {
+		t.Errorf("resume of a finished snapshot=off store changed it (err %v)", err)
+	}
+	// The knob itself is gone: both verbs refuse it as an undefined flag.
+	for _, verb := range []string{"run", "resume"} {
+		err := run([]string{"campaign", verb, "-store", snapStore, "-snapshot", "off", "-quiet"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -snapshot") {
+			t.Errorf("campaign %s -snapshot off: err = %v, want an undefined-flag error", verb, err)
+		}
+	}
+	// An out-of-range sample percentage fails before any boot instead of
+	// silently booting the whole enumeration.
+	for _, pct := range []string{"-5", "150"} {
+		path := filepath.Join(dir, "sample"+pct+".jsonl")
+		err := run([]string{"campaign", "run", "-store", path,
+			"-drivers", "busmouse_c", "-sample", pct, "-quiet"})
+		if err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("campaign run -sample %s: err = %v, want an out-of-range error", pct, err)
+		}
+		if st, err = campaign.OpenFile(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range st.Records() {
+			if r.Kind == campaign.KindResult {
+				t.Errorf("campaign run -sample %s booted mutant %d", pct, r.Mutant)
+				break
+			}
+		}
+		st.Close()
+	}
 	if err := run([]string{"campaign", "merge", "-out", filepath.Join(dir, "out.jsonl")}); err == nil {
 		t.Error("merge without inputs accepted")
 	}

@@ -78,12 +78,6 @@ type Spec struct {
 	// an execution knob, not a workload change: excluded from the
 	// fingerprint.
 	BootTimeoutMS int `json:"boot_timeout_ms,omitempty"`
-	// Snapshot controls pristine-prefix snapshotting on worker rigs: ""
-	// or "on" enables it (the default), "off" forces every boot through
-	// the full prefix. An execution knob, not a workload change —
-	// restored boots are byte-identical to full boots by construction —
-	// so it is excluded from the fingerprint.
-	Snapshot string `json:"snapshot,omitempty"`
 }
 
 // Normalized returns the spec with defaults applied and the backend
@@ -104,9 +98,6 @@ func (s Spec) Normalized() Spec {
 	}
 	if s.Frontend == "incremental" {
 		s.Frontend = "" // the default front end
-	}
-	if s.Snapshot == "on" {
-		s.Snapshot = "" // the default
 	}
 	// Scenario canonicalization: "pristine" and "" name the same cell,
 	// duplicates collapse, and a list that is nothing but the pristine
@@ -142,7 +133,6 @@ func (s Spec) Fingerprint() string {
 	n.Frontend = ""     // front-end strategy does not change results (the oracle's guarantee)
 	n.FlushEvery = 0    // durability tuning does not change the work-list
 	n.BootTimeoutMS = 0 // the wall-clock safety net does not change the work-list
-	n.Snapshot = ""     // prefix snapshotting does not change results (byte-identical restores)
 	data, err := json.Marshal(n)
 	if err != nil {
 		return "unhashable"

@@ -48,7 +48,7 @@ type Value = cinterp.Value
 
 // ErrUnsupported marks a program shape the compiler cannot prove it
 // executes identically to the interpreter; callers fall back to cinterp.
-var ErrUnsupported = errors.New("program shape not supported by the compiled backend")
+var ErrUnsupported = errors.New("program shape not supported by the block backend")
 
 // maxCallDepth mirrors the interpreter's recursion bound.
 const maxCallDepth = 64
@@ -357,40 +357,6 @@ func (p *Proc) Init() error {
 	}
 	st.declsReady = p.maxDecl
 	return nil
-}
-
-// InitSnapshot is a Proc's saved post-Init value state: the global
-// variable slots, the coverage bitset and the declaration-visibility
-// watermark at the moment Init returned. The zero value is an empty
-// snapshot whose buffers are grown on first capture and reused by every
-// later one (copy-in-place, like kernel.Snapshot).
-type InitSnapshot struct {
-	globals    []Value
-	cov        ccov.Set
-	declsReady int
-}
-
-// SnapshotInit captures p's post-Init value state into s. It is only
-// meaningful after a successful Init and before the boot script runs —
-// the pristine-prefix snapshot point of the campaign engine.
-func (p *Proc) SnapshotInit(s *InitSnapshot) {
-	s.globals = append(s.globals[:0], p.st.globals...)
-	s.cov.CopyFrom(p.st.cov)
-	s.declsReady = p.st.declsReady
-}
-
-// RestoreInit rewinds p to a captured post-Init state, standing in for
-// an Init call on a freshly patched Proc: globals, coverage and the
-// visibility watermark are restored, the stack and call depth rewound.
-// The snapshot must come from a Proc of the same program shape (the
-// incremental compiler's Patch preserves global slot assignment), which
-// the campaign rig's snapshot validity key guarantees.
-func (p *Proc) RestoreInit(s *InitSnapshot) {
-	copy(p.st.globals, s.globals)
-	p.st.cov.CopyFrom(&s.cov)
-	p.st.sp, p.st.depth = 0, 0
-	p.st.declsReady = s.declsReady
-	p.inited = true
 }
 
 // Call invokes a driver function by name — the boot script entry point.

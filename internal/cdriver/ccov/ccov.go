@@ -141,17 +141,6 @@ func (s *Set) Equal(o *Set) bool {
 	return true
 }
 
-// CopyFrom overwrites s with o's contents in place, reusing s's backing
-// storage — the snapshot-restore counterpart of Reset. nil o empties s.
-func (s *Set) CopyFrom(o *Set) {
-	if o == nil {
-		s.Reset()
-		return
-	}
-	s.words = append(s.words[:0], o.words...)
-	s.n = o.n
-}
-
 // Clone returns an independent copy.
 func (s *Set) Clone() *Set {
 	out := &Set{words: make([]uint64, len(s.words)), n: s.n}

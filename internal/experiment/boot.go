@@ -187,11 +187,6 @@ func (c *execCaches) buildEngine(r *Rig, input BootInput) (Engine, *BootResult, 
 		}
 		return nil, res, nil
 	}
-	if input.Mutation != nil && r.snapCounts(input) {
-		// A span-unsafe mutation on a snapshotting rig still runs the
-		// full prefix below (machine reset plus global initialisers).
-		c.obs.snapshotFallback.Inc()
-	}
 	tb := c.obs.compile.Start()
 	ex, rerr := newEngine(input.Backend, prog, env, kern, bus, stubs, c.exec, c.obs)
 	tb.Stop()
@@ -225,7 +220,7 @@ type BootInput struct {
 	Permissive bool
 	// Budget overrides the watchdog budget when non-zero.
 	Budget int64
-	// Backend selects the execution engine (compiled when empty).
+	// Backend selects the execution engine (block when empty).
 	Backend Backend
 	// FaultSeed seeds the rig's fault injector (if a scenario armed one)
 	// for this boot. Campaign workers derive it from the task's stable
@@ -334,22 +329,6 @@ var ideWorkload = WorkloadDesc{
 		// cold-started.
 		d.Image.RestoreFrom(d.Pristine)
 		d.Ctrl.Reset()
-	},
-	Snapshot: func(dev, snap any) any {
-		// Controller registers only: the prefix cannot touch the disk (no
-		// calls run in global initialisers), so the image is pristine at
-		// capture time and Restore rewinds it from the pristine copy.
-		s, _ := snap.(*ide.State)
-		if s == nil {
-			s = &ide.State{}
-		}
-		dev.(*ideDev).Ctrl.Snapshot(s)
-		return s
-	},
-	Restore: func(dev, snap any) {
-		d := dev.(*ideDev)
-		d.Image.RestoreFrom(d.Pristine)
-		d.Ctrl.Restore(snap.(*ide.State))
 	},
 	Run: runIDEBoot,
 }

@@ -160,8 +160,8 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 	if _, err := ParseFrontend(spec.Frontend); err != nil {
 		return nil, nil, err
 	}
-	if _, err := parseSnapshotKnob(spec.Snapshot); err != nil {
-		return nil, nil, err
+	if spec.SamplePct < 0 || spec.SamplePct > 100 {
+		return nil, nil, fmt.Errorf("sample %d%% out of range (want 0..100; 0 boots every mutant)", spec.SamplePct)
 	}
 	// Validate every scenario cell up front (the engine crosses the
 	// work-list with them after Expand): a misspelled scenario fails the
@@ -211,26 +211,8 @@ func (w *workload) NewWorker(spec campaign.Spec) (campaign.Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	noSnap, err := parseSnapshotKnob(spec.Snapshot)
-	if err != nil {
-		return nil, err
-	}
 	return &worker{w: w, spec: spec, mode: mode, backend: backend,
-		frontend: frontend, noSnap: noSnap,
-		rigs: make(rigSet), obs: make(map[string]*bootObs)}, nil
-}
-
-// parseSnapshotKnob maps the spec's snapshot knob to the rig's
-// DisableSnapshot flag: "" and "on" enable snapshotting (the default),
-// "off" disables it.
-func parseSnapshotKnob(s string) (disable bool, err error) {
-	switch s {
-	case "", "on":
-		return false, nil
-	case "off":
-		return true, nil
-	}
-	return false, fmt.Errorf("unknown snapshot setting %q (want on or off)", s)
+		frontend: frontend, rigs: make(rigSet), obs: make(map[string]*bootObs)}, nil
 }
 
 // worker boots tasks on a single goroutine, reusing one rig per
@@ -246,9 +228,7 @@ type worker struct {
 	mode     codegen.Mode
 	backend  Backend
 	frontend Frontend
-	// noSnap mirrors the spec's snapshot=off knob onto every rig.
-	noSnap bool
-	rigs   rigSet
+	rigs     rigSet
 	// obs caches the per-workload instrumentation bundles bound to the
 	// workload's collector (unused when the workload is unobserved).
 	obs map[string]*bootObs
@@ -294,7 +274,6 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 	if err != nil {
 		return campaign.Outcome{}, err
 	}
-	rig.DisableSnapshot = wk.noSnap
 	if wk.w.col != nil {
 		o, ok := wk.obs[rig.Desc.Name]
 		if !ok {

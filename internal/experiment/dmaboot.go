@@ -63,16 +63,7 @@ var dmaWorkload = WorkloadDesc{
 		return bm, nil
 	},
 	Reset: func(dev any) { dev.(*pci.BusMaster).Reset() },
-	Snapshot: func(dev, snap any) any {
-		s, _ := snap.(*pci.State)
-		if s == nil {
-			s = &pci.State{}
-		}
-		dev.(*pci.BusMaster).Snapshot(s)
-		return s
-	},
-	Restore: func(dev, snap any) { dev.(*pci.BusMaster).Restore(snap.(*pci.State)) },
-	Run:     runBMBoot,
+	Run:   runBMBoot,
 }
 
 // runBMBoot drives the transfer script: initialise (probe capabilities,

@@ -61,16 +61,7 @@ var gfxWorkload = WorkloadDesc{
 		return gpu, nil
 	},
 	Reset: func(dev any) { dev.(*permedia.GPU).Reset() },
-	Snapshot: func(dev, snap any) any {
-		s, _ := snap.(*permedia.State)
-		if s == nil {
-			s = &permedia.State{}
-		}
-		dev.(*permedia.GPU).Snapshot(s)
-		return s
-	},
-	Restore: func(dev, snap any) { dev.(*permedia.GPU).Restore(snap.(*permedia.State)) },
-	Run:     runGfxBoot,
+	Run:   runGfxBoot,
 }
 
 // runGfxBoot drives the bring-up: initialise (reset, timing, video,

@@ -87,14 +87,6 @@ type incrState struct {
 	// bad marks a configuration whose pristine setup failed; every boot
 	// then uses the full front end.
 	bad bool
-
-	// initsCallDone/initsCallVal cache whether any pristine global
-	// initialiser contains a call, transitively through the macros it
-	// references (computed lazily by snapshot.go's initsHaveCalls). A
-	// call could observe machine state the snapshot would skip over, so
-	// such configurations never restore from a snapshot.
-	initsCallDone bool
-	initsCallVal  bool
 }
 
 // incrFor returns (building on first use) the incremental state for a
@@ -181,8 +173,7 @@ func (st *incrState) splice(declIdx int, d cast.Decl) *cast.Program {
 // pipeline. done=false means the mutation was span-unsafe (or the
 // configuration cannot run incrementally) and the caller must fall back
 // to the full front end; the semantics of ex/res/err otherwise match
-// buildEngine exactly. It is also the only path that can serve a boot's
-// prefix from the rig's pristine snapshot (see snapshot.go).
+// buildEngine exactly.
 func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *BootResult, done bool, err error) {
 	kern := r.Kern
 	st, err := c.incrFor(kern, r.Bus, r.Stubs, input)
@@ -225,29 +216,12 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		p, cerr := st.inc.Patch(declIdx, decl)
 		if cerr == nil {
 			o.addBlockStats(st.inc.PatchStats())
-			use, capture := r.snapPlan(st, decl, input)
-			if use {
-				// The mutation cannot affect the prefix, and a matching
-				// snapshot is armed: rewind clock, kernel, devices and
-				// globals to the captured post-Init state instead of
-				// re-running the initialisers on the reset machine.
-				tb.Stop()
-				r.snapRestore(p, input)
-				o.snapshotHit.Inc()
-				return p, res, true, nil
-			}
-			if r.snapCounts(input) {
-				o.snapshotFallback.Inc()
-			}
 			ierr := p.Init()
 			tb.Stop()
 			if ierr != nil {
 				res.Outcome = kernel.Classify(ierr)
 				res.RunErr = ierr
 				return nil, res, true, nil
-			}
-			if capture {
-				r.snapCapture(st, p, input)
 			}
 			return p, res, true, nil
 		}
@@ -256,9 +230,6 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		// Block backend requested, interpreter executing: the pristine
 		// compile was rejected (inc == nil) or the patch was.
 		o.interpFallback.Inc()
-	}
-	if r.snapCounts(input) {
-		o.snapshotFallback.Inc()
 	}
 	in, runErr := cinterp.New(st.splice(declIdx, decl), st.env, kern, r.Bus, st.stubs)
 	tb.Stop()

@@ -39,16 +39,7 @@ var mouseWorkload = WorkloadDesc{
 		return mouse, nil
 	},
 	Reset: func(dev any) { dev.(*busmouse.Mouse).Reset() },
-	Snapshot: func(dev, snap any) any {
-		s, _ := snap.(*busmouse.State)
-		if s == nil {
-			s = &busmouse.State{}
-		}
-		dev.(*busmouse.Mouse).Snapshot(s)
-		return s
-	},
-	Restore: func(dev, snap any) { dev.(*busmouse.Mouse).Restore(snap.(*busmouse.State)) },
-	Run:     runMouseBoot,
+	Run:   runMouseBoot,
 }
 
 // runMouseBoot initialises the driver, feeds the motion script and checks

@@ -81,16 +81,7 @@ var netWorkload = WorkloadDesc{
 	// ne2000.NIC.Reset is the cold power-on reset (packet memory
 	// included), distinct from the warm reset the reset port performs.
 	Reset: func(dev any) { dev.(*ne2000.NIC).Reset() },
-	Snapshot: func(dev, snap any) any {
-		s, _ := snap.(*ne2000.State)
-		if s == nil {
-			s = &ne2000.State{}
-		}
-		dev.(*ne2000.NIC).Snapshot(s)
-		return s
-	},
-	Restore: func(dev, snap any) { dev.(*ne2000.NIC).Restore(snap.(*ne2000.State)) },
-	Run:     runNetBoot,
+	Run:   runNetBoot,
 }
 
 // runNetBoot drives the packet round trip: initialise the driver, push

@@ -56,15 +56,12 @@ const (
 	// MetricSuperblockStmts counts statements folded into loop
 	// superblocks.
 	MetricSuperblockStmts = "driverlab_exec_superblocks_stmts_total"
-	// MetricSnapshotHits counts mutation boots served from the rig's
-	// pristine-prefix snapshot instead of re-running global
-	// initialisers.
+	// MetricSnapshotHits named the counter of boots served from a
+	// pristine-prefix snapshot, a mechanism that no longer exists. The
+	// boot pipeline registers no such family; the name stays exported
+	// only because the benchmark module (bench/run.go) still reads it,
+	// and a lookup of an unregistered family reads 0.
 	MetricSnapshotHits = "driverlab_exec_snapshot_hits_total"
-	// MetricSnapshotFallbacks counts mutation boots on a
-	// snapshot-enabled rig that ran the full prefix because a safety
-	// gate failed (scenario rig, Devil stubs, non-function mutant,
-	// calls in global initialisers, cold snapshot, ...).
-	MetricSnapshotFallbacks = "driverlab_exec_snapshot_fallbacks_total"
 )
 
 // BootMetricNames lists every metric family the boot pipeline can
@@ -72,8 +69,7 @@ const (
 func BootMetricNames() []string {
 	return []string{MetricBootPhase, MetricInterpFallbacks, MetricFullFrontend,
 		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
-		MetricSuperblocksCompiled, MetricSuperblockStmts,
-		MetricSnapshotHits, MetricSnapshotFallbacks}
+		MetricSuperblocksCompiled, MetricSuperblockStmts}
 }
 
 // bootObs is the per-rig instrumentation bundle the boot pipeline
@@ -90,14 +86,12 @@ type bootObs struct {
 	interpFallback *obs.Counter
 	fullFrontend   *obs.Counter
 
-	blocksCompiled   *obs.Counter
-	blocksFused      *obs.Counter
-	blocksBatchedIO  *obs.Counter
-	blocksFallback   *obs.Counter
-	superblocks      *obs.Counter
-	superblockStmts  *obs.Counter
-	snapshotHit      *obs.Counter
-	snapshotFallback *obs.Counter
+	blocksCompiled  *obs.Counter
+	blocksFused     *obs.Counter
+	blocksBatchedIO *obs.Counter
+	blocksFallback  *obs.Counter
+	superblocks     *obs.Counter
+	superblockStmts *obs.Counter
 }
 
 // addBlockStats records one compile's (or patch's) fusion work.
@@ -153,12 +147,6 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 			"workload", workload),
 		superblockStmts: col.Counter(MetricSuperblockStmts,
 			"Statements folded into loop superblocks.",
-			"workload", workload),
-		snapshotHit: col.Counter(MetricSnapshotHits,
-			"Mutation boots served from the pristine-prefix snapshot.",
-			"workload", workload),
-		snapshotFallback: col.Counter(MetricSnapshotFallbacks,
-			"Mutation boots that ran the full prefix on a snapshot-enabled rig.",
 			"workload", workload),
 	}
 }

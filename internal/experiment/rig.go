@@ -93,15 +93,6 @@ type WorkloadDesc struct {
 	// never sees. It returns the terminating error (nil for a completed
 	// boot) and whether the completed boot left visible damage.
 	Run func(r *Rig, ex Engine, res *BootResult) (error, bool)
-	// Snapshot and Restore are the pristine-prefix snapshot hooks.
-	// Snapshot copies the device state Build returned into the pooled
-	// snapshot handle (allocating it when snap is nil) and returns the
-	// handle; Restore copies a captured handle back onto the devices.
-	// Both nil opts the workload out of snapshotting — its campaign
-	// boots then always run the full prefix (counted as fallbacks).
-	Snapshot func(dev, snap any) any
-	// Restore is Snapshot's inverse; see Snapshot.
-	Restore func(dev, snap any)
 }
 
 // Interface builds the stub interface enumeration needs for the
@@ -327,15 +318,8 @@ type Rig struct {
 	// Scenario is the scenario name this rig was transformed under (""
 	// for a pristine rig).
 	Scenario string
-	// DisableSnapshot turns pristine-prefix snapshotting off for this
-	// rig (the campaign spec's snapshot=off knob and the determinism
-	// suite's A/B legs). The default is on; per-boot safety gates still
-	// decide restore versus full prefix for every mutant.
-	DisableSnapshot bool
 
 	caches execCaches
-	// snap is the captured pristine-prefix snapshot (see snapshot.go).
-	snap rigSnap
 }
 
 // NewRig builds a rig for the named driver (or, if no driver matches,
@@ -396,8 +380,7 @@ func (r *Rig) Boot(input BootInput) (*BootResult, error) {
 	// Phase 1: "compilation" — parse plus type check, against the rig's
 	// per-worker caches. Only the mutated token stream (or, with the
 	// incremental front end, the one mutated declaration) is per-mutant
-	// work. The incremental path may also serve the boot's prefix from
-	// the rig's pristine snapshot instead of re-running Init.
+	// work.
 	ex, res, err := r.caches.buildEngine(r, input)
 	if err != nil {
 		return nil, err

@@ -54,19 +54,6 @@ func (m *Mouse) Reset() {
 // Name implements hw.Device.
 func (m *Mouse) Name() string { return "busmouse" }
 
-// State is saved adapter state for the campaign engine's pristine-prefix
-// snapshot: the Mouse holds no machine wiring, so a value copy is the
-// whole snapshot.
-type State struct {
-	m Mouse
-}
-
-// Snapshot copies the adapter's state into s (copy-in-place).
-func (m *Mouse) Snapshot(s *State) { s.m = *m }
-
-// Restore rewinds the adapter to the captured state.
-func (m *Mouse) Restore(s *State) { *m = s.m }
-
 // Move accumulates relative motion, saturating at the counter width.
 func (m *Mouse) Move(dx, dy int) {
 	m.dx = satAdd(m.dx, dx)

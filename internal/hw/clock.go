@@ -32,15 +32,3 @@ func (c *Clock) Tick(n uint64) {
 func (c *Clock) OnTick(f func(now uint64)) {
 	c.listeners = append(c.listeners, f)
 }
-
-// Snapshot returns the current virtual time, for the pristine-prefix
-// snapshot a campaign rig captures at driver entry.
-func (c *Clock) Snapshot() uint64 { return c.now }
-
-// Restore rewinds virtual time to a captured instant without notifying
-// listeners: it is a machine-restore operation, not a time advance, and
-// the caller restores every attached device model to state consistent
-// with the same instant. Device behaviour is a function of relative time
-// only (see Kernel.Reset), so rewinding the shared clock between boots
-// is as unobservable as letting it run monotonically.
-func (c *Clock) Restore(now uint64) { c.now = now }

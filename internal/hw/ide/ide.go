@@ -175,30 +175,6 @@ func (c *Controller) Reset() {
 // Disk returns the attached master disk.
 func (c *Controller) Disk() *Disk { return c.disk }
 
-// State is saved controller state for the campaign engine's
-// pristine-prefix snapshot: a value copy of the whole register file,
-// transfer state machine and sector buffer. Disk content is not
-// captured — the workload owns the image and restores it separately.
-type State struct {
-	c Controller
-}
-
-// Snapshot copies the controller's state into s (copy-in-place; s is
-// reused across captures). The clock and disk bindings are machine
-// wiring, not boot state, and are not captured.
-func (c *Controller) Snapshot(s *State) {
-	s.c = *c
-	s.c.clock, s.c.disk = nil, nil
-}
-
-// Restore rewinds the controller to the captured state, keeping its
-// clock and disk bindings.
-func (c *Controller) Restore(s *State) {
-	clock, disk := c.clock, c.disk
-	*c = s.c
-	c.clock, c.disk = clock, disk
-}
-
 // slaveSelected reports whether the (absent) slave drive is selected.
 func (c *Controller) slaveSelected() bool { return c.driveHead&0x10 != 0 }
 

@@ -74,44 +74,6 @@ func (i *Injector) Stats() (drops, dups, stales uint64) {
 	return i.drops, i.dups, i.stales
 }
 
-// InjectorState is saved injector boot state: everything Reseed rewinds.
-// The zero value is an empty snapshot whose latch map is grown on first
-// capture and reused by every later one.
-type InjectorState struct {
-	seed   uint64
-	n      uint64
-	last   map[Port]uint32
-	drops  uint64
-	dups   uint64
-	stales uint64
-}
-
-// Snapshot captures the injector's per-boot state into s, reusing s's
-// latch map.
-func (i *Injector) Snapshot(s *InjectorState) {
-	s.seed, s.n = i.seed, i.n
-	s.drops, s.dups, s.stales = i.drops, i.dups, i.stales
-	if s.last == nil {
-		s.last = make(map[Port]uint32, len(i.last))
-	}
-	clear(s.last)
-	for p, v := range i.last {
-		s.last[p] = v
-	}
-}
-
-// Restore rewinds the injector to the captured state, so a restored boot
-// replays the same (seed, access ordinal) fault decisions a full boot
-// from the same point would.
-func (i *Injector) Restore(s *InjectorState) {
-	i.seed, i.n = s.seed, s.n
-	i.drops, i.dups, i.stales = s.drops, s.dups, s.stales
-	clear(i.last)
-	for p, v := range s.last {
-		i.last[p] = v
-	}
-}
-
 // roll consumes one read ordinal and returns its splitmix64 mix.
 func (i *Injector) roll() uint64 {
 	x := i.seed + (i.n+1)*0x9E3779B97F4A7C15

@@ -69,21 +69,6 @@ func (n *NIC) Reset() {
 	*n = NIC{isr: IsrReset, stopped: true, curr: MemStart + 1, bnry: MemStart}
 }
 
-// State is saved adapter state for the campaign engine's pristine-prefix
-// snapshot: a value copy of the register file and the on-board packet
-// memory. The NIC holds no machine wiring (no clock, no bus pointers),
-// so a plain value copy is the whole snapshot.
-type State struct {
-	n NIC
-}
-
-// Snapshot copies the adapter's state into s (copy-in-place; s is
-// reused across captures).
-func (n *NIC) Snapshot(s *State) { s.n = *n }
-
-// Restore rewinds the adapter to the captured state.
-func (n *NIC) Restore(s *State) { *n = s.n }
-
 // page returns the register page selected by CR bits 7..6.
 func (n *NIC) page() int { return int(n.cr>>6) & 3 }
 

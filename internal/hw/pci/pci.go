@@ -56,28 +56,6 @@ func (b *BusMaster) Reset() {
 	b.doneAt = 0
 }
 
-// State is saved bus-master state for the campaign engine's
-// pristine-prefix snapshot. doneAt is an absolute virtual-time anchor;
-// Restore is only exact when the shared clock is rewound to the capture
-// instant, which the rig-level snapshot does.
-type State struct {
-	bmicx   uint8
-	bmisx   uint8
-	bmidtpx uint32
-	doneAt  uint64
-}
-
-// Snapshot copies the engine's state into s (copy-in-place).
-func (b *BusMaster) Snapshot(s *State) {
-	s.bmicx, s.bmisx, s.bmidtpx, s.doneAt = b.bmicx, b.bmisx, b.bmidtpx, b.doneAt
-}
-
-// Restore rewinds the engine to the captured state, keeping its clock
-// binding.
-func (b *BusMaster) Restore(s *State) {
-	b.bmicx, b.bmisx, b.bmidtpx, b.doneAt = s.bmicx, s.bmisx, s.bmidtpx, s.doneAt
-}
-
 // DescriptorTable returns the programmed PRD table address.
 func (b *BusMaster) DescriptorTable() uint32 { return b.bmidtpx &^ 3 }
 

@@ -76,42 +76,6 @@ func (g *GPU) Reset() {
 	g.lastNow = g.clock.Now()
 }
 
-// State is saved GPU state for the campaign engine's pristine-prefix
-// snapshot. The FIFO contents are copied into a buffer s owns, so one
-// State is reused across captures without allocation once grown.
-type State struct {
-	regs       [numRegs]uint32
-	resetUntil uint64
-	fifo       []uint32
-	fifoCredit uint64
-	lastNow    uint64
-	drained    uint64
-}
-
-// Snapshot copies the GPU's state into s (copy-in-place). The captured
-// time anchors (resetUntil, lastNow) are absolute virtual-time values;
-// Restore is only exact when the shared clock is rewound to the same
-// capture instant, which the rig-level snapshot does.
-func (g *GPU) Snapshot(s *State) {
-	s.regs = g.regs
-	s.resetUntil = g.resetUntil
-	s.fifo = append(s.fifo[:0], g.fifo...)
-	s.fifoCredit = g.fifoCredit
-	s.lastNow = g.lastNow
-	s.drained = g.drained
-}
-
-// Restore rewinds the GPU to the captured state, keeping its clock
-// binding.
-func (g *GPU) Restore(s *State) {
-	g.regs = s.regs
-	g.resetUntil = s.resetUntil
-	g.fifo = append(g.fifo[:0], s.fifo...)
-	g.fifoCredit = s.fifoCredit
-	g.lastNow = s.lastNow
-	g.drained = s.drained
-}
-
 func (g *GPU) tick(now uint64) {
 	// Clock listeners are invoked once per Tick batch, so the model works
 	// in elapsed virtual time rather than per invocation. Mutated drivers

@@ -128,41 +128,6 @@ func (k *Kernel) Reset() {
 	}
 }
 
-// Snapshot is saved kernel boot state: everything Reset rewinds (console,
-// watchdog, transfer buffer). The zero value is an empty snapshot whose
-// buffers are grown on first capture and reused by every later one —
-// copy-in-place, like FSImage.RestoreFrom.
-type Snapshot struct {
-	console []string
-	steps   int64
-	budget  int64
-	buf     []byte
-}
-
-// Snapshot captures the kernel's per-boot state into s, reusing s's
-// buffers. The wall-clock deadline is per boot (re-armed by SetDeadline
-// each time) and is not captured.
-func (k *Kernel) Snapshot(s *Snapshot) {
-	s.console = append(s.console[:0], k.console...)
-	s.steps = k.steps
-	s.budget = k.budget
-	if s.buf == nil {
-		s.buf = make([]byte, len(k.buf))
-	}
-	copy(s.buf, k.buf)
-}
-
-// Restore rewinds the kernel to the captured state. Like Reset, it
-// disarms the wall-clock deadline so the next boot re-arms its own.
-func (k *Kernel) Restore(s *Snapshot) {
-	k.console = append(k.console[:0], s.console...)
-	k.steps = s.steps
-	k.budget = s.budget
-	k.deadline = time.Time{}
-	k.limit = 0
-	copy(k.buf, s.buf)
-}
-
 // Steps returns the number of steps consumed so far.
 func (k *Kernel) Steps() int64 { return k.steps }
 
