@@ -118,7 +118,7 @@ func BenchmarkExtensionBusmouseMutations(b *testing.B) {
 		b.Run(drv, func(b *testing.B) {
 			var t *experiment.DriverTable
 			for i := 0; i < b.N; i++ {
-				res, err := experiment.MouseMutation(drv,
+				res, err := experiment.DriverMutation(drv,
 					experiment.MutationOptions{SamplePct: 50, Seed: 2001})
 				if err != nil {
 					b.Fatal(err)
@@ -329,34 +329,29 @@ func BenchmarkDevilMutantCheck(b *testing.B) {
 }
 
 // BenchmarkCampaignThroughput measures end-to-end campaign execution —
-// enumeration amortised, per-worker machine/stub/env reuse, the compiled
+// enumeration amortised, per-worker machine/stub/env reuse, the block
 // execution backend, JSONL-shaped records into an in-memory store — and
 // reports boots per second, the headline throughput number of the batch
-// engine. Each driver runs under both front ends: incremental (the
-// default hot path: only the mutated declaration re-runs the
-// parse-check-compile chain) and full (the whole pipeline per mutant);
-// CI fails if incremental is ever slower.
+// engine. Only the mutated declaration re-runs the parse-check-compile
+// chain (the incremental front end).
 func BenchmarkCampaignThroughput(b *testing.B) {
 	for _, driver := range drivers.Names() {
-		for _, frontend := range []experiment.Frontend{experiment.FrontendIncremental, experiment.FrontendFull} {
-			b.Run(driver+"/"+string(frontend), func(b *testing.B) {
-				wl := experiment.NewWorkload()
-				spec := experiment.CampaignSpec(driver,
-					experiment.MutationOptions{SamplePct: 2, Seed: 2001})
-				spec.Frontend = string(frontend)
-				boots := 0
-				for i := 0; i < b.N; i++ {
-					store := campaign.NewMemStore()
-					sum, err := campaign.Run(spec, wl, store, campaign.Options{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					boots += sum.Ran
+		b.Run(driver, func(b *testing.B) {
+			wl := experiment.NewWorkload()
+			spec := experiment.CampaignSpec(driver,
+				experiment.MutationOptions{SamplePct: 2, Seed: 2001})
+			boots := 0
+			for i := 0; i < b.N; i++ {
+				store := campaign.NewMemStore()
+				sum, err := campaign.Run(spec, wl, store, campaign.Options{})
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(boots)/b.Elapsed().Seconds(), "boots/s")
-				b.ReportMetric(float64(boots)/float64(b.N), "boots/op")
-			})
-		}
+				boots += sum.Ran
+			}
+			b.ReportMetric(float64(boots)/b.Elapsed().Seconds(), "boots/s")
+			b.ReportMetric(float64(boots)/float64(b.N), "boots/op")
+		})
 	}
 }
 

@@ -140,10 +140,9 @@ func campaignRun(args []string, resume bool) error {
 			"comma-separated hardware scenario cells to cross with the driver list "+
 				"(see `driverlab scenarios`; e.g. pristine,flaky-bus:5,timing — default pristine only)")
 	}
-	// Execution-strategy knobs are fingerprint-excluded, so both run and
-	// resume accept them: a store started under one front end, flush
-	// interval or boot deadline may finish under another.
-	frontend := fs.String("frontend", "", "per-mutant front end: incremental (default) or full")
+	// Execution knobs are fingerprint-excluded, so both run and resume
+	// accept them: a store started under one flush interval or boot
+	// deadline may finish under another.
 	flushEvery := fs.Int("flush-every", 0,
 		"store checkpoint interval in records (0: the store default of 64); raise on long campaigns to trade crash-loss window for fewer writes")
 	bootTimeout := fs.Duration("boot-timeout", 0,
@@ -174,12 +173,6 @@ func campaignRun(args []string, resume bool) error {
 			return fmt.Errorf("campaign resume: %s holds no spec record", *store)
 		}
 		spec = prior
-		if _, err := experiment.ParseFrontend(*frontend); err != nil {
-			return err
-		}
-		if *frontend != "" {
-			spec.Frontend = *frontend
-		}
 		if *flushEvery > 0 {
 			spec.FlushEvery = *flushEvery
 		}
@@ -202,9 +195,6 @@ func campaignRun(args []string, resume bool) error {
 		if _, err := experiment.ParseBackend(*backend); err != nil {
 			return err
 		}
-		if _, err := experiment.ParseFrontend(*frontend); err != nil {
-			return err
-		}
 		var scenarioList []string
 		for _, sc := range strings.Split(*scenarios, ",") {
 			if sc = strings.TrimSpace(sc); sc != "" {
@@ -221,7 +211,6 @@ func campaignRun(args []string, resume bool) error {
 			Permissive: *permissive,
 			Backend:    *backend,
 			Scenarios:  scenarioList,
-			Frontend:   *frontend,
 			FlushEvery: *flushEvery,
 		}
 		if *bootTimeout > 0 {

@@ -223,7 +223,6 @@ func runWorker(args []string) error {
 	connect := fs.String("connect", "", "coordinator fleet address to join (required; see `driverlab serve`)")
 	name := fs.String("name", "", "worker name in coordinator logs and metrics (default: host:pid)")
 	workers := fs.Int("workers", 0, "boot worker count inside this process (default: GOMAXPROCS)")
-	frontend := fs.String("frontend", "", "per-mutant front end for this worker: incremental (default) or full")
 	fingerprint := fs.String("fingerprint", "",
 		"spec fingerprint to insist on; the coordinator rejects the handshake if it serves a different campaign")
 	quiet := fs.Bool("quiet", false, "suppress per-lease progress")
@@ -232,9 +231,6 @@ func runWorker(args []string) error {
 	}
 	if *connect == "" {
 		return fmt.Errorf("worker: -connect is required (the address `driverlab serve` printed)")
-	}
-	if _, err := experiment.ParseFrontend(*frontend); err != nil {
-		return err
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
@@ -276,7 +272,6 @@ func runWorker(args []string) error {
 	sum, err := fleet.RunWorker(*connect, experiment.NewWorkload(), fleet.WorkerOptions{
 		Name:        *name,
 		Workers:     *workers,
-		Frontend:    *frontend,
 		Fingerprint: *fingerprint,
 		Interrupt:   interrupt,
 		Logf:        logf,

@@ -130,13 +130,14 @@ Backends (-backend): block (closure compilation plus basic-block fusion
 and batched port I/O, the default) or interp (the tree-walking
 reference oracle). Both charge the watchdog per basic block, so step
 counts and every other observable are identical across backends.
-Front ends (campaign/bench -frontend): incremental (re-run the front
-end only on the mutated declaration, the default) or full (re-lex,
-re-parse, re-check and re-compile the whole driver per mutant).
+Front end: each campaign boot re-runs the front end only on the
+mutated declaration; a mutant the span analysis cannot prove safe falls
+back to re-lexing, re-parsing, re-checking and re-compiling the whole
+driver, with identical results.
 Scenarios (campaign run -scenario): cross the driver list with named
 hardware-degradation cells (pristine, flaky-bus[:pct], timing[:ticks]);
 fault injection is seeded per task, so matrix cells stay deterministic
-across shards, resumes, backends and front ends.
+across shards, resumes and backends.
 
 Flags:
 `, 4+len(exts), strings.Join(drivers.Names(), ", "), extensionTableHelp(exts))

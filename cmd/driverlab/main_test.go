@@ -145,24 +145,21 @@ func TestBenchCLI(t *testing.T) {
 	if rep.Bench != "campaign" || rep.Backend != "block" {
 		t.Errorf("report header = %q/%q, want campaign/block", rep.Bench, rep.Backend)
 	}
-	// The default -frontend both emits one driver row and one total per
-	// front end, full first.
-	if len(rep.Frontends) != 2 || rep.Frontends[0] != "full" || rep.Frontends[1] != "incremental" {
-		t.Errorf("report frontends = %v, want [full incremental]", rep.Frontends)
+	// One driver row and one total.
+	if len(rep.Drivers) != 1 || rep.Drivers[0].Driver != "busmouse_devil" {
+		t.Errorf("report drivers = %+v, want one busmouse_devil row", rep.Drivers)
 	}
-	if len(rep.Totals) != 2 {
-		t.Fatalf("report has %d totals, want one per front end", len(rep.Totals))
+	if len(rep.Totals) != 1 {
+		t.Fatalf("report has %d totals, want 1", len(rep.Totals))
 	}
-	for _, total := range rep.Totals {
-		if total.Boots == 0 || total.BootsPerSec <= 0 {
-			t.Errorf("report total = %+v, want >0 boots and boots/s", total)
-		}
+	if total := rep.Totals[0]; total.Boots == 0 || total.BootsPerSec <= 0 {
+		t.Errorf("report total = %+v, want >0 boots and boots/s", total)
 	}
 	// -phases attaches the per-phase breakdown to every driver row, in
 	// pipeline order, with shares summing to ~1.
 	for _, d := range rep.Drivers {
 		if len(d.Phases) == 0 {
-			t.Errorf("driver row %s/%s has no phase rows under -phases", d.Driver, d.Frontend)
+			t.Errorf("driver row %s has no phase rows under -phases", d.Driver)
 			continue
 		}
 		var share float64
@@ -184,8 +181,11 @@ func TestBenchCLI(t *testing.T) {
 	if err := run([]string{"bench", "-backend", "jit"}); err == nil {
 		t.Error("bench with unknown backend accepted")
 	}
-	if err := run([]string{"bench", "-frontend", "psychic"}); err == nil {
-		t.Error("bench with unknown front end accepted")
+	// The front end is not selectable: every boot takes the incremental
+	// one, with the full pipeline only as its span-unsafe fallback.
+	if err := run([]string{"bench", "-frontend", "full"}); err == nil ||
+		!strings.Contains(err.Error(), "flag provided but not defined: -frontend") {
+		t.Errorf("bench -frontend full = %v, want an undefined-flag error", err)
 	}
 	if err := run([]string{"bench", "-obs", "sideways"}); err == nil {
 		t.Error("bench with unknown -obs mode accepted")
@@ -384,10 +384,11 @@ func TestCampaignCLIErrors(t *testing.T) {
 		t.Errorf("refused resume left %d records, want only the spec record", n)
 	}
 	st.Close()
-	// A finished store written while prefix snapshotting was a spec knob:
-	// the field was omitempty and fingerprint-excluded, so a spec record
-	// saying "snapshot":"off" must resume under the same fingerprint,
-	// boot nothing and leave the store byte-identical.
+	// A finished store written while prefix snapshotting and the front
+	// end were spec knobs: both fields were omitempty and
+	// fingerprint-excluded, so a spec record saying "snapshot":"off" and
+	// "frontend":"full" must resume under the same fingerprint, boot
+	// nothing and leave the store byte-identical.
 	snapStore := filepath.Join(dir, "snapshot-off.jsonl")
 	if err := run([]string{"campaign", "run", "-store", snapStore,
 		"-drivers", "busmouse_c", "-sample", "3", "-seed", "1", "-quiet"}); err != nil {
@@ -406,6 +407,7 @@ func TestCampaignCLIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec["snapshot"] = json.RawMessage(`"off"`)
+	spec["frontend"] = json.RawMessage(`"full"`)
 	if rec["spec"], err = json.Marshal(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -421,37 +423,45 @@ func TestCampaignCLIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r := st.Records()[0]; r.Spec == nil || r.Spec.Fingerprint() != r.Fingerprint {
-		t.Errorf("snapshot=off spec record does not fingerprint as stored: %+v", r)
+		t.Errorf("snapshot=off frontend=full spec record does not fingerprint as stored: %+v", r)
 	}
 	st.Close()
 	if err := run([]string{"campaign", "resume", "-store", snapStore, "-quiet"}); err != nil {
-		t.Errorf("resume of a snapshot=off store: %v", err)
+		t.Errorf("resume of a snapshot=off frontend=full store: %v", err)
 	}
 	if after, err := os.ReadFile(snapStore); err != nil || !bytes.Equal(after, raw) {
-		t.Errorf("resume of a finished snapshot=off store changed it (err %v)", err)
+		t.Errorf("resume of a finished snapshot=off frontend=full store changed it (err %v)", err)
 	}
-	// The knob itself is gone: both verbs refuse it as an undefined flag.
+	// The knobs themselves are gone: both verbs refuse them as undefined
+	// flags.
 	for _, verb := range []string{"run", "resume"} {
-		err := run([]string{"campaign", verb, "-store", snapStore, "-snapshot", "off", "-quiet"})
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -snapshot") {
-			t.Errorf("campaign %s -snapshot off: err = %v, want an undefined-flag error", verb, err)
+		for _, knob := range [][]string{{"-snapshot", "off"}, {"-frontend", "full"}} {
+			err := run([]string{"campaign", verb, "-store", snapStore, knob[0], knob[1], "-quiet"})
+			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+knob[0]) {
+				t.Errorf("campaign %s %s %s: err = %v, want an undefined-flag error", verb, knob[0], knob[1], err)
+			}
 		}
 	}
-	// An out-of-range sample percentage fails before any boot instead of
-	// silently booting the whole enumeration.
-	for _, pct := range []string{"-5", "150"} {
-		path := filepath.Join(dir, "sample"+pct+".jsonl")
+	// An out-of-range sample percentage or a repeated driver fails
+	// before any boot, instead of silently booting the whole enumeration
+	// or every mutant twice.
+	for _, tc := range []struct{ name, drivers, sample, want string }{
+		{"sample-5", "busmouse_c", "-5", "out of range"},
+		{"sample150", "busmouse_c", "150", "out of range"},
+		{"twice", "busmouse_c,busmouse_c", "10", "driver busmouse_c listed twice"},
+	} {
+		path := filepath.Join(dir, tc.name+".jsonl")
 		err := run([]string{"campaign", "run", "-store", path,
-			"-drivers", "busmouse_c", "-sample", pct, "-quiet"})
-		if err == nil || !strings.Contains(err.Error(), "out of range") {
-			t.Errorf("campaign run -sample %s: err = %v, want an out-of-range error", pct, err)
+			"-drivers", tc.drivers, "-sample", tc.sample, "-quiet"})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("campaign run -drivers %s -sample %s: err = %v, want %q", tc.drivers, tc.sample, err, tc.want)
 		}
 		if st, err = campaign.OpenFile(path); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range st.Records() {
 			if r.Kind == campaign.KindResult {
-				t.Errorf("campaign run -sample %s booted mutant %d", pct, r.Mutant)
+				t.Errorf("campaign run -drivers %s -sample %s booted mutant %d", tc.drivers, tc.sample, r.Mutant)
 				break
 			}
 		}

@@ -61,12 +61,6 @@ type Spec struct {
 	// workload registers "pristine", "flaky-bus" and "timing", with
 	// optional ":param" suffixes); "" and "pristine" are the same cell.
 	Scenarios []string `json:"scenarios,omitempty"`
-	// Frontend forces the per-mutant front-end strategy: "" (the
-	// incremental default), "incremental" or "full" (re-run the whole
-	// lex/parse/check/compile pipeline per mutant). An execution
-	// strategy, not a workload change: it is excluded from the
-	// fingerprint, so a store can be resumed under either front end.
-	Frontend string `json:"frontend,omitempty"`
 	// FlushEvery overrides the file store's flush interval (records per
 	// checkpoint; 0 keeps the store's default). Long campaigns raise it
 	// to trade crash-loss window for fewer write(2) calls. A durability
@@ -95,9 +89,6 @@ func (s Spec) Normalized() Spec {
 		s.Backend = "" // the default engine
 	case "tree", "interpreter":
 		s.Backend = "interp"
-	}
-	if s.Frontend == "incremental" {
-		s.Frontend = "" // the default front end
 	}
 	// Scenario canonicalization: "pristine" and "" name the same cell,
 	// duplicates collapse, and a list that is nothing but the pristine
@@ -130,7 +121,6 @@ func (s Spec) Normalized() Spec {
 func (s Spec) Fingerprint() string {
 	n := s.Normalized()
 	n.Shards = 1        // shard count does not change the work-list, only its partition
-	n.Frontend = ""     // front-end strategy does not change results (the oracle's guarantee)
 	n.FlushEvery = 0    // durability tuning does not change the work-list
 	n.BootTimeoutMS = 0 // the wall-clock safety net does not change the work-list
 	data, err := json.Marshal(n)

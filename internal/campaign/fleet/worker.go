@@ -24,11 +24,6 @@ type WorkerOptions struct {
 	// Workers is the engine pool size inside this process (default:
 	// GOMAXPROCS, the engine's own default).
 	Workers int
-	// Frontend overrides the front-end strategy for this worker's boots
-	// ("", "incremental" or "full"). Front ends are fingerprint-excluded,
-	// so a fleet may deliberately split strategies across workers — the
-	// oracle guarantee keeps the tables identical.
-	Frontend string
 	// Fingerprint, when non-empty, is the spec fingerprint the worker
 	// insists on; the coordinator rejects the handshake by name when it
 	// serves a different campaign.
@@ -111,16 +106,12 @@ func RunWorker(addr string, wl campaign.Workload, opts WorkerOptions) (*WorkerSu
 	if welcome.Spec == nil {
 		return nil, fmt.Errorf("fleet: coordinator %s sent a welcome without a spec", addr)
 	}
-	spec := *welcome.Spec
-	if opts.Frontend != "" {
-		spec.Frontend = opts.Frontend
-	}
-	spec = spec.Normalized()
+	spec := welcome.Spec.Normalized()
 	if fp := spec.Fingerprint(); fp != welcome.Fingerprint {
-		// Only possible if the worker-side override changed the workload
-		// (it must not: front ends are fingerprint-excluded). Refuse to
-		// run rather than stream records for a different campaign.
-		return nil, fmt.Errorf("fleet: spec from %s fingerprints to %s after local overrides, coordinator claims %s",
+		// Only possible when coordinator and worker disagree on the spec
+		// schema (different builds). Refuse to run rather than stream
+		// records for a different campaign.
+		return nil, fmt.Errorf("fleet: spec from %s fingerprints to %s here, coordinator claims %s",
 			addr, fp, welcome.Fingerprint)
 	}
 

@@ -16,10 +16,10 @@ import (
 // This file binds the generic campaign engine (internal/campaign) to the
 // repository's drivers: how a spec expands into an enumerated, sampled
 // work-list, and how one task boots. The in-memory table entry points
-// (Table3/Table4/MouseMutation) are thin wrappers that run a one-driver
-// campaign against an in-memory store, so the serial paths and the
-// sharded, persisted `driverlab campaign` paths share every line of
-// execution logic and aggregate to identical tables.
+// (DriverMutation, and Table3/Table4 over it) run a one-driver campaign
+// against an in-memory store, so the serial paths and the sharded,
+// persisted `driverlab campaign` paths share every line of execution
+// logic and aggregate to identical tables.
 
 // CampaignSpec translates the historical MutationOptions form into a
 // one-driver campaign spec.
@@ -80,8 +80,7 @@ type driverPlan struct {
 	src drivers.Source
 	res *cmut.Result
 	// incr is the span analysis of the pristine stream — the shared half
-	// of the incremental front end (nil when the source is outside the
-	// splitter's shape; workers then use the full pipeline).
+	// of the incremental front end every boot goes through.
 	incr *cincr.Source
 }
 
@@ -141,10 +140,11 @@ func (w *workload) plan(driver string) (*driverPlan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("driver %s: %w", driver, err)
 	}
-	p := &driverPlan{src: src, res: res}
-	if incr, err := cincr.Analyze(res.Tokens); err == nil {
-		p.incr = incr
+	incr, err := cincr.Analyze(res.Tokens)
+	if err != nil {
+		return nil, fmt.Errorf("driver %s: span analysis: %w", driver, err)
 	}
+	p := &driverPlan{src: src, res: res, incr: incr}
 	w.plans[driver] = p
 	return p, nil
 }
@@ -157,11 +157,17 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 	if _, err := ParseBackend(spec.Backend); err != nil {
 		return nil, nil, err
 	}
-	if _, err := ParseFrontend(spec.Frontend); err != nil {
-		return nil, nil, err
-	}
 	if spec.SamplePct < 0 || spec.SamplePct > 100 {
 		return nil, nil, fmt.Errorf("sample %d%% out of range (want 0..100; 0 boots every mutant)", spec.SamplePct)
+	}
+	// A repeated driver would boot each of its mutants twice under keys
+	// that collide in the store.
+	listed := make(map[string]bool, len(spec.Drivers))
+	for _, driver := range spec.Drivers {
+		if listed[driver] {
+			return nil, nil, fmt.Errorf("driver %s listed twice", driver)
+		}
+		listed[driver] = true
 	}
 	// Validate every scenario cell up front (the engine crosses the
 	// work-list with them after Expand): a misspelled scenario fails the
@@ -207,28 +213,23 @@ func (w *workload) NewWorker(spec campaign.Spec) (campaign.Worker, error) {
 	if err != nil {
 		return nil, err
 	}
-	frontend, err := ParseFrontend(spec.Frontend)
-	if err != nil {
-		return nil, err
-	}
 	return &worker{w: w, spec: spec, mode: mode, backend: backend,
-		frontend: frontend, rigs: make(rigSet), obs: make(map[string]*bootObs)}, nil
+		rigs: make(rigSet), obs: make(map[string]*bootObs)}, nil
 }
 
 // worker boots tasks on a single goroutine, reusing one rig per
 // workload — looked up through the registry, Reset instead of rebuilt
-// between boots. With the incremental front end (the default)
-// per-mutant work shrinks further: the mutated token stream is never
-// materialised — the boot input is the shared pristine span analysis
-// plus one replacement token, and only the declaration containing it
-// re-runs the parse-check-compile chain.
+// between boots. The mutated token stream is never materialised: the
+// boot input is the shared pristine span analysis plus one replacement
+// token, and only the declaration containing it re-runs the
+// parse-check-compile chain (the rig falls back to the full pipeline
+// for span-unsafe mutants).
 type worker struct {
-	w        *workload
-	spec     campaign.Spec
-	mode     codegen.Mode
-	backend  Backend
-	frontend Frontend
-	rigs     rigSet
+	w       *workload
+	spec    campaign.Spec
+	mode    codegen.Mode
+	backend Backend
+	rigs    rigSet
 	// obs caches the per-workload instrumentation bundles bound to the
 	// workload's collector (unused when the workload is unobserved).
 	obs map[string]*bootObs
@@ -248,6 +249,7 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 	}
 	m := p.res.Mutants[t.Mutant]
 	site := p.res.Sites[m.SiteIndex]
+	wk.mut = cincr.Mutation{Src: p.incr, Index: m.TokenIndex, Replacement: m.Replacement}
 	input := BootInput{
 		Devil:      p.src.Devil,
 		StubMode:   wk.mode,
@@ -256,15 +258,10 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 		Backend:    wk.backend,
 		FaultSeed:  t.FaultSeed(),
 		WallBudget: DefaultBootWallBudget,
+		Mutation:   &wk.mut,
 	}
 	if wk.spec.BootTimeoutMS > 0 {
 		input.WallBudget = time.Duration(wk.spec.BootTimeoutMS) * time.Millisecond
-	}
-	if wk.frontend == FrontendIncremental && p.incr != nil {
-		wk.mut = cincr.Mutation{Src: p.incr, Index: m.TokenIndex, Replacement: m.Replacement}
-		input.Mutation = &wk.mut
-	} else {
-		input.Tokens = p.res.Apply(m)
 	}
 	if input.Budget == 0 {
 		input.Budget = ExperimentBudget
@@ -301,10 +298,13 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 // the pre-registry workers did.
 func (wk *worker) Close() { wk.rigs = make(rigSet) }
 
-// RunCampaignTable runs a one-driver campaign against an in-memory store
-// and renders the aggregate — the execution core of every Table 3/4
-// style entry point.
-func RunCampaignTable(driver string, opts MutationOptions) (*DriverTable, error) {
+// DriverMutation runs the full per-driver mutation experiment (any
+// embedded driver — the workload registry routes each one to its
+// registered boot rig) as a one-driver campaign against an in-memory
+// store and renders the aggregate, so the serial tables and the
+// sharded, persisted `driverlab campaign` runs share execution and
+// aggregation logic end to end.
+func DriverMutation(driver string, opts MutationOptions) (*DriverTable, error) {
 	spec := CampaignSpec(driver, opts)
 	store := campaign.NewMemStore()
 	if _, err := campaign.Run(spec, NewWorkload(), store, campaign.Options{

@@ -110,9 +110,8 @@ func assertCampaignDeterminism(t *testing.T, spec campaign.Spec) map[string]*cam
 	}
 
 	// Fleet: a loopback coordinator leasing shards to three in-process
-	// workers — one deliberately forced onto the full front end while
-	// the others run incremental — must converge to the identical text.
-	// Shard count is fingerprint-excluded, so the fleet repartitions.
+	// workers must converge to the identical text. Shard count is
+	// fingerprint-excluded, so the fleet repartitions.
 	fleetSpec := spec
 	if fleetSpec.Shards < 4 {
 		fleetSpec.Shards = 4
@@ -137,9 +136,6 @@ func assertCampaignDeterminism(t *testing.T, spec campaign.Spec) map[string]*cam
 		go func(i int) {
 			defer wg.Done()
 			opts := fleet.WorkerOptions{Name: fmt.Sprintf("det-w%d", i), Workers: 1}
-			if i == 0 {
-				opts.Frontend = "full"
-			}
 			_, workerErrs[i] = fleet.RunWorker(co.Addr(), NewWorkload(), opts)
 		}(i)
 	}

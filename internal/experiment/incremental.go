@@ -26,35 +26,6 @@ import (
 // so observable behaviour is identical by construction — and verified
 // mutant-by-mutant by the differential oracle.
 
-// Frontend names a per-mutant front-end strategy.
-type Frontend string
-
-// The two front ends. Incremental is the campaign hot path; full
-// re-runs the entire pipeline per mutant and anchors the differential
-// tests (and remains the automatic fallback for span-unsafe mutations).
-const (
-	FrontendIncremental Frontend = "incremental"
-	FrontendFull        Frontend = "full"
-)
-
-// ParseFrontend normalises a front-end name; the empty string selects
-// the default (incremental) strategy.
-func ParseFrontend(s string) (Frontend, error) {
-	switch s {
-	case "", string(FrontendIncremental):
-		return FrontendIncremental, nil
-	case string(FrontendFull):
-		return FrontendFull, nil
-	}
-	return "", errUnknownFrontend(s)
-}
-
-type errUnknownFrontend string
-
-func (e errUnknownFrontend) Error() string {
-	return "unknown front end \"" + string(e) + "\" (want incremental or full)"
-}
-
 // incrKey identifies one incremental pipeline: the pristine source plus
 // everything the check and compile depend on. A campaign worker boots
 // one configuration, so the map holds one entry per driver in practice.

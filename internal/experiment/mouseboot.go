@@ -81,11 +81,3 @@ func runMouseBoot(r *Rig, ex Engine, res *BootResult) (error, bool) {
 	kern.Printk("busmouse: event stream complete")
 	return nil, damaged
 }
-
-// MouseMutation runs the driver-mutation experiment for a busmouse driver
-// ("busmouse_c" or "busmouse_devil"). It is DriverMutation under a
-// historical name: the workload registry routes busmouse_* tasks to the
-// mouse rig by driver name.
-func MouseMutation(driver string, opts MutationOptions) (*DriverTable, error) {
-	return DriverMutation(driver, opts)
-}

@@ -48,11 +48,11 @@ func TestMouseMutationSmoke(t *testing.T) {
 		t.Skip("mutation smoke test is not short")
 	}
 	opts := MutationOptions{SamplePct: 20, Seed: 7}
-	c, err := MouseMutation("busmouse_c", opts)
+	c, err := DriverMutation("busmouse_c", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := MouseMutation("busmouse_devil", opts)
+	d, err := DriverMutation("busmouse_devil", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

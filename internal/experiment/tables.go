@@ -171,16 +171,6 @@ func Table4(opts MutationOptions) (*DriverTable, error) {
 	return DriverMutation("ide_devil", opts)
 }
 
-// DriverMutation runs the full per-driver mutation experiment (any
-// embedded driver — the workload registry routes each one to its
-// registered boot rig) as a one-driver campaign against an in-memory
-// store, so the serial tables and the sharded, persisted
-// `driverlab campaign` runs share execution and aggregation logic end
-// to end.
-func DriverMutation(driver string, opts MutationOptions) (*DriverTable, error) {
-	return RunCampaignTable(driver, opts)
-}
-
 // classifyRow maps a boot result to its table row, applying the dead-code
 // rule: a clean boot whose mutation site never executed is an irrelevant
 // test (§4.2 case 2).
