@@ -41,9 +41,9 @@ func TestCleanMouseBoot(t *testing.T) {
 	}
 }
 
-// TestMouseMutationSmoke runs a small sample of the extension experiment
+// TestBusmouseMutationSmoke runs a small sample of the extension experiment
 // and checks the Devil-vs-C shape carries over to the second driver pair.
-func TestMouseMutationSmoke(t *testing.T) {
+func TestBusmouseMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
