@@ -7,7 +7,6 @@ package repro_test
 import (
 	"fmt"
 	"testing"
-	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/devil"
@@ -331,72 +330,18 @@ func BenchmarkDevilMutantCheck(b *testing.B) {
 // BenchmarkCampaignThroughput measures end-to-end campaign execution —
 // enumeration amortised, per-worker machine/stub/env reuse, the block
 // execution backend, JSONL-shaped records into an in-memory store — and
-// reports boots per second, the headline throughput number of the batch
-// engine. Only the mutated declaration re-runs the parse-check-compile
-// chain (the incremental front end).
+// reports boots per second plus each boot-pipeline phase's wall time
+// per boot, read from the observed workload's phase histograms. Only the
+// mutated declaration re-runs the parse-check-compile chain (the
+// incremental front end). Add -cpuprofile or -memprofile to profile one
+// driver's campaign loop, e.g. -bench CampaignThroughput/ide_c.
 func BenchmarkCampaignThroughput(b *testing.B) {
 	for _, driver := range drivers.Names() {
 		b.Run(driver, func(b *testing.B) {
-			wl := experiment.NewWorkload()
-			spec := experiment.CampaignSpec(driver,
-				experiment.MutationOptions{SamplePct: 2, Seed: 2001})
-			boots := 0
-			for i := 0; i < b.N; i++ {
-				store := campaign.NewMemStore()
-				sum, err := campaign.Run(spec, wl, store, campaign.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				boots += sum.Ran
-			}
-			b.ReportMetric(float64(boots)/b.Elapsed().Seconds(), "boots/s")
-			b.ReportMetric(float64(boots)/float64(b.N), "boots/op")
-		})
-	}
-}
-
-// BenchmarkCampaignThroughputObserved is the campaign throughput bench
-// with the full observability stack enabled — boot-pipeline phase
-// spans, engine counters, store latency histograms, and a live status
-// tracker. Comparing against BenchmarkCampaignThroughput quantifies the
-// instrumentation overhead, which CI separately gates at 3% via
-// `driverlab bench -obs compare`.
-func BenchmarkCampaignThroughputObserved(b *testing.B) {
-	for _, driver := range []string{"ide_c", "ide_devil"} {
-		driver := driver
-		b.Run(driver, func(b *testing.B) {
 			col := obs.New()
 			wl := experiment.NewObservedWorkload(col)
-			metrics := campaign.NewMetrics(col)
 			spec := experiment.CampaignSpec(driver,
 				experiment.MutationOptions{SamplePct: 2, Seed: 2001})
-			boots := 0
-			for i := 0; i < b.N; i++ {
-				store := campaign.NewMemStore()
-				sum, err := campaign.Run(spec, wl, store, campaign.Options{
-					Metrics: metrics, Status: campaign.NewStatusTracker(),
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				boots += sum.Ran
-			}
-			b.ReportMetric(float64(boots)/b.Elapsed().Seconds(), "boots/s")
-			b.ReportMetric(float64(boots)/float64(b.N), "boots/op")
-		})
-	}
-}
-
-// BenchmarkBackendComparison pits the block execution backend against
-// the tree-walking reference oracle on the same campaign, isolating the
-// win of closure compilation from the rest of the engine.
-func BenchmarkBackendComparison(b *testing.B) {
-	for _, backend := range []experiment.Backend{experiment.BackendBlock, experiment.BackendInterp} {
-		backend := backend
-		b.Run(string(backend), func(b *testing.B) {
-			wl := experiment.NewWorkload()
-			spec := experiment.CampaignSpec("ide_devil",
-				experiment.MutationOptions{SamplePct: 2, Seed: 2001, Backend: backend})
 			boots := 0
 			for i := 0; i < b.N; i++ {
 				store := campaign.NewMemStore()
@@ -407,76 +352,16 @@ func BenchmarkBackendComparison(b *testing.B) {
 				boots += sum.Ran
 			}
 			b.ReportMetric(float64(boots)/b.Elapsed().Seconds(), "boots/s")
-		})
-	}
-}
-
-// BenchmarkMachineReuse isolates the campaign engine's hot-path saving:
-// booting the clean CDevil driver on a freshly built machine per boot
-// versus Reset-and-reuse of one machine.
-func BenchmarkMachineReuse(b *testing.B) {
-	src, err := drivers.Load("ide_devil")
-	if err != nil {
-		b.Fatal(err)
-	}
-	toks, err := experiment.ParseDriver(src.Text)
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := experiment.BootInput{Tokens: toks, Devil: true, Budget: experiment.ExperimentBudget}
-	b.Run("fresh", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := experiment.BootDriver("ide_devil", input); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("reused", func(b *testing.B) {
-		m, err := experiment.NewRig("ide")
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		// Zero-delta check on the pooled console buffer: across reused
-		// boots BootResult.Console must alias one kernel-owned array —
-		// the same backing pointer every boot — rather than a per-boot
-		// copy. (The first boot may still grow the buffer, so the
-		// anchor is taken from boot two.)
-		var consoleBuf *string
-		for i := 0; i < b.N; i++ {
-			m.Reset()
-			res, err := experiment.BootOn(m, input)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if i >= 1 && len(res.Console) > 0 {
-				p := unsafe.SliceData(res.Console)
-				if consoleBuf == nil {
-					consoleBuf = p
-				} else if p != consoleBuf {
-					b.Fatal("console buffer reallocated between reused boots (pooling regressed)")
+			b.ReportMetric(float64(boots)/float64(b.N), "boots/op")
+			phaseSec := make(map[string]float64)
+			for _, s := range col.Gather() {
+				if s.Name == experiment.MetricBootPhase {
+					phaseSec[s.Label("phase")] += s.Sum
 				}
 			}
-		}
-	})
-}
-
-// BenchmarkMutantBoot measures one mutant boot (the unit of Table 3/4's
-// inner loop), using the unmutated driver as a stand-in.
-func BenchmarkMutantBoot(b *testing.B) {
-	src, err := drivers.Load("ide_devil")
-	if err != nil {
-		b.Fatal(err)
-	}
-	toks, err := experiment.ParseDriver(src.Text)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := experiment.BootDriver("ide_devil", experiment.BootInput{
-			Tokens: toks, Devil: true, Budget: experiment.ExperimentBudget,
-		}); err != nil {
-			b.Fatal(err)
-		}
+			for _, ph := range experiment.BootPhases {
+				b.ReportMetric(phaseSec[ph]/float64(boots)*1e6, ph+"-us/boot")
+			}
+		})
 	}
 }

@@ -96,6 +96,23 @@ func parseShards(s string) ([]int, error) {
 	return out, nil
 }
 
+// checkExecFlags rejects execution-flag values the engine would
+// otherwise ignore or misread. A command without one of the flags
+// passes its neutral value (0, or 1 shard).
+func checkExecFlags(workers, shards, flushEvery int, bootTimeout time.Duration) error {
+	switch {
+	case workers < 0:
+		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive count", workers)
+	case shards < 1:
+		return fmt.Errorf("-shards %d: want at least 1", shards)
+	case flushEvery < 0:
+		return fmt.Errorf("-flush-every %d: want 0 (the store default) or a positive record count", flushEvery)
+	case bootTimeout < 0 || bootTimeout%time.Millisecond != 0:
+		return fmt.Errorf("-boot-timeout %v: want 0 (the 30s default) or a positive whole number of milliseconds", bootTimeout)
+	}
+	return nil
+}
+
 // storedSpec extracts the spec record of an existing store.
 func storedSpec(store campaign.Store) (campaign.Spec, bool) {
 	for _, r := range store.Records() {
@@ -152,6 +169,13 @@ func campaignRun(args []string, resume bool) error {
 	}
 	if *store == "" {
 		return fmt.Errorf("campaign run: -store is required")
+	}
+	shardCount := 1
+	if shards != nil {
+		shardCount = *shards
+	}
+	if err := checkExecFlags(*workers, shardCount, *flushEvery, *bootTimeout); err != nil {
+		return fmt.Errorf("campaign %s: %w", verb, err)
 	}
 	shardSel, err := parseShards(*shard)
 	if err != nil {

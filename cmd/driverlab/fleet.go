@@ -53,6 +53,9 @@ func runServe(args []string) error {
 	if *store == "" {
 		return fmt.Errorf("serve: -store is required")
 	}
+	if err := checkExecFlags(0, *shards, *flushEvery, 0); err != nil {
+		return fmt.Errorf("serve: %w", err)
+	}
 
 	st, err := campaign.OpenFile(*store)
 	if err != nil {
@@ -231,6 +234,9 @@ func runWorker(args []string) error {
 	}
 	if *connect == "" {
 		return fmt.Errorf("worker: -connect is required (the address `driverlab serve` printed)")
+	}
+	if err := checkExecFlags(*workers, 1, 0, 0); err != nil {
+		return fmt.Errorf("worker: %w", err)
 	}
 	if *name == "" {
 		host, _ := os.Hostname()

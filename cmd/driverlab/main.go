@@ -33,14 +33,6 @@
 // /debug/pprof/ — and `campaign status` renders that snapshot, live
 // from the endpoint or reconstructed offline from a store. `driverlab
 // metrics` lists every metric family the stack can register.
-//
-// The bench subcommand measures campaign throughput (boots/s,
-// allocations per boot) and, with -json, emits BENCH_campaign.json so
-// the perf trajectory is tracked across PRs; -phases adds the
-// per-phase boot time breakdown, and -obs compare gates the metric
-// collector's overhead:
-//
-//	driverlab bench -json -phases
 package main
 
 import (
@@ -107,11 +99,6 @@ Usage:
   driverlab worker -connect <addr>       join a fleet: lease shards from a
                                          coordinator, boot them, stream the
                                          records back
-  driverlab bench [flags]                campaign throughput (-json writes
-                                         BENCH_campaign.json, -phases the
-                                         per-phase boot time breakdown,
-                                         -compare old.json the regression
-                                         gate, -min-boots the sampling floor)
   driverlab metrics                      list every metric family the
                                          instrumented stack can register
   driverlab scenarios                    list the hardware scenarios a
@@ -159,9 +146,6 @@ func run(args []string) error {
 	if len(args) > 0 && args[0] == "campaign" {
 		return runCampaign(args[1:])
 	}
-	if len(args) > 0 && args[0] == "bench" {
-		return runBench(args[1:])
-	}
 	if len(args) > 0 && args[0] == "serve" {
 		return runServe(args[1:])
 	}
@@ -188,6 +172,11 @@ func run(args []string) error {
 	}
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
+	}
+	// A leftover positional argument is a mistyped subcommand,
+	// not a request for every table.
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown command %q (want campaign, serve, worker, metrics or scenarios)", fs.Arg(0))
 	}
 	if *table == "" && *figure == "" && !*ablation {
 		*table = "all"

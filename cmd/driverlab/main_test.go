@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -53,16 +54,15 @@ func TestAdvertisedTables(t *testing.T) {
 }
 
 // TestUsageEnumeratesSurface: the top-level -h banner must name the
-// campaign and bench subcommands, every embedded driver, and both
+// campaign and fleet subcommands, every embedded driver, and both
 // -backend values — the CLI's whole surface, not just the flag list —
 // and asking for help is success, not an error.
 func TestUsageEnumeratesSurface(t *testing.T) {
 	usage := usageText()
 	wants := []string{
-		"campaign", "run", "resume", "merge", "report", "status", "bench",
-		"metrics", "block", "interp", "BENCH_campaign.json",
-		"-compare", "-min-boots",
-		"-status-addr", "-phases", "/metrics", "/status",
+		"campaign", "run", "resume", "merge", "report", "status",
+		"metrics", "block", "interp",
+		"-status-addr", "/metrics", "/status",
 		"scenarios", "-scenario",
 		"serve", "worker", "-connect",
 	}
@@ -87,7 +87,6 @@ func TestUsageEnumeratesSurface(t *testing.T) {
 		{"-h"},
 		{"campaign", "run", "-h"},
 		{"campaign", "status", "-h"},
-		{"bench", "-h"},
 		{"scenarios", "-h"},
 	} {
 		if err := run(args); err != nil {
@@ -107,6 +106,90 @@ func TestMetricsCLI(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: a leftover positional argument — a mistyped or
+// removed subcommand — fails before any table runs, instead of falling
+// through to the default of regenerating every table.
+func TestUnknownCommand(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"bench"}, "bench"},
+		{[]string{"frobnicate"}, "frobnicate"},
+		{[]string{"bench", "-sample", "5"}, "bench"},
+		{[]string{"-table", "1", "extra"}, "extra"},
+	} {
+		var err error
+		if out := captureStdout(t, func() { err = run(tc.args) }); out != "" {
+			t.Errorf("driverlab %v printed %q, want no table", tc.args, out)
+		}
+		if want := fmt.Sprintf("unknown command %q", tc.want); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("driverlab %v: err = %v, want %s", tc.args, err, want)
+		}
+	}
+}
+
+// captureStdout runs f with os.Stdout redirected to a temporary file
+// and returns what f printed.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	saved := os.Stdout
+	os.Stdout = tmp
+	defer func() { os.Stdout = saved }()
+	f()
+	out, err := os.ReadFile(tmp.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestExecFlagValidation: execution flags reject the values the engine
+// would otherwise ignore (a sub-millisecond boot deadline truncates to
+// no deadline at all) or misread (negative counts), on every command
+// that takes them, before any store is written or any address dialled.
+func TestExecFlagValidation(t *testing.T) {
+	dir := t.TempDir()
+	store := filepath.Join(dir, "s.jsonl")
+	run0 := []string{"campaign", "run", "-store", store, "-drivers", "busmouse_c", "-sample", "3", "-quiet"}
+	resume := []string{"campaign", "resume", "-store", store, "-quiet"}
+	serve := []string{"serve", "-store", store, "-addr", "127.0.0.1:0", "-quiet"}
+	worker := []string{"worker", "-connect", "127.0.0.1:1", "-quiet"}
+	for _, tc := range []struct {
+		base []string
+		flag []string
+		want string
+	}{
+		{run0, []string{"-boot-timeout", "500us"}, "-boot-timeout 500µs"},
+		{run0, []string{"-boot-timeout", "1500us"}, "whole number of milliseconds"},
+		{run0, []string{"-boot-timeout", "-1s"}, "-boot-timeout -1s"},
+		{run0, []string{"-workers", "-3"}, "-workers -3"},
+		{run0, []string{"-shards", "0"}, "-shards 0"},
+		{run0, []string{"-shards", "-3"}, "-shards -3"},
+		{run0, []string{"-flush-every", "-1"}, "-flush-every -1"},
+		{resume, []string{"-boot-timeout", "500us"}, "-boot-timeout 500µs"},
+		{resume, []string{"-workers", "-3"}, "-workers -3"},
+		{resume, []string{"-flush-every", "-1"}, "-flush-every -1"},
+		{serve, []string{"-shards", "0"}, "-shards 0"},
+		{serve, []string{"-flush-every", "-1"}, "-flush-every -1"},
+		{worker, []string{"-workers", "-3"}, "-workers -3"},
+	} {
+		args := append(append([]string(nil), tc.base...), tc.flag...)
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("driverlab %v: err = %v, want %q", args, err, tc.want)
+		}
+		if _, serr := os.Stat(store); !os.IsNotExist(serr) {
+			t.Fatalf("driverlab %v created the store (stat err %v)", args, serr)
+		}
+	}
+}
+
 func TestBadFlags(t *testing.T) {
 	if err := run([]string{"-figure", "99"}); err == nil {
 		t.Error("unknown figure accepted")
@@ -119,76 +202,6 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-table", "3", "-backend", "jit"}); err == nil {
 		t.Error("unknown backend accepted")
-	}
-}
-
-// TestBenchCLI runs the throughput bench on a small sample and checks
-// the JSON report lands with the advertised fields.
-func TestBenchCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("bench is not short")
-	}
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_campaign.json")
-	if err := run([]string{"bench", "-drivers", "busmouse_devil", "-sample", "50",
-		"-phases", "-json", "-out", out}); err != nil {
-		t.Fatalf("bench: %v", err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatalf("bench report missing: %v", err)
-	}
-	var rep BenchReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench report is not JSON: %v", err)
-	}
-	if rep.Bench != "campaign" || rep.Backend != "block" {
-		t.Errorf("report header = %q/%q, want campaign/block", rep.Bench, rep.Backend)
-	}
-	// One driver row and one total.
-	if len(rep.Drivers) != 1 || rep.Drivers[0].Driver != "busmouse_devil" {
-		t.Errorf("report drivers = %+v, want one busmouse_devil row", rep.Drivers)
-	}
-	if len(rep.Totals) != 1 {
-		t.Fatalf("report has %d totals, want 1", len(rep.Totals))
-	}
-	if total := rep.Totals[0]; total.Boots == 0 || total.BootsPerSec <= 0 {
-		t.Errorf("report total = %+v, want >0 boots and boots/s", total)
-	}
-	// -phases attaches the per-phase breakdown to every driver row, in
-	// pipeline order, with shares summing to ~1.
-	for _, d := range rep.Drivers {
-		if len(d.Phases) == 0 {
-			t.Errorf("driver row %s has no phase rows under -phases", d.Driver)
-			continue
-		}
-		var share float64
-		seen := make(map[string]bool)
-		for _, p := range d.Phases {
-			if p.Count <= 0 || p.TotalSec < 0 {
-				t.Errorf("phase row %+v has no spans", p)
-			}
-			seen[p.Phase] = true
-			share += p.Share
-		}
-		if !seen[experiment.PhaseExecute] || !seen[experiment.PhaseClassify] {
-			t.Errorf("phase rows %v lack execute/classify", d.Phases)
-		}
-		if share < 0.99 || share > 1.01 {
-			t.Errorf("phase shares sum to %v, want ~1", share)
-		}
-	}
-	if err := run([]string{"bench", "-backend", "jit"}); err == nil {
-		t.Error("bench with unknown backend accepted")
-	}
-	// The front end is not selectable: every boot takes the incremental
-	// one, with the full pipeline only as its span-unsafe fallback.
-	if err := run([]string{"bench", "-frontend", "full"}); err == nil ||
-		!strings.Contains(err.Error(), "flag provided but not defined: -frontend") {
-		t.Errorf("bench -frontend full = %v, want an undefined-flag error", err)
-	}
-	if err := run([]string{"bench", "-obs", "sideways"}); err == nil {
-		t.Error("bench with unknown -obs mode accepted")
 	}
 }
 

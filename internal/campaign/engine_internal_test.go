@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // --- store retry --------------------------------------------------------
@@ -107,6 +109,29 @@ func TestStoreAppendGivesUpAfterBackoff(t *testing.T) {
 	}
 	if *slept < len(storeBackoff) {
 		t.Errorf("backoff sleeps = %d, want at least %d", *slept, len(storeBackoff))
+	}
+}
+
+// --- metrics ------------------------------------------------------------
+
+// TestEnabledMetricsAllocNothing: once an instrument exists — the
+// warm-up call testing.AllocsPerRun makes registers it — recording into
+// the enabled collector allocates nothing, so the engine's per-boot
+// instrumentation is allocation-free in steady state.
+func TestEnabledMetricsAllocNothing(t *testing.T) {
+	m := NewMetrics(obs.New())
+	for _, tc := range []struct {
+		name string
+		f    func()
+	}{
+		{"boot", func() { m.boot("ide_c", "Boot", 1234) }},
+		{"skip", func() { m.skip("ide_c", "Crash") }},
+		{"worker.Inc", func() { m.worker(3).Inc() }},
+		{"ObserveFlush", func() { m.ObserveFlush(time.Millisecond) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, tc.f); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op on the enabled collector, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/fleet"
@@ -239,6 +240,45 @@ func TestMachineReuseMatchesFreshBoots(t *testing.T) {
 		}
 		if fresh.PartitionTableLost != reused.PartitionTableLost {
 			t.Errorf("mutant %d: partition-loss divergence", id)
+		}
+	}
+}
+
+// TestReusedRigPoolsConsole: across boots on one Reset rig,
+// BootResult.Console aliases one kernel-owned array — the same backing
+// pointer every boot — rather than a per-boot copy. The first boot may
+// still grow the buffer, so the anchor is taken from boot two.
+func TestReusedRigPoolsConsole(t *testing.T) {
+	src, err := drivers.Load("ide_devil")
+	if err != nil {
+		t.Fatal(err)
+	}
+	toks, err := ParseDriver(src.Text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := BootInput{Tokens: toks, Devil: true, Budget: ExperimentBudget}
+	r, err := NewRig("ide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var anchor *string
+	for i := 0; i < 4; i++ {
+		r.Reset()
+		res, err := BootOn(r, input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Console) == 0 {
+			t.Fatalf("boot %d printed nothing; test premise broken", i)
+		}
+		if i == 0 {
+			continue
+		}
+		if p := unsafe.SliceData(res.Console); anchor == nil {
+			anchor = p
+		} else if p != anchor {
+			t.Fatalf("boot %d: console buffer reallocated between reused boots (pooling regressed)", i)
 		}
 	}
 }
