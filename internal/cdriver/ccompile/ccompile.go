@@ -163,6 +163,10 @@ type BlockStats struct {
 	// SuperStmts is the number of body statements inside those
 	// superblocks (the post statement of a for loop counts too).
 	SuperStmts int64
+	// LoopKernels is the number of those superblocks whose steady state
+	// runs as one loop kernel: a port/transfer-buffer transfer loop, a
+	// bounded poll or a busy-wait.
+	LoopKernels int64
 }
 
 // add accumulates another compilation's counts.
@@ -173,6 +177,7 @@ func (s *BlockStats) add(o BlockStats) {
 	s.FallbackIO += o.FallbackIO
 	s.Superblocks += o.Superblocks
 	s.SuperStmts += o.SuperStmts
+	s.LoopKernels += o.LoopKernels
 }
 
 // sub returns the counts accumulated since an earlier snapshot.
@@ -184,6 +189,7 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 		FallbackIO:  s.FallbackIO - o.FallbackIO,
 		Superblocks: s.Superblocks - o.Superblocks,
 		SuperStmts:  s.SuperStmts - o.SuperStmts,
+		LoopKernels: s.LoopKernels - o.LoopKernels,
 	}
 }
 

@@ -1,6 +1,7 @@
 package ccompile_test
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"strings"
@@ -18,16 +19,89 @@ import (
 	"repro/internal/specs"
 )
 
-// rig is one freshly assembled plain-C execution context.
+// rig is one freshly assembled plain-C execution context: a kernel, a
+// bus and a seqDev mapped at seqBase.
 type rig struct {
-	kern *kernel.Kernel
-	bus  *hw.Bus
+	kern  *kernel.Kernel
+	bus   *hw.Bus
+	clock *hw.Clock
+	dev   *seqDev
 }
 
-func newRig() *rig {
+// rigConfig varies the machine a runBoth case boots on.
+type rigConfig struct {
+	strict bool  // unmapped ports fault instead of floating
+	budget int64 // watchdog step budget; 0 keeps the default
+	failAt int   // seqDev data reads fail from this read on; 0 never
+}
+
+func newRig() *rig { return newRigWith(rigConfig{}) }
+
+func newRigWith(cfg rigConfig) *rig {
+	clock := &hw.Clock{}
 	bus := hw.NewBus()
-	bus.SetFloating(true)
-	return &rig{kern: kernel.New(&hw.Clock{}), bus: bus}
+	bus.SetFloating(!cfg.strict)
+	dev := &seqDev{clock: clock, failAt: cfg.failAt}
+	if err := bus.Map(seqBase, 8, dev); err != nil {
+		panic(err)
+	}
+	kern := kernel.New(clock)
+	if cfg.budget > 0 {
+		kern.SetBudget(cfg.budget)
+	}
+	return &rig{kern: kern, bus: bus, clock: clock, dev: dev}
+}
+
+// seqBase is where newRig maps its seqDev.
+const seqBase = 0x300
+
+// seqDev is a test device whose reads advance its state, so a backend
+// that reads a port once too often, too rarely or at another virtual
+// time reads different values from then on:
+//
+//	+0 data       the next value of a sequence (reads fail from the
+//	              failAt-th read on, when failAt is set)
+//	+1 status     0x80 (busy) until virtual time 300, then 0x08; bit
+//	              0x01 is set on every third status read
+//	+2 countdown  40 minus the number of countdown reads, down to 0
+//	+4 out        writes fold into a running hash
+type seqDev struct {
+	clock  *hw.Clock
+	failAt int
+	reads  [3]int
+	hash   uint64
+}
+
+func (d *seqDev) Name() string { return "seq" }
+
+func (d *seqDev) Read(off hw.Port, w hw.AccessWidth) (uint32, error) {
+	if off > 2 {
+		return 0, nil
+	}
+	d.reads[off]++
+	n := d.reads[off]
+	switch off {
+	case 0:
+		if d.failAt > 0 && n >= d.failAt {
+			return 0, errors.New("data underrun")
+		}
+		return uint32(n*0x9e37 + 0x1234), nil
+	case 1:
+		var v uint32 = 0x08
+		if d.clock.Now() < 300 {
+			v = 0x80
+		}
+		if n%3 == 0 {
+			v |= 0x01
+		}
+		return v, nil
+	}
+	return uint32(max(0, 40-n)), nil
+}
+
+func (d *seqDev) Write(off hw.Port, w hw.AccessWidth, v uint32) error {
+	d.hash = d.hash*1000003 + uint64(off)<<40 + uint64(w)<<32 + uint64(v)
+	return nil
 }
 
 // outcome captures everything observable about one call on one backend.
@@ -37,12 +111,21 @@ type outcome struct {
 	console []string
 	cov     *ccov.Set
 	steps   int64
+	// kernels is the number of loops the block backend compiled to loop
+	// kernels.
+	kernels int64
 }
 
 // runBoth executes fn on the interpreter and the block backend and
 // requires identical observable results, returning the (shared)
 // outcome.
 func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
+	t.Helper()
+	return runBothOn(t, rigConfig{}, src, fn, args...)
+}
+
+// runBothOn is runBoth on machines built from cfg.
+func runBothOn(t *testing.T, cfg rigConfig, src, fn string, args ...cinterp.Value) outcome {
 	t.Helper()
 	prog, perrs := cparser.Parse(src)
 	if len(perrs) != 0 {
@@ -53,9 +136,9 @@ func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 		t.Fatalf("check: %v", cerrs)
 	}
 
-	interpRig := newRig()
+	interpRig := newRigWith(cfg)
 	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, nil)
-	compRig := newRig()
+	compRig := newRigWith(cfg)
 	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, nil, nil)
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
@@ -66,7 +149,8 @@ func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 		t.Fatalf("init divergence: interp=%v block=%v", ierr, perr)
 	}
 	if ierr != nil {
-		return outcome{errText: ierr.Error()}
+		sameMachine(t, interpRig, compRig)
+		return outcome{errText: ierr.Error(), kernels: p.Stats().LoopKernels}
 	}
 
 	iv, ie := in.Call(fn, args...)
@@ -92,15 +176,41 @@ func runBoth(t *testing.T, src, fn string, args ...cinterp.Value) outcome {
 	if !in.Coverage().Equal(p.Coverage()) || len(iLines) != len(cLines) {
 		t.Fatalf("coverage divergence: interp=%v block=%v", iLines, cLines)
 	}
-	if is, cs := interpRig.kern.Steps(), compRig.kern.Steps(); is != cs {
-		t.Fatalf("step divergence: interp=%d block=%d", is, cs)
-	}
+	sameMachine(t, interpRig, compRig)
 	var errText string
 	if ie != nil {
 		errText = ie.Error()
 	}
 	return outcome{val: cv, errText: errText, console: compRig.kern.Console(),
-		cov: p.Coverage(), steps: compRig.kern.Steps()}
+		cov: p.Coverage(), steps: compRig.kern.Steps(), kernels: p.Stats().LoopKernels}
+}
+
+// sameMachine requires two rigs to have ended in the same state: steps,
+// transfer buffer, bus accounting, virtual time and device state.
+func sameMachine(t *testing.T, a, b *rig) {
+	t.Helper()
+	if is, cs := a.kern.Steps(), b.kern.Steps(); is != cs {
+		t.Fatalf("step divergence: interp=%d block=%d", is, cs)
+	}
+	if ib, cb := a.kern.Buf(), b.kern.Buf(); !bytes.Equal(ib, cb) {
+		for i := range ib {
+			if ib[i] != cb[i] {
+				t.Fatalf("transfer buffer divergence at offset %d: interp=%#x block=%#x", i, ib[i], cb[i])
+			}
+		}
+	}
+	ia, ifa := a.bus.Stats()
+	ca, cfa := b.bus.Stats()
+	if ia != ca || ifa != cfa {
+		t.Fatalf("bus divergence: interp=%d accesses, %d faults; block=%d accesses, %d faults", ia, ifa, ca, cfa)
+	}
+	if in, cn := a.clock.Now(), b.clock.Now(); in != cn {
+		t.Fatalf("clock divergence: interp=%d block=%d", in, cn)
+	}
+	if a.dev.reads != b.dev.reads || a.dev.hash != b.dev.hash {
+		t.Fatalf("device divergence: interp reads %v hash %#x; block reads %v hash %#x",
+			a.dev.reads, a.dev.hash, b.dev.reads, b.dev.hash)
+	}
 }
 
 func callInt(t *testing.T, src, fn string, args ...cinterp.Value) int64 {

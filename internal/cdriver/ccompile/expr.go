@@ -841,18 +841,8 @@ func argI(args []Value, i int) int64 {
 // path, whose lenient argI semantics they rely on. Returns nil for
 // everything else.
 func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
-	var width hw.AccessWidth
-	ok := true
-	switch x.Name {
-	case "inb", "outb":
-		width = hw.Width8
-	case "inw", "outw":
-		width = hw.Width16
-	case "inl", "outl":
-		width = hw.Width32
-	default:
-		ok = false
-	}
+	width := ioWidth(x.Name)
+	ok := width != 0
 	switch {
 	case ok && x.Name[0] == 'i' && len(argFns) == 1:
 		af := argFns[0]
@@ -1076,18 +1066,8 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 	if _, isFunc := c.funcIdx[call.Name]; isFunc {
 		return nil
 	}
-	var width hw.AccessWidth
-	switch call.Name {
-	case "inb":
-		width = hw.Width8
-	case "inw":
-		width = hw.Width16
-	case "inl":
-		width = hw.Width32
-	default:
-		return nil
-	}
-	if len(call.Args) != 1 {
+	width := ioWidth(call.Name)
+	if width == 0 || call.Name[0] != 'i' || len(call.Args) != 1 {
 		return nil
 	}
 	po, pok := c.fuseOperand(call.Args[0])

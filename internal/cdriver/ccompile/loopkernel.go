@@ -1,0 +1,728 @@
+package ccompile
+
+import (
+	"repro/internal/cdriver/cast"
+	"repro/internal/cdriver/cinterp"
+	"repro/internal/cdriver/ctoken"
+	"repro/internal/hw"
+)
+
+// Loop kernels: the steady state of the three innermost loop shapes of
+// the driver corpus compiles to one kernel each, a plain Go loop over
+// closure-free operands instead of leanIter's segment and closure hops.
+//
+//   - Transfer: `for (…; i OP B; i++/i--)` whose body is one or two of
+//     `kbuf_write{8,16}(OFF, in{b,w,l}(P))`, `v = in*(P)`,
+//     `kbuf_write*(OFF, v)`, `v = kbuf_read*(OFF)`, `out*(v, P)` and
+//     `out*(kbuf_read*(OFF), P)`.
+//   - Bounded poll: `for (…; i OP B; i++/i--) { if (C) S1 [else S2] }`.
+//     A condition `in*(P) OP M` with constant P and M reads straight
+//     through the port handle; any other condition, and both branches,
+//     run through the closures the if segment already compiled.
+//   - Busy-wait: `while (in*(P) OP M) {}`.
+//
+// The builtins must resolve as builtins (no driver function shadows
+// them) with their exact arity. P and M are literals or literal macros
+// (fuseOperand's constant case), v is a local, and OFF is affine over
+// locals (+, -, *lit, <<lit), held as an affine form.
+//
+// A kernel takes over from leanIter once the careful iterations have
+// licensed lean ones, and makes exactly the kernel, clock and bus calls
+// leanIter plus the loop tail make, in the same order: StepN(head), the
+// statements, the post, StepN(2), the condition. Sub-expression coverage
+// adds are dropped: every line they add is fixed at compile time and was
+// covered by the careful iteration. The loop bound B is hoisted to
+// kernel entry only when it is a constant, or affine (optionally ÷ a
+// positive literal) over locals that neither a transfer statement nor
+// the post writes; a poll's branches may write any local, so a poll
+// hoists constants only. Otherwise the kernel calls the compiled
+// predicate.
+//
+// Two entry checks send the rest of a loop execution back to leanIter:
+// a macro operand whose guard would take the late path, and a Devil
+// value in a local a kernel statement stores to (the assignment would
+// store it untruncated). Neither can change within one loop execution:
+// declsReady moves only between global initialisers, every call and
+// macro expansion restores depth, and a kernel stores only integers.
+
+// loopKernel runs every remaining lean iteration of one loop execution.
+// ran is false when an entry check failed and nothing ran; otherwise
+// fl, v and err are the loop statement's own result.
+type loopKernel interface {
+	run(st *state, fr []Value, head int64, pred predFn) (fl flow, v Value, ran bool, err error)
+}
+
+// lateOrd reports whether a macro operand's guard takes the late path;
+// ord is -1 for a literal.
+func lateOrd(ord int32, st *state) bool {
+	return ord >= 0 && (int(ord) >= st.declsReady || st.depth >= maxCallDepth)
+}
+
+// macroOrd is a fused constant operand's guard order, -1 for a literal.
+func macroOrd(o fop) int32 {
+	if o.guarded {
+		return int32(o.ord)
+	}
+	return -1
+}
+
+// truncTo is truncFn as a switch: C storage truncation for a local's
+// declared type kind.
+func truncTo(k cast.TypeKind, x int64) int64 {
+	switch k {
+	case cast.TypeU8:
+		return int64(uint8(x))
+	case cast.TypeU16:
+		return int64(uint16(x))
+	case cast.TypeU32:
+		return int64(uint32(x))
+	case cast.TypeS8:
+		return int64(int8(x))
+	case cast.TypeS16:
+		return int64(int16(x))
+	case cast.TypeInt, cast.TypeS32:
+		return int64(int32(x))
+	}
+	return x
+}
+
+// kport is a constant port operand. Like the pinned closures, the kernel
+// resolves its bus handle on first use and keeps it.
+type kport struct {
+	port  hw.Port
+	ord   int32 // the macro's declaration order, -1 for a literal
+	tried bool
+	h     *hw.PortHandle
+}
+
+// kportOf classifies a port operand exactly as the closures' fuseOperand
+// does, accepting only its constant case.
+func (c *compiler) kportOf(x cast.Expr) (kport, bool) {
+	o, ok := c.fuseOperand(x)
+	if !ok || o.slot >= 0 {
+		return kport{}, false
+	}
+	return kport{port: hw.Port(o.v), ord: macroOrd(o)}, true
+}
+
+func (p *kport) read(st *state, width hw.AccessWidth) (uint32, error) {
+	if !p.tried {
+		p.tried, p.h = true, st.bus.Resolve(p.port)
+	}
+	if p.h == nil {
+		return st.bus.Read(p.port, width)
+	}
+	return p.h.Read(width)
+}
+
+func (p *kport) write(st *state, width hw.AccessWidth, v uint32) error {
+	if !p.tried {
+		p.tried, p.h = true, st.bus.Resolve(p.port)
+	}
+	if p.h == nil {
+		return st.bus.Write(p.port, width, v)
+	}
+	return p.h.Write(width, v)
+}
+
+// affine is c + Σ coef[k]·fr[slot[k]].I over at most two locals. Its
+// int64 arithmetic wraps exactly like the closures it replaces: +, -,
+// multiplication and left shift by a literal are all ring operations
+// modulo 2^64.
+type affine struct {
+	c    int64
+	coef [2]int32
+	slot [2]int16
+	n    uint8
+}
+
+func (a *affine) eval(fr []Value) int64 {
+	v := a.c
+	for k := uint8(0); k < a.n; k++ {
+		v += int64(a.coef[k]) * fr[a.slot[k]].I
+	}
+	return v
+}
+
+// reads reports whether the form reads a local slot.
+func (a *affine) reads(slot int) bool {
+	for k := uint8(0); k < a.n; k++ {
+		if int(a.slot[k]) == slot {
+			return true
+		}
+	}
+	return false
+}
+
+// affineAcc accumulates an affine form with full-width coefficients.
+type affineAcc struct {
+	c    int64
+	coef [2]int64
+	slot [2]int
+	n    int
+}
+
+// affineOf builds the affine form of an expression over locals and
+// literals, or reports false.
+func (c *compiler) affineOf(x cast.Expr) (affine, bool) {
+	var acc affineAcc
+	if !c.accAffine(x, 1, &acc) {
+		return affine{}, false
+	}
+	a := affine{c: acc.c, n: uint8(acc.n)}
+	for k := 0; k < acc.n; k++ {
+		if acc.coef[k] != int64(int32(acc.coef[k])) || acc.slot[k] != int(int16(acc.slot[k])) {
+			return affine{}, false
+		}
+		a.coef[k], a.slot[k] = int32(acc.coef[k]), int16(acc.slot[k])
+	}
+	return a, true
+}
+
+// accAffine adds scale·x to acc.
+func (c *compiler) accAffine(x cast.Expr, scale int64, acc *affineAcc) bool {
+	switch x := x.(type) {
+	case *cast.IntLit:
+		acc.c += scale * x.Value
+		return true
+	case *cast.Ident:
+		ls, ok := c.lookupLocal(x.Name)
+		if !ok {
+			return false
+		}
+		for k := 0; k < acc.n; k++ {
+			if acc.slot[k] == ls.idx {
+				acc.coef[k] += scale
+				return true
+			}
+		}
+		if acc.n == len(acc.slot) {
+			return false
+		}
+		acc.slot[acc.n], acc.coef[acc.n] = ls.idx, scale
+		acc.n++
+		return true
+	case *cast.BinaryExpr:
+		switch x.Op {
+		case ctoken.Add:
+			return c.accAffine(x.X, scale, acc) && c.accAffine(x.Y, scale, acc)
+		case ctoken.Sub:
+			return c.accAffine(x.X, scale, acc) && c.accAffine(x.Y, -scale, acc)
+		case ctoken.Mul:
+			if k, ok := x.Y.(*cast.IntLit); ok {
+				return c.accAffine(x.X, scale*k.Value, acc)
+			}
+			if k, ok := x.X.(*cast.IntLit); ok {
+				return c.accAffine(x.Y, scale*k.Value, acc)
+			}
+		case ctoken.Shl:
+			if k, ok := x.Y.(*cast.IntLit); ok {
+				return c.accAffine(x.X, scale<<uint(k.Value&63), acc)
+			}
+		}
+	}
+	return false
+}
+
+// builtinCall matches a call that resolves to a kernel builtin with the
+// given arity: no driver function of that name shadows it.
+func (c *compiler) builtinCall(x cast.Expr, arity int) (*cast.CallExpr, bool) {
+	call, ok := x.(*cast.CallExpr)
+	if !ok || len(call.Args) != arity {
+		return nil, false
+	}
+	if _, shadowed := c.funcIdx[call.Name]; shadowed {
+		return nil, false
+	}
+	return call, true
+}
+
+// ioWidth is the access width of a port builtin, 0 for other names.
+func ioWidth(name string) hw.AccessWidth {
+	switch name {
+	case "inb", "outb":
+		return hw.Width8
+	case "inw", "outw":
+		return hw.Width16
+	case "inl", "outl":
+		return hw.Width32
+	}
+	return 0
+}
+
+// portTest is the condition `in*(P) OP M` with constant P and M, the
+// constant-port case of maskedRead.
+type portTest struct {
+	port  kport
+	width hw.AccessWidth
+	f     func(a, b int64) int64
+	m     int64
+	mord  int32
+}
+
+// portTestOf recognises the condition shape binary() compiles through
+// maskedRead with a constant port and a constant mask.
+func (c *compiler) portTestOf(x cast.Expr) (portTest, bool) {
+	b, ok := x.(*cast.BinaryExpr)
+	if !ok {
+		return portTest{}, false
+	}
+	f := intBinOp(b.Op)
+	if f == nil {
+		return portTest{}, false
+	}
+	in, ok := c.builtinCall(b.X, 1)
+	if !ok || in.Name[0] != 'i' {
+		return portTest{}, false
+	}
+	width := ioWidth(in.Name)
+	p, pok := c.kportOf(in.Args[0])
+	m, mok := c.fuseOperand(b.Y)
+	if width == 0 || !pok || !mok || m.slot >= 0 {
+		return portTest{}, false
+	}
+	return portTest{port: p, width: width, f: f, m: m.v, mord: macroOrd(m)}, true
+}
+
+func (t *portTest) late(st *state) bool {
+	return lateOrd(t.port.ord, st) || lateOrd(t.mord, st)
+}
+
+func (t *portTest) eval(st *state) (bool, error) {
+	v, err := t.port.read(st, t.width)
+	if err != nil {
+		return false, err
+	}
+	return t.f(int64(v), t.m) != 0, nil
+}
+
+// loopTail is a kernel for loop's iteration tail: the pure i++/i-- post
+// with its batched post and end charges, then the condition.
+type loopTail struct {
+	post   int32
+	delta  int8
+	ptrunc uint8 // the post local's cast.TypeKind
+	// f is the condition operator when the bound is hoisted (nil: call
+	// the compiled predicate); x is the condition's left local.
+	f     func(a, b int64) int64
+	x     int32
+	bord  int32 // the bound macro's declaration order, -1 for none
+	div   int64 // bound divisor, 0 for none
+	bound affine
+}
+
+// forTail compiles the tail of a for loop with a pure post. invariant
+// reports whether an affine bound's locals stay unchanged through the
+// body.
+func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loopTail {
+	id := s.Post.(*cast.IncDecStmt)
+	ls, _ := c.lookupLocal(id.X.Name)
+	t := loopTail{post: int32(ls.idx), delta: 1, ptrunc: uint8(ls.typ.Kind), bord: -1}
+	if id.Op == ctoken.MinusMinus {
+		t.delta = -1
+	}
+	cond, ok := s.Cond.(*cast.BinaryExpr)
+	if !ok {
+		return t
+	}
+	f := intBinOp(cond.Op)
+	xo, xok := c.fuseOperand(cond.X)
+	if f == nil || !xok || xo.slot < 0 {
+		return t
+	}
+	if yo, ok := c.fuseOperand(cond.Y); ok && yo.slot < 0 {
+		t.bound.c, t.bord = yo.v, macroOrd(yo)
+	} else {
+		bx, div := cond.Y, int64(0)
+		if d, ok := bx.(*cast.BinaryExpr); ok && d.Op == ctoken.Div {
+			if lit, ok := d.Y.(*cast.IntLit); ok && lit.Value > 0 {
+				bx, div = d.X, lit.Value
+			}
+		}
+		a, ok := c.affineOf(bx)
+		if !ok || a.reads(int(t.post)) || !invariant(&a) {
+			return t
+		}
+		t.bound, t.div = a, div
+	}
+	t.f, t.x = f, int32(xo.slot)
+	return t
+}
+
+// entry evaluates a hoisted bound at kernel entry; ok is false when a
+// macro bound's guard would take the late path.
+func (t *loopTail) entry(st *state, fr []Value) (b int64, ok bool) {
+	if t.f == nil {
+		return 0, true
+	}
+	if lateOrd(t.bord, st) {
+		return 0, false
+	}
+	b = t.bound.eval(fr)
+	if t.div != 0 {
+		b /= t.div
+	}
+	return b, true
+}
+
+// next runs the post, its two charges and the condition.
+func (t *loopTail) next(st *state, fr []Value, pred predFn, b int64) (bool, error) {
+	fr[t.post] = intValue(truncTo(cast.TypeKind(t.ptrunc), fr[t.post].I+int64(t.delta)))
+	if err := st.kern.StepN(2); err != nil {
+		return false, err
+	}
+	if t.f == nil {
+		return pred(st, fr)
+	}
+	return t.f(fr[t.x].I, b) != 0, nil
+}
+
+// xferKind is a transfer statement's source and sink.
+type xferKind uint8
+
+const (
+	xferInToBuf   xferKind = iota // kbuf_write*(OFF, in*(P))
+	xferInToSlot                  // v = in*(P)
+	xferSlotToBuf                 // kbuf_write*(OFF, v)
+	xferBufToSlot                 // v = kbuf_read*(OFF)
+	xferSlotToOut                 // out*(v, P)
+	xferBufToOut                  // out*(kbuf_read*(OFF), P)
+)
+
+// xferOp is one transfer statement.
+type xferOp struct {
+	kind  xferKind
+	wide  bool  // 16-bit transfer-buffer access
+	width uint8 // port access width in bits
+	trunc uint8 // v's cast.TypeKind
+	slot  int32 // v
+	port  kport
+	off   affine
+}
+
+// xferOpOf recognises one transfer statement.
+func (c *compiler) xferOpOf(s cast.Stmt) (xferOp, bool) {
+	op := xferOp{port: kport{ord: -1}}
+	switch s := s.(type) {
+	case *cast.ExprStmt:
+		call, ok := c.builtinCall(s.X, 2)
+		if !ok {
+			return op, false
+		}
+		switch call.Name {
+		case "kbuf_write8", "kbuf_write16":
+			op.wide = call.Name == "kbuf_write16"
+			if op.off, ok = c.affineOf(call.Args[0]); !ok {
+				return op, false
+			}
+			if in, ok := c.builtinCall(call.Args[1], 1); ok && in.Name[0] == 'i' && ioWidth(in.Name) != 0 {
+				op.kind, op.width = xferInToBuf, uint8(ioWidth(in.Name))
+				op.port, ok = c.kportOf(in.Args[0])
+				return op, ok
+			}
+			op.kind = xferSlotToBuf
+			return op, c.localOperand(call.Args[1], &op)
+		case "outb", "outw", "outl":
+			op.width = uint8(ioWidth(call.Name))
+			if op.port, ok = c.kportOf(call.Args[1]); !ok {
+				return op, false
+			}
+			if rd, ok := c.builtinCall(call.Args[0], 1); ok && (rd.Name == "kbuf_read8" || rd.Name == "kbuf_read16") {
+				op.kind, op.wide = xferBufToOut, rd.Name == "kbuf_read16"
+				op.off, ok = c.affineOf(rd.Args[0])
+				return op, ok
+			}
+			op.kind = xferSlotToOut
+			return op, c.localOperand(call.Args[0], &op)
+		}
+	case *cast.AssignStmt:
+		ls, ok := c.lookupLocal(s.LHS.Name)
+		call, cok := c.builtinCall(s.RHS, 1)
+		if s.Op != ctoken.Assign || !ok || !cok {
+			return op, false
+		}
+		op.slot, op.trunc = int32(ls.idx), uint8(ls.typ.Kind)
+		switch call.Name {
+		case "inb", "inw", "inl":
+			op.kind, op.width = xferInToSlot, uint8(ioWidth(call.Name))
+			op.port, ok = c.kportOf(call.Args[0])
+			return op, ok
+		case "kbuf_read8", "kbuf_read16":
+			op.kind, op.wide = xferBufToSlot, call.Name == "kbuf_read16"
+			op.off, ok = c.affineOf(call.Args[0])
+			return op, ok
+		}
+	}
+	return op, false
+}
+
+// localOperand sets op's slot when x is a local.
+func (c *compiler) localOperand(x cast.Expr, op *xferOp) bool {
+	id, ok := x.(*cast.Ident)
+	if !ok {
+		return false
+	}
+	ls, ok := c.lookupLocal(id.Name)
+	op.slot = int32(ls.idx)
+	return ok
+}
+
+// stores reports whether the op stores to a local slot.
+func (op *xferOp) stores() bool { return op.kind == xferInToSlot || op.kind == xferBufToSlot }
+
+// late is the op's entry check: a late port macro, or a Devil value in
+// the local it stores to.
+func (op *xferOp) late(st *state, fr []Value) bool {
+	return lateOrd(op.port.ord, st) || op.stores() && fr[op.slot].Kind == cinterp.ValDevil
+}
+
+func (op *xferOp) bufRead(st *state, off int64) (int64, error) {
+	if op.wide {
+		v, err := st.kern.BufRead16(off)
+		return int64(v), err
+	}
+	v, err := st.kern.BufRead8(off)
+	return int64(v), err
+}
+
+func (op *xferOp) bufWrite(st *state, off, v int64) error {
+	if op.wide {
+		return st.kern.BufWrite16(off, uint16(v))
+	}
+	return st.kern.BufWrite8(off, uint8(v))
+}
+
+// exec runs the statement with its closure form's calls and faults.
+func (op *xferOp) exec(st *state, fr []Value) error {
+	width := hw.AccessWidth(op.width)
+	switch op.kind {
+	case xferInToBuf:
+		off := op.off.eval(fr)
+		v, err := op.port.read(st, width)
+		if err != nil {
+			return err
+		}
+		return op.bufWrite(st, off, int64(v))
+	case xferInToSlot:
+		v, err := op.port.read(st, width)
+		if err != nil {
+			return err
+		}
+		fr[op.slot] = intValue(truncTo(cast.TypeKind(op.trunc), int64(v)))
+		return nil
+	case xferSlotToBuf:
+		return op.bufWrite(st, op.off.eval(fr), fr[op.slot].I)
+	case xferBufToSlot:
+		v, err := op.bufRead(st, op.off.eval(fr))
+		if err != nil {
+			return err
+		}
+		fr[op.slot] = intValue(truncTo(cast.TypeKind(op.trunc), v))
+		return nil
+	case xferSlotToOut:
+		return op.port.write(st, width, uint32(fr[op.slot].I))
+	default: // xferBufToOut
+		v, err := op.bufRead(st, op.off.eval(fr))
+		if err != nil {
+			return err
+		}
+		return op.port.write(st, width, uint32(v))
+	}
+}
+
+// xferKernel runs a transfer loop.
+type xferKernel struct {
+	ops  [2]xferOp
+	n    uint8
+	tail loopTail
+}
+
+func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
+	ops := k.ops[:k.n]
+	for i := range ops {
+		if ops[i].late(st, fr) {
+			return flowNormal, voidValue, false, nil
+		}
+	}
+	b, ok := k.tail.entry(st, fr)
+	if !ok {
+		return flowNormal, voidValue, false, nil
+	}
+	for {
+		if err := st.kern.StepN(head); err != nil {
+			return flowNormal, voidValue, true, err
+		}
+		for i := range ops {
+			if err := ops[i].exec(st, fr); err != nil {
+				return flowNormal, voidValue, true, err
+			}
+		}
+		if more, err := k.tail.next(st, fr, pred, b); err != nil || !more {
+			return flowNormal, voidValue, true, err
+		}
+	}
+}
+
+// pollKernel runs a bounded poll. cond, then and els are the if
+// segment's compiled closures; fast marks a condition test reads.
+type pollKernel struct {
+	fast      bool
+	test      portTest
+	cond      exprFn
+	then, els stmtFn
+	tail      loopTail
+}
+
+func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
+	if k.fast && k.test.late(st) {
+		return flowNormal, voidValue, false, nil
+	}
+	b, ok := k.tail.entry(st, fr)
+	if !ok {
+		return flowNormal, voidValue, false, nil
+	}
+	for {
+		if err := st.kern.StepN(head); err != nil {
+			return flowNormal, voidValue, true, err
+		}
+		var taken bool
+		if k.fast {
+			var err error
+			if taken, err = k.test.eval(st); err != nil {
+				return flowNormal, voidValue, true, err
+			}
+		} else {
+			cv, err := k.cond(st, fr)
+			if err != nil {
+				return flowNormal, voidValue, true, err
+			}
+			taken = cv.Truthy()
+		}
+		fl, v, err := flowNormal, voidValue, error(nil)
+		if taken {
+			fl, v, err = k.then(st, fr)
+		} else if k.els != nil {
+			fl, v, err = k.els(st, fr)
+		}
+		if err != nil {
+			return flowNormal, voidValue, true, err
+		}
+		switch fl {
+		case flowBreak:
+			return flowNormal, voidValue, true, nil
+		case flowReturn:
+			return flowReturn, v, true, nil
+		}
+		if more, err := k.tail.next(st, fr, pred, b); err != nil || !more {
+			return flowNormal, voidValue, true, err
+		}
+	}
+}
+
+// spinKernel runs a busy-wait.
+type spinKernel struct {
+	test portTest
+}
+
+func (k *spinKernel) run(st *state, fr []Value, head int64, _ predFn) (flow, Value, bool, error) {
+	if k.test.late(st) {
+		return flowNormal, voidValue, false, nil
+	}
+	for {
+		if err := st.kern.StepN(head); err != nil {
+			return flowNormal, voidValue, true, err
+		}
+		if ok, err := k.test.eval(st); err != nil || !ok {
+			return flowNormal, voidValue, true, err
+		}
+	}
+}
+
+// The kernel block types keep a kernel in the superblock's own
+// allocation.
+type (
+	xferBlock struct {
+		superBlock
+		k xferKernel
+	}
+	pollBlock struct {
+		superBlock
+		k pollKernel
+	}
+	spinBlock struct {
+		superBlock
+		k spinKernel
+	}
+)
+
+// forBlock allocates a compiled for loop's superblock, with a transfer
+// or poll kernel when the loop has one of those shapes. purePost says
+// the post is i++/i-- on a local; lone is the body's if segment when
+// the body is exactly one if statement.
+func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, purePost bool) *superBlock {
+	if !purePost || s.Cond == nil {
+		return newSuperBlock(body)
+	}
+	stmts := []cast.Stmt{s.Body}
+	if b, ok := s.Body.(*cast.Block); ok {
+		stmts = b.Stmts
+	}
+	if len(stmts) <= 2 {
+		var k xferKernel
+		for _, x := range stmts {
+			op, ok := c.xferOpOf(x)
+			if !ok {
+				k.n = 0
+				break
+			}
+			k.ops[k.n] = op
+			k.n++
+		}
+		if k.n > 0 {
+			k.tail = c.forTail(s, func(a *affine) bool {
+				for _, op := range k.ops[:k.n] {
+					if op.stores() && a.reads(int(op.slot)) {
+						return false
+					}
+				}
+				return true
+			})
+			b := &xferBlock{superBlock: body, k: k}
+			b.kern = &b.k
+			c.stats.LoopKernels++
+			return &b.superBlock
+		}
+	}
+	if lone.cond != nil {
+		k := pollKernel{cond: lone.cond, then: lone.then, els: lone.els}
+		k.test, k.fast = c.portTestOf(stmts[0].(*cast.IfStmt).Cond)
+		// The branches may store to any local, so a poll hoists only a
+		// bound that reads none.
+		k.tail = c.forTail(s, func(a *affine) bool { return a.n == 0 })
+		b := &pollBlock{superBlock: body, k: k}
+		b.kern = &b.k
+		c.stats.LoopKernels++
+		return &b.superBlock
+	}
+	return newSuperBlock(body)
+}
+
+// whileBlock allocates a compiled while loop's superblock, with a
+// busy-wait kernel for `while (in*(P) OP M) {}`.
+func (c *compiler) whileBlock(s *cast.WhileStmt, body superBlock) *superBlock {
+	if b, ok := s.Body.(*cast.Block); ok && len(b.Stmts) == 0 {
+		if test, ok := c.portTestOf(s.Cond); ok {
+			b := &spinBlock{superBlock: body, k: spinKernel{test: test}}
+			b.kern = &b.k
+			c.stats.LoopKernels++
+			return &b.superBlock
+		}
+	}
+	return newSuperBlock(body)
+}
+
+func newSuperBlock(body superBlock) *superBlock {
+	sb := new(superBlock)
+	*sb = body
+	return sb
+}

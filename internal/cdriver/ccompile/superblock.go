@@ -42,7 +42,9 @@ import (
 // Sub-expression closures (port I/O, macro guards, call machinery) are
 // shared between both modes, so their side effects, faults and own
 // coverage adds never diverge. Loops with direct break/continue/return
-// in the body, and do/while loops, keep the PR-9 form.
+// in the body, and do/while loops, keep the PR-9 form. The lean
+// iterations of transfer loops, bounded polls and busy-waits run as
+// loop kernels (loopkernel.go).
 
 // leanFn is one compiled simple statement in a superblock's steady
 // state: error-only, no flow or value traffic.
@@ -504,40 +506,52 @@ func genericPred(f exprFn) predFn {
 	}
 }
 
+// leanStmt is one simple statement of a superblock run: its lean core
+// and its statement line, which careful iterations add before the core
+// runs and lean iterations skip (the line is already covered).
+type leanStmt struct {
+	line int
+	core leanFn
+}
+
 // superSeg is one per-iteration unit of a superblock body: either a
 // maximal run of simple statements (run non-nil) or one control-flow
 // statement. Each segment costs exactly one watchdog charge, as in seq.
 type superSeg struct {
-	run        []leanFn // lean cores, statement-line adds dropped
-	runCareful []leanFn // cov-adding twins for careful iterations
-	ctl        stmtFn   // lean control form (flattened if)
-	ctlCareful stmtFn   // careful form (adds the statement line)
+	run        []leanStmt
+	ctl        stmtFn // lean control form (flattened if)
+	ctlCareful stmtFn // careful form (adds the statement line)
 }
 
 // superBlock is a compiled superblock loop body.
 type superBlock struct {
 	// blockLine is the body block's own coverage line, -1 for a bare
 	// statement body.
-	blockLine int
-	segs      []superSeg
+	blockLine int32
 	// headN is the watchdog charge count a lean iteration batches up
 	// front: the block charge (if the body is a block) plus the first
 	// segment's charge.
-	headN int64
+	headN int32
+	segs  []superSeg
+	// kern, when non-nil, runs the loop's lean iterations as a loop
+	// kernel (loopkernel.go). It lives in the same allocation.
+	kern loopKernel
 }
 
 // superBodyOf compiles an eligible loop body, sharing frame slots and
-// sub-expression closures between the careful and lean forms.
-func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
-	sb := &superBlock{blockLine: -1}
+// sub-expression closures between the careful and lean forms. lone is
+// the body's control segment when the body is exactly one control
+// statement.
+func (c *compiler) superBodyOf(body cast.Stmt) (sb superBlock, lone ctlForms) {
+	sb.blockLine = -1
 	stmts := []cast.Stmt{body}
 	if b, ok := body.(*cast.Block); ok {
-		sb.blockLine = c.line(b.Pos())
+		sb.blockLine = int32(c.line(b.Pos()))
 		c.pushScope()
 		defer c.popScope()
 		stmts = b.Stmts
 	}
-	var run, runCareful []leanFn
+	var run []leanStmt
 	flush := func() {
 		if len(run) == 0 {
 			return
@@ -548,30 +562,36 @@ func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
 			c.stats.FusedStmts += int64(len(run))
 		}
 		c.stats.SuperStmts += int64(len(run))
-		sb.segs = append(sb.segs, superSeg{run: run, runCareful: runCareful})
-		run, runCareful = nil, nil
+		sb.segs = append(sb.segs, superSeg{run: run})
+		run = nil
 	}
 	for _, s := range stmts {
 		if superSimple(s) {
 			line, core := c.leanCore(s)
-			run = append(run, core)
-			l, f := line, core
-			runCareful = append(runCareful, func(st *state, fr []Value) error {
-				st.cov.Add(l)
-				return f(st, fr)
-			})
+			run = append(run, leanStmt{line: line, core: core})
 			continue
 		}
 		flush()
-		careful, lean := c.ctlSeg(s)
-		sb.segs = append(sb.segs, superSeg{ctl: lean, ctlCareful: careful})
+		f := c.ctlSeg(s)
+		sb.segs = append(sb.segs, superSeg{ctl: f.lean, ctlCareful: f.careful})
+		if len(stmts) == 1 {
+			lone = f
+		}
 	}
 	flush()
 	sb.headN = 1
 	if sb.blockLine >= 0 && len(sb.segs) > 0 {
 		sb.headN = 2
 	}
-	return sb
+	return sb, lone
+}
+
+// ctlForms is one compiled control segment: its careful and lean forms
+// and, for an if statement, the condition and branch closures they run.
+type ctlForms struct {
+	careful, lean stmtFn
+	cond          exprFn
+	then, els     stmtFn
 }
 
 // ctlSeg compiles one control statement into its careful and lean
@@ -581,11 +601,11 @@ func (c *compiler) superBodyOf(body cast.Stmt) *superBlock {
 // forms (branches are the cold loop-exit path and keep their own
 // charges). Every other control kind reuses its stmtBody closure as-is
 // — self-covering and exact — in both modes.
-func (c *compiler) ctlSeg(s cast.Stmt) (careful, lean stmtFn) {
+func (c *compiler) ctlSeg(s cast.Stmt) ctlForms {
 	ifs, ok := s.(*cast.IfStmt)
 	if !ok {
 		f := c.stmtBody(s)
-		return f, f
+		return ctlForms{careful: f, lean: f}
 	}
 	line := c.line(ifs.Pos())
 	prevDom := c.domLine
@@ -597,7 +617,7 @@ func (c *compiler) ctlSeg(s cast.Stmt) (careful, lean stmtFn) {
 		elseFn = c.stmt(ifs.Else)
 	}
 	c.domLine = prevDom
-	lean = func(st *state, fr []Value) (flow, Value, error) {
+	lean := func(st *state, fr []Value) (flow, Value, error) {
 		cond, err := condFn(st, fr)
 		if err != nil {
 			return flowNormal, voidValue, err
@@ -610,11 +630,11 @@ func (c *compiler) ctlSeg(s cast.Stmt) (careful, lean stmtFn) {
 		}
 		return flowNormal, voidValue, nil
 	}
-	careful = func(st *state, fr []Value) (flow, Value, error) {
+	careful := func(st *state, fr []Value) (flow, Value, error) {
 		st.cov.Add(line)
 		return lean(st, fr)
 	}
-	return careful, lean
+	return ctlForms{careful: careful, lean: lean, cond: condFn, then: thenFn, els: elseFn}
 }
 
 // carefulIter runs one iteration of the body with the PR-9 block form's
@@ -627,7 +647,7 @@ func (sb *superBlock) carefulIter(st *state, fr []Value) (fl flow, v Value, done
 		return flowNormal, voidValue, false, err
 	}
 	if sb.blockLine >= 0 {
-		st.cov.Add(sb.blockLine)
+		st.cov.Add(int(sb.blockLine))
 	}
 	for i := range sb.segs {
 		if i > 0 || sb.blockLine >= 0 {
@@ -637,8 +657,9 @@ func (sb *superBlock) carefulIter(st *state, fr []Value) (fl flow, v Value, done
 		}
 		s := &sb.segs[i]
 		if s.run != nil {
-			for _, f := range s.runCareful {
-				if err := f(st, fr); err != nil {
+			for _, ls := range s.run {
+				st.cov.Add(ls.line)
+				if err := ls.core(st, fr); err != nil {
 					return flowNormal, voidValue, false, err
 				}
 			}
@@ -674,8 +695,8 @@ func (sb *superBlock) leanIter(st *state, fr []Value, head int64) (flow, Value, 
 		}
 		s := &sb.segs[i]
 		if s.run != nil {
-			for _, f := range s.run {
-				if err := f(st, fr); err != nil {
+			for _, ls := range s.run {
+				if err := ls.core(st, fr); err != nil {
 					return flowNormal, voidValue, err
 				}
 			}
@@ -703,9 +724,10 @@ func (c *compiler) whileSuper(s *cast.WhileStmt, line int) stmtFn {
 	if pred == nil {
 		pred = genericPred(condFn)
 	}
-	sb := c.superBodyOf(s.Body)
+	body, _ := c.superBodyOf(s.Body)
+	sb := c.whileBlock(s, body)
 	c.stats.Superblocks++
-	head := sb.headN
+	head := int64(sb.headN)
 	endCharge := len(sb.segs) > 0
 	if !endCharge {
 		head++ // fold the end charge: nothing runs between the charges
@@ -719,7 +741,7 @@ func (c *compiler) whileSuper(s *cast.WhileStmt, line int) stmtFn {
 			return flowNormal, voidValue, err
 		}
 		ok := cond.Truthy()
-		careful := true
+		careful, kernel := true, sb.kern != nil
 		for ok {
 			var fl flow
 			var v Value
@@ -740,6 +762,13 @@ func (c *compiler) whileSuper(s *cast.WhileStmt, line int) stmtFn {
 				}
 				careful = !done
 			} else {
+				if kernel {
+					fl, v, ran, err := sb.kern.run(st, fr, head, pred)
+					if ran {
+						return fl, v, err
+					}
+					kernel = false // an entry check failed: leanIter runs the rest
+				}
 				fl, v, err = sb.leanIter(st, fr, head)
 				if err != nil {
 					return flowNormal, voidValue, err
@@ -785,7 +814,7 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 			pred = genericPred(condFn)
 		}
 	}
-	sb := c.superBodyOf(s.Body)
+	body, lone := c.superBodyOf(s.Body)
 	var postCore leanFn
 	postLine := -1
 	purePost := false
@@ -800,9 +829,10 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 		}
 		c.stats.SuperStmts++
 	}
+	sb := c.forBlock(s, body, lone, purePost)
 	c.popScope()
 	c.stats.Superblocks++
-	head := sb.headN
+	head := int64(sb.headN)
 	if len(sb.segs) == 0 && postCore == nil {
 		head++ // fold the end charge: nothing runs between the charges
 	}
@@ -822,7 +852,7 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 			}
 			ok = cond.Truthy()
 		}
-		careful := true
+		careful, kernel := true, sb.kern != nil
 		for ok {
 			var err error
 			if careful {
@@ -852,6 +882,13 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 				}
 				careful = !done
 			} else {
+				if kernel {
+					fl, v, ran, err := sb.kern.run(st, fr, head, pred)
+					if ran {
+						return fl, v, err
+					}
+					kernel = false // an entry check failed: leanIter runs the rest
+				}
 				fl, v, err := sb.leanIter(st, fr, head)
 				if err != nil {
 					return flowNormal, voidValue, err

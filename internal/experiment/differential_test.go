@@ -50,18 +50,23 @@ func (r *diffRig) boot(t *testing.T, p *driverPlan, driver string, mutantID int)
 	} else {
 		input.Tokens = p.res.Apply(m)
 	}
+	br, err := r.bootInput(driver, input)
+	if err != nil {
+		t.Fatalf("%s mutant %d (%s): harness error: %v", driver, mutantID, r.backend, err)
+	}
+	return br
+}
+
+// bootInput boots one prepared input on the rig's pooled machine.
+func (r *diffRig) bootInput(driver string, input BootInput) (*BootResult, error) {
 	if r.rigs == nil {
 		r.rigs = make(rigSet)
 	}
 	rig, err := r.rigs.rigFor(driver, r.scenario)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	br, err := rig.Boot(input)
-	if err != nil {
-		t.Fatalf("%s mutant %d (%s): harness error: %v", driver, mutantID, r.backend, err)
-	}
-	return br
+	return rig.Boot(input)
 }
 
 func errText(err error) string {

@@ -1,0 +1,58 @@
+package experiment
+
+import (
+	"testing"
+
+	"repro/internal/cdriver/ctoken"
+	"repro/internal/drivers"
+)
+
+// FuzzBackendsAgree boots corpus drivers carrying 2–4 simultaneous cmut
+// replacements, program shapes the single-token campaign never boots, on
+// an interp rig and a block rig (both over a full compile of the token
+// stream) and requires every observable diffOne compares to agree. The
+// first replacement's mutant stands in for the site diffOne classifies
+// the Table 3/4 row by. Seeds are under testdata/fuzz/FuzzBackendsAgree;
+// run it with `go test -run '^$' -fuzz FuzzBackendsAgree ./internal/experiment`.
+func FuzzBackendsAgree(f *testing.F) {
+	names := drivers.Names()
+	wl := NewWorkload().(*workload)
+	ref := &diffRig{backend: BackendInterp}
+	blk := &diffRig{backend: BackendBlock}
+	f.Fuzz(func(t *testing.T, driver uint8, a, b, c, d uint32, extra uint8) {
+		name := names[int(driver)%len(names)]
+		p, err := wl.plan(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		toks := append([]ctoken.Token(nil), p.res.Tokens...)
+		first, replaced := -1, make(map[int]bool)
+		for _, x := range []uint32{a, b, c, d}[:2+int(extra%3)] {
+			m := p.res.Mutants[int(x%uint32(len(p.res.Mutants)))]
+			if replaced[m.TokenIndex] {
+				continue
+			}
+			replaced[m.TokenIndex] = true
+			toks[m.TokenIndex] = m.Replacement
+			if first < 0 {
+				first = m.ID
+			}
+		}
+		boot := func(r *diffRig) *BootResult {
+			input := BootInput{Devil: p.src.Devil, Budget: ExperimentBudget, Backend: r.backend, Tokens: toks}
+			br, err := r.bootInput(name, input)
+			if err != nil {
+				t.Fatalf("%s with %d replacements (%s): harness error: %v", name, len(replaced), r.backend, err)
+			}
+			return br
+		}
+		rb := boot(ref)
+		// The reference result aliases pooled buffers the next boot on
+		// its rig overwrites.
+		rb.Console = append([]string(nil), rb.Console...)
+		if rb.Coverage != nil {
+			rb.Coverage = rb.Coverage.Clone()
+		}
+		diffOne(t, name, p, first, rb, boot(blk))
+	})
+}

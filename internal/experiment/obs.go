@@ -56,6 +56,9 @@ const (
 	// MetricSuperblockStmts counts statements folded into loop
 	// superblocks.
 	MetricSuperblockStmts = "driverlab_exec_superblocks_stmts_total"
+	// MetricLoopKernels counts superblock loops whose steady state runs
+	// as one loop kernel (transfer loops, bounded polls, busy-waits).
+	MetricLoopKernels = "driverlab_exec_loop_kernels_total"
 	// MetricSnapshotHits named the counter of boots served from a
 	// pristine-prefix snapshot, a mechanism that no longer exists. The
 	// boot pipeline registers no such family; the name stays exported
@@ -69,7 +72,7 @@ const (
 func BootMetricNames() []string {
 	return []string{MetricBootPhase, MetricInterpFallbacks, MetricFullFrontend,
 		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
-		MetricSuperblocksCompiled, MetricSuperblockStmts}
+		MetricSuperblocksCompiled, MetricSuperblockStmts, MetricLoopKernels}
 }
 
 // bootObs is the per-rig instrumentation bundle the boot pipeline
@@ -92,6 +95,7 @@ type bootObs struct {
 	blocksFallback  *obs.Counter
 	superblocks     *obs.Counter
 	superblockStmts *obs.Counter
+	loopKernels     *obs.Counter
 }
 
 // addBlockStats records one compile's (or patch's) fusion work.
@@ -102,6 +106,7 @@ func (o *bootObs) addBlockStats(s ccompile.BlockStats) {
 	o.blocksFallback.Add(s.FallbackIO)
 	o.superblocks.Add(s.Superblocks)
 	o.superblockStmts.Add(s.SuperStmts)
+	o.loopKernels.Add(s.LoopKernels)
 }
 
 // noObs is the disabled bundle every rig starts with.
@@ -147,6 +152,9 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 			"workload", workload),
 		superblockStmts: col.Counter(MetricSuperblockStmts,
 			"Statements folded into loop superblocks.",
+			"workload", workload),
+		loopKernels: col.Counter(MetricLoopKernels,
+			"Superblock loops whose steady state runs as one loop kernel.",
 			"workload", workload),
 	}
 }

@@ -53,6 +53,7 @@ type workRow struct {
 var workCounters = []string{
 	MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
 	MetricSuperblocksCompiled, MetricSuperblockStmts, MetricInterpFallbacks, MetricFullFrontend,
+	MetricLoopKernels,
 }
 
 // TestWorkGate pins each driver's per-boot work against
