@@ -455,30 +455,57 @@ func TestCampaignCLIErrors(t *testing.T) {
 			}
 		}
 	}
-	// An out-of-range sample percentage or a repeated driver fails
-	// before any boot, instead of silently booting the whole enumeration
-	// or every mutant twice.
-	for _, tc := range []struct{ name, drivers, sample, want string }{
-		{"sample-5", "busmouse_c", "-5", "out of range"},
-		{"sample150", "busmouse_c", "150", "out of range"},
-		{"twice", "busmouse_c,busmouse_c", "10", "driver busmouse_c listed twice"},
+	// An out-of-range sample percentage, an empty or repeated driver
+	// list, or one hardware cell spelled two ways fails before any boot,
+	// instead of silently booting the whole enumeration, nothing, or
+	// every mutant twice.
+	for _, tc := range []struct{ name, drivers, sample, scenario, want string }{
+		{"sample-5", "busmouse_c", "-5", "", "out of range"},
+		{"sample150", "busmouse_c", "150", "", "out of range"},
+		{"no-drivers", "", "1", "", "no drivers listed"},
+		{"comma-drivers", ",", "1", "", "no drivers listed"},
+		{"twice", "busmouse_c,busmouse_c", "10", "", "driver busmouse_c listed twice"},
+		{"timing-default", "busmouse_c", "10", "timing,timing:8", `scenarios "timing" and "timing:8" name the same cell`},
+		{"timing-zero", "busmouse_c", "10", "timing:8,timing:08", `scenarios "timing:8" and "timing:08" name the same cell`},
+		{"timing-plus", "busmouse_c", "10", "timing:8,timing:+8", `scenarios "timing:8" and "timing:+8" name the same cell`},
+		{"flaky-default", "busmouse_c", "10", "flaky-bus,flaky-bus:2", `scenarios "flaky-bus" and "flaky-bus:2" name the same cell`},
 	} {
 		path := filepath.Join(dir, tc.name+".jsonl")
 		err := run([]string{"campaign", "run", "-store", path,
-			"-drivers", tc.drivers, "-sample", tc.sample, "-quiet"})
+			"-drivers", tc.drivers, "-sample", tc.sample, "-scenario", tc.scenario, "-quiet"})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("campaign run -drivers %s -sample %s: err = %v, want %q", tc.drivers, tc.sample, err, tc.want)
+			t.Errorf("campaign run %s: err = %v, want %q", tc.name, err, tc.want)
 		}
 		if st, err = campaign.OpenFile(path); err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range st.Records() {
 			if r.Kind == campaign.KindResult {
-				t.Errorf("campaign run -drivers %s -sample %s booted mutant %d", tc.drivers, tc.sample, r.Mutant)
+				t.Errorf("campaign run %s booted mutant %d", tc.name, r.Mutant)
 				break
 			}
 		}
 		st.Close()
+	}
+	// Two distinct parameters are two cells: every selected mutant boots
+	// once under each.
+	cellStore := filepath.Join(dir, "two-cells.jsonl")
+	if err := run([]string{"campaign", "run", "-store", cellStore, "-drivers", "busmouse_c",
+		"-sample", "3", "-scenario", "timing:8,timing:16", "-quiet"}); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = campaign.OpenFile(cellStore); err != nil {
+		t.Fatal(err)
+	}
+	booted := map[string]int{}
+	for _, r := range st.Records() {
+		if r.Kind == campaign.KindResult {
+			booted[r.Scenario]++
+		}
+	}
+	st.Close()
+	if len(booted) != 2 || booted["timing:8"] == 0 || booted["timing:8"] != booted["timing:16"] {
+		t.Errorf("timing:8,timing:16 booted %v, want the same mutants under both cells", booted)
 	}
 	if err := run([]string{"campaign", "merge", "-out", filepath.Join(dir, "out.jsonl")}); err == nil {
 		t.Error("merge without inputs accepted")

@@ -160,8 +160,11 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 	if spec.SamplePct < 0 || spec.SamplePct > 100 {
 		return nil, nil, fmt.Errorf("sample %d%% out of range (want 0..100; 0 boots every mutant)", spec.SamplePct)
 	}
-	// A repeated driver would boot each of its mutants twice under keys
-	// that collide in the store.
+	// An empty list would run an empty campaign; a repeated driver would
+	// boot each of its mutants twice under keys that collide in the store.
+	if len(spec.Drivers) == 0 {
+		return nil, nil, fmt.Errorf("no drivers listed")
+	}
 	listed := make(map[string]bool, len(spec.Drivers))
 	for _, driver := range spec.Drivers {
 		if listed[driver] {
@@ -171,14 +174,25 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 	}
 	// Validate every scenario cell up front (the engine crosses the
 	// work-list with them after Expand): a misspelled scenario fails the
-	// campaign before any rig is assembled.
-	for _, sc := range spec.Normalized().Scenarios {
-		if sc == "" {
-			continue
+	// campaign before any rig is assembled, and two spellings of one
+	// cell ("timing" and "timing:8") would boot every mutant twice.
+	type cell struct {
+		sc *ScenarioDesc
+		n  int
+	}
+	cells := make(map[cell]string)
+	for _, name := range spec.Normalized().Scenarios {
+		if name == "" {
+			name = "pristine"
 		}
-		if err := CheckScenario(sc); err != nil {
+		sc, n, err := parseScenario(name)
+		if err != nil {
 			return nil, nil, err
 		}
+		if prev, ok := cells[cell{sc, n}]; ok {
+			return nil, nil, fmt.Errorf("scenarios %q and %q name the same cell", prev, name)
+		}
+		cells[cell{sc, n}] = name
 	}
 	var metas []campaign.Meta
 	var tasks []campaign.Task

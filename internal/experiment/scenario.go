@@ -23,14 +23,21 @@ import (
 // backends, front ends, shardings and resumes.
 
 // ScenarioDesc declares one registered scenario: a name, CLI help text,
-// and the transform that rewrites a workload descriptor. Transform
-// receives the parameter text after the scenario name's ":" ("" when
-// absent) and must reject parameters it cannot parse — CheckScenario
-// relies on that to validate spec scenario lists before any rig exists.
+// its integer parameter (nil: the scenario takes none), and the
+// transform that rewrites a workload descriptor. Transform receives the
+// parsed parameter — Param.Default when the cell names none, 0 when
+// Param is nil.
 type ScenarioDesc struct {
 	Name      string
 	Help      string
-	Transform func(param string, d WorkloadDesc) (WorkloadDesc, error)
+	Param     *ScenarioParam
+	Transform func(n int, d WorkloadDesc) WorkloadDesc
+}
+
+// ScenarioParam bounds a scenario's ":n" parameter.
+type ScenarioParam struct {
+	Default, Min, Max int
+	Unit              string
 }
 
 var scenarioRegistry = struct {
@@ -92,17 +99,15 @@ func Scenarios() []*ScenarioDesc {
 	return out
 }
 
-// ApplyScenario rewrites a workload descriptor for the named scenario.
-// The name splits at the first ":" into a registered scenario and its
-// parameter ("flaky-bus:10" is the flaky-bus scenario at 10%).
-func ApplyScenario(name string, d WorkloadDesc) (WorkloadDesc, error) {
+// parseScenario splits a cell name at the first ":" into a registered
+// scenario and its parsed parameter ("flaky-bus:10" is the flaky-bus
+// scenario at 10%). It is the one parse behind ApplyScenario and
+// Expand's same-cell check.
+func parseScenario(name string) (*ScenarioDesc, int, error) {
 	if err := scenarioInit(); err != nil {
-		return WorkloadDesc{}, err
+		return nil, 0, err
 	}
-	base, param := name, ""
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		base, param = name[:i], name[i+1:]
-	}
+	base, param, _ := strings.Cut(name, ":")
 	scenarioRegistry.mu.RLock()
 	sc := scenarioRegistry.byName[base]
 	scenarioRegistry.mu.RUnlock()
@@ -112,22 +117,22 @@ func ApplyScenario(name string, d WorkloadDesc) (WorkloadDesc, error) {
 			known = append(known, s.Name)
 		}
 		sort.Strings(known)
-		return WorkloadDesc{}, fmt.Errorf("unknown scenario %q (known: %v)", base, known)
+		return nil, 0, fmt.Errorf("unknown scenario %q (known: %v)", base, known)
 	}
-	out, err := sc.Transform(param, d)
+	n, err := sc.Param.parse(param)
 	if err != nil {
-		return WorkloadDesc{}, fmt.Errorf("scenario %s: %w", name, err)
+		return nil, 0, fmt.Errorf("scenario %s: %w", name, err)
 	}
-	return out, nil
+	return sc, n, nil
 }
 
-// CheckScenario validates a scenario name (including its parameter)
-// without building anything: the transform runs against a throwaway
-// descriptor. Expand calls it so a misspelled cell fails the campaign
-// before any rig is assembled.
-func CheckScenario(name string) error {
-	_, err := ApplyScenario(name, WorkloadDesc{})
-	return err
+// ApplyScenario rewrites a workload descriptor for the named scenario.
+func ApplyScenario(name string, d WorkloadDesc) (WorkloadDesc, error) {
+	sc, n, err := parseScenario(name)
+	if err != nil {
+		return WorkloadDesc{}, err
+	}
+	return sc.Transform(n, d), nil
 }
 
 // withInjector wraps a descriptor's Build hook to arm a fault injector
@@ -153,18 +158,24 @@ func withInjector(cfg hw.InjectorConfig, d WorkloadDesc) WorkloadDesc {
 	return d
 }
 
-// scenarioPct parses an integer parameter with bounds, for the builtin
-// scenarios' ":n" suffixes.
-func scenarioParam(param string, def, min, max int, unit string) (int, error) {
+// parse reads the parameter text after a cell's ":" ("" when absent)
+// against the bounds; a nil ScenarioParam accepts only "".
+func (p *ScenarioParam) parse(param string) (int, error) {
+	if p == nil {
+		if param != "" {
+			return 0, fmt.Errorf("takes no parameter, got %q", param)
+		}
+		return 0, nil
+	}
 	if param == "" {
-		return def, nil
+		return p.Default, nil
 	}
 	n, err := strconv.Atoi(param)
 	if err != nil {
-		return 0, fmt.Errorf("bad parameter %q: want an integer %s", param, unit)
+		return 0, fmt.Errorf("bad parameter %q: want an integer %s", param, p.Unit)
 	}
-	if n < min || n > max {
-		return 0, fmt.Errorf("parameter %d out of range [%d, %d] %s", n, min, max, unit)
+	if n < p.Min || n > p.Max {
+		return 0, fmt.Errorf("parameter %d out of range [%d, %d] %s", n, p.Min, p.Max, p.Unit)
 	}
 	return n, nil
 }
@@ -172,42 +183,29 @@ func scenarioParam(param string, def, min, max int, unit string) (int, error) {
 func init() {
 	for _, d := range []ScenarioDesc{
 		{
-			Name: "pristine",
-			Help: "unmodified hardware — the classic evaluation cell (no parameter)",
-			Transform: func(param string, d WorkloadDesc) (WorkloadDesc, error) {
-				if param != "" {
-					return WorkloadDesc{}, fmt.Errorf("pristine takes no parameter, got %q", param)
-				}
-				return d, nil
-			},
+			Name:      "pristine",
+			Help:      "unmodified hardware — the classic evaluation cell (no parameter)",
+			Transform: func(_ int, d WorkloadDesc) WorkloadDesc { return d },
 		},
 		{
-			Name: "flaky-bus",
-			Help: "seeded unreliable port I/O: each mapped read has pct% odds (default 2, max 33) of a dropped, duplicated or stale result",
-			Transform: func(param string, d WorkloadDesc) (WorkloadDesc, error) {
-				pct, err := scenarioParam(param, 2, 1, 33, "percent")
-				if err != nil {
-					return WorkloadDesc{}, err
-				}
+			Name:  "flaky-bus",
+			Help:  "seeded unreliable port I/O: each mapped read has pct% odds (default 2, max 33) of a dropped, duplicated or stale result",
+			Param: &ScenarioParam{Default: 2, Min: 1, Max: 33, Unit: "percent"},
+			Transform: func(pct int, d WorkloadDesc) WorkloadDesc {
 				rate := uint32(pct) * 100 // percent -> per-myriad
 				return withInjector(hw.InjectorConfig{
 					DropPerMyriad:  rate,
 					DupPerMyriad:   rate,
 					StalePerMyriad: rate,
-				}, d), nil
+				}, d)
 			},
 		},
 		{
-			Name: "timing",
-			Help: "slow silicon: every mapped port access charges n extra clock ticks (default 8, max 4096), squeezing polling loops against their budgets",
-			Transform: func(param string, d WorkloadDesc) (WorkloadDesc, error) {
-				ticks, err := scenarioParam(param, 8, 1, 4096, "ticks")
-				if err != nil {
-					return WorkloadDesc{}, err
-				}
-				return withInjector(hw.InjectorConfig{
-					LatencyTicks: uint64(ticks),
-				}, d), nil
+			Name:  "timing",
+			Help:  "slow silicon: every mapped port access charges n extra clock ticks (default 8, max 4096), squeezing polling loops against their budgets",
+			Param: &ScenarioParam{Default: 8, Min: 1, Max: 4096, Unit: "ticks"},
+			Transform: func(ticks int, d WorkloadDesc) WorkloadDesc {
+				return withInjector(hw.InjectorConfig{LatencyTicks: uint64(ticks)}, d)
 			},
 		},
 	} {

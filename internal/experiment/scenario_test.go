@@ -12,9 +12,9 @@ import (
 )
 
 // TestScenarioRegistryValidation: registration rejects the malformed
-// shapes CheckScenario depends on catching early.
+// shapes parseScenario depends on catching early.
 func TestScenarioRegistryValidation(t *testing.T) {
-	noop := func(param string, d WorkloadDesc) (WorkloadDesc, error) { return d, nil }
+	noop := func(_ int, d WorkloadDesc) WorkloadDesc { return d }
 	cases := []struct {
 		desc ScenarioDesc
 		want string
@@ -37,8 +37,8 @@ func TestScenarioRegistryValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { unregisterScenario(name) })
-	if err := CheckScenario(name); err != nil {
-		t.Errorf("CheckScenario(%s) = %v", name, err)
+	if _, _, err := parseScenario(name); err != nil {
+		t.Errorf("parseScenario(%s) = %v", name, err)
 	}
 	found := false
 	for _, d := range Scenarios() {
@@ -60,17 +60,17 @@ func TestScenarioParamErrors(t *testing.T) {
 		"timing:0", "timing:4097", "timing:fast",
 		"pristine:5",
 	} {
-		if err := CheckScenario(bad); err == nil {
-			t.Errorf("CheckScenario(%q) accepted", bad)
+		if _, _, err := parseScenario(bad); err == nil {
+			t.Errorf("parseScenario(%q) accepted", bad)
 		}
 	}
-	err := CheckScenario("flaky-buss")
+	_, _, err := parseScenario("flaky-buss")
 	if err == nil || !strings.Contains(err.Error(), "flaky-bus") {
 		t.Errorf("unknown-scenario error %v does not list the known names", err)
 	}
 	for _, good := range []string{"pristine", "flaky-bus", "flaky-bus:33", "timing", "timing:4096"} {
-		if err := CheckScenario(good); err != nil {
-			t.Errorf("CheckScenario(%q) = %v", good, err)
+		if _, _, err := parseScenario(good); err != nil {
+			t.Errorf("parseScenario(%q) = %v", good, err)
 		}
 	}
 }

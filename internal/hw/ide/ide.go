@@ -139,13 +139,11 @@ var _ hw.Device = (*Controller)(nil)
 
 // NewController attaches a controller with one master disk to the clock.
 func NewController(clock *hw.Clock, disk *Disk) *Controller {
-	c := &Controller{
+	return &Controller{
 		clock:  clock,
 		disk:   disk,
 		status: StatusReady | StatusSeekDone,
 	}
-	clock.OnTick(c.tick)
-	return c
 }
 
 // Name implements hw.Device.
@@ -178,9 +176,10 @@ func (c *Controller) Disk() *Disk { return c.disk }
 // slaveSelected reports whether the (absent) slave drive is selected.
 func (c *Controller) slaveSelected() bool { return c.driveHead&0x10 != 0 }
 
-// tick advances the busy-phase state machine.
-func (c *Controller) tick(now uint64) {
-	if c.state != stateBusy || now < c.busyUntil {
+// catchUp resolves a busy phase whose time has elapsed. Every access to
+// either block calls it first.
+func (c *Controller) catchUp() {
+	if c.state != stateBusy || c.clock.Now() < c.busyUntil {
 		return
 	}
 	switch c.pending {
@@ -376,6 +375,7 @@ func (c *Controller) dataWrite(v uint16) {
 
 // Read implements hw.Device for the command block.
 func (c *Controller) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
+	c.catchUp()
 	switch offset {
 	case 0:
 		if width != hw.Width16 {
@@ -411,6 +411,7 @@ func (c *Controller) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) 
 
 // Write implements hw.Device for the command block.
 func (c *Controller) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
+	c.catchUp()
 	switch offset {
 	case 0:
 		if width == hw.Width16 && !c.slaveSelected() {
@@ -461,6 +462,7 @@ func (b *controlBlock) Read(offset hw.Port, width hw.AccessWidth) (uint32, error
 	if offset != 0 {
 		return 0, fmt.Errorf("ide-ctl: read of nonexistent register %d", offset)
 	}
+	b.c.catchUp()
 	if b.c.slaveSelected() {
 		return 0, nil
 	}
@@ -472,6 +474,7 @@ func (b *controlBlock) Write(offset hw.Port, width hw.AccessWidth, value uint32)
 	if offset != 0 {
 		return fmt.Errorf("ide-ctl: write of nonexistent register %d", offset)
 	}
+	b.c.catchUp()
 	prev := b.c.devControl
 	b.c.devControl = uint8(value)
 	if value&0x04 != 0 && !b.c.resetting {

@@ -34,13 +34,13 @@ type BusMaster struct {
 
 // New attaches a bus master to the clock.
 func New(clock *hw.Clock) *BusMaster {
-	bm := &BusMaster{clock: clock, bmisx: 0x60} // both drives DMA-capable
-	clock.OnTick(bm.tick)
-	return bm
+	return &BusMaster{clock: clock, bmisx: 0x60} // both drives DMA-capable
 }
 
-func (b *BusMaster) tick(now uint64) {
-	if b.bmisx&BMActive != 0 && now >= b.doneAt {
+// catchUp completes a transfer whose time has elapsed. Every endpoint
+// access and every time-dependent accessor calls it first.
+func (b *BusMaster) catchUp() {
+	if b.bmisx&BMActive != 0 && b.clock.Now() >= b.doneAt {
 		b.bmisx &^= BMActive
 		b.bmisx |= BMInterrupt
 	}
@@ -60,13 +60,13 @@ func (b *BusMaster) Reset() {
 func (b *BusMaster) DescriptorTable() uint32 { return b.bmidtpx &^ 3 }
 
 // Active reports whether a transfer is in flight.
-func (b *BusMaster) Active() bool { return b.bmisx&BMActive != 0 }
+func (b *BusMaster) Active() bool { b.catchUp(); return b.bmisx&BMActive != 0 }
 
 // IrqPending reports whether the completion interrupt is latched.
-func (b *BusMaster) IrqPending() bool { return b.bmisx&BMInterrupt != 0 }
+func (b *BusMaster) IrqPending() bool { b.catchUp(); return b.bmisx&BMInterrupt != 0 }
 
 // ErrorLatched reports whether the error latch is set.
-func (b *BusMaster) ErrorLatched() bool { return b.bmisx&BMError != 0 }
+func (b *BusMaster) ErrorLatched() bool { b.catchUp(); return b.bmisx&BMError != 0 }
 
 // Capabilities returns the drive-capability bits (0x60 at power-on).
 func (b *BusMaster) Capabilities() uint8 { return b.bmisx & 0x60 }
@@ -104,6 +104,7 @@ func (e *endpoint) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	if offset != 0 {
 		return 0, fmt.Errorf("pci: read of nonexistent register %d", offset)
 	}
+	e.bm.catchUp()
 	switch e.reg {
 	case 0:
 		return uint32(e.bm.bmicx), nil
@@ -119,6 +120,7 @@ func (e *endpoint) Write(offset hw.Port, width hw.AccessWidth, value uint32) err
 	if offset != 0 {
 		return fmt.Errorf("pci: write of nonexistent register %d", offset)
 	}
+	e.bm.catchUp()
 	switch e.reg {
 	case 0:
 		prev := e.bm.bmicx

@@ -57,9 +57,7 @@ type GPU struct {
 
 // New attaches a GPU model to the clock.
 func New(clock *hw.Clock) *GPU {
-	g := &GPU{clock: clock}
-	clock.OnTick(g.tick)
-	return g
+	return &GPU{clock: clock}
 }
 
 // Reset returns the GPU to the cold power-on state New leaves it in:
@@ -76,12 +74,14 @@ func (g *GPU) Reset() {
 	g.lastNow = g.clock.Now()
 }
 
-func (g *GPU) tick(now uint64) {
-	// Clock listeners are invoked once per Tick batch, so the model works
-	// in elapsed virtual time rather than per invocation. Mutated drivers
-	// can make a single batch enormous (a mutated udelay constant), so
-	// every computation below clamps rather than trusting elapsed to be
-	// small — the model must misbehave politely, never panic or wedge.
+// catchUp advances the model to the clock's current time. Every endpoint
+// access and every time-dependent accessor calls it first, so the model
+// works in virtual time elapsed since the last observation. A mutated
+// driver can make that enormous (a mutated udelay constant), so every
+// computation below clamps rather than trusting elapsed to be small —
+// the model must misbehave politely, never panic or wedge.
+func (g *GPU) catchUp() {
+	now := g.clock.Now()
 	elapsed := now - g.lastNow
 	g.lastNow = now
 	if elapsed == 0 {
@@ -99,8 +99,6 @@ func (g *GPU) tick(now uint64) {
 		}
 		g.fifo = g.fifo[drain:]
 		g.drained += uint64(drain)
-	} else {
-		g.fifoCredit = 0
 	}
 	// DMA engine: counts down, raising the DMA interrupt at zero.
 	if cnt := g.regs[regDMACount]; cnt > 0 {
@@ -130,16 +128,16 @@ func (g *GPU) tick(now uint64) {
 }
 
 // Drained reports how many FIFO words the core has consumed.
-func (g *GPU) Drained() uint64 { return g.drained }
+func (g *GPU) Drained() uint64 { g.catchUp(); return g.drained }
 
 // FIFODepth reports how many words sit in the input FIFO.
-func (g *GPU) FIFODepth() int { return len(g.fifo) }
+func (g *GPU) FIFODepth() int { g.catchUp(); return len(g.fifo) }
 
 // VideoEnabled reports whether the video timing generator is running.
 func (g *GPU) VideoEnabled() bool { return g.regs[regVideoCtl]&0x01 != 0 }
 
 // IntFlags returns the pending interrupt flags.
-func (g *GPU) IntFlags() uint32 { return g.regs[regIntFlags] }
+func (g *GPU) IntFlags() uint32 { g.catchUp(); return g.regs[regIntFlags] }
 
 // IntEnable returns the programmed interrupt enable mask.
 func (g *GPU) IntEnable() uint32 { return g.regs[regIntEnable] }
@@ -148,7 +146,7 @@ func (g *GPU) IntEnable() uint32 { return g.regs[regIntEnable] }
 func (g *GPU) DMAAddress() uint32 { return g.regs[regDMAAddress] }
 
 // DMACount returns the remaining DMA dword count.
-func (g *GPU) DMACount() uint32 { return g.regs[regDMACount] }
+func (g *GPU) DMACount() uint32 { g.catchUp(); return g.regs[regDMACount] }
 
 // VTotal returns the programmed vertical total (in lines).
 func (g *GPU) VTotal() uint32 { return g.regs[regVTotal] & 0xfff }
@@ -182,6 +180,7 @@ func (c *control) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	if int(offset) >= numRegs {
 		return 0, fmt.Errorf("permedia: read of nonexistent register %d", offset)
 	}
+	g.catchUp()
 	switch int(offset) {
 	case regResetStatus:
 		if g.clock.Now() < g.resetUntil {
@@ -203,6 +202,7 @@ func (c *control) Write(offset hw.Port, width hw.AccessWidth, value uint32) erro
 	if int(offset) >= numRegs {
 		return fmt.Errorf("permedia: write of nonexistent register %d", offset)
 	}
+	g.catchUp()
 	switch int(offset) {
 	case regResetStatus:
 		g.resetUntil = g.clock.Now() + resetTicks
@@ -225,6 +225,7 @@ func (f *fifoPort) Name() string { return "permedia2-fifo" }
 
 // Read implements hw.Device: the FIFO port is write-only; reads float.
 func (f *fifoPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
+	f.g.catchUp()
 	return 0xffffffff, nil
 }
 
@@ -233,15 +234,14 @@ func (f *fifoPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 // misbehaviour drivers must avoid by polling InFIFOSpace.
 func (f *fifoPort) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
 	g := f.g
+	g.catchUp()
 	if len(g.fifo) >= fifoCapacity {
 		g.regs[regIntFlags] |= IntError
 		return nil
 	}
-	// An idle core holds no drain credit. tick zeroes the credit on every
-	// batch that finds the FIFO empty, but batched ticks (kernel.StepN)
-	// can deliver the drain-to-empty and the next write in one batch —
-	// zeroing here keeps the word's drain countdown starting from zero
-	// exactly as per-step ticking would have it.
+	// An idle core holds no drain credit: catchUp leaves whatever credit
+	// the drain to empty left over, so a word pushed into an empty FIFO
+	// starts its drain countdown from zero.
 	if len(g.fifo) == 0 {
 		g.fifoCredit = 0
 	}

@@ -115,8 +115,9 @@ func (k *Kernel) checkDeadline() error {
 // watchdog rewound to the default budget, transfer buffer zeroed — so a
 // campaign worker can reuse the kernel across boots instead of allocating
 // a new one per mutant. The clock is shared with the attached device
-// models and deliberately keeps running: devices only measure relative
-// time, so a monotonic clock does not change boot behaviour.
+// models and deliberately keeps counting: devices only measure time
+// elapsed since their own Reset or last catch-up, so a monotonic clock
+// does not change boot behaviour.
 func (k *Kernel) Reset() {
 	k.console = k.console[:0]
 	k.steps = 0
@@ -131,16 +132,11 @@ func (k *Kernel) Reset() {
 // Steps returns the number of steps consumed so far.
 func (k *Kernel) Steps() int64 { return k.steps }
 
-// Clock returns the virtual time source.
-func (k *Kernel) Clock() *hw.Clock { return k.clock }
-
 // Step charges one execution step against the watchdog and advances virtual
 // time. The interpreter calls it once per statement/expression step.
 func (k *Kernel) Step() error {
 	k.steps++
-	if k.clock != nil {
-		k.clock.Tick(1)
-	}
+	k.clock.Tick(1)
 	if k.steps > k.budget {
 		return &WatchdogError{Budget: k.budget}
 	}
@@ -155,9 +151,8 @@ func (k *Kernel) Step() error {
 // would make back to back with nothing in between. The count is clamped
 // to the budget so a watchdog-tripped boot lands on exactly budget+1
 // steps, byte-identical to n sequential Step calls; virtual time advances
-// in one Tick batch (device models work in elapsed time, see hw.Clock),
-// and the wall clock is polled once when the batch crosses a
-// deadline-check boundary.
+// by n in one Tick, and the wall clock is polled once when the batch
+// crosses a deadline-check boundary.
 func (k *Kernel) StepN(n int64) error {
 	if n <= 0 {
 		return nil
@@ -170,9 +165,7 @@ func (k *Kernel) StepN(n int64) error {
 	}
 	before := k.steps
 	k.steps += n
-	if k.clock != nil {
-		k.clock.Tick(uint64(n))
-	}
+	k.clock.Tick(uint64(n))
 	if k.steps > k.budget {
 		return &WatchdogError{Budget: k.budget}
 	}
@@ -189,9 +182,7 @@ func (k *Kernel) Delay(n int64) error {
 		n = 0
 	}
 	k.steps += n
-	if k.clock != nil {
-		k.clock.Tick(uint64(n))
-	}
+	k.clock.Tick(uint64(n))
 	if k.steps > k.budget {
 		return &WatchdogError{Budget: k.budget}
 	}
