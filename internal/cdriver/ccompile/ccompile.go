@@ -140,8 +140,8 @@ type initStep struct {
 // BlockStats counts what the block-fusion pass produced during one
 // compilation (or one incremental Patch): how many basic blocks were
 // emitted, how many statements were fused into them, how many port-I/O
-// sites compiled to the batched single-resolution path, and how many
-// fell back to the generic per-access bus lookup. The experiment layer
+// call sites compiled to a direct closure, and how many fell back to the
+// generic argument-buffer builtin call. The experiment layer
 // surfaces these as the driverlab_exec_blocks_* metric family.
 type BlockStats struct {
 	// Blocks is the number of fused basic blocks emitted (maximal runs
@@ -149,11 +149,11 @@ type BlockStats struct {
 	Blocks int64
 	// FusedStmts is the number of statements inside those blocks.
 	FusedStmts int64
-	// BatchedIO is the number of port-I/O sites compiled to a cached
-	// single-resolution bus handle.
+	// BatchedIO is the number of port-I/O call sites compiled to a
+	// direct closure that calls the bus without an argument buffer.
 	BatchedIO int64
-	// FallbackIO is the number of port-I/O sites left on the generic
-	// per-access bus lookup (wrong-arity calls).
+	// FallbackIO is the number of port-I/O call sites left on the
+	// generic argument-buffer builtin call (wrong-arity calls).
 	FallbackIO int64
 	// Superblocks is the number of while/for loops compiled to loop
 	// superblocks: the whole loop runs inside one closure with a

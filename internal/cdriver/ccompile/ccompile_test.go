@@ -287,6 +287,18 @@ int f(void) {
 	if got := callInt(t, src, "f"); got != 1503 {
 		t.Errorf("f = %d, want 1503", got)
 	}
+	// A while loop opens no scope of its own, unlike a for loop: a bare
+	// declaration body declares into the enclosing scope.
+	bare := `
+int g;
+int bump(void) { g = g + 1; return g; }
+int f(void) {
+	while (g < 3) int y = bump();
+	return y;
+}`
+	if got := callInt(t, bare, "f"); got != 3 {
+		t.Errorf("bare-declaration while body: f = %d, want 3", got)
+	}
 }
 
 func TestSwitchSemantics(t *testing.T) {

@@ -313,37 +313,10 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.WhileStmt:
-		if c.loopEligible(s.Body, nil) {
-			return c.whileSuper(s, line)
-		}
-		condFn := c.expr(s.Cond)
-		bodyFn := c.stmt(s.Body)
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			for {
-				cond, err := condFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if !cond.Truthy() {
-					break
-				}
-				fl, v, err := bodyFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					break
-				}
-				if fl == flowReturn {
-					return fl, v, nil
-				}
-				if err := st.kern.Step(); err != nil {
-					return flowNormal, voidValue, err
-				}
-			}
-			return flowNormal, voidValue, nil
-		}
+		// A while loop is a for loop with no init and no post. It opens
+		// no scope: a bare declaration body declares into the enclosing
+		// scope, as in the interpreter.
+		return c.forStmt(&cast.ForStmt{ForPos: s.WhilePos, Cond: s.Cond, Body: s.Body}, line)
 
 	case *cast.DoWhileStmt:
 		bodyFn := c.stmt(s.Body)
@@ -376,62 +349,9 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.ForStmt:
-		if c.loopEligible(s.Body, s.Post) {
-			return c.forSuper(s, line)
-		}
 		c.pushScope() // the init declaration's scope, as in the interpreter
-		var initFn stmtFn
-		if s.Init != nil {
-			initFn = c.stmt(s.Init)
-		}
-		var condFn exprFn
-		if s.Cond != nil {
-			condFn = c.expr(s.Cond)
-		}
-		var postFn stmtFn
-		if s.Post != nil {
-			postFn = c.stmt(s.Post)
-		}
-		bodyFn := c.stmt(s.Body)
-		c.popScope()
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			if initFn != nil {
-				if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
-					return fl, v, err
-				}
-			}
-			for {
-				if condFn != nil {
-					cond, err := condFn(st, fr)
-					if err != nil {
-						return flowNormal, voidValue, err
-					}
-					if !cond.Truthy() {
-						break
-					}
-				}
-				fl, v, err := bodyFn(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					break
-				}
-				if fl == flowReturn {
-					return fl, v, nil
-				}
-				if postFn != nil {
-					if fl, v, err := postFn(st, fr); err != nil || fl == flowReturn {
-						return fl, v, err
-					}
-				}
-				if err := st.kern.Step(); err != nil {
-					return flowNormal, voidValue, err
-				}
-			}
-			return flowNormal, voidValue, nil
-		}
+		defer c.popScope()
+		return c.forStmt(s, line)
 
 	case *cast.SwitchStmt:
 		return c.switchStmt(s, line)
@@ -471,6 +391,65 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 	// so seq always charges them).
 	return func(st *state, fr []Value) (flow, Value, error) {
 		st.cov.Add(line)
+		return flowNormal, voidValue, nil
+	}
+}
+
+// forStmt compiles a for loop, or a while loop as a for loop with no
+// init and no post, in the caller's scope.
+func (c *compiler) forStmt(s *cast.ForStmt, line int) stmtFn {
+	if c.loopEligible(s.Body, s.Post) {
+		return c.forSuper(s, line)
+	}
+	var initFn stmtFn
+	if s.Init != nil {
+		initFn = c.stmt(s.Init)
+	}
+	var condFn exprFn
+	if s.Cond != nil {
+		condFn = c.expr(s.Cond)
+	}
+	var postFn stmtFn
+	if s.Post != nil {
+		postFn = c.stmt(s.Post)
+	}
+	bodyFn := c.stmt(s.Body)
+	return func(st *state, fr []Value) (flow, Value, error) {
+		st.cov.Add(line)
+		if initFn != nil {
+			if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
+				return fl, v, err
+			}
+		}
+		for {
+			if condFn != nil {
+				cond, err := condFn(st, fr)
+				if err != nil {
+					return flowNormal, voidValue, err
+				}
+				if !cond.Truthy() {
+					break
+				}
+			}
+			fl, v, err := bodyFn(st, fr)
+			if err != nil {
+				return flowNormal, voidValue, err
+			}
+			if fl == flowBreak {
+				break
+			}
+			if fl == flowReturn {
+				return fl, v, nil
+			}
+			if postFn != nil {
+				if fl, v, err := postFn(st, fr); err != nil || fl == flowReturn {
+					return fl, v, err
+				}
+			}
+			if err := st.kern.Step(); err != nil {
+				return flowNormal, voidValue, err
+			}
+		}
 		return flowNormal, voidValue, nil
 	}
 }
@@ -596,26 +575,10 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 			return flowNormal, voidValue, nil
 		}
 	}
-	var base ctoken.Kind
-	switch s.Op {
-	case ctoken.OrAssign:
-		base = ctoken.Or
-	case ctoken.AndAssign:
-		base = ctoken.And
-	case ctoken.XorAssign:
-		base = ctoken.Xor
-	case ctoken.ShlAssign:
-		base = ctoken.Shl
-	case ctoken.ShrAssign:
-		base = ctoken.Shr
-	case ctoken.AddAssign:
-		base = ctoken.Add
-	case ctoken.SubAssign:
-		base = ctoken.Sub
-	default:
+	opf := compoundOp(s.Op)
+	if opf == nil {
 		return nil
 	}
-	opf := intBinOp(base)
 	if tf == nil {
 		return func(st *state, fr []Value) (flow, Value, error) {
 			st.cov.Add(line)
@@ -736,23 +699,8 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 			return flowNormal, voidValue, nil
 		}
 	}
-	var op func(a, b int64) int64
-	switch s.Op {
-	case ctoken.OrAssign:
-		op = func(a, b int64) int64 { return a | b }
-	case ctoken.AndAssign:
-		op = func(a, b int64) int64 { return a & b }
-	case ctoken.XorAssign:
-		op = func(a, b int64) int64 { return a ^ b }
-	case ctoken.ShlAssign:
-		op = func(a, b int64) int64 { return a << uint(b&63) }
-	case ctoken.ShrAssign:
-		op = func(a, b int64) int64 { return a >> uint(b&63) }
-	case ctoken.AddAssign:
-		op = func(a, b int64) int64 { return a + b }
-	case ctoken.SubAssign:
-		op = func(a, b int64) int64 { return a - b }
-	default:
+	op := compoundOp(s.Op)
+	if op == nil {
 		badOp := s.Op
 		return func(st *state, fr []Value) (flow, Value, error) {
 			st.cov.Add(line)
@@ -764,8 +712,7 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 				return flowNormal, voidValue, err
 			}
 			_ = rhs
-			return flowNormal, voidValue,
-				&kernel.CrashError{Cause: fmt.Errorf("bad assignment operator %s", badOp)}
+			return flowNormal, voidValue, badAssignOpErr(badOp)
 		}
 	}
 	return func(st *state, fr []Value) (flow, Value, error) {

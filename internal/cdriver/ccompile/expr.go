@@ -846,37 +846,18 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 	switch {
 	case ok && x.Name[0] == 'i' && len(argFns) == 1:
 		af := argFns[0]
-		// Batch consecutive accesses to the same device through a
-		// per-site one-entry resolution cache. The typical poll loop
-		// reads one status register thousands of times; after the
-		// first access the mapping scan is gone. The cache is sound
-		// because a rig's port map is fixed at machine assembly and a
-		// Proc is bound to one rig. Unmapped ports resolve to nil and
-		// take the generic path, which owns the floating/fault
-		// semantics.
 		c.stats.BatchedIO++
 		if o, fok := c.fuseOperand(x.Args[0]); fok {
-			// The port operand fused: no argument closure call, and
-			// a compile-time-constant port pins its handle for good.
+			// The port operand fused: no argument closure call.
 			return c.fusedRead(o, line, width)
 		}
-		var cp hw.Port
-		var ch *hw.PortHandle
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			a, err := af(st, fr)
 			if err != nil {
 				return voidValue, err
 			}
-			p := hw.Port(a.I)
-			if ch == nil || p != cp {
-				ch, cp = st.bus.Resolve(p), p
-			}
-			if ch == nil {
-				v, err := st.bus.Read(p, width)
-				return intValue(int64(v)), err
-			}
-			v, err := ch.Read(width)
+			v, err := st.bus.Read(hw.Port(a.I), width)
 			return intValue(int64(v)), err
 		}
 	case ok && x.Name[0] == 'o' && len(argFns) == 2:
@@ -885,8 +866,6 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 		if o, fok := c.fuseOperand(x.Args[1]); fok {
 			return c.fusedWrite(vf, o, line, width)
 		}
-		var cp hw.Port
-		var ch *hw.PortHandle
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			v, err := vf(st, fr)
@@ -897,14 +876,7 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 			if err != nil {
 				return voidValue, err
 			}
-			pp := hw.Port(p.I)
-			if ch == nil || pp != cp {
-				ch, cp = st.bus.Resolve(pp), pp
-			}
-			if ch == nil {
-				return voidValue, st.bus.Write(pp, width, uint32(v.I))
-			}
-			return voidValue, ch.Write(width, uint32(v.I))
+			return voidValue, st.bus.Write(hw.Port(p.I), width, uint32(v.I))
 		}
 	}
 	switch x.Name {
@@ -962,89 +934,36 @@ func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) ex
 	return nil
 }
 
-// portCache memoises Bus.Resolve for a slot-valued port operand. Call
-// sites that cycle through a handful of ports (a register-window helper
-// taking the port as a parameter) keep every handle; a linear scan of a
-// few entries beats re-resolving under the bus lock. Misses are cached
-// too — a mutant polling a mutated, unmapped port would otherwise pay
-// a full mapping scan twice per access (Resolve, then the generic
-// read). Like the pinned constant-port handles, entries stay valid
-// because each compiled program runs against one bus whose mappings
-// are fixed at attach time.
-type portCache struct {
-	ports   [4]hw.Port
-	handles [4]*hw.PortHandle
-	n       int
-}
-
-func (pc *portCache) get(st *state, p hw.Port) *hw.PortHandle {
-	for i := 0; i < pc.n; i++ {
-		if pc.ports[i] == p {
-			return pc.handles[i]
-		}
+// fusedPort evaluates a fused port operand: a local's value, or the
+// constant after a macro's declsReady/depth guard. A guard that fails
+// (at init time only) defers to evalFused.
+func fusedPort(st *state, fr []Value, o *fop) (hw.Port, error) {
+	switch {
+	case o.slot >= 0:
+		return hw.Port(fr[o.slot].I), nil
+	case o.guarded && (o.ord >= st.declsReady || st.depth >= maxCallDepth):
+		a, err := evalFused(st, fr, o)
+		return hw.Port(a), err
+	case o.guarded:
+		st.cov.Add(o.bodyLine)
 	}
-	h := st.bus.Resolve(p)
-	if pc.n < len(pc.ports) {
-		pc.ports[pc.n] = p
-		pc.handles[pc.n] = h
-		pc.n++
-	}
-	return h
+	return hw.Port(o.v), nil
 }
 
 // fusedRead emits the port-input closure for a fused port operand: no
-// argument closure call, and a compile-time-constant port resolves its
-// handle once and pins it — the port can never change, so the
-// per-access compare is gone too. Macro-constant ports keep their
-// declsReady/depth guards inline, deferring to evalFused (and the
-// generic bus path) in the init-time-only slow case.
+// argument closure call.
 func (c *compiler) fusedRead(o fop, line int, width hw.AccessWidth) exprFn {
 	add := !c.skipCov(line)
 	pl := c.covLine(o.useLine, line)
-	if o.slot >= 0 {
-		slot := o.slot
-		var cache portCache
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			if pl >= 0 {
-				st.cov.Add(pl)
-			}
-			p := hw.Port(fr[slot].I)
-			if ch := cache.get(st, p); ch != nil {
-				v, err := ch.Read(width)
-				return intValue(int64(v)), err
-			}
-			v, err := st.bus.Read(p, width)
-			return intValue(int64(v)), err
-		})
-	}
-	port := hw.Port(o.v)
-	bodyLine := o.bodyLine
-	guarded := o.guarded
-	var ch *hw.PortHandle
-	var tried bool
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 		if pl >= 0 {
 			st.cov.Add(pl)
 		}
-		if guarded {
-			if o.ord >= st.declsReady || st.depth >= maxCallDepth {
-				a, err := evalFused(st, fr, &o)
-				if err != nil {
-					return voidValue, err
-				}
-				v, err := st.bus.Read(hw.Port(a), width)
-				return intValue(int64(v)), err
-			}
-			st.cov.Add(bodyLine)
+		p, err := fusedPort(st, fr, &o)
+		if err != nil {
+			return voidValue, err
 		}
-		if !tried {
-			tried, ch = true, st.bus.Resolve(port)
-		}
-		if ch == nil {
-			v, err := st.bus.Read(port, width)
-			return intValue(int64(v)), err
-		}
-		v, err := ch.Read(width)
+		v, err := st.bus.Read(p, width)
 		return intValue(int64(v)), err
 	})
 }
@@ -1080,9 +999,6 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 	cl := c.covLine(callLine, line)
 	pl := c.covLine(po.useLine, callLine)
 	ml := c.covLine(yo.useLine, line)
-	var cache portCache
-	var ch *hw.PortHandle
-	var tried bool
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 		if cl >= 0 {
 			st.cov.Add(cl)
@@ -1090,35 +1006,11 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 		if pl >= 0 {
 			st.cov.Add(pl)
 		}
-		var v uint32
-		var err error
-		switch {
-		case po.slot >= 0:
-			p := hw.Port(fr[po.slot].I)
-			if h := cache.get(st, p); h != nil {
-				v, err = h.Read(width)
-			} else {
-				v, err = st.bus.Read(p, width)
-			}
-		case po.guarded && (po.ord >= st.declsReady || st.depth >= maxCallDepth):
-			var a int64
-			if a, err = evalFused(st, fr, &po); err != nil {
-				return voidValue, err
-			}
-			v, err = st.bus.Read(hw.Port(a), width)
-		default:
-			if po.guarded {
-				st.cov.Add(po.bodyLine)
-			}
-			if !tried {
-				tried, ch = true, st.bus.Resolve(hw.Port(po.v))
-			}
-			if ch != nil {
-				v, err = ch.Read(width)
-			} else {
-				v, err = st.bus.Read(hw.Port(po.v), width)
-			}
+		p, err := fusedPort(st, fr, &po)
+		if err != nil {
+			return voidValue, err
 		}
+		v, err := st.bus.Read(p, width)
 		if err != nil {
 			return voidValue, err
 		}
@@ -1147,29 +1039,6 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) exprFn {
 	add := !c.skipCov(line)
 	pl := c.covLine(o.useLine, line)
-	if o.slot >= 0 {
-		slot := o.slot
-		var cache portCache
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			v, err := vf(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			if pl >= 0 {
-				st.cov.Add(pl)
-			}
-			p := hw.Port(fr[slot].I)
-			if ch := cache.get(st, p); ch != nil {
-				return voidValue, ch.Write(width, uint32(v.I))
-			}
-			return voidValue, st.bus.Write(p, width, uint32(v.I))
-		})
-	}
-	port := hw.Port(o.v)
-	bodyLine := o.bodyLine
-	guarded := o.guarded
-	var ch *hw.PortHandle
-	var tried bool
 	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
 		v, err := vf(st, fr)
 		if err != nil {
@@ -1178,23 +1047,11 @@ func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) 
 		if pl >= 0 {
 			st.cov.Add(pl)
 		}
-		if guarded {
-			if o.ord >= st.declsReady || st.depth >= maxCallDepth {
-				a, err := evalFused(st, fr, &o)
-				if err != nil {
-					return voidValue, err
-				}
-				return voidValue, st.bus.Write(hw.Port(a), width, uint32(v.I))
-			}
-			st.cov.Add(bodyLine)
+		p, err := fusedPort(st, fr, &o)
+		if err != nil {
+			return voidValue, err
 		}
-		if !tried {
-			tried, ch = true, st.bus.Resolve(port)
-		}
-		if ch == nil {
-			return voidValue, st.bus.Write(port, width, uint32(v.I))
-		}
-		return voidValue, ch.Write(width, uint32(v.I))
+		return voidValue, st.bus.Write(p, width, uint32(v.I))
 	})
 }
 
@@ -1204,8 +1061,8 @@ func (c *compiler) builtin(x *cast.CallExpr) callImpl {
 	switch x.Name {
 	case "inb", "inw", "inl", "outb", "outw", "outl":
 		// A wrong-arity I/O call (a mutant artefact) stays on the
-		// generic bus path — count the site so the fallback rate is
-		// observable.
+		// generic argument-buffer path — count the site so the
+		// fallback rate is observable.
 		c.stats.FallbackIO++
 	}
 	switch x.Name {

@@ -16,8 +16,8 @@ import (
 //     `kbuf_write*(OFF, v)`, `v = kbuf_read*(OFF)`, `out*(v, P)` and
 //     `out*(kbuf_read*(OFF), P)`.
 //   - Bounded poll: `for (…; i OP B; i++/i--) { if (C) S1 [else S2] }`.
-//     A condition `in*(P) OP M` with constant P and M reads straight
-//     through the port handle; any other condition, and both branches,
+//     A condition `in*(P) OP M` with constant P and M reads the bus
+//     directly; any other condition, and both branches,
 //     run through the closures the if segment already compiled.
 //   - Busy-wait: `while (in*(P) OP M) {}`.
 //
@@ -86,13 +86,10 @@ func truncTo(k cast.TypeKind, x int64) int64 {
 	return x
 }
 
-// kport is a constant port operand. Like the pinned closures, the kernel
-// resolves its bus handle on first use and keeps it.
+// kport is a constant port operand.
 type kport struct {
-	port  hw.Port
-	ord   int32 // the macro's declaration order, -1 for a literal
-	tried bool
-	h     *hw.PortHandle
+	port hw.Port
+	ord  int32 // the macro's declaration order, -1 for a literal
 }
 
 // kportOf classifies a port operand exactly as the closures' fuseOperand
@@ -103,26 +100,6 @@ func (c *compiler) kportOf(x cast.Expr) (kport, bool) {
 		return kport{}, false
 	}
 	return kport{port: hw.Port(o.v), ord: macroOrd(o)}, true
-}
-
-func (p *kport) read(st *state, width hw.AccessWidth) (uint32, error) {
-	if !p.tried {
-		p.tried, p.h = true, st.bus.Resolve(p.port)
-	}
-	if p.h == nil {
-		return st.bus.Read(p.port, width)
-	}
-	return p.h.Read(width)
-}
-
-func (p *kport) write(st *state, width hw.AccessWidth, v uint32) error {
-	if !p.tried {
-		p.tried, p.h = true, st.bus.Resolve(p.port)
-	}
-	if p.h == nil {
-		return st.bus.Write(p.port, width, v)
-	}
-	return p.h.Write(width, v)
 }
 
 // affine is c + Σ coef[k]·fr[slot[k]].I over at most two locals. Its
@@ -289,7 +266,7 @@ func (t *portTest) late(st *state) bool {
 }
 
 func (t *portTest) eval(st *state) (bool, error) {
-	v, err := t.port.read(st, t.width)
+	v, err := st.bus.Read(t.port.port, t.width)
 	if err != nil {
 		return false, err
 	}
@@ -498,13 +475,13 @@ func (op *xferOp) exec(st *state, fr []Value) error {
 	switch op.kind {
 	case xferInToBuf:
 		off := op.off.eval(fr)
-		v, err := op.port.read(st, width)
+		v, err := st.bus.Read(op.port.port, width)
 		if err != nil {
 			return err
 		}
 		return op.bufWrite(st, off, int64(v))
 	case xferInToSlot:
-		v, err := op.port.read(st, width)
+		v, err := st.bus.Read(op.port.port, width)
 		if err != nil {
 			return err
 		}
@@ -520,13 +497,13 @@ func (op *xferOp) exec(st *state, fr []Value) error {
 		fr[op.slot] = intValue(truncTo(cast.TypeKind(op.trunc), v))
 		return nil
 	case xferSlotToOut:
-		return op.port.write(st, width, uint32(fr[op.slot].I))
+		return st.bus.Write(op.port.port, width, uint32(fr[op.slot].I))
 	default: // xferBufToOut
 		v, err := op.bufRead(st, op.off.eval(fr))
 		if err != nil {
 			return err
 		}
-		return op.port.write(st, width, uint32(v))
+		return st.bus.Write(op.port.port, width, uint32(v))
 	}
 }
 
@@ -655,12 +632,27 @@ type (
 	}
 )
 
-// forBlock allocates a compiled for loop's superblock, with a transfer
-// or poll kernel when the loop has one of those shapes. purePost says
-// the post is i++/i-- on a local; lone is the body's if segment when
-// the body is exactly one if statement.
+// forBlock allocates a compiled for loop's superblock, with a transfer,
+// poll or busy-wait kernel when the loop has one of those shapes.
+// purePost says the post is i++/i-- on a local; lone is the body's if
+// segment when the body is exactly one if statement.
 func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, purePost bool) *superBlock {
-	if !purePost || s.Cond == nil {
+	if s.Cond == nil {
+		return newSuperBlock(body)
+	}
+	if s.Post == nil {
+		// `while (in*(P) OP M) {}`
+		if b, ok := s.Body.(*cast.Block); ok && len(b.Stmts) == 0 {
+			if test, ok := c.portTestOf(s.Cond); ok {
+				b := &spinBlock{superBlock: body, k: spinKernel{test: test}}
+				b.kern = &b.k
+				c.stats.LoopKernels++
+				return &b.superBlock
+			}
+		}
+		return newSuperBlock(body)
+	}
+	if !purePost {
 		return newSuperBlock(body)
 	}
 	stmts := []cast.Stmt{s.Body}
@@ -703,20 +695,6 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 		b.kern = &b.k
 		c.stats.LoopKernels++
 		return &b.superBlock
-	}
-	return newSuperBlock(body)
-}
-
-// whileBlock allocates a compiled while loop's superblock, with a
-// busy-wait kernel for `while (in*(P) OP M) {}`.
-func (c *compiler) whileBlock(s *cast.WhileStmt, body superBlock) *superBlock {
-	if b, ok := s.Body.(*cast.Block); ok && len(b.Stmts) == 0 {
-		if test, ok := c.portTestOf(s.Cond); ok {
-			b := &spinBlock{superBlock: body, k: spinKernel{test: test}}
-			b.kern = &b.k
-			c.stats.LoopKernels++
-			return &b.superBlock
-		}
 	}
 	return newSuperBlock(body)
 }

@@ -270,26 +270,10 @@ func (c *compiler) leanAssignLocal(s *cast.AssignStmt, rhsFn exprFn, ls localSlo
 			return nil
 		}
 	}
-	var base ctoken.Kind
-	switch s.Op {
-	case ctoken.OrAssign:
-		base = ctoken.Or
-	case ctoken.AndAssign:
-		base = ctoken.And
-	case ctoken.XorAssign:
-		base = ctoken.Xor
-	case ctoken.ShlAssign:
-		base = ctoken.Shl
-	case ctoken.ShrAssign:
-		base = ctoken.Shr
-	case ctoken.AddAssign:
-		base = ctoken.Add
-	case ctoken.SubAssign:
-		base = ctoken.Sub
-	default:
+	opf := compoundOp(s.Op)
+	if opf == nil {
 		return nil
 	}
-	opf := intBinOp(base)
 	if tf == nil {
 		return func(st *state, fr []Value) error {
 			rhs, err := rhsFn(st, fr)
@@ -310,24 +294,24 @@ func (c *compiler) leanAssignLocal(s *cast.AssignStmt, rhsFn exprFn, ls localSlo
 	}
 }
 
+// compoundBase maps each compound assignment operator to its binary
+// operator.
+var compoundBase = map[ctoken.Kind]ctoken.Kind{
+	ctoken.OrAssign:  ctoken.Or,
+	ctoken.AndAssign: ctoken.And,
+	ctoken.XorAssign: ctoken.Xor,
+	ctoken.ShlAssign: ctoken.Shl,
+	ctoken.ShrAssign: ctoken.Shr,
+	ctoken.AddAssign: ctoken.Add,
+	ctoken.SubAssign: ctoken.Sub,
+}
+
 // compoundOp resolves a compound assignment operator to its integer
-// implementation (the assign closure's switch), nil outside the set.
+// implementation, nil outside the set. Every assignment form (assign,
+// assignLocal and their lean twins) resolves through it.
 func compoundOp(op ctoken.Kind) func(a, b int64) int64 {
-	switch op {
-	case ctoken.OrAssign:
-		return func(a, b int64) int64 { return a | b }
-	case ctoken.AndAssign:
-		return func(a, b int64) int64 { return a & b }
-	case ctoken.XorAssign:
-		return func(a, b int64) int64 { return a ^ b }
-	case ctoken.ShlAssign:
-		return func(a, b int64) int64 { return a << uint(b&63) }
-	case ctoken.ShrAssign:
-		return func(a, b int64) int64 { return a >> uint(b&63) }
-	case ctoken.AddAssign:
-		return func(a, b int64) int64 { return a + b }
-	case ctoken.SubAssign:
-		return func(a, b int64) int64 { return a - b }
+	if base, ok := compoundBase[op]; ok {
+		return intBinOp(base)
 	}
 	return nil
 }
@@ -716,90 +700,14 @@ func (sb *superBlock) leanIter(st *state, fr []Value, head int64) (flow, Value, 
 	return flowNormal, voidValue, nil
 }
 
-// whileSuper compiles an eligible while loop to a superblock closure.
-// The caller has checked eligibility; line is the loop statement's line.
-func (c *compiler) whileSuper(s *cast.WhileStmt, line int) stmtFn {
-	condFn := c.expr(s.Cond)
-	pred := c.predOf(s.Cond)
-	if pred == nil {
-		pred = genericPred(condFn)
-	}
-	body, _ := c.superBodyOf(s.Body)
-	sb := c.whileBlock(s, body)
-	c.stats.Superblocks++
-	head := int64(sb.headN)
-	endCharge := len(sb.segs) > 0
-	if !endCharge {
-		head++ // fold the end charge: nothing runs between the charges
-	}
-	return func(st *state, fr []Value) (flow, Value, error) {
-		st.cov.Add(line)
-		// The first condition evaluation is always the careful closure;
-		// it covers every fixed line a specialized pred may skip.
-		cond, err := condFn(st, fr)
-		if err != nil {
-			return flowNormal, voidValue, err
-		}
-		ok := cond.Truthy()
-		careful, kernel := true, sb.kern != nil
-		for ok {
-			var fl flow
-			var v Value
-			if careful {
-				var done bool
-				fl, v, done, err = sb.carefulIter(st, fr)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					return flowNormal, voidValue, nil
-				}
-				if fl == flowReturn {
-					return flowReturn, v, nil
-				}
-				if err := st.kern.Step(); err != nil { // end-of-iteration charge
-					return flowNormal, voidValue, err
-				}
-				careful = !done
-			} else {
-				if kernel {
-					fl, v, ran, err := sb.kern.run(st, fr, head, pred)
-					if ran {
-						return fl, v, err
-					}
-					kernel = false // an entry check failed: leanIter runs the rest
-				}
-				fl, v, err = sb.leanIter(st, fr, head)
-				if err != nil {
-					return flowNormal, voidValue, err
-				}
-				if fl == flowBreak {
-					return flowNormal, voidValue, nil
-				}
-				if fl == flowReturn {
-					return flowReturn, v, nil
-				}
-				if endCharge {
-					if err := st.kern.Step(); err != nil { // end-of-iteration charge
-						return flowNormal, voidValue, err
-					}
-				}
-			}
-			ok, err = pred(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-		}
-		return flowNormal, voidValue, nil
-	}
-}
-
-// forSuper compiles an eligible for loop to a superblock closure. The
-// init statement runs once through the careful machinery; cond, body
-// and post get the while treatment, with the post's
-// charge/post/charge tail batched when the post is a pure local update.
+// forSuper compiles an eligible for (or while) loop to a superblock
+// closure. The caller has checked eligibility; line is the loop
+// statement's line. The init statement runs once through the careful
+// machinery. The first condition evaluation is always the careful
+// closure: it covers every fixed line a specialized pred may skip. The
+// post's charge/post/charge tail batches when the post is a pure local
+// update.
 func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
-	c.pushScope() // the init declaration's scope, as in the interpreter
 	var initFn stmtFn
 	if s.Init != nil {
 		initFn = c.stmt(s.Init)
@@ -830,7 +738,6 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 		c.stats.SuperStmts++
 	}
 	sb := c.forBlock(s, body, lone, purePost)
-	c.popScope()
 	c.stats.Superblocks++
 	head := int64(sb.headN)
 	if len(sb.segs) == 0 && postCore == nil {
@@ -845,7 +752,6 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 		}
 		ok := true
 		if condFn != nil {
-			// First evaluation careful, as in whileSuper.
 			cond, err := condFn(st, fr)
 			if err != nil {
 				return flowNormal, voidValue, err

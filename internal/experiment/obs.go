@@ -44,11 +44,12 @@ const (
 	MetricBlocksCompiled = "driverlab_exec_blocks_compiled_total"
 	// MetricBlocksFusedStmts counts statements folded into fused blocks.
 	MetricBlocksFusedStmts = "driverlab_exec_blocks_fused_stmts_total"
-	// MetricBlocksBatchedIO counts port-I/O call sites compiled to the
-	// batched (cached bus-resolution) path.
+	// MetricBlocksBatchedIO counts port-I/O call sites compiled to a
+	// direct closure (no argument buffer).
 	MetricBlocksBatchedIO = "driverlab_exec_blocks_batched_io_total"
 	// MetricBlocksFallback counts port-I/O call sites the block backend
-	// left on the generic per-access bus path (wrong-arity mutants).
+	// left on the generic argument-buffer builtin call (wrong-arity
+	// mutants).
 	MetricBlocksFallback = "driverlab_exec_blocks_fallback_total"
 	// MetricSuperblocksCompiled counts loops the block backend compiled
 	// to single-closure superblocks (threaded loop bodies).
@@ -142,10 +143,10 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 			"Statements folded into fused basic blocks.",
 			"workload", workload),
 		blocksBatchedIO: col.Counter(MetricBlocksBatchedIO,
-			"Port-I/O call sites compiled to the batched bus-resolution path.",
+			"Port-I/O call sites compiled to a direct closure.",
 			"workload", workload),
 		blocksFallback: col.Counter(MetricBlocksFallback,
-			"Port-I/O call sites left on the generic per-access bus path.",
+			"Port-I/O call sites left on the generic argument-buffer builtin call.",
 			"workload", workload),
 		superblocks: col.Counter(MetricSuperblocksCompiled,
 			"Loops compiled to single-closure superblocks.",

@@ -263,68 +263,6 @@ func (b *Bus) Write(port Port, width AccessWidth, value uint32) error {
 	return nil
 }
 
-// PortHandle is a pre-resolved mapped port: the device lookup that
-// Read/Write repeat on every access done once, up front. The compiled
-// driver backends cache one handle per I/O call site, so a poll loop
-// that hammers a status register pays the mapping scan a single time.
-//
-// A handle captures the mapping by value: Map and Unmap rewrite the
-// bus's mapping slice, so interior pointers into it would dangle. That
-// makes a handle valid only for the assembled machine — resolution
-// happens after machine assembly, and the per-site caches re-resolve
-// whenever the port expression's value changes.
-type PortHandle struct {
-	b    *Bus
-	m    mapping
-	port Port
-}
-
-// Resolve returns a handle for port, or nil when no device claims it
-// (the caller falls back to the generic Read/Write path, which owns the
-// floating/fault semantics).
-func (b *Bus) Resolve(port Port) *PortHandle {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i := range b.mappings {
-		m := &b.mappings[i]
-		if port >= m.base && port < m.base+m.size {
-			return &PortHandle{b: b, m: *m, port: port}
-		}
-	}
-	return nil
-}
-
-// Read performs an input operation at the resolved port. Semantics are
-// identical to Bus.Read on a mapped port: injector, trace, accounting
-// and error wrapping all match, only the mapping scan is skipped.
-func (h *PortHandle) Read(width AccessWidth) (uint32, error) {
-	b := h.b
-	if b.inj != nil {
-		return b.inj.read(b, &h.m, h.port, width)
-	}
-	v, err := h.m.dev.Read(h.port-h.m.base, width)
-	b.record(Access{Port: h.port, Width: width, Value: v, Fault: err != nil})
-	if err != nil {
-		return 0, deviceError(&h.m, err)
-	}
-	return v & widthMask(width), nil
-}
-
-// Write performs an output operation at the resolved port, with
-// Bus.Write's mapped-port semantics.
-func (h *PortHandle) Write(width AccessWidth, value uint32) error {
-	b := h.b
-	if b.inj != nil {
-		b.inj.write()
-	}
-	err := h.m.dev.Write(h.port-h.m.base, width, value&widthMask(width))
-	b.record(Access{Port: h.port, Width: width, Write: true, Value: value, Fault: err != nil})
-	if err != nil {
-		return deviceError(&h.m, err)
-	}
-	return nil
-}
-
 // In8 is the inb(2) convenience wrapper.
 func (b *Bus) In8(port Port) (uint8, error) {
 	v, err := b.Read(port, Width8)

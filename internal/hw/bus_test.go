@@ -2,6 +2,7 @@ package hw_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -102,6 +103,64 @@ func TestBusUnmap(t *testing.T) {
 	}
 	if err := bus.Map(0x10, 16, &ram{name: "b"}); err != nil {
 		t.Errorf("remap after unmap rejected: %v", err)
+	}
+}
+
+// TestBusLastHitCache pins the invalidation of Bus's one-entry
+// last-hit cache. The cache is primed with a read in a mapping that sits
+// above another one, so after Unmap the compacted mapping slice still
+// holds a stale copy of it past its length.
+func TestBusLastHitCache(t *testing.T) {
+	for _, floating := range []bool{false, true} {
+		bus := hw.NewBus()
+		bus.SetFloating(floating)
+		bus.SetTracing(true)
+		low, a, b := &ram{name: "low"}, &ram{name: "a"}, &ram{name: "b"}
+		low.cells[2], a.cells[2], b.cells[2] = 0x5a, 0xa1, 0xb2
+		if err := bus.Map(0x00, 16, low); err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Map(0x10, 16, a); err != nil {
+			t.Fatal(err)
+		}
+		var want []hw.Access
+		faults := uint64(0)
+		read := func(port hw.Port, wantV uint32, mapped bool) {
+			t.Helper()
+			v, err := bus.In8(port)
+			switch {
+			case mapped || floating:
+				if err != nil || uint32(v) != wantV {
+					t.Errorf("floating=%v: read %#x = %#x, %v; want %#x", floating, port, v, err, wantV)
+				}
+				want = append(want, hw.Access{Port: port, Width: hw.Width8, Value: wantV})
+			default:
+				var fault *hw.BusFaultError
+				if !errors.As(err, &fault) || fault.Port != port {
+					t.Errorf("strict read %#x = %#x, %v; want a bus fault", port, v, err)
+				}
+				want = append(want, hw.Access{Port: port, Width: hw.Width8, Fault: true})
+				faults++
+			}
+		}
+		read(0x12, 0xa1, true) // primes the cache with a
+		bus.Unmap(a)
+		read(0x12, 0xff, false)
+		if err := bus.Map(0x20, 16, b); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			read(0x02, 0x5a, true)
+			read(0x22, 0xb2, true)
+			read(0x12, 0xff, false)
+		}
+		acc, gotFaults := bus.Stats()
+		if acc != uint64(len(want)) || gotFaults != faults {
+			t.Errorf("floating=%v: stats = %d/%d, want %d/%d", floating, acc, gotFaults, len(want), faults)
+		}
+		if got := bus.Trace(); !reflect.DeepEqual(got, want) {
+			t.Errorf("floating=%v: trace\n got %+v\nwant %+v", floating, got, want)
+		}
 	}
 }
 
