@@ -79,6 +79,7 @@ type state struct {
 	depth   int
 	cov     *ccov.Set
 	argPool *[][]Value
+	burst   *[burstChunk]uint32
 	// declsReady is the number of top-level declarations whose run-time
 	// registration has happened; during global initialisation it trails
 	// the declaration being initialised, reproducing the interpreter's
@@ -102,13 +103,15 @@ type cfunc struct {
 }
 
 // Mach holds the execution buffers one campaign worker reuses across
-// boots: the value stack frames are sliced from, the coverage bitset and
-// the call-argument freelist. A nil Mach in Compile allocates a private
-// one; sharing a Mach between concurrently running Procs is not safe.
+// boots: the value stack frames are sliced from, the coverage bitset,
+// the call-argument freelist and the transfer kernels' burst buffer. A
+// nil Mach in Compile allocates a private one; sharing a Mach between
+// concurrently running Procs is not safe.
 type Mach struct {
 	stack   []Value
 	argFree [][]Value
 	cov     ccov.Set
+	burst   [burstChunk]uint32 // a transfer kernel's burst reads
 }
 
 // NewMach returns an empty buffer pool.
@@ -323,6 +326,7 @@ func (c *compiler) newProc(kern *kernel.Kernel, bus *hw.Bus, stubs *codegen.Stub
 			stack:   m.stack[:cap(m.stack)],
 			cov:     &m.cov,
 			argPool: &m.argFree,
+			burst:   &m.burst,
 		},
 		byName:  make(map[string]*cfunc, len(c.funcs)),
 		inits:   inits,

@@ -20,12 +20,13 @@ import (
 )
 
 // rig is one freshly assembled plain-C execution context: a kernel, a
-// bus and a seqDev mapped at seqBase.
+// bus, a seqDev mapped at seqBase and a predDev at predBase.
 type rig struct {
 	kern  *kernel.Kernel
 	bus   *hw.Bus
 	clock *hw.Clock
 	dev   *seqDev
+	pred  *predDev
 }
 
 // rigConfig varies the machine a runBoth case boots on.
@@ -45,11 +46,15 @@ func newRigWith(cfg rigConfig) *rig {
 	if err := bus.Map(seqBase, 8, dev); err != nil {
 		panic(err)
 	}
+	pred := &predDev{clock: clock}
+	if err := bus.Map(predBase, 4, pred); err != nil {
+		panic(err)
+	}
 	kern := kernel.New(clock)
 	if cfg.budget > 0 {
 		kern.SetBudget(cfg.budget)
 	}
-	return &rig{kern: kern, bus: bus, clock: clock, dev: dev}
+	return &rig{kern: kern, bus: bus, clock: clock, dev: dev, pred: pred}
 }
 
 // seqBase is where newRig maps its seqDev.
@@ -104,6 +109,86 @@ func (d *seqDev) Write(off hw.Port, w hw.AccessWidth, v uint32) error {
 	return nil
 }
 
+// predBase is where newRig maps its predDev.
+const predBase = 0x320
+
+// predFlip is the virtual time the predDev's status flips at.
+const predFlip = 1000
+
+// predDev is a test device that predicts its reads (hw.SteadyReader and
+// hw.BurstReader), so the loop kernels fast-forward over it:
+//
+//	+0 data    the next value of a sequence; a burst stops short of
+//	           every 100th read
+//	+1 status  0x80 (busy) until virtual time predFlip, then 0x08
+//	+2 level   the last value written to +2
+//
+// calls counts its device calls, reads, Steady and Burst alike: the
+// interpreter makes one per read.
+type predDev struct {
+	clock *hw.Clock
+	pos   int
+	level uint32
+	calls int
+}
+
+func (d *predDev) Name() string { return "pred" }
+
+func (d *predDev) next() uint32 {
+	d.pos++
+	return uint32(d.pos*0x3b + 7)
+}
+
+func (d *predDev) status() (uint32, uint64) {
+	if d.clock.Now() < predFlip {
+		return 0x80, predFlip
+	}
+	return 0x08, hw.Forever
+}
+
+func (d *predDev) Read(off hw.Port, w hw.AccessWidth) (uint32, error) {
+	d.calls++
+	switch off {
+	case 0:
+		return d.next(), nil
+	case 1:
+		v, _ := d.status()
+		return v, nil
+	}
+	return d.level, nil
+}
+
+func (d *predDev) Write(off hw.Port, w hw.AccessWidth, v uint32) error {
+	if off == 2 {
+		d.level = v
+	}
+	return nil
+}
+
+func (d *predDev) Steady(off hw.Port, w hw.AccessWidth) (uint32, uint64, bool) {
+	d.calls++
+	switch off {
+	case 0:
+		return 0, 0, false
+	case 1:
+		v, until := d.status()
+		return v, until, true
+	}
+	return d.level, hw.Forever, true
+}
+
+func (d *predDev) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
+	d.calls++
+	if off != 0 {
+		return 0
+	}
+	n := min(len(dst), 99-d.pos%100)
+	for i := range dst[:n] {
+		dst[i] = d.next()
+	}
+	return n
+}
+
 // outcome captures everything observable about one call on one backend.
 type outcome struct {
 	val     cinterp.Value
@@ -114,6 +199,9 @@ type outcome struct {
 	// kernels is the number of loops the block backend compiled to loop
 	// kernels.
 	kernels int64
+	// calls is the predDev's device calls on the interpreter and on the
+	// block backend.
+	calls [2]int
 }
 
 // runBoth executes fn on the interpreter and the block backend and
@@ -182,7 +270,8 @@ func runBothOn(t *testing.T, cfg rigConfig, src, fn string, args ...cinterp.Valu
 		errText = ie.Error()
 	}
 	return outcome{val: cv, errText: errText, console: compRig.kern.Console(),
-		cov: p.Coverage(), steps: compRig.kern.Steps(), kernels: p.Stats().LoopKernels}
+		cov: p.Coverage(), steps: compRig.kern.Steps(), kernels: p.Stats().LoopKernels,
+		calls: [2]int{interpRig.pred.calls, compRig.pred.calls}}
 }
 
 // sameMachine requires two rigs to have ended in the same state: steps,
@@ -210,6 +299,10 @@ func sameMachine(t *testing.T, a, b *rig) {
 	if a.dev.reads != b.dev.reads || a.dev.hash != b.dev.hash {
 		t.Fatalf("device divergence: interp reads %v hash %#x; block reads %v hash %#x",
 			a.dev.reads, a.dev.hash, b.dev.reads, b.dev.hash)
+	}
+	if a.pred.pos != b.pred.pos || a.pred.level != b.pred.level {
+		t.Fatalf("predicting device divergence: interp data reads %d level %#x; block data reads %d level %#x",
+			a.pred.pos, a.pred.level, b.pred.pos, b.pred.level)
 	}
 }
 

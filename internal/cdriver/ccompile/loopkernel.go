@@ -1,6 +1,8 @@
 package ccompile
 
 import (
+	"math"
+
 	"repro/internal/cdriver/cast"
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/ctoken"
@@ -16,9 +18,9 @@ import (
 //     `kbuf_write*(OFF, v)`, `v = kbuf_read*(OFF)`, `out*(v, P)` and
 //     `out*(kbuf_read*(OFF), P)`.
 //   - Bounded poll: `for (…; i OP B; i++/i--) { if (C) S1 [else S2] }`.
-//     A condition `in*(P) OP M` with constant P and M reads the bus
-//     directly; any other condition, and both branches,
-//     run through the closures the if segment already compiled.
+//     A condition `in*(P) OP M` with constant P, and M a constant or a
+//     local, reads the bus directly; any other condition, and both
+//     branches, run through the closures the if segment already compiled.
 //   - Busy-wait: `while (in*(P) OP M) {}`.
 //
 // The builtins must resolve as builtins (no driver function shadows
@@ -44,6 +46,22 @@ import (
 // store it untruncated). Neither can change within one loop execution:
 // declsReady moves only between global initialisers, every call and
 // macro expansion restores depth, and a kernel stores only integers.
+//
+// Fast-forward: when the bus can predict the loop's port reads (see
+// hw.SteadyReader and hw.BurstReader) a kernel applies many iterations
+// in one step, with the same results and far fewer device calls. The
+// iterations it applies are those of a poll whose test reads a steady
+// port and fails, of a busy-wait whose test reads a steady port and
+// holds, and of a transfer whose first statement reads the port into
+// the buffer. Their number n is the smallest of the condition's span
+// (iterations after which a hoisted `i OP B` still holds), the steady
+// horizon (reads that land before the value can change) and the
+// watchdog's room, so the one batched charge never trips the watchdog;
+// a transfer also stops before its first wild buffer offset. The post
+// local moves by n steps, the bus counts n reads, a transfer stores the
+// n values, and everything else runs the per-iteration code. The bus
+// predicts nothing while a fault injector or tracing is on, which the
+// kernel checks once per run.
 
 // loopKernel runs every remaining lean iteration of one loop execution.
 // ran is false when an entry check failed and nothing ran; otherwise
@@ -119,6 +137,17 @@ func (a *affine) eval(fr []Value) int64 {
 		v += int64(a.coef[k]) * fr[a.slot[k]].I
 	}
 	return v
+}
+
+// coefOf is the form's coefficient of a local slot.
+func (a *affine) coefOf(slot int) int64 {
+	var c int64
+	for k := uint8(0); k < a.n; k++ {
+		if int(a.slot[k]) == slot {
+			c += int64(a.coef[k])
+		}
+	}
+	return c
 }
 
 // reads reports whether the form reads a local slot.
@@ -227,7 +256,7 @@ func ioWidth(name string) hw.AccessWidth {
 	return 0
 }
 
-// portTest is the condition `in*(P) OP M` with constant P and M, the
+// portTest is the condition `in*(P) OP M` with constant P, the
 // constant-port case of maskedRead.
 type portTest struct {
 	port  kport
@@ -235,10 +264,11 @@ type portTest struct {
 	f     func(a, b int64) int64
 	m     int64
 	mord  int32
+	mslot int32 // M's local slot, -1 for a constant
 }
 
 // portTestOf recognises the condition shape binary() compiles through
-// maskedRead with a constant port and a constant mask.
+// maskedRead with a constant port and a constant or local mask.
 func (c *compiler) portTestOf(x cast.Expr) (portTest, bool) {
 	b, ok := x.(*cast.BinaryExpr)
 	if !ok {
@@ -255,22 +285,45 @@ func (c *compiler) portTestOf(x cast.Expr) (portTest, bool) {
 	width := ioWidth(in.Name)
 	p, pok := c.kportOf(in.Args[0])
 	m, mok := c.fuseOperand(b.Y)
-	if width == 0 || !pok || !mok || m.slot >= 0 {
+	if width == 0 || !pok || !mok {
 		return portTest{}, false
 	}
-	return portTest{port: p, width: width, f: f, m: m.v, mord: macroOrd(m)}, true
+	return portTest{port: p, width: width, f: f, m: m.v, mord: macroOrd(m), mslot: int32(m.slot)}, true
 }
 
 func (t *portTest) late(st *state) bool {
 	return lateOrd(t.port.ord, st) || lateOrd(t.mord, st)
 }
 
-func (t *portTest) eval(st *state) (bool, error) {
+// mask is M's current value.
+func (t *portTest) mask(fr []Value) int64 {
+	if t.mslot >= 0 {
+		return fr[t.mslot].I
+	}
+	return t.m
+}
+
+func (t *portTest) eval(st *state, fr []Value) (bool, error) {
 	v, err := st.bus.Read(t.port.port, t.width)
 	if err != nil {
 		return false, err
 	}
-	return t.f(int64(v), t.m) != 0, nil
+	return t.f(int64(v), t.mask(fr)) != 0, nil
+}
+
+// steady predicts the test's outcome, and until when it holds.
+func (t *portTest) steady(st *state, fr []Value) (holds bool, until uint64, ok bool) {
+	v, until, ok := st.bus.Steady(t.port.port, t.width)
+	return ok && t.f(int64(v), t.mask(fr)) != 0, until, ok
+}
+
+// horizon is how many reads, the first at time first and then one every
+// per ticks, land before until.
+func horizon(first, until uint64, per int64) int64 {
+	if until <= first {
+		return 0
+	}
+	return int64(min((until-1-first)/uint64(per), math.MaxInt64-1)) + 1
 }
 
 // loopTail is a kernel for loop's iteration tail: the pure i++/i-- post
@@ -280,8 +333,10 @@ type loopTail struct {
 	delta  int8
 	ptrunc uint8 // the post local's cast.TypeKind
 	// f is the condition operator when the bound is hoisted (nil: call
-	// the compiled predicate); x is the condition's left local.
+	// the compiled predicate), op its token; x is the condition's left
+	// local.
 	f     func(a, b int64) int64
+	op    ctoken.Kind
 	x     int32
 	bord  int32 // the bound macro's declaration order, -1 for none
 	div   int64 // bound divisor, 0 for none
@@ -322,8 +377,87 @@ func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loop
 		}
 		t.bound, t.div = a, div
 	}
-	t.f, t.x = f, int32(xo.slot)
+	t.f, t.op, t.x = f, cond.Op, int32(xo.slot)
 	return t
+}
+
+// spans reports whether span can be non-zero: the hoisted condition
+// orders the post local itself against the bound.
+func (t *loopTail) spans() bool {
+	_, _, ok := kindRange(cast.TypeKind(t.ptrunc))
+	switch t.op {
+	case ctoken.Lt, ctoken.Le, ctoken.Gt, ctoken.Ge, ctoken.Ne:
+		return ok && t.f != nil && t.x == t.post
+	}
+	return false
+}
+
+// kindRange is the value range of an integer local's type.
+func kindRange(k cast.TypeKind) (lo, hi int64, ok bool) {
+	switch k {
+	case cast.TypeU8:
+		return 0, math.MaxUint8, true
+	case cast.TypeU16:
+		return 0, math.MaxUint16, true
+	case cast.TypeU32:
+		return 0, math.MaxUint32, true
+	case cast.TypeS8:
+		return math.MinInt8, math.MaxInt8, true
+	case cast.TypeS16:
+		return math.MinInt16, math.MaxInt16, true
+	case cast.TypeInt, cast.TypeS32:
+		return math.MinInt32, math.MaxInt32, true
+	}
+	return 0, 0, false
+}
+
+// span is how many iterations from here keep the loop going: the number
+// of posts after each of which `i OP b` still holds, stopping before the
+// post local's type wraps. The caller has checked spans, and calls it
+// only while the condition holds.
+func (t *loopTail) span(fr []Value, b int64) int64 {
+	lo, hi, _ := kindRange(cast.TypeKind(t.ptrunc))
+	p := fr[t.post].I
+	if p < lo || p > hi {
+		return 0
+	}
+	// A bound outside the type's range orders against every value of
+	// the local as the nearest out-of-range value does.
+	b = max(lo-1, min(b, hi+1))
+	room, op := hi-p, t.op
+	if t.delta < 0 {
+		// Count down as -i counting up: i OP b is -i OP' -b.
+		room, p, b = p-lo, -p, -b
+		switch op {
+		case ctoken.Lt:
+			op = ctoken.Gt
+		case ctoken.Le:
+			op = ctoken.Ge
+		case ctoken.Gt:
+			op = ctoken.Lt
+		case ctoken.Ge:
+			op = ctoken.Le
+		}
+	}
+	// After j posts the local is p+j. The condition holds now, so > and
+	// >= keep holding until the wrap.
+	n := room
+	switch op {
+	case ctoken.Lt:
+		n = b - p - 1
+	case ctoken.Le:
+		n = b - p
+	case ctoken.Ne:
+		if b > p {
+			n = b - p - 1
+		}
+	}
+	return max(0, min(n, room))
+}
+
+// advance applies n posts that span allowed.
+func (t *loopTail) advance(fr []Value, n int64) {
+	fr[t.post] = intValue(fr[t.post].I + n*int64(t.delta))
 }
 
 // entry evaluates a hoisted bound at kernel entry; ok is false when a
@@ -507,11 +641,32 @@ func (op *xferOp) exec(st *state, fr []Value) error {
 	}
 }
 
-// xferKernel runs a transfer loop.
+// burstChunk is the most port reads a transfer kernel bursts at once.
+const burstChunk = 256
+
+// xferKernel runs a transfer loop. burst marks a loop whose iterations
+// read the port into the transfer buffer, `kbuf_write*(OFF, in*(P))` or
+// `v = in*(P); kbuf_write*(OFF, v)`, with a condition that spans.
 type xferKernel struct {
-	ops  [2]xferOp
-	n    uint8
-	tail loopTail
+	ops   [2]xferOp
+	n     uint8
+	burst bool
+	tail  loopTail
+}
+
+// bursts reports whether the loop's iterations can burst.
+func (k *xferKernel) bursts() bool {
+	in, sink := &k.ops[0], &k.ops[k.n-1]
+	switch {
+	case k.n == 1:
+		if in.kind != xferInToBuf {
+			return false
+		}
+	case in.kind != xferInToSlot || sink.kind != xferSlotToBuf || sink.slot != in.slot ||
+		in.slot == k.tail.post || sink.off.reads(int(in.slot)):
+		return false
+	}
+	return k.tail.spans()
 }
 
 func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
@@ -525,7 +680,13 @@ func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 	if !ok {
 		return flowNormal, voidValue, false, nil
 	}
+	burst := k.burst && st.bus.Predictable()
 	for {
+		if burst {
+			if err := k.forward(st, fr, head, b); err != nil {
+				return flowNormal, voidValue, true, err
+			}
+		}
 		if err := st.kern.StepN(head); err != nil {
 			return flowNormal, voidValue, true, err
 		}
@@ -540,14 +701,65 @@ func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 	}
 }
 
+// forward bursts the port reads of the coming iterations, in chunks,
+// and applies those iterations.
+func (k *xferKernel) forward(st *state, fr []Value, head, b int64) error {
+	in, sink := &k.ops[0], &k.ops[k.n-1]
+	per := head + 2
+	w := int64(1)
+	if sink.wide {
+		w = 2
+	}
+	buf := st.kern.Buf()
+	for {
+		n := min(k.tail.span(fr, b), st.kern.Room()/per, burstChunk)
+		off := sink.off.eval(fr)
+		step := int64(k.tail.delta) * sink.off.coefOf(int(k.tail.post))
+		// A burst cannot be undone: stop before the first wild offset.
+		for i := int64(0); i < n; i++ {
+			if o := off + i*step; o < 0 || o > int64(len(buf))-w {
+				n = i
+				break
+			}
+		}
+		if n == 0 {
+			return nil
+		}
+		dst := st.burst[:n]
+		if n = int64(st.bus.Burst(in.port.port, hw.AccessWidth(in.width), dst)); n == 0 {
+			return nil
+		}
+		var v int64
+		for i, x := range dst[:n] {
+			v = int64(x)
+			if in.kind == xferInToSlot {
+				v = truncTo(cast.TypeKind(in.trunc), v)
+			}
+			o := off + int64(i)*step
+			buf[o] = byte(v)
+			if sink.wide {
+				buf[o+1] = byte(v >> 8)
+			}
+		}
+		if in.kind == xferInToSlot {
+			fr[in.slot] = intValue(v)
+		}
+		k.tail.advance(fr, n)
+		if err := st.kern.Forward(n * per); err != nil || n < burstChunk {
+			return err
+		}
+	}
+}
+
 // pollKernel runs a bounded poll. cond, then and els are the if
-// segment's compiled closures; fast marks a condition test reads.
+// segment's compiled closures; fast marks a condition test reads, and
+// forward a fast test with no else whose condition spans.
 type pollKernel struct {
-	fast      bool
-	test      portTest
-	cond      exprFn
-	then, els stmtFn
-	tail      loopTail
+	fast, forward bool
+	test          portTest
+	cond          exprFn
+	then, els     stmtFn
+	tail          loopTail
 }
 
 func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
@@ -558,14 +770,30 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 	if !ok {
 		return flowNormal, voidValue, false, nil
 	}
+	forward := k.forward && st.bus.Predictable()
+	per := head + 2
 	for {
+		if forward {
+			// Skip the iterations whose test reads a steady port and
+			// fails: each only charges, reads and counts.
+			if holds, until, ok := k.test.steady(st, fr); ok && !holds {
+				n := min(k.tail.span(fr, b), st.kern.Room()/per, horizon(st.kern.Now()+uint64(head), until, per))
+				if n > 0 {
+					k.tail.advance(fr, n)
+					st.bus.CountReads(uint64(n))
+					if err := st.kern.Forward(n * per); err != nil {
+						return flowNormal, voidValue, true, err
+					}
+				}
+			}
+		}
 		if err := st.kern.StepN(head); err != nil {
 			return flowNormal, voidValue, true, err
 		}
 		var taken bool
 		if k.fast {
 			var err error
-			if taken, err = k.test.eval(st); err != nil {
+			if taken, err = k.test.eval(st, fr); err != nil {
 				return flowNormal, voidValue, true, err
 			}
 		} else {
@@ -605,11 +833,25 @@ func (k *spinKernel) run(st *state, fr []Value, head int64, _ predFn) (flow, Val
 	if k.test.late(st) {
 		return flowNormal, voidValue, false, nil
 	}
+	forward := st.bus.Predictable()
 	for {
+		if forward {
+			// Skip the iterations whose test reads a steady port and
+			// holds.
+			if holds, until, _ := k.test.steady(st, fr); holds {
+				n := min(st.kern.Room()/head, horizon(st.kern.Now()+uint64(head), until, head))
+				if n > 0 {
+					st.bus.CountReads(uint64(n))
+					if err := st.kern.Forward(n * head); err != nil {
+						return flowNormal, voidValue, true, err
+					}
+				}
+			}
+		}
 		if err := st.kern.StepN(head); err != nil {
 			return flowNormal, voidValue, true, err
 		}
-		if ok, err := k.test.eval(st); err != nil || !ok {
+		if ok, err := k.test.eval(st, fr); err != nil || !ok {
 			return flowNormal, voidValue, true, err
 		}
 	}
@@ -643,7 +885,7 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 	if s.Post == nil {
 		// `while (in*(P) OP M) {}`
 		if b, ok := s.Body.(*cast.Block); ok && len(b.Stmts) == 0 {
-			if test, ok := c.portTestOf(s.Cond); ok {
+			if test, ok := c.portTestOf(s.Cond); ok && test.mslot < 0 {
 				b := &spinBlock{superBlock: body, k: spinKernel{test: test}}
 				b.kern = &b.k
 				c.stats.LoopKernels++
@@ -679,6 +921,7 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 				}
 				return true
 			})
+			k.burst = k.bursts()
 			b := &xferBlock{superBlock: body, k: k}
 			b.kern = &b.k
 			c.stats.LoopKernels++
@@ -691,6 +934,9 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 		// The branches may store to any local, so a poll hoists only a
 		// bound that reads none.
 		k.tail = c.forTail(s, func(a *affine) bool { return a.n == 0 })
+		// Skipping an iteration needs a test that fails on every skipped
+		// read, and a mask the post leaves alone.
+		k.forward = k.fast && k.els == nil && k.tail.spans() && k.test.mslot != k.tail.post
 		b := &pollBlock{superBlock: body, k: k}
 		b.kern = &b.k
 		c.stats.LoopKernels++

@@ -1,0 +1,111 @@
+package experiment
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/drivers"
+	"repro/internal/hw"
+)
+
+// opaque hides a device's optional read-prediction interfaces
+// (hw.SteadyReader, hw.BurstReader) from the bus.
+type opaque struct{ hw.Device }
+
+// hidePredictions remaps every device on the bus behind opaque. Unmapped
+// ports of a floating bus still predict: the bus answers for those.
+func hidePredictions(t *testing.T, bus *hw.Bus) {
+	t.Helper()
+	type claim struct {
+		base, size hw.Port
+		dev        hw.Device
+	}
+	var claims []claim
+	bus.Mappings(func(base, size hw.Port, dev hw.Device) bool {
+		claims = append(claims, claim{base, size, dev})
+		return true
+	})
+	for _, c := range claims {
+		bus.Unmap(c.dev)
+	}
+	for _, c := range claims {
+		if err := bus.Map(c.base, c.size, opaque{c.dev}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestPredictionAblation boots TestWorkGate's sample (5%, seed 2001, on
+// the block backend and the incremental front end) twice: on plain
+// rigs, where the loop kernels fast-forward over predicted reads, and
+// on rigs whose devices hide the prediction interfaces, where every
+// read reaches the device. Records, steps, console, coverage and the
+// bus accounting of every boot must be identical. It logs both wall
+// times and the share of steps fast-forwarded.
+func TestPredictionAblation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots the work gate's sample twice")
+	}
+	wl := NewWorkload().(*workload)
+	type side struct {
+		rig       *diffRig
+		wall      time.Duration
+		steps     int64
+		forwarded int64
+	}
+	plain := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
+	hidden := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
+	for _, driver := range drivers.Names() {
+		r, err := hidden.rig.rigs.rigFor(driver, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		hidePredictions(t, r.Bus)
+		p, err := wl.plan(driver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 5, Seed: 2001}) {
+			var res [2]*BootResult
+			var stats [2][2]uint64
+			for i, s := range []*side{plain, hidden} {
+				r, err := s.rig.rigs.rigFor(driver, "")
+				if err != nil {
+					t.Fatal(err)
+				}
+				accesses, faults := r.Bus.Stats()
+				start := time.Now()
+				res[i] = s.rig.boot(t, p, driver, id)
+				s.wall += time.Since(start)
+				a, f := r.Bus.Stats()
+				stats[i] = [2]uint64{a - accesses, f - faults}
+				s.steps += res[i].Steps
+				s.forwarded += r.Kern.Forwarded()
+				if i == 0 {
+					// The result aliases pooled buffers the rig's next boot
+					// overwrites; the hidden side boots on another rig.
+					res[0].Console = append([]string(nil), res[0].Console...)
+					if res[0].Coverage != nil {
+						res[0].Coverage = res[0].Coverage.Clone()
+					}
+				}
+			}
+			// diffOne's "interp" reads as the plain rig, "compiled" as the
+			// hidden one.
+			diffOne(t, driver, p, id, res[0], res[1])
+			if stats[0] != stats[1] {
+				t.Errorf("%s mutant %d: bus accesses/faults %v with prediction, %v without", driver, id, stats[0], stats[1])
+			}
+			if t.Failed() {
+				t.Fatalf("%s: hiding predictions changed mutant %d", driver, id)
+			}
+		}
+	}
+	for _, c := range []struct {
+		name string
+		s    *side
+	}{{"predicting", plain}, {"hidden", hidden}} {
+		t.Logf("%-10s wall %v, %d steps, %.1f%% fast-forwarded",
+			c.name, c.s.wall.Round(time.Millisecond), c.s.steps, 100*float64(c.s.forwarded)/float64(max(c.s.steps, 1)))
+	}
+}

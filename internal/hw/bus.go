@@ -54,6 +54,31 @@ type Device interface {
 	Write(offset Port, width AccessWidth, value uint32) error
 }
 
+// SteadyReader is an optional Device interface: a device that can tell
+// how long a register will keep reading the same value. Steady reports
+// that a read at offset, at the clock's current time, returns v, has no
+// side effect, and keeps returning v at every clock time before until
+// (Forever when nothing but a write can change it). ok is false when the
+// device cannot promise that, for instance for a read that consumes
+// data, clears a latch or fails. Steady itself must not change the
+// device's state.
+type SteadyReader interface {
+	Steady(offset Port, width AccessWidth) (v uint32, until uint64, ok bool)
+}
+
+// BurstReader is an optional Device interface for data ports. Burst
+// makes up to len(dst) back-to-back reads at offset into dst and
+// returns how many it made. It makes only reads whose values and
+// effects do not depend on the clock: the same reads issued one at a
+// time, with any clock ticks between them, return the same values and
+// leave the device in the same state.
+type BurstReader interface {
+	Burst(offset Port, width AccessWidth, dst []uint32) int
+}
+
+// Forever is the until of a Steady answer that no passage of time ends.
+const Forever = ^uint64(0)
+
 // Access records one bus transaction, for the trace consumed by tests and by
 // the experiment harness (dead-code detection and damage forensics).
 type Access struct {
@@ -64,11 +89,14 @@ type Access struct {
 	Fault bool
 }
 
-// mapping binds a device to its claimed range [base, base+size).
+// mapping binds a device to its claimed range [base, base+size). Map
+// discovers the device's optional prediction interfaces once.
 type mapping struct {
-	base Port
-	size Port
-	dev  Device
+	base   Port
+	size   Port
+	dev    Device
+	steady SteadyReader
+	burst  BurstReader
 }
 
 // Bus is a port-mapped I/O space. The zero value is unusable; construct with
@@ -141,7 +169,10 @@ func (b *Bus) Map(base Port, size Port, dev Device) error {
 				m.dev.Name(), uint32(m.base), uint32(m.base+m.size-1))
 		}
 	}
-	b.mappings = append(b.mappings, mapping{base: base, size: size, dev: dev})
+	m := mapping{base: base, size: size, dev: dev}
+	m.steady, _ = dev.(SteadyReader)
+	m.burst, _ = dev.(BurstReader)
+	b.mappings = append(b.mappings, m)
 	sort.Slice(b.mappings, func(i, j int) bool { return b.mappings[i].base < b.mappings[j].base })
 	b.last = nil // the append/sort may have moved every mapping
 	return nil
@@ -187,6 +218,19 @@ func (b *Bus) Stats() (accesses, faults uint64) {
 	return b.accesses, b.faults
 }
 
+// Mappings calls yield with every claimed range and its device, in port
+// order, until yield returns false.
+func (b *Bus) Mappings(yield func(base, size Port, dev Device) bool) {
+	b.mu.Lock()
+	ms := append([]mapping(nil), b.mappings...)
+	b.mu.Unlock()
+	for _, m := range ms {
+		if !yield(m.base, m.size, m.dev) {
+			return
+		}
+	}
+}
+
 // find locates the mapping that covers port, or nil. The one-entry
 // cache makes the typical poll loop — thousands of reads of the same
 // status register — a single range test.
@@ -229,11 +273,12 @@ func (b *Bus) Read(port Port, width AccessWidth) (uint32, error) {
 		return b.inj.read(b, m, port, width)
 	}
 	v, err := m.dev.Read(port-m.base, width)
+	v &= widthMask(width)
 	b.record(Access{Port: port, Width: width, Value: v, Fault: err != nil})
 	if err != nil {
 		return 0, deviceError(m, err)
 	}
-	return v & widthMask(width), nil
+	return v, nil
 }
 
 // deviceError wraps a device-level access error with the device name.
@@ -243,6 +288,7 @@ func deviceError(m *mapping, err error) error {
 
 // Write performs an output operation of the given width at port.
 func (b *Bus) Write(port Port, width AccessWidth, value uint32) error {
+	value &= widthMask(width)
 	m := b.find(port)
 	if m == nil {
 		if b.floating {
@@ -255,12 +301,69 @@ func (b *Bus) Write(port Port, width AccessWidth, value uint32) error {
 	if b.inj != nil {
 		b.inj.write()
 	}
-	err := m.dev.Write(port-m.base, width, value&widthMask(width))
+	err := m.dev.Write(port-m.base, width, value)
 	b.record(Access{Port: port, Width: width, Write: true, Value: value, Fault: err != nil})
 	if err != nil {
 		return deviceError(m, err)
 	}
 	return nil
+}
+
+// Predictable reports whether reads may be predicted: no fault injector
+// is attached and tracing is off. Steady and Burst answer only then.
+func (b *Bus) Predictable() bool { return b.inj == nil && !b.tracing }
+
+// Steady predicts a read of port (see SteadyReader) without making it.
+// A floating bus answers for unmapped ports itself: they read all ones
+// Forever. The caller accounts each read it skips with CountReads.
+func (b *Bus) Steady(port Port, width AccessWidth) (v uint32, until uint64, ok bool) {
+	if !b.Predictable() {
+		return 0, 0, false
+	}
+	m := b.find(port)
+	if m == nil {
+		if b.floating {
+			return widthMask(width), Forever, true
+		}
+		return 0, 0, false
+	}
+	if m.steady == nil {
+		return 0, 0, false
+	}
+	v, until, ok = m.steady.Steady(port-m.base, width)
+	return v & widthMask(width), until, ok
+}
+
+// CountReads accounts n reads of a port that Steady predicted, exactly
+// as Read would have accounted them.
+func (b *Bus) CountReads(n uint64) { b.accesses += n }
+
+// Burst makes up to len(dst) reads of port that do not depend on the
+// clock (see BurstReader), stores their masked values in dst, accounts
+// them as Read would, and returns how many it made. Unmapped ports on a
+// floating bus always burst.
+func (b *Bus) Burst(port Port, width AccessWidth, dst []uint32) int {
+	if !b.Predictable() {
+		return 0
+	}
+	m := b.find(port)
+	var n int
+	switch {
+	case m == nil && b.floating:
+		for i := range dst {
+			dst[i] = widthMask(width)
+		}
+		n = len(dst)
+	case m == nil || m.burst == nil:
+		return 0
+	default:
+		n = m.burst.Burst(port-m.base, width, dst)
+		for i := range dst[:n] {
+			dst[i] &= widthMask(width)
+		}
+	}
+	b.accesses += uint64(n)
+	return n
 }
 
 // In8 is the inb(2) convenience wrapper.

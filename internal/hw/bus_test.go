@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/hw"
+	"repro/internal/hw/ne2000"
 )
 
 // ram is a trivial byte-addressed test device.
@@ -228,5 +229,156 @@ func TestClock(t *testing.T) {
 	c.Tick(5)
 	if c.Now() != 6 {
 		t.Errorf("clock at %d, want 6", c.Now())
+	}
+}
+
+// TestBusTraceRecordsMaskedValues: the trace records the value the
+// driver saw or the device was given, masked to the access width, on
+// every read and write path.
+func TestBusTraceRecordsMaskedValues(t *testing.T) {
+	nic := ne2000.New()
+	dev := &ram{name: "a"}
+	dev.cells[1] = 0x1234
+	for _, floating := range []bool{false, true} {
+		for _, inj := range []*hw.Injector{nil, hw.NewInjector(hw.InjectorConfig{StalePerMyriad: 9_999}, nil)} {
+			bus := hw.NewBus()
+			bus.SetFloating(floating)
+			bus.SetInjector(inj)
+			if err := bus.Map(0, 16, dev); err != nil {
+				t.Fatal(err)
+			}
+			if err := bus.Map(0x310, 1, nic.DataPort()); err != nil {
+				t.Fatal(err)
+			}
+			bus.SetTracing(true)
+			var got []uint32
+			for _, port := range []hw.Port{0x310, 1, 1} { // idle NIC data port, then a fresh and a stale latch
+				v, err := bus.In8(port)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got = append(got, uint32(v))
+			}
+			_ = bus.Write(2, hw.Width8, 0x5678)
+			_ = bus.Write(0x40, hw.Width16, 0xabcdef) // unmapped: vanishes or faults
+			want := []uint32{0xff, 0x34, 0x34, 0x78, 0xcdef}
+			for i, a := range bus.Trace() {
+				if i < len(got) && got[i] != want[i] {
+					t.Errorf("floating=%v injector=%v: read %d returned %#x, want %#x", floating, inj != nil, i, got[i], want[i])
+				}
+				if a.Value != want[i] {
+					t.Errorf("floating=%v injector=%v: access %d traced %#x, want %#x", floating, inj != nil, i, a.Value, want[i])
+				}
+			}
+			if dev.cells[2] != 0x78 {
+				t.Errorf("device was written %#x, want 0x78", dev.cells[2])
+			}
+		}
+	}
+}
+
+// steadyRAM is a ram whose cells read steadily until a fixed time and
+// whose last cell bursts.
+type steadyRAM struct {
+	ram
+	until uint64
+	burst int
+}
+
+func (r *steadyRAM) Steady(off hw.Port, w hw.AccessWidth) (uint32, uint64, bool) {
+	return r.cells[off], r.until, off < 15
+}
+
+func (r *steadyRAM) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
+	n := min(len(dst), r.burst)
+	for i := range dst[:n] {
+		dst[i] = r.cells[off] + uint32(i)
+	}
+	return n
+}
+
+// TestBusPredictions pins the bus side of read prediction: what it
+// answers for unmapped ports, devices without the interfaces, and
+// devices with them; the masking and accounting of predicted reads; and
+// the silence of a bus with an injector or tracing on.
+func TestBusPredictions(t *testing.T) {
+	dev := &steadyRAM{ram: ram{name: "s"}, until: 77, burst: 3}
+	dev.cells[2] = 0x1ff
+	dev.cells[15] = 0x2f0
+	plain := &ram{name: "p"}
+	newBus := func(floating bool) *hw.Bus {
+		bus := hw.NewBus()
+		bus.SetFloating(floating)
+		if err := bus.Map(0, 16, dev); err != nil {
+			t.Fatal(err)
+		}
+		if err := bus.Map(16, 16, plain); err != nil {
+			t.Fatal(err)
+		}
+		return bus
+	}
+	bus := newBus(true)
+	if !bus.Predictable() {
+		t.Fatal("a plain bus is not predictable")
+	}
+	type steady struct {
+		v     uint32
+		until uint64
+		ok    bool
+	}
+	for _, c := range []struct {
+		port  hw.Port
+		width hw.AccessWidth
+		want  steady
+	}{
+		{2, hw.Width8, steady{0xff, 77, true}},
+		{2, hw.Width16, steady{0x1ff, 77, true}},
+		{15, hw.Width8, steady{}},                            // the device declines
+		{17, hw.Width8, steady{}},                            // no SteadyReader
+		{0x80, hw.Width16, steady{0xffff, hw.Forever, true}}, // floating
+	} {
+		v, until, ok := bus.Steady(c.port, c.width)
+		if got := (steady{v, until, ok}); ok != c.want.ok || ok && got != c.want {
+			t.Errorf("Steady(%#x, %v) = %+v, want %+v", c.port, c.width, got, c.want)
+		}
+	}
+	if _, _, ok := newBus(false).Steady(0x80, hw.Width8); ok {
+		t.Error("a strict bus predicted an unmapped read")
+	}
+	dst := make([]uint32, 5)
+	if n := bus.Burst(15, hw.Width8, dst); n != 3 || !reflect.DeepEqual(dst[:3], []uint32{0xf0, 0xf1, 0xf2}) {
+		t.Errorf("Burst of the device = %d %#x, want 3 [0xf0 0xf1 0xf2]", n, dst[:n])
+	}
+	if n := bus.Burst(17, hw.Width8, dst); n != 0 {
+		t.Errorf("Burst of a device without BurstReader = %d, want 0", n)
+	}
+	if n := bus.Burst(0x80, hw.Width16, dst); n != 5 || dst[4] != 0xffff {
+		t.Errorf("Burst of a floating port = %d %#x, want 5 all 0xffff", n, dst)
+	}
+	bus.CountReads(4)
+	if acc, faults := bus.Stats(); acc != 3+5+4 || faults != 0 {
+		t.Errorf("stats = %d/%d, want %d/0", acc, faults, 3+5+4)
+	}
+	if n := newBus(false).Burst(0x80, hw.Width8, dst); n != 0 {
+		t.Errorf("a strict bus burst %d unmapped reads", n)
+	}
+
+	traced, injected := newBus(true), newBus(true)
+	traced.SetTracing(true)
+	injected.SetInjector(hw.NewInjector(hw.InjectorConfig{}, nil))
+	for name, b := range map[string]*hw.Bus{"tracing": traced, "injector": injected} {
+		_, _, ok := b.Steady(2, hw.Width8)
+		if b.Predictable() || ok || b.Burst(15, hw.Width8, dst) != 0 || b.Burst(0x80, hw.Width8, dst) != 0 {
+			t.Errorf("a bus with %s on predicted a read", name)
+		}
+	}
+
+	var got []string
+	bus.Mappings(func(base, size hw.Port, dev hw.Device) bool {
+		got = append(got, dev.Name())
+		return true
+	})
+	if !reflect.DeepEqual(got, []string{"s", "p"}) {
+		t.Errorf("Mappings yielded %v, want [s p]", got)
 	}
 }

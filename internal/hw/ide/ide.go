@@ -135,7 +135,11 @@ type Controller struct {
 	resetting   bool
 }
 
-var _ hw.Device = (*Controller)(nil)
+var (
+	_ hw.Device       = (*Controller)(nil)
+	_ hw.SteadyReader = (*Controller)(nil)
+	_ hw.BurstReader  = (*Controller)(nil)
+)
 
 // NewController attaches a controller with one master disk to the clock.
 func NewController(clock *hw.Clock, disk *Disk) *Controller {
@@ -409,6 +413,58 @@ func (c *Controller) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) 
 	return 0, fmt.Errorf("ide: read of nonexistent register %d", offset)
 }
 
+// steadyUntil is how long the task file keeps its current state with no
+// access: until a pending busy phase resolves, or Forever.
+func (c *Controller) steadyUntil() uint64 {
+	if c.state == stateBusy && c.pending != opNone {
+		return c.busyUntil
+	}
+	return hw.Forever
+}
+
+// Steady implements hw.SteadyReader for the command block: every task
+// file register, and the data port whenever its read moves no data
+// (8-bit pokes, the absent slave, no read data phase).
+func (c *Controller) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	c.catchUp()
+	if offset == 0 && width == hw.Width16 && !c.slaveSelected() &&
+		c.state == stateReadDRQ && c.status&StatusDataRequest != 0 {
+		return 0, 0, false // the read consumes a data word
+	}
+	if offset > 7 {
+		return 0, 0, false
+	}
+	v, _ := c.Read(offset, width)
+	return v, c.steadyUntil(), true
+}
+
+// Burst implements hw.BurstReader for the data port: the buffered words
+// of a read data phase short of the one that ends the sector (that read
+// starts a timed busy phase), or any number of reads that move no data
+// outside a busy phase.
+func (c *Controller) Burst(offset hw.Port, width hw.AccessWidth, dst []uint32) int {
+	if offset != 0 {
+		return 0
+	}
+	c.catchUp()
+	if width == hw.Width16 && !c.slaveSelected() && c.state == stateReadDRQ && c.status&StatusDataRequest != 0 {
+		n := min(len(dst), (SectorSize-c.bufPos)/2-1)
+		for i := range dst[:n] {
+			dst[i] = uint32(binary.LittleEndian.Uint16(c.buf[c.bufPos:]))
+			c.bufPos += 2
+		}
+		return n
+	}
+	if c.state == stateBusy {
+		return 0 // a pending phase may open a data phase
+	}
+	v, _ := c.Read(0, width)
+	for i := range dst {
+		dst[i] = v
+	}
+	return len(dst)
+}
+
 // Write implements hw.Device for the command block.
 func (c *Controller) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
 	c.catchUp()
@@ -448,7 +504,10 @@ type controlBlock struct {
 	c *Controller
 }
 
-var _ hw.Device = (*controlBlock)(nil)
+var (
+	_ hw.Device       = (*controlBlock)(nil)
+	_ hw.SteadyReader = (*controlBlock)(nil)
+)
 
 // ControlBlock returns the device endpoint for the control block (alternate
 // status / device control at 0x3f6).
@@ -467,6 +526,16 @@ func (b *controlBlock) Read(offset hw.Port, width hw.AccessWidth) (uint32, error
 		return 0, nil
 	}
 	return uint32(b.c.status), nil
+}
+
+// Steady implements hw.SteadyReader: the alternate status holds until a
+// pending busy phase resolves.
+func (b *controlBlock) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	if offset != 0 {
+		return 0, 0, false
+	}
+	v, _ := b.Read(offset, width)
+	return v, b.c.steadyUntil(), true
 }
 
 // Write implements hw.Device: device control, including soft reset.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/hw/hwtest"
 	"repro/internal/hw/ide"
 )
 
@@ -153,6 +154,28 @@ func TestObservationDoesNotChangeState(t *testing.T) {
 		batched, split := replay(t, c.script, false), replay(t, c.script, true)
 		if !reflect.DeepEqual(batched, split) {
 			t.Errorf("%s: batched and split ticks diverge", c.name)
+		}
+	}
+}
+
+// TestPredictionsMatchReads replays the seeded scripts through
+// hwtest.Check: whenever Steady answers, a twin read at random times
+// before until returns the predicted value and ends in the state of a
+// twin never read; a Burst matches as many reads with ticks between
+// them.
+func TestPredictionsMatchReads(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var script []hwtest.Op
+		for _, o := range randomScript(rng) {
+			width := hw.Width8
+			if o.port == 0x1f0 {
+				width = hw.Width16
+			}
+			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: width, Value: o.value, Ticks: o.ticks})
+		}
+		if err := hwtest.Check(hwtest.IDE(), script, rng); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -119,16 +119,17 @@ func (i *Injector) read(b *Bus, m *mapping, port Port, width AccessWidth) (uint3
 		// goes through normally.
 		if v, ok := i.last[port]; ok {
 			i.stales++
+			v &= widthMask(width)
 			b.record(Access{Port: port, Width: width, Value: v})
-			return v & widthMask(width), nil
+			return v, nil
 		}
 	}
 	v, err := m.dev.Read(port-m.base, width)
+	v &= widthMask(width)
 	b.record(Access{Port: port, Width: width, Value: v, Fault: err != nil})
 	if err != nil {
 		return 0, deviceError(m, err)
 	}
-	v &= widthMask(width)
 	i.last[port] = v
 	return v, nil
 }

@@ -98,10 +98,14 @@ type dataPort struct{ n *NIC }
 // resetPort is the adapter reset endpoint.
 type resetPort struct{ n *NIC }
 
+// The NIC has no clock: nothing in it changes but through its ports.
 var (
-	_ hw.Device = (*registers)(nil)
-	_ hw.Device = (*dataPort)(nil)
-	_ hw.Device = (*resetPort)(nil)
+	_ hw.Device       = (*registers)(nil)
+	_ hw.SteadyReader = (*registers)(nil)
+	_ hw.Device       = (*dataPort)(nil)
+	_ hw.SteadyReader = (*dataPort)(nil)
+	_ hw.BurstReader  = (*dataPort)(nil)
+	_ hw.Device       = (*resetPort)(nil)
 )
 
 // Registers returns the 8390 register-file endpoint (16 ports).
@@ -148,6 +152,16 @@ func (r *registers) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	default:
 		return 0, nil // CLDA/CRDA and friends: not modelled, read as zero
 	}
+}
+
+// Steady implements hw.SteadyReader: every register but the page-0
+// tally counters, which clear on read, holds its value until a write.
+func (r *registers) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	if r.n.page() != 1 && offset >= 13 {
+		return 0, 0, false
+	}
+	v, _ := r.Read(offset, width)
+	return v, hw.Forever, true
 }
 
 // Write implements hw.Device for the register file.
@@ -298,9 +312,30 @@ func (d *dataPort) Name() string { return "ne2000-data" }
 
 // Read implements hw.Device: remote-DMA read.
 func (d *dataPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
-	n := d.n
+	return d.n.remoteRead(width), nil
+}
+
+// Steady implements hw.SteadyReader: with no remote read in progress the
+// port floats until a write programs one.
+func (d *dataPort) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	if n := d.n; n.remoteOp() == 1 && n.rbcr != 0 {
+		return 0, 0, false
+	}
+	return 0xffff, hw.Forever, true
+}
+
+// Burst implements hw.BurstReader: no read depends on the clock.
+func (d *dataPort) Burst(offset hw.Port, width hw.AccessWidth, dst []uint32) int {
+	for i := range dst {
+		dst[i] = d.n.remoteRead(width)
+	}
+	return len(dst)
+}
+
+// remoteRead services one data-port read.
+func (n *NIC) remoteRead(width hw.AccessWidth) uint32 {
 	if n.remoteOp() != 1 || n.rbcr == 0 {
-		return 0xffff, nil
+		return 0xffff
 	}
 	step := 1
 	if width == hw.Width16 {
@@ -324,7 +359,7 @@ func (d *dataPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	if n.rbcr == 0 {
 		n.isr |= IsrRemoteDone
 	}
-	return v, nil
+	return v
 }
 
 // Write implements hw.Device: remote-DMA write.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/hw/hwtest"
 	"repro/internal/hw/pci"
 )
 
@@ -146,6 +147,23 @@ func TestAccessorSeesElapsedTime(t *testing.T) {
 		clock.Tick(30)
 		if got := c.get(bm); got != c.want {
 			t.Errorf("%s after the transfer time = %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPredictionsMatchReads replays the seeded scripts through
+// hwtest.Check: whenever Steady answers, a twin read at random times
+// before until returns the predicted value and ends in the state of a
+// twin never read.
+func TestPredictionsMatchReads(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var script []hwtest.Op
+		for _, o := range randomScript(rng) {
+			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: o.width, Value: o.value, Ticks: o.ticks})
+		}
+		if err := hwtest.Check(hwtest.PCI(), script, rng); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

@@ -76,7 +76,10 @@ type endpoint struct {
 	reg int // 0 = bmicx, 1 = bmisx, 2 = bmidtpx
 }
 
-var _ hw.Device = (*endpoint)(nil)
+var (
+	_ hw.Device       = (*endpoint)(nil)
+	_ hw.SteadyReader = (*endpoint)(nil)
+)
 
 // Command returns the BMICX endpoint.
 func (b *BusMaster) Command() hw.Device { return &endpoint{bm: b, reg: 0} }
@@ -113,6 +116,19 @@ func (e *endpoint) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	default:
 		return e.bm.bmidtpx, nil
 	}
+}
+
+// Steady implements hw.SteadyReader: every register holds until an
+// active transfer completes.
+func (e *endpoint) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	if offset != 0 {
+		return 0, 0, false
+	}
+	v, _ := e.Read(offset, width)
+	if e.bm.bmisx&BMActive != 0 {
+		return v, e.bm.doneAt, true
+	}
+	return v, hw.Forever, true
 }
 
 // Write implements hw.Device.

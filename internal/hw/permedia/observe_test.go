@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/hw"
+	"repro/internal/hw/hwtest"
 	"repro/internal/hw/permedia"
 )
 
@@ -181,6 +182,24 @@ func TestAccessorSeesElapsedTime(t *testing.T) {
 		clock.Tick(25) // three FIFO words' drain time, 200 DMA dwords
 		if got := c.get(gpu); got != c.want {
 			t.Errorf("%s after 25 ticks = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestPredictionsMatchReads replays the seeded scripts through
+// hwtest.Check: whenever Steady answers, a twin read at random times
+// before until returns the predicted value and ends in the state of a
+// twin never read; a FIFO-port Burst matches as many reads with ticks
+// between them.
+func TestPredictionsMatchReads(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var script []hwtest.Op
+		for _, o := range randomScript(rng) {
+			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: hw.Width32, Value: o.value, Ticks: o.ticks})
+		}
+		if err := hwtest.Check(hwtest.Permedia(), script, rng); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
 }

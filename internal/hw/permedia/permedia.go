@@ -49,7 +49,7 @@ type GPU struct {
 	regs       [numRegs]uint32
 	resetUntil uint64
 	fifo       []uint32
-	fifoCredit uint64 // elapsed ticks not yet converted into drained words
+	fifoCredit uint64 // elapsed ticks not yet converted into drained words; 0 while the FIFO is empty
 	clock      *hw.Clock
 	lastNow    uint64
 	drained    uint64 // total FIFO words consumed by the core
@@ -88,13 +88,16 @@ func (g *GPU) catchUp() {
 		return
 	}
 	// The graphics core consumes one FIFO word every fifoDrainTime ticks;
-	// an idle core accrues no credit.
+	// an idle core accrues no credit, so a word pushed into an empty FIFO
+	// starts its drain countdown from zero.
 	if len(g.fifo) > 0 {
 		credit := g.fifoCredit + elapsed
 		words := credit / fifoDrainTime
 		g.fifoCredit = credit % fifoDrainTime
 		drain := len(g.fifo)
-		if words < uint64(drain) {
+		if words >= uint64(drain) {
+			g.fifoCredit = 0
+		} else {
 			drain = int(words)
 		}
 		g.fifo = g.fifo[drain:]
@@ -115,10 +118,7 @@ func (g *GPU) catchUp() {
 	}
 	// Video timing: the line counter runs whenever video is enabled.
 	if g.regs[regVideoCtl]&0x01 != 0 {
-		vtotal := g.regs[regVTotal] & 0xfff
-		if vtotal == 0 {
-			vtotal = 1024 // a zero VTotal is bogus; free-run a full frame
-		}
+		vtotal := g.vtotal()
 		line := g.regs[regLineCount] + uint32(elapsed%uint64(vtotal))
 		if line >= vtotal || elapsed >= uint64(vtotal) {
 			g.regs[regIntFlags] |= IntVRetrace
@@ -161,8 +161,11 @@ type control struct{ g *GPU }
 type fifoPort struct{ g *GPU }
 
 var (
-	_ hw.Device = (*control)(nil)
-	_ hw.Device = (*fifoPort)(nil)
+	_ hw.Device       = (*control)(nil)
+	_ hw.SteadyReader = (*control)(nil)
+	_ hw.Device       = (*fifoPort)(nil)
+	_ hw.SteadyReader = (*fifoPort)(nil)
+	_ hw.BurstReader  = (*fifoPort)(nil)
 )
 
 // Control returns the control-aperture endpoint (24 dword registers).
@@ -196,6 +199,61 @@ func (c *control) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	}
 }
 
+// Steady implements hw.SteadyReader. No read has a side effect; each
+// register holds until the next catch-up that can change it.
+func (c *control) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	v, err := c.Read(offset, width) // catches up
+	if err != nil {
+		return 0, 0, false
+	}
+	g := c.g
+	now := g.clock.Now()
+	until := hw.Forever
+	switch int(offset) {
+	case regResetStatus:
+		if now < g.resetUntil {
+			until = g.resetUntil
+		}
+	case regInFIFOSpace:
+		if len(g.fifo) > 0 { // the next word drains
+			until = now + fifoDrainTime - g.fifoCredit
+		}
+	case regIntFlags:
+		if cnt := g.regs[regDMACount]; cnt > 0 && v&IntDMA == 0 {
+			until = now + (uint64(cnt)+dmaTickRate-1)/dmaTickRate
+		}
+		if g.regs[regVideoCtl]&0x01 != 0 && v&IntVRetrace == 0 {
+			until = min(until, now+g.retraceIn())
+		}
+	case regDMACount:
+		if g.regs[regDMACount] > 0 {
+			until = now + 1
+		}
+	case regLineCount:
+		if g.regs[regVideoCtl]&0x01 != 0 {
+			until = now + 1
+		}
+	}
+	return v, until, true
+}
+
+// retraceIn is how many ticks from now the line counter reaches the
+// vertical total, as catchUp counts it.
+func (g *GPU) retraceIn() uint64 {
+	if vtotal, line := g.vtotal(), g.regs[regLineCount]; line < vtotal {
+		return uint64(vtotal - line)
+	}
+	return 1
+}
+
+// vtotal is the frame length in lines the timing generator runs.
+func (g *GPU) vtotal() uint32 {
+	if v := g.regs[regVTotal] & 0xfff; v != 0 {
+		return v
+	}
+	return 1024 // a zero VTotal is bogus; free-run a full frame
+}
+
 // Write implements hw.Device.
 func (c *control) Write(offset hw.Port, width hw.AccessWidth, value uint32) error {
 	g := c.g
@@ -210,6 +268,7 @@ func (c *control) Write(offset hw.Port, width hw.AccessWidth, value uint32) erro
 			g.regs[i] = 0
 		}
 		g.fifo = nil
+		g.fifoCredit = 0
 	case regIntFlags:
 		g.regs[regIntFlags] &^= value // write 1 to clear
 	case regInFIFOSpace, regOutFIFO, regLineCount:
@@ -229,6 +288,19 @@ func (f *fifoPort) Read(offset hw.Port, width hw.AccessWidth) (uint32, error) {
 	return 0xffffffff, nil
 }
 
+// Steady implements hw.SteadyReader: reads always float.
+func (f *fifoPort) Steady(offset hw.Port, width hw.AccessWidth) (uint32, uint64, bool) {
+	return 0xffffffff, hw.Forever, true
+}
+
+// Burst implements hw.BurstReader: reads always float.
+func (f *fifoPort) Burst(offset hw.Port, width hw.AccessWidth, dst []uint32) int {
+	for i := range dst {
+		dst[i] = 0xffffffff
+	}
+	return len(dst)
+}
+
 // Write implements hw.Device: push a word into the GP input FIFO. An
 // overflowing FIFO raises the error interrupt and drops the word — the
 // misbehaviour drivers must avoid by polling InFIFOSpace.
@@ -238,12 +310,6 @@ func (f *fifoPort) Write(offset hw.Port, width hw.AccessWidth, value uint32) err
 	if len(g.fifo) >= fifoCapacity {
 		g.regs[regIntFlags] |= IntError
 		return nil
-	}
-	// An idle core holds no drain credit: catchUp leaves whatever credit
-	// the drain to empty left over, so a word pushed into an empty FIFO
-	// starts its drain countdown from zero.
-	if len(g.fifo) == 0 {
-		g.fifoCredit = 0
 	}
 	g.fifo = append(g.fifo, value)
 	return nil

@@ -72,6 +72,9 @@ type Kernel struct {
 	console []string
 	budget  int64
 	steps   int64
+	// forwarded counts the steps Forward charged: loop iterations a
+	// compiled loop kernel applied in one batch.
+	forwarded int64
 	// deadline, when set, is the wall-clock instant the boot must finish
 	// by; limit is the duration it was derived from, for the error text.
 	deadline time.Time
@@ -121,6 +124,7 @@ func (k *Kernel) checkDeadline() error {
 func (k *Kernel) Reset() {
 	k.console = k.console[:0]
 	k.steps = 0
+	k.forwarded = 0
 	k.budget = DefaultStepBudget
 	k.deadline = time.Time{}
 	k.limit = 0
@@ -131,6 +135,23 @@ func (k *Kernel) Reset() {
 
 // Steps returns the number of steps consumed so far.
 func (k *Kernel) Steps() int64 { return k.steps }
+
+// Room returns how many more steps the watchdog allows before it trips.
+func (k *Kernel) Room() int64 { return k.budget - k.steps }
+
+// Now returns the virtual time of the clock the kernel ticks.
+func (k *Kernel) Now() uint64 { return k.clock.Now() }
+
+// Forward charges the n steps of loop iterations a compiled loop kernel
+// applied in one batch, as StepN does, and counts them in Forwarded. The
+// caller keeps n within Room, so only the wall-clock deadline can fail.
+func (k *Kernel) Forward(n int64) error {
+	k.forwarded += n
+	return k.StepN(n)
+}
+
+// Forwarded returns the steps charged through Forward since Reset.
+func (k *Kernel) Forwarded() int64 { return k.forwarded }
 
 // Step charges one execution step against the watchdog and advances virtual
 // time. The interpreter calls it once per statement/expression step.
