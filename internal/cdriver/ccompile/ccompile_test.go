@@ -19,14 +19,16 @@ import (
 	"repro/internal/specs"
 )
 
-// rig is one freshly assembled plain-C execution context: a kernel, a
-// bus, a seqDev mapped at seqBase and a predDev at predBase.
+// rig is one freshly assembled execution context: a kernel, a bus, a
+// seqDev mapped at seqBase and a predDev at predBase, and for a CDevil
+// case the predSpec stubs over the predDev.
 type rig struct {
 	kern  *kernel.Kernel
 	bus   *hw.Bus
 	clock *hw.Clock
 	dev   *seqDev
 	pred  *predDev
+	stubs *devil.Stubs
 }
 
 // rigConfig varies the machine a runBoth case boots on.
@@ -34,6 +36,8 @@ type rigConfig struct {
 	strict bool  // unmapped ports fault instead of floating
 	budget int64 // watchdog step budget; 0 keeps the default
 	failAt int   // seqDev data reads fail from this read on; 0 never
+	// stubs, when set, generates the predSpec stubs in that mode.
+	stubs devil.Mode
 }
 
 func newRig() *rig { return newRigWith(rigConfig{}) }
@@ -54,7 +58,19 @@ func newRigWith(cfg rigConfig) *rig {
 	if cfg.budget > 0 {
 		kern.SetBudget(cfg.budget)
 	}
-	return &rig{kern: kern, bus: bus, clock: clock, dev: dev, pred: pred}
+	r := &rig{kern: kern, bus: bus, clock: clock, dev: dev, pred: pred}
+	if cfg.stubs != 0 {
+		spec, err := devil.Compile("predtest.dil", predSpec)
+		if err != nil {
+			panic(err)
+		}
+		bases := map[string]hw.Port{"data": predBase, "wide": predBase, "base": predBase,
+			"stat": predBase + 1, "phase": predBase + 1, "pair": predBase + 1, "lv": predBase + 2, "win": predBase + 3}
+		if r.stubs, err = spec.Generate(devil.Config{Bus: bus, Bases: bases, Mode: cfg.stubs}); err != nil {
+			panic(err)
+		}
+	}
+	return r
 }
 
 // seqBase is where newRig maps its seqDev.
@@ -189,6 +205,48 @@ func (d *predDev) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
 	return n
 }
 
+// predSpec is a Devil specification over the predDev's ports, with the
+// shapes the stub fast-forward distinguishes: the data port as a 16-bit
+// and a 32-bit block variable; the status bits as an enum, a bool, a
+// whole int and an int set that the status after predFlip fails; an
+// enum and a signed int over the level; a variable of two fragments;
+// and a register with a pre-action (Win, whose pre-action writes 0x21
+// to the level).
+const predSpec = `
+device predtest (data : bit[16] port @ {0..0}, wide : bit[32] port @ {0..0},
+                 base : bit[8] port @ {1..3}, stat : bit[8] port @ {0..0},
+                 phase : bit[8] port @ {0..0}, pair : bit[8] port @ {0..0},
+                 lv : bit[8] port @ {0..0}, win : bit[8] port @ {0..0})
+{
+    register data_reg = read data @ 0 : bit[16];
+    variable Data = data_reg, volatile : int(16);
+    register wide_reg = read wide @ 0 : bit[32];
+    variable Wide = wide_reg, volatile : int(32);
+
+    register status_bsy = read base @ 1, mask '.*******' : bit[8];
+    variable Busy = status_bsy[7], volatile : { BUSY <= '1', IDLE <= '0' };
+    register status_rdy = read base @ 1, mask '****.***' : bit[8];
+    variable Ready = status_rdy[3], volatile : bool;
+    register stat_reg = read stat @ 0 : bit[8];
+    variable Status = stat_reg, volatile : int(8);
+    register phase_reg = read phase @ 0, mask '....****' : bit[8];
+    variable Phase = phase_reg[7..4], volatile : int {8, 9};
+
+    register level_mode = read base @ 2, mask '******..' : bit[8];
+    variable Mode = level_mode[1..0], volatile : { M0 <= '00', M1 <= '01', M2 <= '10', M3 <= '11' };
+    register level = read lv @ 0 : bit[8];
+    variable Level = level, volatile : signed int(8);
+    register pair_lo = read base @ 3, mask '****....' : bit[8];
+    register pair_hi = read pair @ 0, mask '....****' : bit[8];
+    variable Both = pair_lo[3..0] # pair_hi[7..4], volatile : int(8);
+
+    register sel = write base @ 2 : bit[8];
+    private variable select = sel : int(8);
+    register win_reg = read win @ 0, pre {select = 0x21} : bit[8];
+    variable Win = win_reg, volatile : int(8);
+}
+`
+
 // outcome captures everything observable about one call on one backend.
 type outcome struct {
 	val     cinterp.Value
@@ -219,15 +277,20 @@ func runBothOn(t *testing.T, cfg rigConfig, src, fn string, args ...cinterp.Valu
 	if len(perrs) != 0 {
 		t.Fatalf("parse: %v", perrs)
 	}
+	interpRig := newRigWith(cfg)
+	compRig := newRigWith(cfg)
 	env := ctypes.NewEnv(false)
+	if interpRig.stubs != nil {
+		if err := env.AddStubs(interpRig.stubs.Interface()); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if cerrs := ccheck.Check(prog, env); len(cerrs) != 0 {
 		t.Fatalf("check: %v", cerrs)
 	}
 
-	interpRig := newRigWith(cfg)
-	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, nil)
-	compRig := newRigWith(cfg)
-	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, nil, nil)
+	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, interpRig.stubs)
+	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, compRig.stubs, nil)
 	if cerr != nil {
 		t.Fatalf("compile: %v", cerr)
 	}

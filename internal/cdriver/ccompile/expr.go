@@ -1205,39 +1205,54 @@ func (c *compiler) stubVar(varName string) (codegen.VarSig, *codegen.Accessor, b
 	return sig, acc, ok
 }
 
-// stubGetSite compiles a get_X() call site over the variable's access
-// plan. The Devil value converts to the value the call yields: enum values
-// stay typed, signed fields are sign-extended, other integers widen.
-func stubGetSite(acc *codegen.Accessor, sig codegen.VarSig, line int) exprFn {
+// stubConv converts the Devil value a get_X() call reads to the value
+// the call yields: enum values stay typed, signed fields are
+// sign-extended, other integers widen.
+type stubConv struct {
+	enum  bool
+	shift uint
+}
+
+func stubConvOf(sig codegen.VarSig) stubConv {
 	switch {
 	case sig.Kind == codegen.KindEnum:
-		return func(st *state, fr []Value) (Value, error) {
-			st.cov.Add(line)
-			dv, err := acc.Get()
-			if err != nil {
-				return voidValue, err
-			}
-			return Value{Kind: cinterp.ValDevil, Devil: dv}, nil
-		}
+		return stubConv{enum: true}
 	case sig.Kind == codegen.KindSignedInt && sig.Width > 0 && sig.Width < 64:
-		shift := uint(64 - sig.Width)
+		return stubConv{shift: uint(64 - sig.Width)}
+	}
+	return stubConv{}
+}
+
+func (cv stubConv) value(dv codegen.Value) Value {
+	if cv.enum {
+		return Value{Kind: cinterp.ValDevil, Devil: dv}
+	}
+	return intValue(int64(dv.Val) << cv.shift >> cv.shift)
+}
+
+// stubGetSite compiles a get_X() call site over the variable's access
+// plan. The enum case keeps its own closure, so that the conversion
+// inlines to a constant branch.
+func stubGetSite(acc *codegen.Accessor, sig codegen.VarSig, line int) exprFn {
+	conv := stubConvOf(sig)
+	if conv.enum {
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			dv, err := acc.Get()
 			if err != nil {
 				return voidValue, err
 			}
-			// Sign-extend the raw field.
-			return intValue(int64(dv.Val) << shift >> shift), nil
+			return stubConv{enum: true}.value(dv), nil
 		}
 	}
+	shift := conv.shift
 	return func(st *state, fr []Value) (Value, error) {
 		st.cov.Add(line)
 		dv, err := acc.Get()
 		if err != nil {
 			return voidValue, err
 		}
-		return intValue(int64(dv.Val)), nil
+		return stubConv{shift: shift}.value(dv), nil
 	}
 }
 
@@ -1308,11 +1323,13 @@ func modeFaultImpl(varName string, acc *codegen.Accessor) callImpl {
 
 // blockCall compiles the FIFO block-transfer stubs with the exact
 // element loop of the interpreter: one watchdog step per element, the
-// same buffer access pattern, the same fault order.
+// same buffer access pattern, the same fault order. A get_block_ read
+// bursts what it can (see burstBlock) before each element it makes.
 func (c *compiler) blockCall(name, varName string, reading bool,
 	sig codegen.VarSig, acc *codegen.Accessor) callImpl {
 	elem := int64(sig.Width / 8)
 	canRead, canWrite := acc.Readable(), acc.Writable()
+	canBurst := reading && canRead
 	mode := acc.ModeString()
 	return func(st *state, args []Value) (Value, error) {
 		if len(args) != 2 {
@@ -1321,7 +1338,14 @@ func (c *compiler) blockCall(name, varName string, reading bool,
 			}
 		}
 		off, count := args[0].I, args[1].I
+		burst := canBurst && st.bus.Predictable()
 		for k := int64(0); k < count; k++ {
+			if burst {
+				n, err := burstBlock(st, acc, off+k*elem, count-k, elem)
+				if k += n; err != nil || k == count {
+					return voidValue, err
+				}
+			}
 			if err := st.kern.Step(); err != nil {
 				return voidValue, err
 			}
@@ -1373,5 +1397,42 @@ func (c *compiler) blockCall(name, varName string, reading bool,
 			}
 		}
 		return voidValue, nil
+	}
+}
+
+// burstBlock applies the next elements of a get_block_ read, the first
+// at byte offset off, whose Gets burst (see codegen.Accessor.Burst): in
+// chunks of at most burstChunk, each within the watchdog's room, so the
+// one charge per chunk never trips it. A burst cannot be undone, so a
+// chunk stops before the first element that would land off the transfer
+// buffer, which the element loop then faults on. It returns how many
+// elements it applied.
+func burstBlock(st *state, acc *codegen.Accessor, off, count, elem int64) (int64, error) {
+	buf := st.kern.Buf()
+	var k int64
+	for {
+		o := off + k*elem
+		if o < 0 {
+			return k, nil
+		}
+		n := min(count-k, st.kern.Room(), burstChunk, (int64(len(buf))-o)/elem)
+		if n <= 0 {
+			return k, nil
+		}
+		dst := st.burst[:n]
+		if n = int64(acc.Burst(dst)); n == 0 {
+			return k, nil
+		}
+		for _, v := range dst[:n] {
+			buf[o], buf[o+1] = byte(v), byte(v>>8)
+			if elem == 4 {
+				buf[o+2], buf[o+3] = byte(v>>16), byte(v>>24)
+			}
+			o += elem
+		}
+		k += n
+		if err := st.kern.Forward(n); err != nil || n < burstChunk {
+			return k, err
+		}
 	}
 }

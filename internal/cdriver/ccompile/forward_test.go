@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/cdriver/cinterp"
+	"repro/internal/devil"
 )
 
 // Fast-forward edge cases. The loops here read the predDev, which
@@ -294,5 +295,324 @@ int f(void) {
 	wantKernels(t, o, 1)
 	if o.calls[1] != o.calls[0] {
 		t.Fatalf("%d device calls on the block backend, %d on the interpreter", o.calls[1], o.calls[0])
+	}
+}
+
+// stubModes are the two Devil stub modes a stub fast-forward case runs
+// in.
+var stubModes = []devil.Mode{devil.Debug, devil.Production}
+
+// TestForwardStubPolls runs each stubTest shape over the predSpec stubs
+// in both modes, starting before, at and after predFlip: the poll must
+// skip its steady iterations and see the flip at the same iteration as
+// the interpreter.
+func TestForwardStubPolls(t *testing.T) {
+	src := predPorts + `
+#define RDY 0x08
+int ready(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (get_Ready())
+			return t;
+	}
+	return -1;
+}
+int notbusy(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (!dil_eq(get_Busy(), BUSY))
+			return t;
+	}
+	return -1;
+}
+int idle(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (dil_eq(get_Busy(), IDLE))
+			return t;
+	}
+	return -1;
+}
+int status(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (get_Status() & RDY)
+			return t;
+	}
+	return -1;
+}
+int unbusy(int delay) {
+	u16 t;
+	udelay(delay);
+	for (t = 4000; t > 0; t--) {
+		if (!(get_Status() & 0x80))
+			return t;
+	}
+	return -1;
+}
+int both(int delay) {
+	int t;
+	outb(0x21, PLEVEL);
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (get_Both() != 0x18)
+			return t;
+	}
+	return -1;
+}
+`
+	for _, mode := range stubModes {
+		for _, fn := range []string{"ready", "notbusy", "idle", "status", "unbusy", "both"} {
+			for _, delay := range []int64{0, 1, 3, 500, 991, 998, 999, 1000, 1001, 2000} {
+				o := runBothOn(t, rigConfig{stubs: mode}, src, fn, intArg(delay))
+				wantKernels(t, o, 6)
+				if o.errText != "" || o.val.I < 0 {
+					t.Fatalf("%s %s(%d) = %d, %q", mode, fn, delay, o.val.I, o.errText)
+				}
+				if delay < 500 {
+					fewerCalls(t, o, fmt.Sprintf("%s %s(%d)", mode, fn, delay))
+				}
+			}
+		}
+	}
+}
+
+// TestForwardStubSteadyValues polls values that never change: a bare
+// enum get (a Devil value is never true), a signed level against a
+// bound and under `!`, a mask in a parameter and the post local as the mask (which
+// must not forward), and a register with a pre-action (which must not
+// predict: its pre-action writes on every read).
+func TestForwardStubSteadyValues(t *testing.T) {
+	src := predPorts + `
+int enumget(void) {
+	int t;
+	for (t = 0; t < 3000; t++) {
+		if (get_Busy())
+			return t;
+	}
+	return -1;
+}
+int level(int v, int lim) {
+	int t;
+	outb(v, PLEVEL);
+	for (t = 0; t < 3000; t++) {
+		if (get_Level() < lim)
+			return t;
+	}
+	return -1;
+}
+int notlevel(int v) {
+	int t;
+	outb(v, PLEVEL);
+	for (t = 0; t < 3000; t++) {
+		if (!get_Level())
+			return t;
+	}
+	return -1;
+}
+int masked(int mask) {
+	int t;
+	udelay(2000);
+	for (t = 0; t < 3000; t++) {
+		if (get_Status() & mask)
+			return t;
+	}
+	return -1;
+}
+int self(void) {
+	int t;
+	udelay(2000);
+	for (t = 0; t < 3000; t++) {
+		if (get_Status() & t)
+			return t;
+	}
+	return -1;
+}
+int win(void) {
+	int t;
+	for (t = 0; t < 3000; t++) {
+		if (get_Win() & 0x40)
+			return t;
+	}
+	return -1;
+}
+`
+	for _, mode := range stubModes {
+		for _, c := range []struct {
+			fn      string
+			args    []int64
+			want    int64
+			forward bool
+		}{
+			{"enumget", nil, -1, true},
+			{"level", []int64{0x90, 0}, 0, false},
+			{"level", []int64{0x90, -112}, -1, true},
+			{"level", []int64{0x21, 0x21}, -1, true},
+			{"notlevel", []int64{0x21}, -1, true},
+			{"notlevel", []int64{0}, 0, false},
+			{"masked", []int64{0x08}, 0, false},
+			{"masked", []int64{0x80}, -1, true},
+			{"self", nil, 8, false},
+			{"win", nil, -1, false},
+		} {
+			var args []cinterp.Value
+			for _, a := range c.args {
+				args = append(args, intArg(a))
+			}
+			o := runBothOn(t, rigConfig{stubs: mode}, src, c.fn, args...)
+			wantKernels(t, o, 6)
+			what := fmt.Sprintf("%s %s%v", mode, c.fn, c.args)
+			if o.errText != "" || o.val.I != c.want {
+				t.Fatalf("%s = %d, %q; want %d", what, o.val.I, o.errText, c.want)
+			}
+			if c.forward {
+				fewerCalls(t, o, what)
+			} else if o.calls[1] != o.calls[0] && c.fn == "win" {
+				t.Fatalf("%s: %d device calls on the block backend, %d on the interpreter", what, o.calls[1], o.calls[0])
+			}
+		}
+	}
+}
+
+// TestForwardStubAssertions pins the debug-mode assertions a forwarded
+// poll meets: an int set that the status fails after predFlip raises at
+// the flip's iteration, whichever iteration the flip lands in, and a
+// dil_eq against a constant of another type raises at once; production
+// mode raises neither.
+func TestForwardStubAssertions(t *testing.T) {
+	src := predPorts + `
+int phase(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (get_Phase() == 9)
+			return t;
+	}
+	return -1;
+}
+int other(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (!dil_eq(get_Busy(), M1))
+			return t;
+	}
+	return -1;
+}
+`
+	for _, c := range []struct {
+		mode devil.Mode
+		fn   string
+		want string
+	}{
+		{devil.Debug, "phase", "outside declared set"},
+		{devil.Production, "phase", ""},
+		{devil.Debug, "other", "different Devil types"},
+		{devil.Production, "other", ""},
+	} {
+		for delay := int64(960); delay <= 1001; delay++ {
+			o := runBothOn(t, rigConfig{stubs: c.mode}, src, c.fn, intArg(delay))
+			wantKernels(t, o, 2)
+			if c.want == "" && o.errText != "" || !strings.Contains(o.errText, c.want) {
+				t.Fatalf("%s %s(%d): error %q, want %q", c.mode, c.fn, delay, o.errText, c.want)
+			}
+			if c.fn == "phase" && delay < 980 {
+				fewerCalls(t, o, fmt.Sprintf("%s %s(%d)", c.mode, c.fn, delay))
+			}
+		}
+	}
+}
+
+// TestForwardStubLateMask polls from a global initialiser before the
+// mask macro is declared: the macro takes the late path, to the enum
+// constant of its name (0 as an operand). The delays make the flip land
+// between the careful iterations and the kernel, where a poll forwarded
+// with the macro's value would skip the iteration that sees it.
+func TestForwardStubLateMask(t *testing.T) {
+	for _, mode := range stubModes {
+		for delay := 960; delay <= 1001; delay++ {
+			src := predPorts + fmt.Sprintf(`
+int wait(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 3000; t++) {
+		if (get_Ready() > M0)
+			return t;
+	}
+	return -1;
+}
+int early = wait(%d);
+#define M0 1
+int f(void) {
+	return early;
+}
+`, delay)
+			o := runBothOn(t, rigConfig{stubs: mode}, src, "f")
+			wantKernels(t, o, 1)
+			if o.errText != "" || o.val.I < 0 {
+				t.Fatalf("%s at delay %d: f = %d, %q; want the poll to see the flip", mode, delay, o.val.I, o.errText)
+			}
+		}
+	}
+}
+
+// TestForwardBlockReads bursts get_block_ reads of the 16-bit and the
+// 32-bit data variable: a budget sweep that trips inside a chunk, a last
+// element that lands partly off the transfer buffer, counts above the
+// watchdog's room, a negative offset and an empty count, in both modes.
+// The predDev's bursts stop short of every 100th read, which the element
+// loop then makes.
+func TestForwardBlockReads(t *testing.T) {
+	src := `
+int rd16(int off, int n) {
+	get_block_Data(off, n);
+	return n;
+}
+int rd32(int off, int n) {
+	get_block_Wide(off, n);
+	return n;
+}
+`
+	for _, mode := range stubModes {
+		for _, fn := range []string{"rd16", "rd32"} {
+			elem := int64(2)
+			if fn == "rd32" {
+				elem = 4
+			}
+			for _, c := range []struct {
+				budget, off, n int64
+				want           string
+			}{
+				{0, 0, 1000, ""},
+				{0, 100, 600, ""},
+				{0, 65536 - 40*elem, 40, ""},
+				{0, 65536 - 40*elem + 1, 40, "wild buffer write at 65536"},
+				{0, 65536 - 40*elem - 1, 41, "wild buffer write at 65536"},
+				{0, -2, 10, "wild buffer write at -2"},
+				{0, 0, 0, ""},
+				{0, 0, -5, ""},
+				{9001, 0, 16000, "watchdog"},
+				{1003, 0, 5000, "watchdog"},
+				{50, 0, 1000, "watchdog"},
+				{99, 0, 1000, "watchdog"},
+				{100, 0, 1000, "watchdog"},
+				{257, 0, 1000, "watchdog"},
+				{300, 0, 1000, "watchdog"},
+				{301, 0, 299, ""},
+			} {
+				o := runBothOn(t, rigConfig{stubs: mode, budget: c.budget}, src, fn, intArg(c.off), intArg(c.n))
+				what := fmt.Sprintf("%s %s(%d, %d) at budget %d", mode, fn, c.off, c.n, c.budget)
+				if c.want == "" && o.errText != "" || !strings.Contains(o.errText, c.want) {
+					t.Fatalf("%s: error %q, want %q", what, o.errText, c.want)
+				}
+				if c.n >= 40 && c.off >= 0 {
+					fewerCalls(t, o, what)
+				}
+			}
+		}
 	}
 }

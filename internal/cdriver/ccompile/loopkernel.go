@@ -2,10 +2,12 @@ package ccompile
 
 import (
 	"math"
+	"strings"
 
 	"repro/internal/cdriver/cast"
 	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/ctoken"
+	"repro/internal/devil/codegen"
 	"repro/internal/hw"
 )
 
@@ -21,6 +23,9 @@ import (
 //     A condition `in*(P) OP M` with constant P, and M a constant or a
 //     local, reads the bus directly; any other condition, and both
 //     branches, run through the closures the if segment already compiled.
+//     Among those, a Devil stub condition (stubTest: `get_X()`,
+//     `dil_eq(get_X(), K)` or `get_X() OP M`, each also under one `!`)
+//     is one the kernel can predict.
 //   - Busy-wait: `while (in*(P) OP M) {}`.
 //
 // The builtins must resolve as builtins (no driver function shadows
@@ -50,18 +55,23 @@ import (
 // Fast-forward: when the bus can predict the loop's port reads (see
 // hw.SteadyReader and hw.BurstReader) a kernel applies many iterations
 // in one step, with the same results and far fewer device calls. The
-// iterations it applies are those of a poll whose test reads a steady
-// port and fails, of a busy-wait whose test reads a steady port and
+// iterations it applies are those of a poll whose test reads steady
+// ports and fails, of a busy-wait whose test reads a steady port and
 // holds, and of a transfer whose first statement reads the port into
 // the buffer. Their number n is the smallest of the condition's span
 // (iterations after which a hoisted `i OP B` still holds), the steady
 // horizon (reads that land before the value can change) and the
 // watchdog's room, so the one batched charge never trips the watchdog;
 // a transfer also stops before its first wild buffer offset. The post
-// local moves by n steps, the bus counts n reads, a transfer stores the
-// n values, and everything else runs the per-iteration code. The bus
-// predicts nothing while a fault injector or tracing is on, which the
-// kernel checks once per run.
+// local moves by n steps, the bus counts n reads (n per fragment of a
+// stub test's variable), a transfer stores the n values, and everything
+// else runs the per-iteration code. A stub test predicts through
+// codegen.Accessor.Steady, which refuses a register with pre-actions
+// and, in debug mode, a value that fails the read assertion; dil_eq's
+// type mismatch refuses too, so the closures raise either at its step.
+// The block stubs' get_block_ reads burst the same way (burstBlock in
+// expr.go). The bus predicts nothing while a fault injector or tracing
+// is on, which the kernel checks once per run.
 
 // loopKernel runs every remaining lean iteration of one loop execution.
 // ran is false when an entry check failed and nothing ran; otherwise
@@ -256,15 +266,40 @@ func ioWidth(name string) hw.AccessWidth {
 	return 0
 }
 
+// maskOp is a poll test's `OP M`: a pure integer operator and M, a
+// constant or a local (fuseOperand's cases).
+type maskOp struct {
+	f     func(a, b int64) int64
+	m     int64
+	mord  int32
+	mslot int32 // M's local slot, -1 for a constant
+}
+
+// maskOpOf classifies `OP M`.
+func (c *compiler) maskOpOf(op ctoken.Kind, y cast.Expr) (maskOp, bool) {
+	f := intBinOp(op)
+	m, ok := c.fuseOperand(y)
+	if f == nil || !ok {
+		return maskOp{}, false
+	}
+	return maskOp{f: f, m: m.v, mord: macroOrd(m), mslot: int32(m.slot)}, true
+}
+
+// apply is `v OP M` with M's current value.
+func (o *maskOp) apply(v int64, fr []Value) bool {
+	m := o.m
+	if o.mslot >= 0 {
+		m = fr[o.mslot].I
+	}
+	return o.f(v, m) != 0
+}
+
 // portTest is the condition `in*(P) OP M` with constant P, the
 // constant-port case of maskedRead.
 type portTest struct {
 	port  kport
 	width hw.AccessWidth
-	f     func(a, b int64) int64
-	m     int64
-	mord  int32
-	mslot int32 // M's local slot, -1 for a constant
+	maskOp
 }
 
 // portTestOf recognises the condition shape binary() compiles through
@@ -274,33 +309,21 @@ func (c *compiler) portTestOf(x cast.Expr) (portTest, bool) {
 	if !ok {
 		return portTest{}, false
 	}
-	f := intBinOp(b.Op)
-	if f == nil {
-		return portTest{}, false
-	}
 	in, ok := c.builtinCall(b.X, 1)
 	if !ok || in.Name[0] != 'i' {
 		return portTest{}, false
 	}
 	width := ioWidth(in.Name)
 	p, pok := c.kportOf(in.Args[0])
-	m, mok := c.fuseOperand(b.Y)
+	m, mok := c.maskOpOf(b.Op, b.Y)
 	if width == 0 || !pok || !mok {
 		return portTest{}, false
 	}
-	return portTest{port: p, width: width, f: f, m: m.v, mord: macroOrd(m), mslot: int32(m.slot)}, true
+	return portTest{port: p, width: width, maskOp: m}, true
 }
 
 func (t *portTest) late(st *state) bool {
 	return lateOrd(t.port.ord, st) || lateOrd(t.mord, st)
-}
-
-// mask is M's current value.
-func (t *portTest) mask(fr []Value) int64 {
-	if t.mslot >= 0 {
-		return fr[t.mslot].I
-	}
-	return t.m
 }
 
 func (t *portTest) eval(st *state, fr []Value) (bool, error) {
@@ -308,13 +331,108 @@ func (t *portTest) eval(st *state, fr []Value) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return t.f(int64(v), t.mask(fr)) != 0, nil
+	return t.apply(int64(v), fr), nil
 }
 
 // steady predicts the test's outcome, and until when it holds.
 func (t *portTest) steady(st *state, fr []Value) (holds bool, until uint64, ok bool) {
 	v, until, ok := st.bus.Steady(t.port.port, t.width)
-	return ok && t.f(int64(v), t.mask(fr)) != 0, until, ok
+	return ok && t.apply(int64(v), fr), until, ok
+}
+
+// stubTest is a poll condition over one Devil stub read, portTest's
+// twin for the Devil drivers: `get_X()`, `dil_eq(get_X(), K)` with K a
+// Devil enum constant, or `get_X() OP M`, each also under one `!`. The
+// poll evaluates it through its compiled closures; stubTest only
+// predicts it, converting the predicted value as the get_X() closure
+// does.
+type stubTest struct {
+	acc  *codegen.Accessor
+	conv stubConv
+	not  bool
+	eq   bool
+	k    codegen.Value // dil_eq's K
+	// maskOp is the `OP M` shape's; f is nil for the others.
+	maskOp
+}
+
+// stubTestOf recognises a stubTest condition, or returns nil.
+func (c *compiler) stubTestOf(x cast.Expr) *stubTest {
+	if c.stubs == nil {
+		return nil
+	}
+	var not, eq bool
+	var k codegen.Value
+	m := maskOp{mord: -1, mslot: -1}
+	if u, ok := x.(*cast.UnaryExpr); ok && u.Op == ctoken.Not {
+		not, x = true, u.X
+	}
+	get := x
+	if call, ok := c.builtinCall(x, 2); ok && call.Name == "dil_eq" {
+		if k, ok = c.enumConst(call.Args[1]); !ok {
+			return nil
+		}
+		eq, get = true, call.Args[0]
+	} else if b, ok := x.(*cast.BinaryExpr); ok {
+		if m, ok = c.maskOpOf(b.Op, b.Y); !ok {
+			return nil
+		}
+		get = b.X
+	}
+	call, ok := c.builtinCall(get, 0)
+	if !ok || !strings.HasPrefix(call.Name, "get_") || strings.HasPrefix(call.Name, "get_block_") {
+		return nil
+	}
+	sig, acc, ok := c.stubVar(call.Name[len("get_"):])
+	if !ok || !acc.Readable() {
+		return nil
+	}
+	return &stubTest{acc: acc, conv: stubConvOf(sig), not: not, eq: eq, k: k, maskOp: m}
+}
+
+// enumConst is the Devil enum constant an identifier compiles to (see
+// ident): one no local, global or macro of that name shadows.
+func (c *compiler) enumConst(x cast.Expr) (codegen.Value, bool) {
+	id, ok := x.(*cast.Ident)
+	if !ok {
+		return codegen.Value{}, false
+	}
+	_, local := c.lookupLocal(id.Name)
+	_, global := c.globalIdx[id.Name]
+	_, macro := c.macros[id.Name]
+	if local || global || macro {
+		return codegen.Value{}, false
+	}
+	return c.stubs.Const(id.Name)
+}
+
+// late reports whether M is a macro whose guard takes the late path.
+func (t *stubTest) late(st *state) bool {
+	return lateOrd(t.mord, st)
+}
+
+// steady predicts the test's outcome, and until when it holds. ok is
+// false where the read would raise an assertion or dil_eq a type
+// mismatch: the closures then raise it.
+func (t *stubTest) steady(st *state, fr []Value) (holds bool, until uint64, ok bool) {
+	dv, until, ok := t.acc.Steady()
+	if !ok {
+		return false, 0, false
+	}
+	v := t.conv.value(dv)
+	switch {
+	case t.eq:
+		eq, err := st.stubs.Eq(toDevil(v), t.k)
+		if err != nil {
+			return false, 0, false
+		}
+		holds = eq
+	case t.f != nil:
+		holds = t.apply(v.I, fr)
+	default:
+		holds = v.Truthy()
+	}
+	return holds != t.not, until, true
 }
 
 // horizon is how many reads, the first at time first and then one every
@@ -752,14 +870,27 @@ func (k *xferKernel) forward(st *state, fr []Value, head, b int64) error {
 }
 
 // pollKernel runs a bounded poll. cond, then and els are the if
-// segment's compiled closures; fast marks a condition test reads, and
-// forward a fast test with no else whose condition spans.
+// segment's compiled closures; fast marks a condition test reads, stub
+// (when non-nil) one the kernel can predict, and forward a fast or stub
+// test with no else whose condition spans.
 type pollKernel struct {
 	fast, forward bool
 	test          portTest
+	stub          *stubTest
 	cond          exprFn
 	then, els     stmtFn
 	tail          loopTail
+}
+
+// steady predicts the forwarded test: its outcome, until when it holds,
+// and the port reads one evaluation makes.
+func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uint64, ok bool) {
+	if k.fast {
+		holds, until, ok = k.test.steady(st, fr)
+		return holds, until, 1, ok
+	}
+	holds, until, ok = k.stub.steady(st, fr)
+	return holds, until, uint64(k.stub.acc.Fragments()), ok
 }
 
 func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
@@ -770,17 +901,17 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 	if !ok {
 		return flowNormal, voidValue, false, nil
 	}
-	forward := k.forward && st.bus.Predictable()
+	forward := k.forward && st.bus.Predictable() && (k.stub == nil || !k.stub.late(st))
 	per := head + 2
 	for {
 		if forward {
-			// Skip the iterations whose test reads a steady port and
+			// Skip the iterations whose test reads steady ports and
 			// fails: each only charges, reads and counts.
-			if holds, until, ok := k.test.steady(st, fr); ok && !holds {
+			if holds, until, reads, ok := k.steady(st, fr); ok && !holds {
 				n := min(k.tail.span(fr, b), st.kern.Room()/per, horizon(st.kern.Now()+uint64(head), until, per))
 				if n > 0 {
 					k.tail.advance(fr, n)
-					st.bus.CountReads(uint64(n))
+					st.bus.CountReads(uint64(n) * reads)
 					if err := st.kern.Forward(n * per); err != nil {
 						return flowNormal, voidValue, true, err
 					}
@@ -930,13 +1061,20 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 	}
 	if lone.cond != nil {
 		k := pollKernel{cond: lone.cond, then: lone.then, els: lone.els}
-		k.test, k.fast = c.portTestOf(stmts[0].(*cast.IfStmt).Cond)
+		cond := stmts[0].(*cast.IfStmt).Cond
+		k.test, k.fast = c.portTestOf(cond)
+		mslot := k.test.mslot
+		if !k.fast {
+			if k.stub = c.stubTestOf(cond); k.stub != nil {
+				mslot = k.stub.mslot
+			}
+		}
 		// The branches may store to any local, so a poll hoists only a
 		// bound that reads none.
 		k.tail = c.forTail(s, func(a *affine) bool { return a.n == 0 })
 		// Skipping an iteration needs a test that fails on every skipped
 		// read, and a mask the post leaves alone.
-		k.forward = k.fast && k.els == nil && k.tail.spans() && k.test.mslot != k.tail.post
+		k.forward = (k.fast || k.stub != nil) && k.els == nil && k.tail.spans() && mslot != k.tail.post
 		b := &pollBlock{superBlock: body, k: k}
 		b.kern = &b.k
 		c.stats.LoopKernels++

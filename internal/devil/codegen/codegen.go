@@ -495,6 +495,60 @@ func (a *Accessor) Get() (Value, error) {
 	return Value{File: s.filename, Type: a.typeID, Val: assembled}, nil
 }
 
+// Fragments is the number of port reads one Get makes.
+func (a *Accessor) Fragments() int { return len(a.frags) }
+
+// Steady predicts Get without making it (see hw.Bus.Steady): Get would
+// return v now and at every clock time before until, with no side
+// effect. ok is false when a fragment's register has pre-actions, when
+// the bus cannot predict a fragment's port, and in debug mode when v
+// fails the read assertion, so that the Get that raises it is made. The
+// caller accounts each Get it skips as Fragments reads.
+func (a *Accessor) Steady() (v Value, until uint64, ok bool) {
+	s := a.s
+	until = hw.Forever
+	var assembled uint32
+	for i := range a.frags {
+		f := &a.frags[i]
+		if len(f.reg.pre) > 0 {
+			return Value{}, 0, false
+		}
+		raw, u, ok := s.bus.Steady(f.reg.readPort, f.reg.width)
+		if !ok {
+			return Value{}, 0, false
+		}
+		until = min(until, u)
+		assembled = assembled<<f.width | (raw>>f.lo)&f.mask
+	}
+	if s.mode == Debug && a.assertRead(assembled) != nil {
+		return Value{}, 0, false
+	}
+	return Value{File: s.filename, Type: a.typeID, Val: assembled}, until, true
+}
+
+// Burst makes up to len(dst) Gets that do not depend on the clock (see
+// hw.Bus.Burst), stores their values in dst and returns how many it
+// made. Only a variable of one fragment whose register has no
+// pre-actions bursts, and in debug mode only one whose read assertion
+// no value can fail.
+func (a *Accessor) Burst(dst []uint32) int {
+	if len(a.frags) != 1 || len(a.frags[0].reg.pre) > 0 {
+		return 0
+	}
+	if k := a.vi.Decl.Type.Kind; a.s.mode == Debug && (k == ast.TypeEnum || k == ast.TypeIntSet) {
+		return 0
+	}
+	f := &a.frags[0]
+	n := a.s.bus.Burst(f.reg.readPort, f.reg.width, dst)
+	if f.lo != 0 || f.width < uint(f.reg.width) {
+		// The field is not the whole bus-masked read.
+		for i := range dst[:n] {
+			dst[i] = (dst[i] >> f.lo) & f.mask
+		}
+	}
+	return n
+}
+
 // Set writes the variable: the value is type-checked (debug mode), split
 // into fragments, merged into each target register via the register
 // cache, mask-fixed and written out. The caller must have checked Writable.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/cdriver/cincr"
+	"repro/internal/devil/codegen"
 )
 
 // The differential oracle: the block backend and the incremental
@@ -27,6 +28,8 @@ type diffRig struct {
 	// scenario, when non-empty, boots every mutant under the named
 	// hardware scenario with the campaign's task-derived fault seed.
 	scenario string
+	// stubMode is the Devil drivers' stub mode (debug when zero).
+	stubMode codegen.Mode
 	rigs     rigSet
 }
 
@@ -34,9 +37,10 @@ func (r *diffRig) boot(t *testing.T, p *driverPlan, driver string, mutantID int)
 	t.Helper()
 	m := p.res.Mutants[mutantID]
 	input := BootInput{
-		Devil:   p.src.Devil,
-		Budget:  ExperimentBudget,
-		Backend: r.backend,
+		Devil:    p.src.Devil,
+		StubMode: r.stubMode,
+		Budget:   ExperimentBudget,
+		Backend:  r.backend,
 		// The seed a campaign task of this cell would derive — the
 		// scenario determinism contract is that THIS seed, not run
 		// structure, decides the fault pattern.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cdriver/ctoken"
+	"repro/internal/devil/codegen"
 	"repro/internal/drivers"
 )
 
@@ -12,8 +13,10 @@ import (
 // an interp rig and a block rig (both over a full compile of the token
 // stream) and requires every observable diffOne compares to agree. The
 // first replacement's mutant stands in for the site diffOne classifies
-// the Table 3/4 row by. Seeds are under testdata/fuzz/FuzzBackendsAgree;
-// run it with `go test -run '^$' -fuzz FuzzBackendsAgree ./internal/experiment`.
+// the Table 3/4 row by. The low seven bits of extra pick the number of
+// replacements, and its high bit a Devil driver's stub mode (production
+// when set). Seeds are under testdata/fuzz/FuzzBackendsAgree; run it
+// with `go test -run '^$' -fuzz FuzzBackendsAgree ./internal/experiment`.
 func FuzzBackendsAgree(f *testing.F) {
 	names := drivers.Names()
 	wl := NewWorkload().(*workload)
@@ -27,7 +30,11 @@ func FuzzBackendsAgree(f *testing.F) {
 		}
 		toks := append([]ctoken.Token(nil), p.res.Tokens...)
 		first, replaced := -1, make(map[int]bool)
-		for _, x := range []uint32{a, b, c, d}[:2+int(extra%3)] {
+		mode := codegen.Debug
+		if extra&0x80 != 0 {
+			mode = codegen.Production
+		}
+		for _, x := range []uint32{a, b, c, d}[:2+int((extra&0x7f)%3)] {
 			m := p.res.Mutants[int(x%uint32(len(p.res.Mutants)))]
 			if replaced[m.TokenIndex] {
 				continue
@@ -39,10 +46,10 @@ func FuzzBackendsAgree(f *testing.F) {
 			}
 		}
 		boot := func(r *diffRig) *BootResult {
-			input := BootInput{Devil: p.src.Devil, Budget: ExperimentBudget, Backend: r.backend, Tokens: toks}
+			input := BootInput{Devil: p.src.Devil, StubMode: mode, Budget: ExperimentBudget, Backend: r.backend, Tokens: toks}
 			br, err := r.bootInput(name, input)
 			if err != nil {
-				t.Fatalf("%s with %d replacements (%s): harness error: %v", name, len(replaced), r.backend, err)
+				t.Fatalf("%s with %d replacements (%s, %v stubs): harness error: %v", name, len(replaced), r.backend, mode, err)
 			}
 			return br
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/devil/codegen"
 	"repro/internal/drivers"
 	"repro/internal/hw"
 )
@@ -36,12 +37,15 @@ func hidePredictions(t *testing.T, bus *hw.Bus) {
 }
 
 // TestPredictionAblation boots TestWorkGate's sample (5%, seed 2001, on
-// the block backend and the incremental front end) twice: on plain
-// rigs, where the loop kernels fast-forward over predicted reads, and
-// on rigs whose devices hide the prediction interfaces, where every
-// read reaches the device. Records, steps, console, coverage and the
-// bus accounting of every boot must be identical. It logs both wall
-// times and the share of steps fast-forwarded.
+// the block backend and the incremental front end), each Devil driver's
+// in both stub modes, twice: on plain rigs, where the loop kernels and
+// the block stubs fast-forward over predicted reads, and on rigs whose
+// devices hide the prediction interfaces, where every read reaches the
+// device. Records, steps, console, coverage and the bus accounting of
+// every boot must be identical. It logs both wall times and the share of
+// steps fast-forwarded, in total and per driver and mode, and requires
+// the Devil drivers that poll predictable registers or read a FIFO block
+// to fast-forward in both modes.
 func TestPredictionAblation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots the work gate's sample twice")
@@ -55,6 +59,7 @@ func TestPredictionAblation(t *testing.T) {
 	}
 	plain := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
 	hidden := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
+	mustForward := map[string]bool{"ide_devil": true, "ne2000_devil": true, "permedia_devil": true, "busmaster_devil": true}
 	for _, driver := range drivers.Names() {
 		r, err := hidden.rig.rigs.rigFor(driver, "")
 		if err != nil {
@@ -65,39 +70,58 @@ func TestPredictionAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 5, Seed: 2001}) {
-			var res [2]*BootResult
-			var stats [2][2]uint64
-			for i, s := range []*side{plain, hidden} {
-				r, err := s.rig.rigs.rigFor(driver, "")
-				if err != nil {
-					t.Fatal(err)
-				}
-				accesses, faults := r.Bus.Stats()
-				start := time.Now()
-				res[i] = s.rig.boot(t, p, driver, id)
-				s.wall += time.Since(start)
-				a, f := r.Bus.Stats()
-				stats[i] = [2]uint64{a - accesses, f - faults}
-				s.steps += res[i].Steps
-				s.forwarded += r.Kern.Forwarded()
-				if i == 0 {
-					// The result aliases pooled buffers the rig's next boot
-					// overwrites; the hidden side boots on another rig.
-					res[0].Console = append([]string(nil), res[0].Console...)
-					if res[0].Coverage != nil {
-						res[0].Coverage = res[0].Coverage.Clone()
+		modes := []codegen.Mode{0}
+		if p.src.Devil {
+			modes = []codegen.Mode{codegen.Debug, codegen.Production}
+		}
+		for _, mode := range modes {
+			plain.rig.stubMode, hidden.rig.stubMode = mode, mode
+			var steps, forwarded int64
+			for _, id := range selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 5, Seed: 2001}) {
+				var res [2]*BootResult
+				var stats [2][2]uint64
+				for i, s := range []*side{plain, hidden} {
+					r, err := s.rig.rigs.rigFor(driver, "")
+					if err != nil {
+						t.Fatal(err)
+					}
+					accesses, faults := r.Bus.Stats()
+					start := time.Now()
+					res[i] = s.rig.boot(t, p, driver, id)
+					s.wall += time.Since(start)
+					a, f := r.Bus.Stats()
+					stats[i] = [2]uint64{a - accesses, f - faults}
+					s.steps += res[i].Steps
+					s.forwarded += r.Kern.Forwarded()
+					if i == 0 {
+						steps += res[i].Steps
+						forwarded += r.Kern.Forwarded()
+						// The result aliases pooled buffers the rig's next
+						// boot overwrites; the hidden side boots on another
+						// rig.
+						res[0].Console = append([]string(nil), res[0].Console...)
+						if res[0].Coverage != nil {
+							res[0].Coverage = res[0].Coverage.Clone()
+						}
 					}
 				}
+				// diffOne's "interp" reads as the plain rig, "compiled" as
+				// the hidden one.
+				diffOne(t, driver, p, id, res[0], res[1])
+				if stats[0] != stats[1] {
+					t.Errorf("%s %v mutant %d: bus accesses/faults %v with prediction, %v without", driver, mode, id, stats[0], stats[1])
+				}
+				if t.Failed() {
+					t.Fatalf("%s %v: hiding predictions changed mutant %d", driver, mode, id)
+				}
 			}
-			// diffOne's "interp" reads as the plain rig, "compiled" as the
-			// hidden one.
-			diffOne(t, driver, p, id, res[0], res[1])
-			if stats[0] != stats[1] {
-				t.Errorf("%s mutant %d: bus accesses/faults %v with prediction, %v without", driver, id, stats[0], stats[1])
+			name := driver
+			if p.src.Devil {
+				name += " " + mode.String()
 			}
-			if t.Failed() {
-				t.Fatalf("%s: hiding predictions changed mutant %d", driver, id)
+			t.Logf("%-26s %10d steps, %5.1f%% fast-forwarded", name, steps, 100*float64(forwarded)/float64(max(steps, 1)))
+			if mustForward[driver] && forwarded == 0 {
+				t.Errorf("%s: no step fast-forwarded", name)
 			}
 		}
 	}

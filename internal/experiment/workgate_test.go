@@ -43,6 +43,9 @@ type workRow struct {
 	Steps int64 `json:"steps"`
 	// PortAccesses counts every bus access of the plain worker's rig.
 	PortAccesses uint64 `json:"port_accesses"`
+	// Forwarded sums the measured boots' steps that the loop kernels and
+	// block stubs fast-forwarded over predicted reads.
+	Forwarded int64 `json:"forwarded"`
 	// Counters holds the observed worker's block-backend and fallback
 	// counter totals, keyed by metric family.
 	Counters map[string]uint64 `json:"counters"`
@@ -58,11 +61,12 @@ var workCounters = []string{
 
 // TestWorkGate pins each driver's per-boot work against
 // testdata/workgate.json: allocations and bytes within
-// workGateTolerance, and exactly the steps, port accesses and
-// block-backend counters. It also requires the enabled metric collector
-// to add zero allocations to every task's boot. Unlike wall-clock
-// throughput, every one of these is a function of the code alone. Run
-// with -update to rewrite the baseline after an intended change.
+// workGateTolerance, and exactly the steps, fast-forwarded steps, port
+// accesses and block-backend counters. It also requires the enabled
+// metric collector to add zero allocations to every task's boot. Unlike
+// wall-clock throughput, every one of these is a function of the code
+// alone. Run with -update to rewrite the baseline after an intended
+// change.
 func TestWorkGate(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Garbage collection runs only between tasks (see measureWork), so
@@ -116,6 +120,9 @@ func TestWorkGate(t *testing.T) {
 		}
 		if g.Steps != w.Steps {
 			t.Errorf("%s: %d steps, baseline %d", g.Driver, g.Steps, w.Steps)
+		}
+		if g.Forwarded != w.Forwarded {
+			t.Errorf("%s: %d steps fast-forwarded, baseline %d", g.Driver, g.Forwarded, w.Forwarded)
 		}
 		if g.PortAccesses != w.PortAccesses {
 			t.Errorf("%s: %d port accesses, baseline %d", g.Driver, g.PortAccesses, w.PortAccesses)
@@ -178,6 +185,7 @@ func measureWork(t *testing.T, driver string) workRow {
 		row.Allocs += uint64(allocs)
 		steps := out.Steps
 		row.Steps += steps
+		row.Forwarded += rigForwarded(plain)
 
 		obsAllocs := testing.AllocsPerRun(1, boot(observed))
 		if out.Steps != steps {
@@ -209,6 +217,16 @@ func measureWork(t *testing.T, driver string) workRow {
 		}
 	}
 	return row
+}
+
+// rigForwarded is the fast-forwarded steps of the last boot of a worker
+// that boots one driver, on its one rig.
+func rigForwarded(wk campaign.Worker) int64 {
+	var n int64
+	for _, r := range wk.(*worker).rigs {
+		n += r.Kern.Forwarded()
+	}
+	return n
 }
 
 // rigAccesses totals the bus accesses of every rig a worker assembled.
