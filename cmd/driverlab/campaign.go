@@ -319,7 +319,7 @@ func campaignRun(args []string, resume bool) error {
 	fmt.Printf("campaign %q: %d selected, %d already stored, %d booted this run%s\n",
 		spec.Normalized().Name, sum.Total, sum.Skipped, sum.Ran, panics)
 	if metrics != nil {
-		for _, line := range fallbackSummary(metrics.Collector()) {
+		if line := fallbackSummary(metrics.Collector()); line != "" {
 			fmt.Println("  " + line)
 		}
 	}
@@ -329,28 +329,19 @@ func campaignRun(args []string, resume bool) error {
 	return nil
 }
 
-// fallbackSummary reports the boot pipeline's fallback counters of an
-// observed run: block-backend boots that executed on the reference
-// interpreter, and incremental-front-end boots that re-ran the full
-// pipeline.
-func fallbackSummary(col *obs.Collector) []string {
-	var interp, full float64
+// fallbackSummary reports the incremental-front-end boots of an
+// observed run that re-ran the full pipeline, or "" when none did.
+func fallbackSummary(col *obs.Collector) string {
+	var full float64
 	for _, s := range col.Gather() {
-		switch s.Name {
-		case experiment.MetricInterpFallbacks:
-			interp += s.Value
-		case experiment.MetricFullFrontend:
+		if s.Name == experiment.MetricFullFrontend {
 			full += s.Value
 		}
 	}
-	var lines []string
-	if interp > 0 {
-		lines = append(lines, fmt.Sprintf("%.0f boots fell back to the reference interpreter", interp))
+	if full == 0 {
+		return ""
 	}
-	if full > 0 {
-		lines = append(lines, fmt.Sprintf("%.0f boots re-ran the full front end (span-unsafe mutations)", full))
-	}
-	return lines
+	return fmt.Sprintf("%.0f boots re-ran the full front end (span-unsafe mutations)", full)
 }
 
 // progressPrinter returns a rate-limited live progress callback. The

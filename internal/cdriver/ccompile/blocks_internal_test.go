@@ -82,11 +82,7 @@ func newBlocksIncr(t *testing.T, prog *cast.Program) *Incr {
 	t.Helper()
 	bus := hw.NewBus()
 	bus.SetFloating(true)
-	in, err := NewIncr(prog, kernel.New(&hw.Clock{}), bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return in
+	return NewIncr(prog, kernel.New(&hw.Clock{}), bus, nil, nil)
 }
 
 // TestBlocksPatchInvalidatesOnlyTarget: patching one function swaps that

@@ -24,14 +24,10 @@
 // its observable semantics exactly — evaluation order, coverage points,
 // watchdog step charging, truncation, and error construction — and the
 // experiment suite's differential test boots every mutant on both
-// backends and requires identical results. Program shapes the compiler
-// cannot prove it executes identically (today: a macro expansion cycle,
-// creatable only by exotic mutants) are rejected with ErrUnsupported so
-// the caller can fall back to the interpreter.
+// backends and requires identical results.
 package ccompile
 
 import (
-	"errors"
 	"fmt"
 	"iter"
 
@@ -45,10 +41,6 @@ import (
 
 // Value is the shared runtime value representation of both backends.
 type Value = cinterp.Value
-
-// ErrUnsupported marks a program shape the compiler cannot prove it
-// executes identically to the interpreter; callers fall back to cinterp.
-var ErrUnsupported = errors.New("program shape not supported by the block backend")
 
 // maxCallDepth mirrors the interpreter's recursion bound.
 const maxCallDepth = 64
@@ -159,9 +151,9 @@ type BlockStats struct {
 	// generic argument-buffer builtin call (wrong-arity calls).
 	FallbackIO int64
 	// Superblocks is the number of while/for loops compiled to loop
-	// superblocks: the whole loop runs inside one closure with a
-	// specialized bool predicate and lean error-only statement cores,
-	// charging the watchdog in per-iteration batches.
+	// superblocks: the whole loop runs inside one closure, charging the
+	// watchdog in per-iteration batches once an iteration has covered
+	// every segment.
 	Superblocks int64
 	// SuperStmts is the number of body statements inside those
 	// superblocks (the post statement of a for loop counts too).
@@ -200,27 +192,24 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 // machine (kernel, bus, and — for CDevil drivers — generated stubs). The
 // returned Proc is not yet initialised: Init runs the global
 // initialisers, whose faults are insmod-time boot outcomes, not compile
-// errors. Compile itself fails only with ErrUnsupported.
+// errors. Every checked program compiles.
 //
 // Compile fuses straight-line statement runs into basic-block
 // closures charged one watchdog step at entry (see cinterp.SimpleStmt
 // for the shared fusion rule, so step counts are identical to the
-// interpreter's), batches port I/O through cached hw.Bus resolutions,
-// and runs eligible loops as superblocks.
+// interpreter's), compiles port I/O to direct hw.Bus calls, and runs
+// eligible loops as superblocks.
 func Compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach) (*Proc, error) {
+	stubs *codegen.Stubs, m *Mach) *Proc {
 	c := newCompiler(prog, stubs)
 	c.registerDecls()
 	inits := c.compileInits(nil)
 	c.compileFuncs(nil)
-	if c.err != nil {
-		return nil, c.err
-	}
 	if m == nil {
 		m = NewMach()
 	}
 	c.sizeMach(m)
-	return c.newProc(kern, bus, stubs, m, inits), nil
+	return c.newProc(kern, bus, stubs, m, inits)
 }
 
 // newCompiler builds an empty compiler over a checked program.
@@ -232,6 +221,7 @@ func newCompiler(prog *cast.Program, stubs *codegen.Stubs) *compiler {
 		funcIdx:   make(map[string]int),
 		globalIdx: make(map[string]globalRef),
 		macros:    make(map[string]macroRef),
+		expanding: make(map[string]*exprFn),
 		domLine:   -1,
 	}
 	if stubs != nil {

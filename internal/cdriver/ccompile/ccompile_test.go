@@ -290,10 +290,7 @@ func runBothOn(t *testing.T, cfg rigConfig, src, fn string, args ...cinterp.Valu
 	}
 
 	in, ierr := cinterp.New(prog, env, interpRig.kern, interpRig.bus, interpRig.stubs)
-	p, cerr := ccompile.Compile(prog, compRig.kern, compRig.bus, compRig.stubs, nil)
-	if cerr != nil {
-		t.Fatalf("compile: %v", cerr)
-	}
+	p := ccompile.Compile(prog, compRig.kern, compRig.bus, compRig.stubs, nil)
 	perr := p.Init()
 
 	if (ierr == nil) != (perr == nil) || (ierr != nil && ierr.Error() != perr.Error()) {
@@ -558,22 +555,44 @@ int fib(int n) {
 	}
 }
 
-func TestMacroCycleIsUnsupported(t *testing.T) {
-	// A macro expansion cycle (creatable only by exotic identifier
-	// mutants) must be rejected with ErrUnsupported, not loop the
-	// compiler forever; the caller then falls back to the interpreter.
-	src := `
+// TestMacroCyclesAgree boots macro expansion cycles (creatable only by
+// exotic identifier mutants) on both backends: the block backend
+// compiles them and recurses until the depth guard raises the
+// interpreter's crash, with the same coverage and steps.
+func TestMacroCyclesAgree(t *testing.T) {
+	for name, src := range map[string]string{
+		"mutual": `
 #define A B
 #define B A
-int f(void) { return A; }`
-	prog, perrs := cparser.Parse(src)
-	if len(perrs) != 0 {
-		t.Fatalf("parse: %v", perrs)
-	}
-	r := newRig()
-	_, err := ccompile.Compile(prog, r.kern, r.bus, nil, nil)
-	if !errors.Is(err, ccompile.ErrUnsupported) {
-		t.Fatalf("cyclic macro: err = %v, want ErrUnsupported", err)
+int f(void) { return A; }`,
+		"under a local": `
+#define A (B + 1)
+#define B (A * 2)
+int f(void) {
+	int v = 3;
+	printk("v %d", v);
+	v = v + A;
+	return v;
+}`,
+		"self after a global store": `
+int g;
+#define A (A + 1)
+int f(void) {
+	g = 5;
+	return g + A;
+}`,
+		"in a global initialiser": `
+#define A (B - 1)
+#define B (A + 2)
+int g = B;
+int f(void) { return g; }`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := runBoth(t, src, "f")
+			if !strings.Contains(o.errText, "macro expansion too deep") {
+				t.Fatalf("error = %q, want the macro depth guard's crash", o.errText)
+			}
+		})
 	}
 }
 
@@ -639,10 +658,7 @@ int g(void) { return get_interrupt(trace(9)); }`
 			}
 			call, cov = in.Call, in.Coverage()
 		default:
-			p, err := ccompile.Compile(prog, kern, bus, stubs, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			p := ccompile.Compile(prog, kern, bus, stubs, nil)
 			if err := p.Init(); err != nil {
 				t.Fatal(err)
 			}
@@ -695,10 +711,7 @@ func TestMachReuseAcrossBoots(t *testing.T) {
 	var firstCov []int
 	for i := 0; i < 3; i++ {
 		r := newRig()
-		p, err := ccompile.Compile(prog, r.kern, r.bus, nil, m)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := ccompile.Compile(prog, r.kern, r.bus, nil, m)
 		if err := p.Init(); err != nil {
 			t.Fatal(err)
 		}

@@ -51,8 +51,10 @@ type compiler struct {
 	globalIdx   map[string]globalRef
 	globalTypes []cast.CType
 
-	macros     map[string]macroRef
-	macroStack []string
+	macros map[string]macroRef
+	// expanding holds the body closure cell of every macro expansion
+	// being compiled, by macro name.
+	expanding map[string]*exprFn
 	// onMacro, when non-nil, is invoked for every macro inlined at a use
 	// site (including macros reached through nested expansion) — the
 	// incremental compiler records which compilation units must be
@@ -66,7 +68,6 @@ type compiler struct {
 
 	maxSlots int
 	maxLine  int
-	err      error
 }
 
 // line records a source line for coverage sizing and returns it.
@@ -75,12 +76,6 @@ func (c *compiler) line(pos ctoken.Pos) int {
 		c.maxLine = pos.Line
 	}
 	return pos.Line
-}
-
-func (c *compiler) fail(err error) {
-	if c.err == nil {
-		c.err = err
-	}
 }
 
 func (c *compiler) pushScope() { c.scopes = append(c.scopes, make(map[string]localSlot)) }
@@ -291,26 +286,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		}
 
 	case *cast.IfStmt:
-		condFn := c.expr(s.Cond)
-		thenFn := c.stmt(s.Then)
-		var elseFn stmtFn
-		if s.Else != nil {
-			elseFn = c.stmt(s.Else)
-		}
-		return func(st *state, fr []Value) (flow, Value, error) {
-			st.cov.Add(line)
-			cond, err := condFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
-			}
-			if cond.Truthy() {
-				return thenFn(st, fr)
-			}
-			if elseFn != nil {
-				return elseFn(st, fr)
-			}
-			return flowNormal, voidValue, nil
-		}
+		return c.ifStmt(s, line).fn
 
 	case *cast.WhileStmt:
 		// A while loop is a for loop with no init and no post. It opens
@@ -392,6 +368,34 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 	return func(st *state, fr []Value) (flow, Value, error) {
 		st.cov.Add(line)
 		return flowNormal, voidValue, nil
+	}
+}
+
+// ifStmt compiles an if statement's body closure, keeping its
+// condition and branch closures for a superblock's poll kernel.
+func (c *compiler) ifStmt(s *cast.IfStmt, line int) ctlForms {
+	condFn := c.expr(s.Cond)
+	thenFn := c.stmt(s.Then)
+	var elseFn stmtFn
+	if s.Else != nil {
+		elseFn = c.stmt(s.Else)
+	}
+	return ctlForms{
+		fn: func(st *state, fr []Value) (flow, Value, error) {
+			st.cov.Add(line)
+			cond, err := condFn(st, fr)
+			if err != nil {
+				return flowNormal, voidValue, err
+			}
+			if cond.Truthy() {
+				return thenFn(st, fr)
+			}
+			if elseFn != nil {
+				return elseFn(st, fr)
+			}
+			return flowNormal, voidValue, nil
+		},
+		cond: condFn, then: thenFn, els: elseFn,
 	}
 }
 
@@ -728,4 +732,30 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 		target.store(st, fr, cinterp.Truncate(typ, intValue(op(cur.I, rhs.I))))
 		return flowNormal, voidValue, nil
 	}
+}
+
+// compoundBase maps each compound assignment operator to its binary
+// operator.
+var compoundBase = map[ctoken.Kind]ctoken.Kind{
+	ctoken.OrAssign:  ctoken.Or,
+	ctoken.AndAssign: ctoken.And,
+	ctoken.XorAssign: ctoken.Xor,
+	ctoken.ShlAssign: ctoken.Shl,
+	ctoken.ShrAssign: ctoken.Shr,
+	ctoken.AddAssign: ctoken.Add,
+	ctoken.SubAssign: ctoken.Sub,
+}
+
+// compoundOp resolves a compound assignment operator to its integer
+// implementation, nil outside the set. Both assignment forms (assign
+// and assignLocal) resolve through it.
+func compoundOp(op ctoken.Kind) func(a, b int64) int64 {
+	if base, ok := compoundBase[op]; ok {
+		return intBinOp(base)
+	}
+	return nil
+}
+
+func badAssignOpErr(op ctoken.Kind) error {
+	return &kernel.CrashError{Cause: fmt.Errorf("bad assignment operator %s", op)}
 }

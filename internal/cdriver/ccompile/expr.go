@@ -220,17 +220,17 @@ func (c *compiler) ident(id *cast.Ident, line int) exprFn {
 				return v, nil
 			}
 		}
-		for _, active := range c.macroStack {
-			if active == name {
-				c.fail(fmt.Errorf("%w: macro expansion cycle at %q", ErrUnsupported, name))
-				return func(st *state, fr []Value) (Value, error) {
-					return voidValue, undefIdentErr(name)
-				}
-			}
+		// The body closure is reached through a cell. A use inside its
+		// own expansion (a cycle) shares the cell of the expansion being
+		// compiled, whose closure is the same one a fresh compile would
+		// produce, and recurses at run time until the depth guard fires.
+		body, cyclic := c.expanding[name]
+		if !cyclic {
+			body = new(exprFn)
+			c.expanding[name] = body
+			*body = c.expr(m.decl.Body)
+			delete(c.expanding, name)
 		}
-		c.macroStack = append(c.macroStack, name)
-		bodyFn := c.expr(m.decl.Body)
-		c.macroStack = c.macroStack[:len(c.macroStack)-1]
 		ord := m.ord
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
@@ -243,7 +243,7 @@ func (c *compiler) ident(id *cast.Ident, line int) exprFn {
 				}
 			}
 			st.depth++
-			v, err := bodyFn(st, fr)
+			v, err := (*body)(st, fr)
 			st.depth--
 			return v, err
 		}

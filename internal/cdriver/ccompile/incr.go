@@ -1,6 +1,7 @@
 package ccompile
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/cdriver/cast"
@@ -63,13 +64,12 @@ type Incr struct {
 }
 
 // NewIncr compiles a checked pristine program against a concrete machine
-// and retains everything needed to recompile single declarations. It
-// fails only with ErrUnsupported, exactly like Compile; callers then use
-// the interpreter for every boot, as the full path would. Recompiled
-// units get the same fusion as Compile, so a patched declaration's
-// observables — including step counts — match a from-scratch compile.
+// and retains everything needed to recompile single declarations.
+// Recompiled units get the same fusion as Compile, so a patched
+// declaration's observables — including step counts — match a
+// from-scratch compile.
 func NewIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
-	stubs *codegen.Stubs, m *Mach) (*Incr, error) {
+	stubs *codegen.Stubs, m *Mach) *Incr {
 	if m == nil {
 		m = NewMach()
 	}
@@ -111,9 +111,6 @@ func NewIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	in.inits = c.compileInits(func(idx int) { curKind, curIdx = unitInit, idx; clear(seen) })
 	c.compileFuncs(func(idx int) { curKind, curIdx = unitFunc, idx; clear(seen) })
 	c.onMacro = nil
-	if c.err != nil {
-		return nil, c.err
-	}
 
 	// Map declaration order to compiled units (first declaration wins,
 	// matching registerDecls).
@@ -136,7 +133,7 @@ func NewIncr(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 
 	c.sizeMach(m)
 	in.proc = c.newProc(kern, bus, stubs, m, in.inits)
-	return in, nil
+	return in
 }
 
 // unitKind tags the compilation unit currently recording macro deps.
@@ -201,28 +198,23 @@ func (in *Incr) recompileInit(idx int, d *cast.VarDecl) {
 // Patch recompiles declaration slot ord with the replacement decl and
 // returns the Proc reset to its pre-Init state, ready for Init and the
 // boot script. The previous patch is reverted first, so Patch(i, prist)
-// is never needed to undo Patch(i, mutant).
-//
-// A replacement whose shape the compiler rejects (today: a macro body
-// mutated into an expansion cycle) returns ErrUnsupported; the caller
-// falls back to the interpreter over the spliced AST, exactly as the
-// full path falls back when Compile rejects a mutant.
+// is never needed to undo Patch(i, mutant). It fails only when d is not
+// a declaration of the kind and name that slot ord holds.
 func (in *Incr) Patch(ord int, d cast.Decl) (*Proc, error) {
 	in.revert()
-	in.c.err = nil
 	before := in.c.stats
 	switch d := d.(type) {
 	case *cast.FuncDecl:
 		idx, ok := in.funcIdxOfOrd[ord]
 		if !ok {
-			return nil, fmt.Errorf("%w: declaration %d is not a compiled function", ErrUnsupported, ord)
+			return nil, fmt.Errorf("declaration %d is not a compiled function", ord)
 		}
 		in.recompileFunc(idx, d)
 
 	case *cast.MacroDecl:
 		mr, ok := in.pristineMacros[d.Name]
 		if !ok || mr.ord != ord {
-			return nil, fmt.Errorf("%w: declaration %d is not macro %q", ErrUnsupported, ord, d.Name)
+			return nil, fmt.Errorf("declaration %d is not macro %q", ord, d.Name)
 		}
 		in.patchedMacro = d.Name
 		in.c.macros[d.Name] = macroRef{ord: mr.ord, decl: d}
@@ -238,15 +230,12 @@ func (in *Incr) Patch(ord int, d cast.Decl) (*Proc, error) {
 	case *cast.VarDecl:
 		idx, ok := in.initIdxOfOrd[ord]
 		if !ok {
-			return nil, fmt.Errorf("%w: declaration %d is not a compiled global", ErrUnsupported, ord)
+			return nil, fmt.Errorf("declaration %d is not a compiled global", ord)
 		}
 		in.recompileInit(idx, d)
 
 	default:
-		return nil, fmt.Errorf("%w: unknown declaration kind", ErrUnsupported)
-	}
-	if in.c.err != nil {
-		return nil, in.c.err
+		return nil, errors.New("unknown declaration kind")
 	}
 
 	// The mutated unit may need more frame slots or (defensively) new

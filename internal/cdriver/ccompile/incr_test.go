@@ -1,7 +1,6 @@
 package ccompile_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -131,10 +130,7 @@ func patchAndCall(t *testing.T, in *ccompile.Incr, prog *cast.Program, idx int,
 	spliced := &cast.Program{Decls: append([]cast.Decl(nil), prog.Decls...)}
 	spliced.Decls[idx] = d
 	ref := newRig()
-	rp, cerr := ccompile.Compile(spliced, ref.kern, ref.bus, nil, nil)
-	if cerr != nil {
-		t.Fatalf("reference compile: %v", cerr)
-	}
+	rp := ccompile.Compile(spliced, ref.kern, ref.bus, nil, nil)
 	if err := rp.Init(); err != nil {
 		t.Fatalf("reference init: %v", err)
 	}
@@ -151,10 +147,7 @@ func patchAndCall(t *testing.T, in *ccompile.Incr, prog *cast.Program, idx int,
 func TestPatchFunctionInPlace(t *testing.T) {
 	prog, env := parseChecked(t, incrSrc)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 
 	// Callers of a patched function must reach the new body through
 	// their existing compiled call sites.
@@ -175,10 +168,7 @@ func TestPatchFunctionInPlace(t *testing.T) {
 func TestPatchMacroRecompilesDependents(t *testing.T) {
 	prog, env := parseChecked(t, incrSrc)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 
 	// STEP is inlined into bump (a function), base (a global
 	// initialiser) and BIG (transitively through twice? no — through
@@ -201,10 +191,7 @@ func TestPatchMacroRecompilesDependents(t *testing.T) {
 func TestPatchGlobalInitialiser(t *testing.T) {
 	prog, env := parseChecked(t, incrSrc)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	d := parseDecl(t, prog, env, "int base = 40;")
 	v := patchAndCall(t, in, prog, declIdx(t, prog, "base"), d, "total")
 	if v.I != 40+(10+3)*2 {
@@ -212,36 +199,49 @@ func TestPatchGlobalInitialiser(t *testing.T) {
 	}
 }
 
-func TestPatchRejectsMacroCycle(t *testing.T) {
+// TestPatchIntoMacroCycle patches a macro body into an expansion cycle:
+// the patch succeeds and the call fails exactly like a full Compile of
+// the spliced program, and the Incr stays usable afterwards.
+func TestPatchIntoMacroCycle(t *testing.T) {
 	src := "#define A 1\n#define B (A + 1)\nint f(void) { return B; }\n"
 	prog, _ := parseChecked(t, src)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutate A's body to reference B: expanding B now cycles, which the
-	// compiler rejects so the caller falls back to the interpreter —
-	// exactly as a full Compile of the mutated program would.
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	p, perrs := cparser.Parse("#define A (B + 1)")
 	if len(perrs) != 0 {
 		t.Fatal(perrs)
 	}
-	if _, err := in.Patch(declIdx(t, prog, "A"), p.Decls[0]); !errors.Is(err, ccompile.ErrUnsupported) {
-		t.Fatalf("cyclic macro patch: err = %v, want ErrUnsupported", err)
-	}
-	// The Incr must stay usable: a clean patch afterwards works.
-	p2, _ := cparser.Parse("#define A 7")
-	proc, err := in.Patch(declIdx(t, prog, "A"), p2.Decls[0])
+	idx := declIdx(t, prog, "A")
+	pp, err := in.Patch(idx, p.Decls[0])
 	if err != nil {
-		t.Fatalf("patch after rejected patch: %v", err)
+		t.Fatalf("Patch: %v", err)
 	}
-	if err := proc.Init(); err != nil {
-		t.Fatal(err)
+	if err := pp.Init(); err != nil {
+		t.Fatalf("Init: %v", err)
 	}
-	v, err := proc.Call("f")
-	if err != nil || v.I != 8 {
-		t.Fatalf("f() after recovery = %v (%v), want 8", v.I, err)
+	_, gerr := pp.Call("f")
+
+	spliced := &cast.Program{Decls: append([]cast.Decl(nil), prog.Decls...)}
+	spliced.Decls[idx] = p.Decls[0]
+	ref := newRig()
+	rp := ccompile.Compile(spliced, ref.kern, ref.bus, nil, nil)
+	if err := rp.Init(); err != nil {
+		t.Fatalf("reference init: %v", err)
+	}
+	_, werr := rp.Call("f")
+	if gerr == nil || !strings.Contains(gerr.Error(), "macro expansion too deep") {
+		t.Fatalf("cyclic macro call: err = %v, want the macro depth guard's crash", gerr)
+	}
+	if werr == nil || gerr.Error() != werr.Error() {
+		t.Fatalf("patched error %v, reference %v", gerr, werr)
+	}
+	if !pp.Coverage().Equal(rp.Coverage()) || r.kern.Steps() != ref.kern.Steps() {
+		t.Fatalf("patched steps %d, reference %d (or coverage differs)", r.kern.Steps(), ref.kern.Steps())
+	}
+
+	p2, _ := cparser.Parse("#define A 7")
+	if v := patchAndCall(t, in, prog, idx, p2.Decls[0], "f"); v.I != 8 {
+		t.Fatalf("f() after the cyclic patch = %d, want 8", v.I)
 	}
 }
 
@@ -249,10 +249,7 @@ func TestPatchStateResetBetweenBoots(t *testing.T) {
 	src := "int counter;\nint tick(void) { counter = counter + 1; return counter; }\n"
 	prog, env := parseChecked(t, src)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	d := parseDecl(t, prog, env, "int tick(void) { counter = counter + 2; return counter; }")
 	idx := declIdx(t, prog, "tick")
 	for boot := 0; boot < 3; boot++ {

@@ -13,7 +13,8 @@ import (
 
 // Loop kernels: the steady state of the three innermost loop shapes of
 // the driver corpus compiles to one kernel each, a plain Go loop over
-// closure-free operands instead of leanIter's segment and closure hops.
+// closure-free operands instead of the superblock's segment and closure
+// hops.
 //
 //   - Transfer: `for (…; i OP B; i++/i--)` whose body is one or two of
 //     `kbuf_write{8,16}(OFF, in{b,w,l}(P))`, `v = in*(P)`,
@@ -33,22 +34,22 @@ import (
 // (fuseOperand's constant case), v is a local, and OFF is affine over
 // locals (+, -, *lit, <<lit), held as an affine form.
 //
-// A kernel takes over from leanIter once the careful iterations have
-// licensed lean ones, and makes exactly the kernel, clock and bus calls
-// leanIter plus the loop tail make, in the same order: StepN(head), the
-// statements, the post, StepN(2), the condition. Sub-expression coverage
-// adds are dropped: every line they add is fixed at compile time and was
-// covered by the careful iteration. The loop bound B is hoisted to
+// A kernel takes over once the careful iterations have licensed lean
+// ones, and makes exactly the kernel, clock and bus calls a lean
+// superBlock.iter plus the loop tail make, in the same order:
+// StepN(head), the statements, the post, StepN(2), the condition.
+// Sub-expression coverage adds are dropped: every line they add is fixed
+// at compile time and was covered by the careful iteration. The loop bound B is hoisted to
 // kernel entry only when it is a constant, or affine (optionally ÷ a
 // positive literal) over locals that neither a transfer statement nor
 // the post writes; a poll's branches may write any local, so a poll
-// hoists constants only. Otherwise the kernel calls the compiled
-// predicate.
+// hoists constants only. Otherwise the kernel calls the condition's
+// closure.
 //
-// Two entry checks send the rest of a loop execution back to leanIter:
-// a macro operand whose guard would take the late path, and a Devil
-// value in a local a kernel statement stores to (the assignment would
-// store it untruncated). Neither can change within one loop execution:
+// Two entry checks send the rest of a loop execution back to the lean
+// iterations: a macro operand whose guard would take the late path, and
+// a Devil value in a local a kernel statement stores to (the assignment
+// would store it untruncated). Neither can change within one loop execution:
 // declsReady moves only between global initialisers, every call and
 // macro expansion restores depth, and a kernel stores only integers.
 //
@@ -77,7 +78,7 @@ import (
 // ran is false when an entry check failed and nothing ran; otherwise
 // fl, v and err are the loop statement's own result.
 type loopKernel interface {
-	run(st *state, fr []Value, head int64, pred predFn) (fl flow, v Value, ran bool, err error)
+	run(st *state, fr []Value, head int64, cond exprFn) (fl flow, v Value, ran bool, err error)
 }
 
 // lateOrd reports whether a macro operand's guard takes the late path;
@@ -451,7 +452,7 @@ type loopTail struct {
 	delta  int8
 	ptrunc uint8 // the post local's cast.TypeKind
 	// f is the condition operator when the bound is hoisted (nil: call
-	// the compiled predicate), op its token; x is the condition's left
+	// the condition's closure), op its token; x is the condition's left
 	// local.
 	f     func(a, b int64) int64
 	op    ctoken.Kind
@@ -595,13 +596,14 @@ func (t *loopTail) entry(st *state, fr []Value) (b int64, ok bool) {
 }
 
 // next runs the post, its two charges and the condition.
-func (t *loopTail) next(st *state, fr []Value, pred predFn, b int64) (bool, error) {
+func (t *loopTail) next(st *state, fr []Value, cond exprFn, b int64) (bool, error) {
 	fr[t.post] = intValue(truncTo(cast.TypeKind(t.ptrunc), fr[t.post].I+int64(t.delta)))
 	if err := st.kern.StepN(2); err != nil {
 		return false, err
 	}
 	if t.f == nil {
-		return pred(st, fr)
+		v, err := cond(st, fr)
+		return v.Truthy(), err
 	}
 	return t.f(fr[t.x].I, b) != 0, nil
 }
@@ -787,7 +789,7 @@ func (k *xferKernel) bursts() bool {
 	return k.tail.spans()
 }
 
-func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
+func (k *xferKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, Value, bool, error) {
 	ops := k.ops[:k.n]
 	for i := range ops {
 		if ops[i].late(st, fr) {
@@ -813,7 +815,7 @@ func (k *xferKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 				return flowNormal, voidValue, true, err
 			}
 		}
-		if more, err := k.tail.next(st, fr, pred, b); err != nil || !more {
+		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
 			return flowNormal, voidValue, true, err
 		}
 	}
@@ -893,7 +895,7 @@ func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uin
 	return holds, until, uint64(k.stub.acc.Fragments()), ok
 }
 
-func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, Value, bool, error) {
+func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, Value, bool, error) {
 	if k.fast && k.test.late(st) {
 		return flowNormal, voidValue, false, nil
 	}
@@ -949,7 +951,7 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, pred predFn) (flow, 
 		case flowReturn:
 			return flowReturn, v, true, nil
 		}
-		if more, err := k.tail.next(st, fr, pred, b); err != nil || !more {
+		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
 			return flowNormal, voidValue, true, err
 		}
 	}
@@ -960,7 +962,7 @@ type spinKernel struct {
 	test portTest
 }
 
-func (k *spinKernel) run(st *state, fr []Value, head int64, _ predFn) (flow, Value, bool, error) {
+func (k *spinKernel) run(st *state, fr []Value, head int64, _ exprFn) (flow, Value, bool, error) {
 	if k.test.late(st) {
 		return flowNormal, voidValue, false, nil
 	}

@@ -12,7 +12,7 @@ import (
 // so a kernel that writes the wrong transfer-buffer offset, strobes a
 // port once too often or reads it at another virtual time fails here.
 // Each case also pins how many loops compiled to kernels, so it cannot
-// pass by falling back to leanIter.
+// pass by falling back to the lean iterations.
 
 const kernelPorts = `
 #define DATA 0x300
@@ -355,7 +355,8 @@ int f(void) { return early + drain(); }
 	}
 }
 
-// TestKernelShapesNotRecognised pins loops that must stay on leanIter:
+// TestKernelShapesNotRecognised pins loops that must stay on the lean
+// iterations:
 // an offset that is not affine or reads a third local, a third
 // statement, a port that is not constant, a value that is not a port
 // read or a local, and a post that is not i++/i--.

@@ -142,10 +142,7 @@ int sum(int n) {
 `
 	prog, env := parseChecked(t, src)
 	r := newRig()
-	in, err := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
-	if err != nil {
-		t.Fatalf("NewIncr: %v", err)
-	}
+	in := ccompile.NewIncr(prog, r.kern, r.bus, nil, nil)
 	idx := declIdx(t, prog, "sum")
 	// The cmut-style predicate mutation: relational operator flipped to
 	// "<=", one extra iteration.

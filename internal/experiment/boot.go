@@ -265,20 +265,13 @@ func (r *BootResult) CompileDetected() bool { return len(r.CompileErrors) > 0 }
 
 // newEngine builds the selected execution backend for a checked program.
 // A non-nil error is a run-time insmod fault (a global initialiser
-// crashed) and classifies like any boot-terminating error. Backend
-// construction itself cannot fail: the rare program shape the compiler
-// rejects (ErrUnsupported) falls back to the reference interpreter, which
-// executes everything.
+// crashed) and classifies like any boot-terminating error.
 func newEngine(b Backend, prog *cast.Program, env *ctypes.Env, kern *kernel.Kernel,
 	bus *hw.Bus, stubs *codegen.Stubs, mach *ccompile.Mach, o *bootObs) (Engine, error) {
 	if b == BackendInterp {
 		return cinterp.New(prog, env, kern, bus, stubs)
 	}
-	p, cerr := ccompile.Compile(prog, kern, bus, stubs, mach)
-	if cerr != nil {
-		o.interpFallback.Inc()
-		return cinterp.New(prog, env, kern, bus, stubs)
-	}
+	p := ccompile.Compile(prog, kern, bus, stubs, mach)
 	o.addBlockStats(p.Stats())
 	if err := p.Init(); err != nil {
 		return p, err

@@ -47,7 +47,7 @@ type incrState struct {
 	scope *ccheck.Scope
 	env   *ctypes.Env
 	stubs *codegen.Stubs
-	inc   *ccompile.Incr // nil on the interp backend (or ErrUnsupported pristine)
+	inc   *ccompile.Incr // nil on the interp backend
 
 	// scratch is the span re-parse buffer, reused across boots.
 	scratch []ctoken.Token
@@ -114,13 +114,8 @@ func (c *execCaches) incrFor(kern *kernel.Kernel, bus *hw.Bus,
 		st.spliceDecls = make([]cast.Decl, len(prog.Decls))
 		if input.Backend != BackendInterp {
 			// The pristine compile binds this machine's kernel, bus and
-			// stub accessors once; a compile rejection (ErrUnsupported)
-			// leaves inc nil and every incremental boot uses the
-			// interpreter, exactly as the full path's per-boot fallback
-			// would.
-			if inc, err := ccompile.NewIncr(prog, kern, bus, st.stubs, c.exec); err == nil {
-				st.inc = inc
-			}
+			// stub accessors once.
+			st.inc = ccompile.NewIncr(prog, kern, bus, st.stubs, c.exec)
 		}
 	}
 	c.incr[key] = st
@@ -179,36 +174,26 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		return nil, res, true, nil
 	}
 
-	// Build the engine: patch the incremental compile in place, falling
-	// back to the interpreter over the spliced AST exactly where the full
-	// path would (interp backend, or a compile rejection).
+	// Build the engine: patch the incremental compile in place, or on the
+	// interp backend interpret the spliced AST.
 	tb := o.compile.Start()
-	if input.Backend != BackendInterp && st.inc != nil {
-		p, cerr := st.inc.Patch(declIdx, decl)
-		if cerr == nil {
-			o.addBlockStats(st.inc.PatchStats())
-			ierr := p.Init()
+	if st.inc != nil {
+		p, perr := st.inc.Patch(declIdx, decl)
+		if perr != nil {
 			tb.Stop()
-			if ierr != nil {
-				res.Outcome = kernel.Classify(ierr)
-				res.RunErr = ierr
-				return nil, res, true, nil
-			}
-			return p, res, true, nil
+			return nil, nil, false, perr
 		}
+		o.addBlockStats(st.inc.PatchStats())
+		ex, err = p, p.Init()
+	} else {
+		ex, err = cinterp.New(st.splice(declIdx, decl), st.env, kern, r.Bus, st.stubs)
 	}
-	if input.Backend != BackendInterp {
-		// Block backend requested, interpreter executing: the pristine
-		// compile was rejected (inc == nil) or the patch was.
-		o.interpFallback.Inc()
-	}
-	in, runErr := cinterp.New(st.splice(declIdx, decl), st.env, kern, r.Bus, st.stubs)
 	tb.Stop()
-	if runErr != nil {
+	if err != nil {
 		// Global initialiser fault: machine-level failure at insmod time.
-		res.Outcome = kernel.Classify(runErr)
-		res.RunErr = runErr
+		res.Outcome = kernel.Classify(err)
+		res.RunErr = err
 		return nil, res, true, nil
 	}
-	return in, res, true, nil
+	return ex, res, true, nil
 }

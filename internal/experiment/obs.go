@@ -30,10 +30,6 @@ const (
 	// MetricBootPhase histograms wall time per pipeline phase, labelled
 	// {workload, phase}.
 	MetricBootPhase = "driverlab_boot_phase_seconds"
-	// MetricInterpFallbacks counts boots that requested the block
-	// backend but executed on the reference interpreter because the
-	// compiler rejected the program shape (ErrUnsupported).
-	MetricInterpFallbacks = "driverlab_boot_interp_fallbacks_total"
 	// MetricFullFrontend counts incremental-front-end boots that fell
 	// back to the full lex/parse/check/compile pipeline because the
 	// mutation was span-unsafe (or the configuration cannot run
@@ -66,12 +62,17 @@ const (
 	// only because the benchmark module (bench/run.go) still reads it,
 	// and a lookup of an unregistered family reads 0.
 	MetricSnapshotHits = "driverlab_exec_snapshot_hits_total"
+	// MetricInterpFallbacks named the counter of block-backend boots
+	// that executed on the reference interpreter. Every program now
+	// compiles, so the boot pipeline registers no such family; the name
+	// stays exported, like MetricSnapshotHits, for bench/run.go.
+	MetricInterpFallbacks = "driverlab_boot_interp_fallbacks_total"
 )
 
 // BootMetricNames lists every metric family the boot pipeline can
 // register, for the docs check and the `driverlab metrics` subcommand.
 func BootMetricNames() []string {
-	return []string{MetricBootPhase, MetricInterpFallbacks, MetricFullFrontend,
+	return []string{MetricBootPhase, MetricFullFrontend,
 		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
 		MetricSuperblocksCompiled, MetricSuperblockStmts, MetricLoopKernels}
 }
@@ -87,8 +88,7 @@ type bootObs struct {
 	execute  *obs.Histogram
 	classify *obs.Histogram
 
-	interpFallback *obs.Counter
-	fullFrontend   *obs.Counter
+	fullFrontend *obs.Counter
 
 	blocksCompiled  *obs.Counter
 	blocksFused     *obs.Counter
@@ -130,9 +130,6 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 		compile:  h(PhaseCompile),
 		execute:  h(PhaseExecute),
 		classify: h(PhaseClassify),
-		interpFallback: col.Counter(MetricInterpFallbacks,
-			"Block-backend boots that executed on the reference interpreter (ErrUnsupported).",
-			"workload", workload),
 		fullFrontend: col.Counter(MetricFullFrontend,
 			"Incremental-front-end boots that fell back to the full pipeline (span-unsafe).",
 			"workload", workload),

@@ -55,7 +55,7 @@ type workRow struct {
 // a fast path that quietly stops firing moves one of them.
 var workCounters = []string{
 	MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
-	MetricSuperblocksCompiled, MetricSuperblockStmts, MetricInterpFallbacks, MetricFullFrontend,
+	MetricSuperblocksCompiled, MetricSuperblockStmts, MetricFullFrontend,
 	MetricLoopKernels,
 }
 
