@@ -22,9 +22,10 @@
 //
 // cinterp remains the reference oracle: the compiled closures replicate
 // its observable semantics exactly — evaluation order, coverage points,
-// watchdog step charging, truncation, and error construction — and the
-// experiment suite's differential test boots every mutant on both
-// backends and requires identical results.
+// watchdog step charging, truncation, and error construction. The
+// experiment suite's differential test boots every mutant of seven
+// drivers, 8% of the other three and a sample of the fault-scenario
+// cells on both backends and requires identical results.
 package ccompile
 
 import (
@@ -72,6 +73,9 @@ type state struct {
 	cov     *ccov.Set
 	argPool *[][]Value
 	burst   *[burstChunk]uint32
+	// ret is the value of the last executed return statement; callFunc
+	// reads it only when the body's flow is flowReturn.
+	ret Value
 	// declsReady is the number of top-level declarations whose run-time
 	// registration has happened; during global initialisation it trails
 	// the declaration being initialised, reproducing the interpreter's
@@ -83,7 +87,7 @@ type state struct {
 type exprFn func(st *state, fr []Value) (Value, error)
 
 // stmtFn executes one compiled statement.
-type stmtFn func(st *state, fr []Value) (flow, Value, error)
+type stmtFn func(st *state, fr []Value) (flow, error)
 
 // cfunc is one compiled driver function.
 type cfunc struct {
@@ -119,8 +123,7 @@ type Proc struct {
 	stats   BlockStats
 }
 
-// Stats reports what the block-fusion pass produced for this program
-// (zero-valued under plain Compile except the I/O-site counters).
+// Stats reports what the block-fusion pass produced for this program.
 func (p *Proc) Stats() BlockStats { return p.stats }
 
 // initStep is one global-variable initialisation.
@@ -134,21 +137,26 @@ type initStep struct {
 
 // BlockStats counts what the block-fusion pass produced during one
 // compilation (or one incremental Patch): how many basic blocks were
-// emitted, how many statements were fused into them, how many port-I/O
-// call sites compiled to a direct closure, and how many fell back to the
-// generic argument-buffer builtin call. The experiment layer
-// surfaces these as the driverlab_exec_blocks_* metric family.
+// emitted, how many statements they hold, how many port-I/O call sites
+// compiled to a direct closure and how many to the generic
+// argument-buffer builtin call, and the loop superblocks and kernels.
+// The experiment layer surfaces these as the driverlab_exec_blocks_*,
+// driverlab_exec_superblocks_* and driverlab_exec_loop_kernels_total
+// metric families.
 type BlockStats struct {
-	// Blocks is the number of fused basic blocks emitted (maximal runs
-	// of simple statements charging one watchdog step at entry).
+	// Blocks is the number of basic blocks emitted: maximal runs of
+	// simple statements whose head statement charges one watchdog step
+	// for the whole run.
 	Blocks int64
 	// FusedStmts is the number of statements inside those blocks.
 	FusedStmts int64
 	// BatchedIO is the number of port-I/O call sites compiled to a
-	// direct closure that calls the bus without an argument buffer.
+	// direct closure that calls the bus without an argument buffer:
+	// the sites whose port operand fuses.
 	BatchedIO int64
-	// FallbackIO is the number of port-I/O call sites left on the
-	// generic argument-buffer builtin call (wrong-arity calls).
+	// FallbackIO is the number of port-I/O call sites on the generic
+	// argument-buffer builtin call: the port operand does not fuse, or
+	// the arity is wrong.
 	FallbackIO int64
 	// Superblocks is the number of while/for loops compiled to loop
 	// superblocks: the whole loop runs inside one closure, charging the
@@ -194,11 +202,12 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 // initialisers, whose faults are insmod-time boot outcomes, not compile
 // errors. Every checked program compiles.
 //
-// Compile fuses straight-line statement runs into basic-block
-// closures charged one watchdog step at entry (see cinterp.SimpleStmt
-// for the shared fusion rule, so step counts are identical to the
-// interpreter's), compiles port I/O to direct hw.Bus calls, and runs
-// eligible loops as superblocks.
+// Compile charges straight-line statement runs one watchdog step at
+// their head statement (see cinterp.SimpleStmt for the shared fusion
+// rule, so step counts are identical to the interpreter's), compiles
+// each kernel builtin call to one generic builtin closure (a port-I/O
+// call whose port operand fuses calls hw.Bus from one direct closure
+// instead), and runs eligible loops as superblocks.
 func Compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	stubs *codegen.Stubs, m *Mach) *Proc {
 	c := newCompiler(prog, stubs)
@@ -403,24 +412,14 @@ func (st *state) callFunc(f *cfunc, args []Value) (Value, error) {
 	for i, t := range f.params {
 		fr[i] = cinterp.Truncate(t, args[i])
 	}
-	var (
-		fl  flow
-		ret Value
-		err error
-	)
-	for _, sf := range f.body {
-		fl, ret, err = sf(st, fr)
-		if err != nil || fl != flowNormal {
-			break
-		}
-	}
+	fl, err := runSeq(f.body, st, fr)
 	st.sp -= f.nslots
 	st.depth--
 	if err != nil {
 		return voidValue, err
 	}
 	if fl == flowReturn {
-		return cinterp.Truncate(f.result, ret), nil
+		return cinterp.Truncate(f.result, st.ret), nil
 	}
 	return voidValue, nil
 }

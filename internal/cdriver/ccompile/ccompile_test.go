@@ -492,6 +492,106 @@ func TestRecursionOverflowMatchesInterpreter(t *testing.T) {
 	}
 }
 
+// TestReturnValuesThroughEveryStatementForm returns a value out of each
+// statement form that carries control flow. A return statement stores
+// its value in the block backend's state and the activation reads it
+// only on return flow, so a nested call that overwrites the stored value,
+// or a function that ends without a return after a callee's return, is
+// where a stale value would leak.
+func TestReturnValuesThroughEveryStatementForm(t *testing.T) {
+	src := kernelPorts + `
+int poll(void) {
+	int t;
+	for (t = 0; t < 1000; t++) {
+		if (inb(COUNT) == 3)
+			return t * 2 + inb(COUNT);
+	}
+	return -1;
+}
+int arm(int n) {
+	int i;
+	int acc = 0;
+	for (i = 0; i < n; i++) {
+		acc = acc + i;
+		switch (i) {
+		case 7:
+			return acc * 3;
+		default:
+			acc = acc ^ 1;
+		}
+	}
+	return -1;
+}
+int nested(int n) {
+	int i;
+	int acc = 5;
+	for (i = 0; i < n; i++) {
+		acc = acc + 2;
+		{
+			int k = acc - i;
+			if (k > 20)
+				return k + 100;
+		}
+	}
+	return acc;
+}
+int dowhile(int n) {
+	int c = 0;
+	do {
+		c = c + 3;
+		if (c > n)
+			return c * 10;
+	} while (c < 100);
+	return -c;
+}
+int sq(int x) { return x * x; }
+int sum2(int a, int b) { return sq(a) + sq(b); }
+void falls(void) { sq(9); }
+int depth(int n) {
+	if (n == 0)
+		return 0;
+	return depth(n - 1) + 1;
+}
+int spin(void) {
+	int i = 0;
+	while (inb(STATUS) & 0x80) {
+		i = i + 1;
+	}
+	return i;
+}
+int tripped(void) { return spin() + 1; }
+`
+	tests := []struct {
+		name, fn string
+		args     []cinterp.Value
+		budget   int64
+		want     cinterp.Value
+		err      string
+	}{
+		{name: "poll kernel then-branch", fn: "poll", want: cinterp.IntValue(74)},
+		{name: "switch arm in a superblock", fn: "arm", args: []cinterp.Value{cinterp.IntValue(20)}, want: cinterp.IntValue(87)},
+		{name: "nested block in a superblock", fn: "nested", args: []cinterp.Value{cinterp.IntValue(50)}, want: cinterp.IntValue(121)},
+		{name: "do-while", fn: "dowhile", args: []cinterp.Value{cinterp.IntValue(10)}, want: cinterp.IntValue(120)},
+		{name: "nested calls in the return expression", fn: "sum2",
+			args: []cinterp.Value{cinterp.IntValue(3), cinterp.IntValue(4)}, want: cinterp.IntValue(25)},
+		{name: "void function after a value-returning callee", fn: "falls", want: cinterp.VoidValue},
+		{name: "recursion to the depth bound", fn: "depth", args: []cinterp.Value{cinterp.IntValue(63)}, want: cinterp.IntValue(63)},
+		{name: "recursion past the depth bound", fn: "depth", args: []cinterp.Value{cinterp.IntValue(64)},
+			err: `call stack overflow in "depth"`},
+		{name: "watchdog inside a return expression", fn: "tripped", budget: 50, err: "watchdog"},
+	}
+	for _, tt := range tests {
+		o := runBothOn(t, rigConfig{budget: tt.budget}, src, tt.fn, tt.args...)
+		wantKernels(t, o, 1)
+		switch {
+		case tt.err != "" && !strings.Contains(o.errText, tt.err):
+			t.Errorf("%s: error %q, want %q", tt.name, o.errText, tt.err)
+		case tt.err == "" && (o.errText != "" || o.val != tt.want):
+			t.Errorf("%s: %s() = %+v, %q, want %+v", tt.name, tt.fn, o.val, o.errText, tt.want)
+		}
+	}
+}
+
 func TestDivisionByZeroMatchesInterpreter(t *testing.T) {
 	src := `int f(int n) { return 10 / n; }`
 	o := runBoth(t, src, "f", cinterp.IntValue(0))

@@ -128,64 +128,38 @@ func (c *compiler) blockBody(b *cast.Block) []stmtFn {
 
 // chargeWrap prefixes a compiled statement with one watchdog charge.
 func chargeWrap(f stmtFn) stmtFn {
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		if err := st.kern.Step(); err != nil {
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 		return f(st, fr)
-	}
-}
-
-// fuseRun folds a maximal run of simple statements into one basic-block
-// closure: a single watchdog charge at entry, then the statement bodies
-// in order. A failing charge executes (and covers) none of the run, and
-// control flow (break/continue/return) propagates out of the block —
-// exactly the interpreter's execSeq semantics.
-func fuseRun(run []stmtFn) stmtFn {
-	if len(run) == 1 {
-		return chargeWrap(run[0])
-	}
-	body := make([]stmtFn, len(run))
-	copy(body, run)
-	return func(st *state, fr []Value) (flow, Value, error) {
-		if err := st.kern.Step(); err != nil {
-			return flowNormal, voidValue, err
-		}
-		for _, f := range body {
-			fl, v, err := f(st, fr)
-			if err != nil || fl != flowNormal {
-				return fl, v, err
-			}
-		}
-		return flowNormal, voidValue, nil
 	}
 }
 
 // seq compiles a statement list with basic-block step accounting: one
 // watchdog charge at the head of every maximal run of simple statements
 // (cinterp.SimpleStmt is the shared fusion rule), one per control-flow
-// statement. Each run collapses into a single closure.
+// statement. A run's head statement carries the charge and the rest of
+// the run follows it uncharged, so a failing charge executes (and
+// covers) none of the run, exactly the interpreter's execSeq semantics.
 func (c *compiler) seq(stmts []cast.Stmt) []stmtFn {
 	var out []stmtFn
-	var run []stmtFn
-	flush := func() {
-		if len(run) == 0 {
-			return
-		}
-		c.stats.Blocks++
-		c.stats.FusedStmts += int64(len(run))
-		out = append(out, fuseRun(run))
-		run = run[:0]
-	}
+	head := true // the next simple statement starts a run
 	for _, s := range stmts {
-		if cinterp.SimpleStmt(s) {
-			run = append(run, c.stmtBody(s))
+		if !cinterp.SimpleStmt(s) {
+			out = append(out, chargeWrap(c.stmtBody(s)))
+			head = true
 			continue
 		}
-		flush()
+		c.stats.FusedStmts++
+		if !head {
+			out = append(out, c.stmtBody(s))
+			continue
+		}
+		c.stats.Blocks++
 		out = append(out, chargeWrap(c.stmtBody(s)))
+		head = false
 	}
-	flush()
 	return out
 }
 
@@ -210,7 +184,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 	switch s := s.(type) {
 	case *cast.Block:
 		body := c.blockBody(s)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			return runSeq(body, st, fr)
 		}
@@ -224,29 +198,29 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		slot := c.declareLocal(d.Name, d.Type)
 		typ := d.Type
 		if initFn != nil {
-			return func(st *state, fr []Value) (flow, Value, error) {
+			return func(st *state, fr []Value) (flow, error) {
 				st.cov.Add(line)
 				iv, err := initFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				fr[slot] = cinterp.Truncate(typ, iv)
-				return flowNormal, voidValue, nil
+				return flowNormal, nil
 			}
 		}
 		def := defaultValue(d.Type)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			fr[slot] = def
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 
 	case *cast.ExprStmt:
 		xf := c.expr(s.X)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			_, err := xf(st, fr)
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 
 	case *cast.AssignStmt:
@@ -262,27 +236,27 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		if ls, ok := c.lookupLocal(s.X.Name); ok {
 			slot := ls.idx
 			if tf := truncFn(ls.typ); tf != nil {
-				return func(st *state, fr []Value) (flow, Value, error) {
+				return func(st *state, fr []Value) (flow, error) {
 					st.cov.Add(line)
 					fr[slot] = intValue(tf(fr[slot].I + delta))
-					return flowNormal, voidValue, nil
+					return flowNormal, nil
 				}
 			}
-			return func(st *state, fr []Value) (flow, Value, error) {
+			return func(st *state, fr []Value) (flow, error) {
 				st.cov.Add(line)
 				fr[slot] = intValue(fr[slot].I + delta)
-				return flowNormal, voidValue, nil
+				return flowNormal, nil
 			}
 		}
 		store := c.lvalue(s.X)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			cell, err := store.load(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			store.store(st, fr, cinterp.Truncate(store.typ, intValue(cell.I+delta)))
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 
 	case *cast.IfStmt:
@@ -297,31 +271,31 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 	case *cast.DoWhileStmt:
 		bodyFn := c.stmt(s.Body)
 		condFn := c.expr(s.Cond)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			for {
-				fl, v, err := bodyFn(st, fr)
+				fl, err := bodyFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				if fl == flowBreak {
 					break
 				}
 				if fl == flowReturn {
-					return fl, v, nil
+					return fl, nil
 				}
 				cond, err := condFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				if !cond.Truthy() {
 					break
 				}
 				if err := st.kern.Step(); err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 			}
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 
 	case *cast.ForStmt:
@@ -333,41 +307,43 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		return c.switchStmt(s, line)
 
 	case *cast.BreakStmt:
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
-			return flowBreak, voidValue, nil
+			return flowBreak, nil
 		}
 
 	case *cast.ContinueStmt:
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
-			return flowContinue, voidValue, nil
+			return flowContinue, nil
 		}
 
 	case *cast.ReturnStmt:
 		if s.X == nil {
-			return func(st *state, fr []Value) (flow, Value, error) {
+			return func(st *state, fr []Value) (flow, error) {
 				st.cov.Add(line)
-				return flowReturn, voidValue, nil
+				st.ret = voidValue
+				return flowReturn, nil
 			}
 		}
 		xf := c.expr(s.X)
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			v, err := xf(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
-			return flowReturn, v, nil
+			st.ret = v
+			return flowReturn, nil
 		}
 	}
 
 	// Unknown statement kinds execute as a charged no-op, exactly like
 	// the interpreter's execStmt default (unknown kinds are not simple,
 	// so seq always charges them).
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
-		return flowNormal, voidValue, nil
+		return flowNormal, nil
 	}
 }
 
@@ -381,11 +357,11 @@ func (c *compiler) ifStmt(s *cast.IfStmt, line int) ctlForms {
 		elseFn = c.stmt(s.Else)
 	}
 	return ctlForms{
-		fn: func(st *state, fr []Value) (flow, Value, error) {
+		fn: func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			cond, err := condFn(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			if cond.Truthy() {
 				return thenFn(st, fr)
@@ -393,7 +369,7 @@ func (c *compiler) ifStmt(s *cast.IfStmt, line int) ctlForms {
 			if elseFn != nil {
 				return elseFn(st, fr)
 			}
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		},
 		cond: condFn, then: thenFn, els: elseFn,
 	}
@@ -418,55 +394,54 @@ func (c *compiler) forStmt(s *cast.ForStmt, line int) stmtFn {
 		postFn = c.stmt(s.Post)
 	}
 	bodyFn := c.stmt(s.Body)
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		if initFn != nil {
-			if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
-				return fl, v, err
+			if fl, err := initFn(st, fr); err != nil || fl != flowNormal {
+				return fl, err
 			}
 		}
 		for {
 			if condFn != nil {
 				cond, err := condFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				if !cond.Truthy() {
 					break
 				}
 			}
-			fl, v, err := bodyFn(st, fr)
+			fl, err := bodyFn(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			if fl == flowBreak {
 				break
 			}
 			if fl == flowReturn {
-				return fl, v, nil
+				return fl, nil
 			}
 			if postFn != nil {
-				if fl, v, err := postFn(st, fr); err != nil || fl == flowReturn {
-					return fl, v, err
+				if fl, err := postFn(st, fr); err != nil || fl == flowReturn {
+					return fl, err
 				}
 			}
 			if err := st.kern.Step(); err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 		}
-		return flowNormal, voidValue, nil
+		return flowNormal, nil
 	}
 }
 
 // runSeq executes a compiled statement sequence with block semantics.
-func runSeq(body []stmtFn, st *state, fr []Value) (flow, Value, error) {
+func runSeq(body []stmtFn, st *state, fr []Value) (flow, error) {
 	for _, sf := range body {
-		fl, v, err := sf(st, fr)
-		if err != nil || fl != flowNormal {
-			return fl, v, err
+		if fl, err := sf(st, fr); err != nil || fl != flowNormal {
+			return fl, err
 		}
 	}
-	return flowNormal, voidValue, nil
+	return flowNormal, nil
 }
 
 // cclause is one compiled switch arm.
@@ -490,11 +465,11 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 		c.popScope()
 		clauses[i] = cc
 	}
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		tag, err := tagFn(st, fr)
 		if err != nil {
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 		var chosen, deflt *cclause
 		for _, cl := range clauses {
@@ -505,7 +480,7 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 			for _, vf := range cl.vals {
 				v, err := vf(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				if v.I == tag.I {
 					chosen = cl
@@ -520,22 +495,22 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 			chosen = deflt
 		}
 		if chosen == nil {
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 		st.cov.Add(chosen.caseLine)
 		for _, sf := range chosen.body {
-			fl, v, err := sf(st, fr)
+			fl, err := sf(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			switch fl {
 			case flowBreak:
-				return flowNormal, voidValue, nil
+				return flowNormal, nil
 			case flowReturn, flowContinue:
-				return fl, v, nil
+				return fl, nil
 			}
 		}
-		return flowNormal, voidValue, nil
+		return flowNormal, nil
 	}
 }
 
@@ -549,11 +524,11 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 	if s.Op == ctoken.Assign {
 		if tf == nil {
 			// Full-width storage: truncation is identity.
-			return func(st *state, fr []Value) (flow, Value, error) {
+			return func(st *state, fr []Value) (flow, error) {
 				st.cov.Add(line)
 				rhs, err := rhsFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				// Direct assignment: Devil values flow through unchanged.
 				if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
@@ -561,14 +536,14 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 				} else {
 					fr[slot] = intValue(rhs.I)
 				}
-				return flowNormal, voidValue, nil
+				return flowNormal, nil
 			}
 		}
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			rhs, err := rhsFn(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			// Direct assignment: Devil values flow through unchanged.
 			if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
@@ -576,7 +551,7 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 			} else {
 				fr[slot] = intValue(tf(rhs.I))
 			}
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 	}
 	opf := compoundOp(s.Op)
@@ -584,24 +559,24 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 		return nil
 	}
 	if tf == nil {
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			rhs, err := rhsFn(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			fr[slot] = intValue(opf(fr[slot].I, rhs.I))
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 	}
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		rhs, err := rhsFn(st, fr)
 		if err != nil {
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 		fr[slot] = intValue(tf(opf(fr[slot].I, rhs.I)))
-		return flowNormal, voidValue, nil
+		return flowNormal, nil
 	}
 }
 
@@ -684,15 +659,15 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 	target := c.lvalue(s.LHS)
 	typ := target.typ
 	if s.Op == ctoken.Assign {
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			rhs, err := rhsFn(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			cur, err := target.load(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			// Direct assignment: Devil values flow through unchanged.
 			if cur.Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
@@ -700,37 +675,35 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 			} else {
 				target.store(st, fr, cinterp.Truncate(typ, intValue(rhs.I)))
 			}
-			return flowNormal, voidValue, nil
+			return flowNormal, nil
 		}
 	}
 	op := compoundOp(s.Op)
 	if op == nil {
 		badOp := s.Op
-		return func(st *state, fr []Value) (flow, Value, error) {
+		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, voidValue, err
+			if _, err := rhsFn(st, fr); err != nil {
+				return flowNormal, err
 			}
 			if _, err := target.load(st, fr); err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
-			_ = rhs
-			return flowNormal, voidValue, badAssignOpErr(badOp)
+			return flowNormal, badAssignOpErr(badOp)
 		}
 	}
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		rhs, err := rhsFn(st, fr)
 		if err != nil {
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 		cur, err := target.load(st, fr)
 		if err != nil {
-			return flowNormal, voidValue, err
+			return flowNormal, err
 		}
 		target.store(st, fr, cinterp.Truncate(typ, intValue(op(cur.I, rhs.I))))
-		return flowNormal, voidValue, nil
+		return flowNormal, nil
 	}
 }
 

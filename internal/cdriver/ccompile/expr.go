@@ -782,9 +782,9 @@ func boolValue(ok bool) Value {
 type callImpl func(st *state, args []Value) (Value, error)
 
 // call compiles a call expression: arguments evaluate in order into a
-// pooled buffer, then the pre-resolved implementation runs. The I/O and
-// kernel-buffer builtins that sit on every polling loop compile to
-// direct closures with no argument buffer at all.
+// pooled buffer, then the pre-resolved implementation runs. Port I/O
+// with a fusable port operand and the get_X/set_X Devil stubs compile
+// to direct closures with no argument buffer at all.
 func (c *compiler) call(x *cast.CallExpr, line int) exprFn {
 	argFns := make([]exprFn, len(x.Args))
 	for i, a := range x.Args {
@@ -799,7 +799,7 @@ func (c *compiler) call(x *cast.CallExpr, line int) exprFn {
 			return st.callFunc(f, args)
 		}
 	} else {
-		if direct := c.directBuiltin(x, argFns, line); direct != nil {
+		if direct := c.fusedIO(x, argFns, line); direct != nil {
 			return direct
 		}
 		if direct := c.directStub(x, argFns, line); direct != nil {
@@ -833,102 +833,24 @@ func argI(args []Value, i int) int64 {
 	return 0
 }
 
-// directBuiltin compiles the hot kernel builtins — port I/O, udelay and
-// the transfer-buffer accessors — to direct closures when the call's
-// arity matches the builtin's access pattern, skipping the pooled
-// argument buffer and the callImpl indirection of the generic path.
-// Wrong-arity calls (a mutant artefact) return nil and take the generic
-// path, whose lenient argI semantics they rely on. Returns nil for
-// everything else.
-func (c *compiler) directBuiltin(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
+// fusedIO compiles a port-I/O call of the right arity whose port operand
+// fuses (a literal, a constant macro or a local) to one closure that
+// calls the bus with the operand inlined: no pooled argument buffer, no
+// callImpl indirection, no operand closure call. Returns nil for every
+// other call, which takes the generic path.
+func (c *compiler) fusedIO(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
 	width := ioWidth(x.Name)
-	ok := width != 0
 	switch {
-	case ok && x.Name[0] == 'i' && len(argFns) == 1:
-		af := argFns[0]
-		c.stats.BatchedIO++
-		if o, fok := c.fuseOperand(x.Args[0]); fok {
-			// The port operand fused: no argument closure call.
+	case width == 0:
+	case x.Name[0] == 'i' && len(argFns) == 1:
+		if o, ok := c.fuseOperand(x.Args[0]); ok {
+			c.stats.BatchedIO++
 			return c.fusedRead(o, line, width)
 		}
-		return func(st *state, fr []Value) (Value, error) {
-			st.cov.Add(line)
-			a, err := af(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			v, err := st.bus.Read(hw.Port(a.I), width)
-			return intValue(int64(v)), err
-		}
-	case ok && x.Name[0] == 'o' && len(argFns) == 2:
-		vf, pf := argFns[0], argFns[1]
-		c.stats.BatchedIO++
-		if o, fok := c.fuseOperand(x.Args[1]); fok {
-			return c.fusedWrite(vf, o, line, width)
-		}
-		return func(st *state, fr []Value) (Value, error) {
-			st.cov.Add(line)
-			v, err := vf(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			p, err := pf(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			return voidValue, st.bus.Write(hw.Port(p.I), width, uint32(v.I))
-		}
-	}
-	switch x.Name {
-	case "udelay":
-		if len(argFns) == 1 {
-			af := argFns[0]
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				a, err := af(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return voidValue, st.kern.Delay(a.I)
-			}
-		}
-	case "kbuf_read8", "kbuf_read16":
-		if len(argFns) == 1 {
-			wide := x.Name == "kbuf_read16"
-			af := argFns[0]
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				a, err := af(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				if wide {
-					v, err := st.kern.BufRead16(a.I)
-					return intValue(int64(v)), err
-				}
-				v, err := st.kern.BufRead8(a.I)
-				return intValue(int64(v)), err
-			}
-		}
-	case "kbuf_write8", "kbuf_write16":
-		if len(argFns) == 2 {
-			wide := x.Name == "kbuf_write16"
-			of, vf := argFns[0], argFns[1]
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				o, err := of(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				v, err := vf(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				if wide {
-					return voidValue, st.kern.BufWrite16(o.I, uint16(v.I))
-				}
-				return voidValue, st.kern.BufWrite8(o.I, uint8(v.I))
-			}
+	case x.Name[0] == 'o' && len(argFns) == 2:
+		if o, ok := c.fuseOperand(x.Args[1]); ok {
+			c.stats.BatchedIO++
+			return c.fusedWrite(argFns[0], o, line, width)
 		}
 	}
 	return nil
@@ -1058,41 +980,22 @@ func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) 
 // builtin resolves a non-driver call at compile time: kernel builtins,
 // the Devil stub surface, or the undefined-function fault.
 func (c *compiler) builtin(x *cast.CallExpr) callImpl {
-	switch x.Name {
-	case "inb", "inw", "inl", "outb", "outw", "outl":
-		// A wrong-arity I/O call (a mutant artefact) stays on the
-		// generic argument-buffer path — count the site so the
-		// fallback rate is observable.
+	if width := ioWidth(x.Name); width != 0 {
+		// A port-I/O call whose port operand does not fuse (or of the
+		// wrong arity, a mutant artefact the checker rejects): count
+		// the site so the generic share is observable.
 		c.stats.FallbackIO++
+		if x.Name[0] == 'i' {
+			return func(st *state, args []Value) (Value, error) {
+				v, err := st.bus.Read(hw.Port(argI(args, 0)), width)
+				return intValue(int64(v)), err
+			}
+		}
+		return func(st *state, args []Value) (Value, error) {
+			return voidValue, st.bus.Write(hw.Port(argI(args, 1)), width, uint32(argI(args, 0)))
+		}
 	}
 	switch x.Name {
-	case "inb":
-		return func(st *state, args []Value) (Value, error) {
-			v, err := st.bus.Read(hw.Port(argI(args, 0)), hw.Width8)
-			return intValue(int64(v)), err
-		}
-	case "inw":
-		return func(st *state, args []Value) (Value, error) {
-			v, err := st.bus.Read(hw.Port(argI(args, 0)), hw.Width16)
-			return intValue(int64(v)), err
-		}
-	case "inl":
-		return func(st *state, args []Value) (Value, error) {
-			v, err := st.bus.Read(hw.Port(argI(args, 0)), hw.Width32)
-			return intValue(int64(v)), err
-		}
-	case "outb":
-		return func(st *state, args []Value) (Value, error) {
-			return voidValue, st.bus.Write(hw.Port(argI(args, 1)), hw.Width8, uint32(argI(args, 0)))
-		}
-	case "outw":
-		return func(st *state, args []Value) (Value, error) {
-			return voidValue, st.bus.Write(hw.Port(argI(args, 1)), hw.Width16, uint32(argI(args, 0)))
-		}
-	case "outl":
-		return func(st *state, args []Value) (Value, error) {
-			return voidValue, st.bus.Write(hw.Port(argI(args, 1)), hw.Width32, uint32(argI(args, 0)))
-		}
 	case "panic":
 		namePos := x.NamePos
 		return func(st *state, args []Value) (Value, error) {

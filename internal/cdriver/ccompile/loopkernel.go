@@ -78,7 +78,7 @@ import (
 // ran is false when an entry check failed and nothing ran; otherwise
 // fl, v and err are the loop statement's own result.
 type loopKernel interface {
-	run(st *state, fr []Value, head int64, cond exprFn) (fl flow, v Value, ran bool, err error)
+	run(st *state, fr []Value, head int64, cond exprFn) (fl flow, ran bool, err error)
 }
 
 // lateOrd reports whether a macro operand's guard takes the late path;
@@ -789,34 +789,34 @@ func (k *xferKernel) bursts() bool {
 	return k.tail.spans()
 }
 
-func (k *xferKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, Value, bool, error) {
+func (k *xferKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, bool, error) {
 	ops := k.ops[:k.n]
 	for i := range ops {
 		if ops[i].late(st, fr) {
-			return flowNormal, voidValue, false, nil
+			return flowNormal, false, nil
 		}
 	}
 	b, ok := k.tail.entry(st, fr)
 	if !ok {
-		return flowNormal, voidValue, false, nil
+		return flowNormal, false, nil
 	}
 	burst := k.burst && st.bus.Predictable()
 	for {
 		if burst {
 			if err := k.forward(st, fr, head, b); err != nil {
-				return flowNormal, voidValue, true, err
+				return flowNormal, true, err
 			}
 		}
 		if err := st.kern.StepN(head); err != nil {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 		for i := range ops {
 			if err := ops[i].exec(st, fr); err != nil {
-				return flowNormal, voidValue, true, err
+				return flowNormal, true, err
 			}
 		}
 		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 	}
 }
@@ -895,13 +895,13 @@ func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uin
 	return holds, until, uint64(k.stub.acc.Fragments()), ok
 }
 
-func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, Value, bool, error) {
+func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, bool, error) {
 	if k.fast && k.test.late(st) {
-		return flowNormal, voidValue, false, nil
+		return flowNormal, false, nil
 	}
 	b, ok := k.tail.entry(st, fr)
 	if !ok {
-		return flowNormal, voidValue, false, nil
+		return flowNormal, false, nil
 	}
 	forward := k.forward && st.bus.Predictable() && (k.stub == nil || !k.stub.late(st))
 	per := head + 2
@@ -915,44 +915,44 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, 
 					k.tail.advance(fr, n)
 					st.bus.CountReads(uint64(n) * reads)
 					if err := st.kern.Forward(n * per); err != nil {
-						return flowNormal, voidValue, true, err
+						return flowNormal, true, err
 					}
 				}
 			}
 		}
 		if err := st.kern.StepN(head); err != nil {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 		var taken bool
 		if k.fast {
 			var err error
 			if taken, err = k.test.eval(st, fr); err != nil {
-				return flowNormal, voidValue, true, err
+				return flowNormal, true, err
 			}
 		} else {
 			cv, err := k.cond(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, true, err
+				return flowNormal, true, err
 			}
 			taken = cv.Truthy()
 		}
-		fl, v, err := flowNormal, voidValue, error(nil)
+		fl, err := flowNormal, error(nil)
 		if taken {
-			fl, v, err = k.then(st, fr)
+			fl, err = k.then(st, fr)
 		} else if k.els != nil {
-			fl, v, err = k.els(st, fr)
+			fl, err = k.els(st, fr)
 		}
 		if err != nil {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 		switch fl {
 		case flowBreak:
-			return flowNormal, voidValue, true, nil
+			return flowNormal, true, nil
 		case flowReturn:
-			return flowReturn, v, true, nil
+			return flowReturn, true, nil
 		}
 		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 	}
 }
@@ -962,9 +962,9 @@ type spinKernel struct {
 	test portTest
 }
 
-func (k *spinKernel) run(st *state, fr []Value, head int64, _ exprFn) (flow, Value, bool, error) {
+func (k *spinKernel) run(st *state, fr []Value, head int64, _ exprFn) (flow, bool, error) {
 	if k.test.late(st) {
-		return flowNormal, voidValue, false, nil
+		return flowNormal, false, nil
 	}
 	forward := st.bus.Predictable()
 	for {
@@ -976,16 +976,16 @@ func (k *spinKernel) run(st *state, fr []Value, head int64, _ exprFn) (flow, Val
 				if n > 0 {
 					st.bus.CountReads(uint64(n))
 					if err := st.kern.Forward(n * head); err != nil {
-						return flowNormal, voidValue, true, err
+						return flowNormal, true, err
 					}
 				}
 			}
 		}
 		if err := st.kern.StepN(head); err != nil {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 		if ok, err := k.test.eval(st, fr); err != nil || !ok {
-			return flowNormal, voidValue, true, err
+			return flowNormal, true, err
 		}
 	}
 }

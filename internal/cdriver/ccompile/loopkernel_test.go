@@ -121,8 +121,56 @@ int spin(void) {
 	}
 	return 1;
 }
+int mix(int k) {
+	int a = k + 1;
+	outb(a, OUT);
+	a = a * 3;
+	if (a & 1) {
+		outb(a, OUT);
+		a = a + 5;
+	}
+	a = a ^ k;
+	outb(a, OUT);
+	switch (a & 3) {
+	case 0:
+		outb(1, OUT);
+		a = a + 1;
+		break;
+	default:
+		outb(2, OUT);
+		a = a + 2;
+	}
+	outb(a, OUT);
+	a = a - k;
+	return a;
+}
+int runs(void) {
+	int s = 0;
+	outb(s, OUT);
+	s = s + mix(1);
+	outb(s, OUT);
+	s = s + mix(2);
+	s = s + mix(3);
+	outb(s, OUT);
+	s = s + mix(4);
+	s = s + mix(5);
+	s = s + mix(6);
+	outb(s, OUT);
+	s = s + mix(7);
+	s = s + mix(8);
+	outb(s, OUT);
+	s = s + mix(9);
+	s = s + mix(10);
+	s = s + mix(11);
+	s = s + mix(12);
+	s = s + mix(13);
+	return s;
+}
 `
-	for _, fn := range []string{"xfer", "poll", "spin"} {
+	// runs is straight-line code longer than the largest budget: runs of
+	// simple statements split by if, switch, calls and returns, each run
+	// charged once at its head.
+	for _, fn := range []string{"xfer", "poll", "spin", "runs"} {
 		for budget := int64(1); budget <= 90; budget++ {
 			o := runBothOn(t, rigConfig{budget: budget}, src, fn)
 			wantKernels(t, o, 3)

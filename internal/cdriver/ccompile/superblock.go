@@ -160,39 +160,39 @@ func (c *compiler) ctlSeg(s cast.Stmt) ctlForms {
 // (flowNormal proceeds to post/end, flowContinue already folded into
 // it); done reports that every segment completed, which licenses lean
 // iterations from the next one on.
-func (sb *superBlock) iter(st *state, fr []Value, careful bool, head int64) (fl flow, v Value, done bool, err error) {
+func (sb *superBlock) iter(st *state, fr []Value, careful bool, head int64) (fl flow, done bool, err error) {
 	charged := 1 // segments whose charge the first charge paid
 	if careful {
 		if err := st.kern.Step(); err != nil { // the body statement's charge
-			return flowNormal, voidValue, false, err
+			return flowNormal, false, err
 		}
 		if sb.blockLine >= 0 {
 			st.cov.Add(int(sb.blockLine))
 			charged = 0
 		}
 	} else if err := st.kern.StepN(head); err != nil {
-		return flowNormal, voidValue, false, err
+		return flowNormal, false, err
 	}
 	for i, seg := range sb.segs {
 		if i >= charged {
 			if err := st.kern.Step(); err != nil { // the segment's charge
-				return flowNormal, voidValue, false, err
+				return flowNormal, false, err
 			}
 		}
 		for _, f := range seg {
-			fl, v, err := f(st, fr)
+			fl, err := f(st, fr)
 			if err != nil {
-				return flowNormal, voidValue, false, err
+				return flowNormal, false, err
 			}
 			if fl != flowNormal {
 				if fl == flowContinue {
 					fl = flowNormal
 				}
-				return fl, v, false, nil
+				return fl, false, nil
 			}
 		}
 	}
-	return flowNormal, voidValue, true, nil
+	return flowNormal, true, nil
 }
 
 // forSuper compiles an eligible for (or while) loop to a superblock
@@ -230,11 +230,11 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 	if len(sb.segs) == 0 && postFn == nil {
 		head++ // fold the end charge: nothing runs between the charges
 	}
-	return func(st *state, fr []Value) (flow, Value, error) {
+	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		if initFn != nil {
-			if fl, v, err := initFn(st, fr); err != nil || fl != flowNormal {
-				return fl, v, err
+			if fl, err := initFn(st, fr); err != nil || fl != flowNormal {
+				return fl, err
 			}
 		}
 		careful, kernel := true, sb.kern != nil
@@ -242,56 +242,56 @@ func (c *compiler) forSuper(s *cast.ForStmt, line int) stmtFn {
 			if condFn != nil {
 				cond, err := condFn(st, fr)
 				if err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 				if !cond.Truthy() {
-					return flowNormal, voidValue, nil
+					return flowNormal, nil
 				}
 			}
 			if !careful && kernel {
-				fl, v, ran, err := sb.kern.run(st, fr, head, condFn)
+				fl, ran, err := sb.kern.run(st, fr, head, condFn)
 				if ran {
-					return fl, v, err
+					return fl, err
 				}
 				kernel = false // an entry check failed: iter runs the rest
 			}
-			fl, v, done, err := sb.iter(st, fr, careful, head)
+			fl, done, err := sb.iter(st, fr, careful, head)
 			if err != nil {
-				return flowNormal, voidValue, err
+				return flowNormal, err
 			}
 			if fl == flowBreak {
-				return flowNormal, voidValue, nil
+				return flowNormal, nil
 			}
 			if fl == flowReturn {
-				return flowReturn, v, nil
+				return flowReturn, nil
 			}
 			switch {
 			case postFn == nil:
 				if careful || len(sb.segs) > 0 { // else folded into head
 					if err := st.kern.Step(); err != nil { // end-of-iteration charge
-						return flowNormal, voidValue, err
+						return flowNormal, err
 					}
 				}
 			case purePost && !careful:
 				// The post commutes with its charges: run it, then batch
 				// the post + end charges in one StepN.
-				if _, _, err := postFn(st, fr); err != nil {
-					return flowNormal, voidValue, err
+				if _, err := postFn(st, fr); err != nil {
+					return flowNormal, err
 				}
 				if err := st.kern.StepN(2); err != nil {
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 			default:
 				// Sequential post: charge, post, charge, as the block
 				// form's chargeWrap(post) would.
 				if err := st.kern.Step(); err != nil { // the post's charge
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
-				if _, _, err := postFn(st, fr); err != nil {
-					return flowNormal, voidValue, err
+				if _, err := postFn(st, fr); err != nil {
+					return flowNormal, err
 				}
 				if err := st.kern.Step(); err != nil { // end-of-iteration charge
-					return flowNormal, voidValue, err
+					return flowNormal, err
 				}
 			}
 			careful = careful && !done

@@ -35,17 +35,18 @@ const (
 	// mutation was span-unsafe (or the configuration cannot run
 	// incrementally).
 	MetricFullFrontend = "driverlab_boot_frontend_full_total"
-	// MetricBlocksCompiled counts basic blocks the block backend fused
-	// (full compiles and incremental patches alike).
+	// MetricBlocksCompiled counts basic blocks (runs of simple
+	// statements charged once at their head) the block backend
+	// compiled, full compiles and incremental patches alike.
 	MetricBlocksCompiled = "driverlab_exec_blocks_compiled_total"
-	// MetricBlocksFusedStmts counts statements folded into fused blocks.
+	// MetricBlocksFusedStmts counts statements inside those blocks.
 	MetricBlocksFusedStmts = "driverlab_exec_blocks_fused_stmts_total"
-	// MetricBlocksBatchedIO counts port-I/O call sites compiled to a
-	// direct closure (no argument buffer).
+	// MetricBlocksBatchedIO counts port-I/O call sites whose port
+	// operand fused into a direct closure (no argument buffer).
 	MetricBlocksBatchedIO = "driverlab_exec_blocks_batched_io_total"
 	// MetricBlocksFallback counts port-I/O call sites the block backend
-	// left on the generic argument-buffer builtin call (wrong-arity
-	// mutants).
+	// compiled to the generic argument-buffer builtin call (a port
+	// operand that does not fuse, or a wrong arity).
 	MetricBlocksFallback = "driverlab_exec_blocks_fallback_total"
 	// MetricSuperblocksCompiled counts loops the block backend compiled
 	// to single-closure superblocks (threaded loop bodies).
@@ -134,16 +135,16 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 			"Incremental-front-end boots that fell back to the full pipeline (span-unsafe).",
 			"workload", workload),
 		blocksCompiled: col.Counter(MetricBlocksCompiled,
-			"Basic blocks the block backend fused (compiles and patches).",
+			"Basic blocks (runs of simple statements charged once at their head) the block backend compiled.",
 			"workload", workload),
 		blocksFused: col.Counter(MetricBlocksFusedStmts,
-			"Statements folded into fused basic blocks.",
+			"Statements inside those basic blocks.",
 			"workload", workload),
 		blocksBatchedIO: col.Counter(MetricBlocksBatchedIO,
-			"Port-I/O call sites compiled to a direct closure.",
+			"Port-I/O call sites whose port operand fused into a direct closure.",
 			"workload", workload),
 		blocksFallback: col.Counter(MetricBlocksFallback,
-			"Port-I/O call sites left on the generic argument-buffer builtin call.",
+			"Port-I/O call sites on the generic argument-buffer builtin call.",
 			"workload", workload),
 		superblocks: col.Counter(MetricSuperblocksCompiled,
 			"Loops compiled to single-closure superblocks.",

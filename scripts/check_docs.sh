@@ -10,7 +10,9 @@
 #     CLI without reading the source;
 #  4. every metric family the instrumented stack can register (the
 #     `driverlab metrics` list) must be documented in ARCHITECTURE.md's
-#     Observability section;
+#     Observability section, and every `driverlab_*` row of that
+#     section's metric table must be in the list, so a deleted family
+#     cannot linger in the docs;
 #  5. every registered hardware scenario (the `driverlab scenarios
 #     -names` list) must be named in both ARCHITECTURE.md and README.md,
 #     so the matrix axis stays discoverable from the docs;
@@ -85,8 +87,9 @@ fi
 echo "fleet subcommands in usage text: ok"
 
 arch=$(cat ARCHITECTURE.md)
+metrics=$(go run ./cmd/driverlab metrics)
 fail=0
-for m in $(go run ./cmd/driverlab metrics); do
+for m in $metrics; do
     case "$arch" in
         *"$m"*) ;;
         *)
@@ -97,6 +100,20 @@ for m in $(go run ./cmd/driverlab metrics); do
 done
 if [ "$fail" -ne 0 ]; then
     echo "add the metrics above to ARCHITECTURE.md's Observability section" >&2
+    exit 1
+fi
+registered=" $(echo $metrics) "
+for m in $(grep -o '^| `driverlab_[a-z0-9_]*`' ARCHITECTURE.md | tr -d '|` '); do
+    case "$registered" in
+        *" $m "*) ;;
+        *)
+            echo "ARCHITECTURE.md documents metric $m, which driverlab metrics does not list" >&2
+            fail=1
+            ;;
+    esac
+done
+if [ "$fail" -ne 0 ]; then
+    echo "remove the rows above from ARCHITECTURE.md's metric table" >&2
     exit 1
 fi
 echo "metric names in ARCHITECTURE.md: ok"
