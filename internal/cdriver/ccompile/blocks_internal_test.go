@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cdriver/cast"
+	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/cparser"
 	"repro/internal/hw"
 	"repro/internal/kernel"
@@ -182,5 +183,20 @@ func TestBlocksMacroPatchInvalidatesDependents(t *testing.T) {
 	}
 	if v.I != 10 {
 		t.Errorf("uses_macro() after LIMIT=5 patch = %d, want 10", v.I)
+	}
+}
+
+// TestTruncToMatchesInterpreter pins the package's one integer
+// truncation to the interpreter's storage truncation for every declared
+// type kind.
+func TestTruncToMatchesInterpreter(t *testing.T) {
+	for k := cast.TypeVoid; k <= cast.TypeDevilStruct; k++ {
+		for _, x := range []int64{0, 1, -1, 0x7f, 0x80, 0xff, 0x100, 0x7fff, 0x8000, 0xffff, 0x1_0000,
+			0x7fff_ffff, 0x8000_0000, 0xffff_ffff, -0x8000_0001, 1 << 40} {
+			want := cinterp.Truncate(cast.CType{Kind: k}, cinterp.IntValue(x)).I
+			if got := truncTo(k, x); got != want {
+				t.Errorf("kind %d: truncTo(%#x) = %#x, cinterp.Truncate gives %#x", k, x, got, want)
+			}
+		}
 	}
 }

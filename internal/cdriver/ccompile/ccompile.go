@@ -73,6 +73,9 @@ type state struct {
 	cov     *ccov.Set
 	argPool *[][]Value
 	burst   *[burstChunk]uint32
+	// decls are the program's top-level declarations, where a macro
+	// operand's declaration order finds its name (see macroLate).
+	decls []cast.Decl
 	// ret is the value of the last executed return statement; callFunc
 	// reads it only when the body's flow is flowReturn.
 	ret Value
@@ -150,14 +153,14 @@ type BlockStats struct {
 	Blocks int64
 	// FusedStmts is the number of statements inside those blocks.
 	FusedStmts int64
-	// BatchedIO is the number of port-I/O call sites compiled to a
+	// FusedIO is the number of port-I/O call sites compiled to a
 	// direct closure that calls the bus without an argument buffer:
 	// the sites whose port operand fuses.
-	BatchedIO int64
-	// FallbackIO is the number of port-I/O call sites on the generic
+	FusedIO int64
+	// GenericIO is the number of port-I/O call sites on the generic
 	// argument-buffer builtin call: the port operand does not fuse, or
 	// the arity is wrong.
-	FallbackIO int64
+	GenericIO int64
 	// Superblocks is the number of while/for loops compiled to loop
 	// superblocks: the whole loop runs inside one closure, charging the
 	// watchdog in per-iteration batches once an iteration has covered
@@ -176,8 +179,8 @@ type BlockStats struct {
 func (s *BlockStats) add(o BlockStats) {
 	s.Blocks += o.Blocks
 	s.FusedStmts += o.FusedStmts
-	s.BatchedIO += o.BatchedIO
-	s.FallbackIO += o.FallbackIO
+	s.FusedIO += o.FusedIO
+	s.GenericIO += o.GenericIO
 	s.Superblocks += o.Superblocks
 	s.SuperStmts += o.SuperStmts
 	s.LoopKernels += o.LoopKernels
@@ -188,8 +191,8 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 	return BlockStats{
 		Blocks:      s.Blocks - o.Blocks,
 		FusedStmts:  s.FusedStmts - o.FusedStmts,
-		BatchedIO:   s.BatchedIO - o.BatchedIO,
-		FallbackIO:  s.FallbackIO - o.FallbackIO,
+		FusedIO:     s.FusedIO - o.FusedIO,
+		GenericIO:   s.GenericIO - o.GenericIO,
 		Superblocks: s.Superblocks - o.Superblocks,
 		SuperStmts:  s.SuperStmts - o.SuperStmts,
 		LoopKernels: s.LoopKernels - o.LoopKernels,
@@ -326,6 +329,7 @@ func (c *compiler) newProc(kern *kernel.Kernel, bus *hw.Bus, stubs *codegen.Stub
 			cov:     &m.cov,
 			argPool: &m.argFree,
 			burst:   &m.burst,
+			decls:   c.prog.Decls,
 		},
 		byName:  make(map[string]*cfunc, len(c.funcs)),
 		inits:   inits,

@@ -3,6 +3,7 @@ package ccompile_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -402,6 +403,9 @@ func TestArithmeticAndTruncation(t *testing.T) {
 	}
 }
 
+// TestDeclaredTypeTruncationOnStore stores the value one past each end
+// of every integer type's range through =, += and ++/-- into a local
+// and a global, and requires the wrapped value on both backends.
 func TestDeclaredTypeTruncationOnStore(t *testing.T) {
 	src := `
 int f(void) {
@@ -412,6 +416,46 @@ int f(void) {
 }`
 	if got := callInt(t, src, "f"); got != 45 {
 		t.Errorf("u8 store chain = %d, want 45", got)
+	}
+	for _, k := range []struct {
+		typ      string
+		min, max int64
+	}{
+		{"u8", 0, 0xff}, {"u16", 0, 0xffff}, {"u32", 0, 0xffff_ffff},
+		{"s8", -0x80, 0x7f}, {"s16", -0x8000, 0x7fff},
+		{"s32", -0x8000_0000, 0x7fff_ffff}, {"int", -0x8000_0000, 0x7fff_ffff},
+	} {
+		for _, st := range []struct {
+			code string
+			want int64
+		}{
+			{"x = MAX + 1;", k.min},
+			{"x = MIN - 1;", k.max},
+			{"x = MAX; x += 1;", k.min},
+			{"x = MIN; x += -1;", k.max},
+			{"x = MAX; x++;", k.min},
+			{"x = MIN; x--;", k.max},
+		} {
+			for _, local := range []bool{true, false} {
+				decl, global := "", "T x;"
+				if local {
+					decl, global = "T x;", ""
+				}
+				// The comparison reads the stored value itself: a return
+				// of type T would truncate it once more.
+				src := strings.NewReplacer("T ", k.typ+" ", "MAX", fmt.Sprint(k.max), "MIN", fmt.Sprint(k.min),
+					"WANT", fmt.Sprint(st.want)).Replace(`
+` + global + `
+int f(void) {
+	` + decl + `
+	` + st.code + `
+	return x == WANT;
+}`)
+				if got := callInt(t, src, "f"); got != 1 {
+					t.Errorf("%s %s (local %v) does not store %d", k.typ, st.code, local, st.want)
+				}
+			}
+		}
 	}
 }
 
@@ -823,6 +867,136 @@ func TestMachReuseAcrossBoots(t *testing.T) {
 			firstCov = p.Coverage().Slice()
 		} else if got := p.Coverage().Slice(); len(got) != len(firstCov) {
 			t.Fatalf("boot %d coverage = %v, want %v", i, got, firstCov)
+		}
+	}
+}
+
+// TestMultiLineOperands puts operands on lines of their own: a binary's
+// operands and operator, a port macro, a mask, a call's arguments and a
+// get_X() call, in a plain statement, an if condition, a superblock body
+// once it runs lean, and a poll kernel's condition. The interpreter
+// covers every operand's line, so a fused operand that drops a coverage
+// add it cannot prove redundant diverges here.
+func TestMultiLineOperands(t *testing.T) {
+	src := `
+#define STATUS 0x301
+#define OUT 0x304
+#define MASK 0x08
+#define WIDE 3
+int g;
+int add3(int a, int b, int c) { return a + b + c; }
+int plain(int a) {
+	int x = 1;
+	int p = OUT;
+	x = a
+		+
+		x;
+	x = WIDE
+		* x;
+	x = x | (inb(
+		STATUS)
+		&
+		MASK);
+	outb(x,
+		p);
+	g = add3(a,
+		x,
+		WIDE);
+	return x + g;
+}
+int cond(int a) {
+	if (a
+		==
+		MASK)
+		return 1;
+	if (inb(
+		STATUS)
+		& MASK)
+		return 2;
+	if (a
+		> WIDE
+		&&
+		add3(a, 0,
+			a) > 10)
+		return 3;
+	return 0;
+}
+int lean(int n) {
+	int i;
+	int s = 0;
+	for (i = 0; i < n; i++) {
+		s = s
+			+ i;
+		if (i
+			== 5)
+			s = s - (inb(
+				STATUS)
+				& MASK);
+		if (i > 6)
+			s = s ^ add3(i,
+				WIDE,
+				s);
+	}
+	return s;
+}
+int poll(int n) {
+	int t;
+	for (t = 0; t < n; t++) {
+		if (inb(
+			STATUS)
+			&
+			MASK)
+			return t;
+	}
+	return -1;
+}
+`
+	for _, c := range []struct {
+		fn  string
+		arg int64
+	}{{"plain", 5}, {"cond", 8}, {"cond", 4}, {"cond", 9}, {"lean", 12}, {"poll", 1000}} {
+		t.Run(fmt.Sprintf("%s(%d)", c.fn, c.arg), func(t *testing.T) {
+			o := runBoth(t, src, c.fn, intArg(c.arg))
+			if o.errText != "" {
+				t.Fatal(o.errText)
+			}
+			wantKernels(t, o, 1) // poll's loop; lean's body is too long for one
+		})
+	}
+
+	stubSrc := `
+#define RDY 0x08
+int get(int s) {
+	s = s
+		+ get_Status();
+	if (
+		get_Status()
+		& RDY)
+		s = s + 1;
+	return s;
+}
+int stubpoll(int delay) {
+	int t;
+	udelay(delay);
+	for (t = 0; t < 5000; t++) {
+		if (
+			get_Status()
+			&
+			RDY)
+			return t;
+	}
+	return -1;
+}
+`
+	for _, mode := range stubModes {
+		for _, fn := range []string{"get", "stubpoll"} {
+			t.Run(fmt.Sprintf("%s/%v", fn, mode), func(t *testing.T) {
+				o := runBothOn(t, rigConfig{stubs: mode}, stubSrc, fn, intArg(100))
+				if o.errText != "" {
+					t.Fatal(o.errText)
+				}
+				wantKernels(t, o, 1)
+			})
 		}
 	}
 }

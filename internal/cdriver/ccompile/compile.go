@@ -36,9 +36,9 @@ type compiler struct {
 	varSigs map[string]codegen.VarSig
 	// domLine is the source line the innermost enclosing statement
 	// closure unconditionally covers before any sub-expression runs
-	// (-1 outside statements). Expression closures on that line skip
-	// their own redundant coverage add: line coverage is a set, so
-	// re-adding a line the dominating statement already added is
+	// (-1 outside statements). An expression on that line resolves its
+	// own coverage add to line 0 (see covLine): line coverage is a set,
+	// so re-adding a line the dominating statement already added is
 	// unobservable. Compile-time state only.
 	domLine int
 	// stats counts what the fusion pass produced.
@@ -234,17 +234,10 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		// Local counters (every loop induction variable) update their
 		// frame slot directly — no load/store closure pair.
 		if ls, ok := c.lookupLocal(s.X.Name); ok {
-			slot := ls.idx
-			if tf := truncFn(ls.typ); tf != nil {
-				return func(st *state, fr []Value) (flow, error) {
-					st.cov.Add(line)
-					fr[slot] = intValue(tf(fr[slot].I + delta))
-					return flowNormal, nil
-				}
-			}
+			slot, kind := ls.idx, ls.typ.Kind
 			return func(st *state, fr []Value) (flow, error) {
 				st.cov.Add(line)
-				fr[slot] = intValue(fr[slot].I + delta)
+				fr[slot] = intValue(truncTo(kind, fr[slot].I+delta))
 				return flowNormal, nil
 			}
 		}
@@ -255,7 +248,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 			if err != nil {
 				return flowNormal, err
 			}
-			store.store(st, fr, cinterp.Truncate(store.typ, intValue(cell.I+delta)))
+			store.store(st, fr, intValue(truncTo(store.typ.Kind, cell.I+delta)))
 			return flowNormal, nil
 		}
 
@@ -348,8 +341,12 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 }
 
 // ifStmt compiles an if statement's body closure, keeping its
-// condition and branch closures for a superblock's poll kernel.
+// condition and branch closures for a superblock's poll kernel. The
+// closure covers line before its condition runs, so line dominates it.
 func (c *compiler) ifStmt(s *cast.IfStmt, line int) ctlForms {
+	prevDom := c.domLine
+	c.domLine = line
+	defer func() { c.domLine = prevDom }()
 	condFn := c.expr(s.Cond)
 	thenFn := c.stmt(s.Then)
 	var elseFn stmtFn
@@ -519,26 +516,8 @@ func (c *compiler) switchStmt(s *cast.SwitchStmt, line int) stmtFn {
 // operators outside the known set (the generic path owns their
 // bad-operator fault).
 func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls localSlot) stmtFn {
-	slot, typ := ls.idx, ls.typ
-	tf := truncFn(typ)
+	slot, kind := ls.idx, ls.typ.Kind
 	if s.Op == ctoken.Assign {
-		if tf == nil {
-			// Full-width storage: truncation is identity.
-			return func(st *state, fr []Value) (flow, error) {
-				st.cov.Add(line)
-				rhs, err := rhsFn(st, fr)
-				if err != nil {
-					return flowNormal, err
-				}
-				// Direct assignment: Devil values flow through unchanged.
-				if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
-					fr[slot] = rhs
-				} else {
-					fr[slot] = intValue(rhs.I)
-				}
-				return flowNormal, nil
-			}
-		}
 		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
 			rhs, err := rhsFn(st, fr)
@@ -549,7 +528,7 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 			if fr[slot].Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
 				fr[slot] = rhs
 			} else {
-				fr[slot] = intValue(tf(rhs.I))
+				fr[slot] = intValue(truncTo(kind, rhs.I))
 			}
 			return flowNormal, nil
 		}
@@ -558,47 +537,37 @@ func (c *compiler) assignLocal(s *cast.AssignStmt, line int, rhsFn exprFn, ls lo
 	if opf == nil {
 		return nil
 	}
-	if tf == nil {
-		return func(st *state, fr []Value) (flow, error) {
-			st.cov.Add(line)
-			rhs, err := rhsFn(st, fr)
-			if err != nil {
-				return flowNormal, err
-			}
-			fr[slot] = intValue(opf(fr[slot].I, rhs.I))
-			return flowNormal, nil
-		}
-	}
 	return func(st *state, fr []Value) (flow, error) {
 		st.cov.Add(line)
 		rhs, err := rhsFn(st, fr)
 		if err != nil {
 			return flowNormal, err
 		}
-		fr[slot] = intValue(tf(opf(fr[slot].I, rhs.I)))
+		fr[slot] = intValue(truncTo(kind, opf(fr[slot].I, rhs.I)))
 		return flowNormal, nil
 	}
 }
 
-// truncFn resolves cinterp.Truncate's storage-type switch at compile
-// time. Returns nil when the declared type stores full 64-bit values,
-// so callers can drop the call entirely.
-func truncFn(t cast.CType) func(int64) int64 {
-	switch t.Kind {
+// truncTo is C storage truncation of an integer to a declared type
+// kind, cinterp.Truncate's switch for a bare int64; kinds that store
+// full 64-bit values (a Devil struct) keep x. Whole Values, which may
+// carry a Devil value, store through cinterp.Truncate.
+func truncTo(k cast.TypeKind, x int64) int64 {
+	switch k {
 	case cast.TypeU8:
-		return func(x int64) int64 { return int64(uint8(x)) }
+		return int64(uint8(x))
 	case cast.TypeU16:
-		return func(x int64) int64 { return int64(uint16(x)) }
+		return int64(uint16(x))
 	case cast.TypeU32:
-		return func(x int64) int64 { return int64(uint32(x)) }
+		return int64(uint32(x))
 	case cast.TypeS8:
-		return func(x int64) int64 { return int64(int8(x)) }
+		return int64(int8(x))
 	case cast.TypeS16:
-		return func(x int64) int64 { return int64(int16(x)) }
+		return int64(int16(x))
 	case cast.TypeInt, cast.TypeS32:
-		return func(x int64) int64 { return int64(int32(x)) }
+		return int64(int32(x))
 	}
-	return nil
+	return x
 }
 
 // lval is a compiled storage location: local slot, global slot, or the
@@ -657,7 +626,7 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 		}
 	}
 	target := c.lvalue(s.LHS)
-	typ := target.typ
+	kind := target.typ.Kind
 	if s.Op == ctoken.Assign {
 		return func(st *state, fr []Value) (flow, error) {
 			st.cov.Add(line)
@@ -673,7 +642,7 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 			if cur.Kind == cinterp.ValDevil || rhs.Kind == cinterp.ValDevil {
 				target.store(st, fr, rhs)
 			} else {
-				target.store(st, fr, cinterp.Truncate(typ, intValue(rhs.I)))
+				target.store(st, fr, intValue(truncTo(kind, rhs.I)))
 			}
 			return flowNormal, nil
 		}
@@ -702,7 +671,7 @@ func (c *compiler) assign(s *cast.AssignStmt, line int) stmtFn {
 		if err != nil {
 			return flowNormal, err
 		}
-		target.store(st, fr, cinterp.Truncate(typ, intValue(op(cur.I, rhs.I))))
+		target.store(st, fr, intValue(truncTo(kind, op(cur.I, rhs.I))))
 		return flowNormal, nil
 	}
 }

@@ -14,17 +14,14 @@ import (
 
 // expr compiles one expression into a closure with the interpreter's
 // evalIn semantics: the expression's line is covered first, then the
-// node-specific evaluation runs.
+// node-specific evaluation runs. The line resolves through covLine, so
+// an expression on its statement's line adds line 0, which the covered
+// set ignores.
 func (c *compiler) expr(x cast.Expr) exprFn {
-	line := c.line(x.Pos())
+	line := c.covLine(c.line(x.Pos()), c.domLine)
 	switch x := x.(type) {
 	case *cast.IntLit:
 		v := intValue(x.Value)
-		if c.skipCov(line) {
-			return func(st *state, fr []Value) (Value, error) {
-				return v, nil
-			}
-		}
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			return v, nil
@@ -137,11 +134,6 @@ func (c *compiler) ident(id *cast.Ident, line int) exprFn {
 	name := id.Name
 	if ls, ok := c.lookupLocal(name); ok {
 		slot := ls.idx
-		if c.skipCov(line) {
-			return func(st *state, fr []Value) (Value, error) {
-				return fr[slot], nil
-			}
-		}
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			return fr[slot], nil
@@ -161,14 +153,6 @@ func (c *compiler) ident(id *cast.Ident, line int) exprFn {
 
 	if g, ok := c.globalIdx[name]; ok {
 		slot, ord := g.slot, g.ord
-		if c.skipCov(line) {
-			return func(st *state, fr []Value) (Value, error) {
-				if ord >= st.declsReady {
-					return lateFallback(st)
-				}
-				return st.globals[slot], nil
-			}
-		}
 		return func(st *state, fr []Value) (Value, error) {
 			st.cov.Add(line)
 			if ord >= st.declsReady {
@@ -192,20 +176,6 @@ func (c *compiler) ident(id *cast.Ident, line int) exprFn {
 			v := intValue(lit.Value)
 			bodyLine := c.line(lit.Pos())
 			ord := m.ord
-			if c.skipCov(line) {
-				return func(st *state, fr []Value) (Value, error) {
-					if ord >= st.declsReady {
-						return lateFallback(st)
-					}
-					if st.depth >= maxCallDepth {
-						return voidValue, &kernel.CrashError{
-							Cause: fmt.Errorf("macro expansion too deep at %q", name),
-						}
-					}
-					st.cov.Add(bodyLine)
-					return v, nil
-				}
-			}
 			return func(st *state, fr []Value) (Value, error) {
 				st.cov.Add(line)
 				if ord >= st.declsReady {
@@ -269,117 +239,96 @@ func undefIdentErr(name string) error {
 	return &kernel.CrashError{Cause: fmt.Errorf("use of undefined identifier %q", name)}
 }
 
-// fop is a fused binary operand: a local frame slot, an integer
-// literal, or a constant macro, evaluated inline by the binary closure
-// instead of through its own closure call. The fields replicate the
-// operand closure's exact observable sequence — coverage points first,
-// then (for macros) the declsReady and depth guards.
-type fop struct {
-	slot     int // >= 0: local frame slot; -1: constant
-	v        int64
-	useLine  int
-	bodyLine int // constant macros cover their body's line too
-	guarded  bool
-	ord      int
-	name     string
+// operand is a fused operand: a local frame slot, an integer literal or
+// a literal macro, which its operator's closure evaluates inline instead
+// of through a closure call of its own. line is the operand's coverage
+// add, resolved by covLine; a macro also keeps its declaration order,
+// for the declsReady and depth guards, and its body's line.
+type operand struct {
+	v    int64
+	slot int32 // local frame slot, -1 for a constant
+	line int32
+	ord  int32 // the macro's declaration order, -1 for a literal or a local
+	body int32 // the macro body's line
 }
 
-// fuseOperand classifies an expression as a fused binary operand.
-// Macro operands record the dependency exactly like a compiled
-// expansion would, so incremental patching still recompiles this unit
-// when the macro body mutates.
-func (c *compiler) fuseOperand(x cast.Expr) (fop, bool) {
+// fuseOperand classifies an expression as a fused operand whose
+// coverage add follows opLine's. Macro operands record the dependency
+// exactly like a compiled expansion would, so incremental patching
+// still recompiles this unit when the macro body mutates.
+func (c *compiler) fuseOperand(x cast.Expr, opLine int) (operand, bool) {
+	o := operand{slot: -1, ord: -1}
 	switch x := x.(type) {
 	case *cast.IntLit:
-		return fop{slot: -1, v: x.Value, useLine: c.line(x.LitPos)}, true
+		o.v, o.line = x.Value, int32(c.covLine(c.line(x.LitPos), opLine))
+		return o, true
 	case *cast.Ident:
+		o.line = int32(c.covLine(c.line(x.NamePos), opLine))
 		if ls, ok := c.lookupLocal(x.Name); ok {
-			return fop{slot: ls.idx, useLine: c.line(x.NamePos)}, true
+			o.slot = int32(ls.idx)
+			return o, true
 		}
 		if _, isGlobal := c.globalIdx[x.Name]; isGlobal {
-			return fop{}, false
+			return o, false
 		}
 		if m, ok := c.macros[x.Name]; ok {
 			lit, isLit := m.decl.Body.(*cast.IntLit)
 			if !isLit {
-				return fop{}, false
+				return o, false
 			}
 			if c.onMacro != nil {
 				c.onMacro(x.Name)
 			}
-			return fop{
-				slot: -1, v: lit.Value,
-				useLine: c.line(x.NamePos), bodyLine: c.line(lit.Pos()),
-				guarded: true, ord: m.ord, name: x.Name,
-			}, true
+			o.v, o.ord, o.body = lit.Value, int32(m.ord), int32(c.line(lit.Pos()))
+			return o, true
 		}
 	}
-	return fop{}, false
+	return o, false
 }
 
-// evalFused evaluates a fused operand — small enough for the compiler
-// to inline into the binary closures, with the macro fallback kept out
-// of line in macroLate.
-func evalFused(st *state, fr []Value, o *fop) (int64, error) {
-	st.cov.Add(o.useLine)
+// eval evaluates an operand with the coverage adds, guards and faults
+// of the closure ident would compile for it.
+func (o operand) eval(st *state, fr []Value) (int64, error) {
+	st.cov.Add(int(o.line))
 	if o.slot >= 0 {
 		return fr[o.slot].I, nil
 	}
-	if o.guarded {
-		if o.ord >= st.declsReady {
-			return macroLate(st, o.name)
+	if o.ord >= 0 {
+		if int(o.ord) >= st.declsReady || st.depth >= maxCallDepth {
+			return st.macroLate(int(o.ord))
 		}
-		if st.depth >= maxCallDepth {
-			return 0, &kernel.CrashError{
-				Cause: fmt.Errorf("macro expansion too deep at %q", o.name),
-			}
-		}
-		st.cov.Add(o.bodyLine)
+		st.cov.Add(int(o.body))
 	}
 	return o.v, nil
 }
 
-// macroLate is the not-yet-declared macro path (reachable only during
-// global initialisation): the chain links after macros — Devil enum
-// constants, then the undefined fault — exactly as ident's lateFallback.
-func macroLate(st *state, name string) (int64, error) {
+// macroLate is a macro operand whose guard fails. Before its
+// declaration has run (only during global initialisation) it takes
+// ident's later links: a Devil enum constant, whose Value's .I an
+// operator reads as 0, then the undefined fault. Past the depth bound
+// it crashes as an expansion would.
+func (st *state) macroLate(ord int) (int64, error) {
+	name := st.decls[ord].(*cast.MacroDecl).Name
+	if ord < st.declsReady {
+		return 0, &kernel.CrashError{Cause: fmt.Errorf("macro expansion too deep at %q", name)}
+	}
 	if st.stubs != nil {
 		if _, ok := st.stubs.Const(name); ok {
-			// A Devil enum constant: binary operands read a value's .I,
-			// which is zero for Devil values.
 			return 0, nil
 		}
 	}
 	return 0, undefIdentErr(name)
 }
 
-// skipCov reports whether an expression on line may omit its own
-// coverage add: the innermost enclosing statement closure has already
-// added that exact line before the expression runs, and the
-// covered-line set is idempotent.
-func (c *compiler) skipCov(line int) bool {
-	return line == c.domLine
-}
-
-// covLine resolves an operand's coverage line at compile time: -1 when
-// the add is redundant (the operator's own line or the dominating
-// statement's line covers it first), the line itself otherwise.
+// covLine resolves a coverage add at compile time: 0 when the add is
+// redundant, because the enclosing operator's line or the dominating
+// statement's line is covered first and the covered-line set is
+// idempotent; the line itself otherwise. ccov.Set.Add ignores line 0.
 func (c *compiler) covLine(useLine, opLine int) int {
 	if useLine == opLine || useLine == c.domLine {
-		return -1
+		return 0
 	}
 	return useLine
-}
-
-// covWrap prefixes a closure with a coverage add when one is needed.
-func covWrap(add bool, line int, f exprFn) exprFn {
-	if !add {
-		return f
-	}
-	return func(st *state, fr []Value) (Value, error) {
-		st.cov.Add(line)
-		return f(st, fr)
-	}
 }
 
 // intBinOp resolves a binary operator to its pure integer
@@ -427,258 +376,91 @@ func b2i(ok bool) int64 {
 	return 0
 }
 
-// fusedBinary emits an operator-specialized closure for a binary whose
-// operands both fused and whose operator has a pure integer
-// implementation: the operator resolves at compile time, unguarded
-// operands read their frame slot or constant inline with no error
-// path, and compile-time-redundant coverage adds are gone. Two
-// constant operands fold to a literal. Returns nil when the shape
-// needs one of the generic closures (guarded macro operands keep their
-// declsReady/depth guards through evalFused).
-func (c *compiler) fusedBinary(op ctoken.Kind, line int, xo, yo fop) exprFn {
-	f := intBinOp(op)
-	if f == nil {
-		return nil
-	}
-	add := !c.skipCov(line)
-	if xo.guarded || yo.guarded {
-		xo, yo := xo, yo
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			a, err := evalFused(st, fr, &xo)
-			if err != nil {
-				return voidValue, err
-			}
-			b, err := evalFused(st, fr, &yo)
-			if err != nil {
-				return voidValue, err
-			}
-			return intValue(f(a, b)), nil
-		})
-	}
-	xl := c.covLine(xo.useLine, line)
-	yl := c.covLine(yo.useLine, line)
-	switch {
-	case xo.slot >= 0 && yo.slot >= 0:
-		i, j := xo.slot, yo.slot
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(fr[i].I, fr[j].I)), nil
-		})
-	case xo.slot >= 0:
-		i, k := xo.slot, yo.v
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(fr[i].I, k)), nil
-		})
-	case yo.slot >= 0:
-		k, j := xo.v, yo.slot
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return intValue(f(k, fr[j].I)), nil
-		})
-	default:
-		v := intValue(f(xo.v, yo.v)) // constant folding, coverage kept
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			cover2(st, xl, yl)
-			return v, nil
-		})
+// fusedBinary emits the closure of a binary whose operator has a pure
+// integer implementation and whose operands both fused.
+//
+// fusedBinary and the other small closure constructors (halfFused,
+// fusedRead, fusedWrite, stubGetSite) are go:noinline. Where the
+// compiler inlines a constructor, it compiles the copy of the closure
+// without inlining the closure's own calls (ccov.Set.Add, intValue):
+// a loop of fused binaries then ran about 1.4 times slower.
+//
+//go:noinline
+func fusedBinary(f func(a, b int64) int64, line int, xo, yo operand) exprFn {
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
+		a, err := xo.eval(st, fr)
+		if err != nil {
+			return voidValue, err
+		}
+		b, err := yo.eval(st, fr)
+		if err != nil {
+			return voidValue, err
+		}
+		return intValue(f(a, b)), nil
 	}
 }
 
-// halfFused emits an operator-specialized closure for a binary with one
-// compiled operand and one fused, unguarded operand — the
-// `inb(port) & MASK` shape of every status poll. The operator resolves
-// at compile time; the fused operand reads its frame slot or constant
-// inline. fusedLeft says which side fused, preserving evaluation and
-// coverage order exactly: a left fused operand records its use line
-// before the compiled side runs, a right one only after the compiled
-// side succeeded.
-func (c *compiler) halfFused(op ctoken.Kind, line int, ef exprFn, o fop, fusedLeft bool) exprFn {
-	f := intBinOp(op)
-	if f == nil {
-		return nil
-	}
-	add := !c.skipCov(line)
-	if o.guarded {
-		// Guarded macro operands: the declsReady/depth guards inline
-		// with evalFused's exact coverage order — use line first
-		// (dedup'd at compile time when the statement line already
-		// covers it), body line only once the guards pass. The
-		// init-time-only slow case defers to evalFused.
-		o := o
-		ul := c.covLine(o.useLine, line)
-		bodyLine, ord, k := o.bodyLine, o.ord, o.v
-		if fusedLeft {
-			return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-				if ul >= 0 {
-					st.cov.Add(ul)
-				}
-				a := k
-				if ord >= st.declsReady || st.depth >= maxCallDepth {
-					var err error
-					if a, err = evalFused(st, fr, &o); err != nil {
-						return voidValue, err
-					}
-				} else {
-					st.cov.Add(bodyLine)
-				}
-				r, err := ef(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return intValue(f(a, r.I)), nil
-			})
-		}
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			l, err := ef(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			if ul >= 0 {
-				st.cov.Add(ul)
-			}
-			b := k
-			if ord >= st.declsReady || st.depth >= maxCallDepth {
-				if b, err = evalFused(st, fr, &o); err != nil {
-					return voidValue, err
-				}
-			} else {
-				st.cov.Add(bodyLine)
-			}
-			return intValue(f(l.I, b)), nil
-		})
-	}
-	ol := c.covLine(o.useLine, line)
-	if o.slot >= 0 {
-		j := o.slot
-		if fusedLeft {
-			return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-				if ol >= 0 {
-					st.cov.Add(ol)
-				}
-				a := fr[j].I
-				r, err := ef(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return intValue(f(a, r.I)), nil
-			})
-		}
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			l, err := ef(st, fr)
-			if err != nil {
-				return voidValue, err
-			}
-			if ol >= 0 {
-				st.cov.Add(ol)
-			}
-			return intValue(f(l.I, fr[j].I)), nil
-		})
-	}
-	k := o.v
+// halfFused emits the closure of a binary with a pure integer operator,
+// one compiled operand ef and one fused operand o: the `inb(port) &
+// MASK` shape of every status poll. fusedLeft says which side fused, so
+// evaluation and coverage keep their order: a left fused operand adds
+// its line before the compiled side runs, a right one only after the
+// compiled side succeeded.
+//
+//go:noinline
+func halfFused(f func(a, b int64) int64, line int, ef exprFn, o operand, fusedLeft bool) exprFn {
 	if fusedLeft {
-		return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-			if ol >= 0 {
-				st.cov.Add(ol)
+		return func(st *state, fr []Value) (Value, error) {
+			st.cov.Add(line)
+			a, err := o.eval(st, fr)
+			if err != nil {
+				return voidValue, err
 			}
 			r, err := ef(st, fr)
 			if err != nil {
 				return voidValue, err
 			}
-			return intValue(f(k, r.I)), nil
-		})
+			return intValue(f(a, r.I)), nil
+		}
 	}
-	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
 		l, err := ef(st, fr)
 		if err != nil {
 			return voidValue, err
 		}
-		if ol >= 0 {
-			st.cov.Add(ol)
+		b, err := o.eval(st, fr)
+		if err != nil {
+			return voidValue, err
 		}
-		return intValue(f(l.I, k)), nil
-	})
-}
-
-// cover2 adds the (rare) operand coverage lines a fused binary could
-// not prove redundant at compile time.
-func cover2(st *state, xl, yl int) {
-	if xl >= 0 {
-		st.cov.Add(xl)
-	}
-	if yl >= 0 {
-		st.cov.Add(yl)
+		return intValue(f(l.I, b)), nil
 	}
 }
 
-// binary compiles a binary operation. Operands that are local slots,
-// literals or constant macros fuse into the operator's own closure —
-// the `status & MASK` shape of every polling loop then costs one
-// closure call instead of three.
+// binary compiles a binary operation. Under a pure integer operator,
+// operands that are local slots, literals or literal macros fuse into
+// the operator's own closure — the `status & MASK` shape of every
+// polling loop then costs one closure call instead of three. Division,
+// modulo and the short-circuit operators take the generic closures.
 func (c *compiler) binary(x *cast.BinaryExpr, line int) exprFn {
 	op := x.Op
 	opPos := x.OpPos
-	if op != ctoken.LAnd && op != ctoken.LOr {
-		xo, xok := c.fuseOperand(x.X)
-		yo, yok := c.fuseOperand(x.Y)
-		if xok && yok {
-			if f := c.fusedBinary(op, line, xo, yo); f != nil {
-				return f
-			}
-		}
+	if f := intBinOp(op); f != nil {
+		xo, xok := c.fuseOperand(x.X, line)
+		yo, yok := c.fuseOperand(x.Y, line)
 		switch {
 		case xok && yok:
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				a, err := evalFused(st, fr, &xo)
-				if err != nil {
-					return voidValue, err
-				}
-				b, err := evalFused(st, fr, &yo)
-				if err != nil {
-					return voidValue, err
-				}
-				return applyBin(op, opPos, a, b)
-			}
+			return fusedBinary(f, line, xo, yo)
 		case yok:
 			if cx, isCall := x.X.(*cast.CallExpr); isCall {
-				if f := c.maskedRead(op, line, cx, yo); f != nil {
-					return f
+				if fn := c.maskedRead(f, line, cx, yo); fn != nil {
+					return fn
 				}
 			}
-			lf := c.expr(x.X)
-			if f := c.halfFused(op, line, lf, yo, false); f != nil {
-				return f
-			}
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				l, err := lf(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				b, err := evalFused(st, fr, &yo)
-				if err != nil {
-					return voidValue, err
-				}
-				return applyBin(op, opPos, l.I, b)
-			}
+			return halfFused(f, line, c.expr(x.X), yo, false)
 		case xok:
-			rf := c.expr(x.Y)
-			if f := c.halfFused(op, line, rf, xo, true); f != nil {
-				return f
-			}
-			return func(st *state, fr []Value) (Value, error) {
-				st.cov.Add(line)
-				a, err := evalFused(st, fr, &xo)
-				if err != nil {
-					return voidValue, err
-				}
-				r, err := rf(st, fr)
-				if err != nil {
-					return voidValue, err
-				}
-				return applyBin(op, opPos, a, r.I)
-			}
+			return halfFused(f, line, c.expr(x.Y), xo, true)
 		}
 	}
 
@@ -834,7 +616,7 @@ func argI(args []Value, i int) int64 {
 }
 
 // fusedIO compiles a port-I/O call of the right arity whose port operand
-// fuses (a literal, a constant macro or a local) to one closure that
+// fuses (a literal, a literal macro or a local) to one closure that
 // calls the bus with the operand inlined: no pooled argument buffer, no
 // callImpl indirection, no operand closure call. Returns nil for every
 // other call, which takes the generic path.
@@ -843,67 +625,45 @@ func (c *compiler) fusedIO(x *cast.CallExpr, argFns []exprFn, line int) exprFn {
 	switch {
 	case width == 0:
 	case x.Name[0] == 'i' && len(argFns) == 1:
-		if o, ok := c.fuseOperand(x.Args[0]); ok {
-			c.stats.BatchedIO++
-			return c.fusedRead(o, line, width)
+		if o, ok := c.fuseOperand(x.Args[0], line); ok {
+			c.stats.FusedIO++
+			return fusedRead(o, line, width)
 		}
 	case x.Name[0] == 'o' && len(argFns) == 2:
-		if o, ok := c.fuseOperand(x.Args[1]); ok {
-			c.stats.BatchedIO++
-			return c.fusedWrite(argFns[0], o, line, width)
+		if o, ok := c.fuseOperand(x.Args[1], line); ok {
+			c.stats.FusedIO++
+			return fusedWrite(argFns[0], o, line, width)
 		}
 	}
 	return nil
 }
 
-// fusedPort evaluates a fused port operand: a local's value, or the
-// constant after a macro's declsReady/depth guard. A guard that fails
-// (at init time only) defers to evalFused.
-func fusedPort(st *state, fr []Value, o *fop) (hw.Port, error) {
-	switch {
-	case o.slot >= 0:
-		return hw.Port(fr[o.slot].I), nil
-	case o.guarded && (o.ord >= st.declsReady || st.depth >= maxCallDepth):
-		a, err := evalFused(st, fr, o)
-		return hw.Port(a), err
-	case o.guarded:
-		st.cov.Add(o.bodyLine)
-	}
-	return hw.Port(o.v), nil
-}
-
 // fusedRead emits the port-input closure for a fused port operand: no
 // argument closure call.
-func (c *compiler) fusedRead(o fop, line int, width hw.AccessWidth) exprFn {
-	add := !c.skipCov(line)
-	pl := c.covLine(o.useLine, line)
-	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-		if pl >= 0 {
-			st.cov.Add(pl)
-		}
-		p, err := fusedPort(st, fr, &o)
+//
+//go:noinline
+func fusedRead(o operand, line int, width hw.AccessWidth) exprFn {
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
+		p, err := o.eval(st, fr)
 		if err != nil {
 			return voidValue, err
 		}
-		v, err := st.bus.Read(p, width)
+		v, err := st.bus.Read(hw.Port(p), width)
 		return intValue(int64(v)), err
-	})
+	}
 }
 
 // maskedRead fuses the full poll-loop condition shape
 // `in*(port) OP mask` — a read builtin with a fusable port operand,
-// combined with a fusable mask through a pure integer operator — into
+// combined with a fused mask through a pure integer operator — into
 // one closure: no call-closure hop, no boxed intermediate value. The
 // compile-time resolution rules of call() apply unchanged (driver
 // functions shadow builtins, only exact-arity reads qualify), and the
 // coverage/guard order matches the split closures it replaces exactly:
-// binary line, call line, port use line, port read, mask use line,
-// mask guards. Returns nil whenever any piece falls outside the shape.
-func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo fop) exprFn {
-	f := intBinOp(op)
-	if f == nil {
-		return nil
-	}
+// binary line, call line, port operand, port read, mask operand.
+// Returns nil whenever any piece falls outside the shape.
+func (c *compiler) maskedRead(f func(a, b int64) int64, line int, call *cast.CallExpr, mask operand) exprFn {
 	if _, isFunc := c.funcIdx[call.Name]; isFunc {
 		return nil
 	}
@@ -911,70 +671,50 @@ func (c *compiler) maskedRead(op ctoken.Kind, line int, call *cast.CallExpr, yo 
 	if width == 0 || call.Name[0] != 'i' || len(call.Args) != 1 {
 		return nil
 	}
-	po, pok := c.fuseOperand(call.Args[0])
-	if !pok {
+	callLine := c.line(call.Pos())
+	port, ok := c.fuseOperand(call.Args[0], callLine)
+	if !ok {
 		return nil
 	}
-	c.stats.BatchedIO++
-	add := !c.skipCov(line)
-	callLine := c.line(call.Pos())
+	c.stats.FusedIO++
 	cl := c.covLine(callLine, line)
-	pl := c.covLine(po.useLine, callLine)
-	ml := c.covLine(yo.useLine, line)
-	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
-		if cl >= 0 {
-			st.cov.Add(cl)
-		}
-		if pl >= 0 {
-			st.cov.Add(pl)
-		}
-		p, err := fusedPort(st, fr, &po)
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
+		st.cov.Add(cl)
+		p, err := port.eval(st, fr)
 		if err != nil {
 			return voidValue, err
 		}
-		v, err := st.bus.Read(p, width)
+		v, err := st.bus.Read(hw.Port(p), width)
 		if err != nil {
 			return voidValue, err
 		}
-		if ml >= 0 {
-			st.cov.Add(ml)
+		m, err := mask.eval(st, fr)
+		if err != nil {
+			return voidValue, err
 		}
-		b := yo.v
-		if yo.slot >= 0 {
-			b = fr[yo.slot].I
-		} else if yo.guarded {
-			if yo.ord >= st.declsReady || st.depth >= maxCallDepth {
-				if b, err = evalFused(st, fr, &yo); err != nil {
-					return voidValue, err
-				}
-				return intValue(f(int64(v), b)), nil
-			}
-			st.cov.Add(yo.bodyLine)
-		}
-		return intValue(f(int64(v), b)), nil
-	})
+		return intValue(f(int64(v), m)), nil
+	}
 }
 
 // fusedWrite is fusedRead's output twin: the value still evaluates
 // through its compiled closure (it is rarely a constant), the fused
 // port operand is inlined.
-func (c *compiler) fusedWrite(vf exprFn, o fop, line int, width hw.AccessWidth) exprFn {
-	add := !c.skipCov(line)
-	pl := c.covLine(o.useLine, line)
-	return covWrap(add, line, func(st *state, fr []Value) (Value, error) {
+//
+//go:noinline
+func fusedWrite(vf exprFn, o operand, line int, width hw.AccessWidth) exprFn {
+	return func(st *state, fr []Value) (Value, error) {
+		st.cov.Add(line)
 		v, err := vf(st, fr)
 		if err != nil {
 			return voidValue, err
 		}
-		if pl >= 0 {
-			st.cov.Add(pl)
-		}
-		p, err := fusedPort(st, fr, &o)
+		p, err := o.eval(st, fr)
 		if err != nil {
 			return voidValue, err
 		}
-		return voidValue, st.bus.Write(p, width, uint32(v.I))
-	})
+		return voidValue, st.bus.Write(hw.Port(p), width, uint32(v.I))
+	}
 }
 
 // builtin resolves a non-driver call at compile time: kernel builtins,
@@ -984,7 +724,7 @@ func (c *compiler) builtin(x *cast.CallExpr) callImpl {
 		// A port-I/O call whose port operand does not fuse (or of the
 		// wrong arity, a mutant artefact the checker rejects): count
 		// the site so the generic share is observable.
-		c.stats.FallbackIO++
+		c.stats.GenericIO++
 		if x.Name[0] == 'i' {
 			return func(st *state, args []Value) (Value, error) {
 				v, err := st.bus.Read(hw.Port(argI(args, 0)), width)
@@ -1134,28 +874,18 @@ func (cv stubConv) value(dv codegen.Value) Value {
 }
 
 // stubGetSite compiles a get_X() call site over the variable's access
-// plan. The enum case keeps its own closure, so that the conversion
-// inlines to a constant branch.
+// plan.
+//
+//go:noinline
 func stubGetSite(acc *codegen.Accessor, sig codegen.VarSig, line int) exprFn {
 	conv := stubConvOf(sig)
-	if conv.enum {
-		return func(st *state, fr []Value) (Value, error) {
-			st.cov.Add(line)
-			dv, err := acc.Get()
-			if err != nil {
-				return voidValue, err
-			}
-			return stubConv{enum: true}.value(dv), nil
-		}
-	}
-	shift := conv.shift
 	return func(st *state, fr []Value) (Value, error) {
 		st.cov.Add(line)
 		dv, err := acc.Get()
 		if err != nil {
 			return voidValue, err
 		}
-		return stubConv{shift: shift}.value(dv), nil
+		return conv.value(dv), nil
 	}
 }
 

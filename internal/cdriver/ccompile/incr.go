@@ -250,8 +250,8 @@ func (in *Incr) Patch(ord int, d cast.Decl) (*Proc, error) {
 
 // PatchStats reports the fusion work the most recent successful Patch
 // performed: the basic blocks, fused statements and I/O sites of just
-// the recompiled units (zero on the non-fusing backend). The campaign
-// engine feeds it into the driverlab_exec_blocks_* counters.
+// the recompiled units. The campaign engine feeds it into the
+// driverlab_exec_blocks_* and driverlab_exec_io_sites_* counters.
 func (in *Incr) PatchStats() BlockStats { return in.lastPatch }
 
 // resetRun rewinds a Proc's mutable execution state to the moment

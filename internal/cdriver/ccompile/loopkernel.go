@@ -76,7 +76,7 @@ import (
 
 // loopKernel runs every remaining lean iteration of one loop execution.
 // ran is false when an entry check failed and nothing ran; otherwise
-// fl, v and err are the loop statement's own result.
+// fl and err are the loop statement's own result.
 type loopKernel interface {
 	run(st *state, fr []Value, head int64, cond exprFn) (fl flow, ran bool, err error)
 }
@@ -87,34 +87,6 @@ func lateOrd(ord int32, st *state) bool {
 	return ord >= 0 && (int(ord) >= st.declsReady || st.depth >= maxCallDepth)
 }
 
-// macroOrd is a fused constant operand's guard order, -1 for a literal.
-func macroOrd(o fop) int32 {
-	if o.guarded {
-		return int32(o.ord)
-	}
-	return -1
-}
-
-// truncTo is truncFn as a switch: C storage truncation for a local's
-// declared type kind.
-func truncTo(k cast.TypeKind, x int64) int64 {
-	switch k {
-	case cast.TypeU8:
-		return int64(uint8(x))
-	case cast.TypeU16:
-		return int64(uint16(x))
-	case cast.TypeU32:
-		return int64(uint32(x))
-	case cast.TypeS8:
-		return int64(int8(x))
-	case cast.TypeS16:
-		return int64(int16(x))
-	case cast.TypeInt, cast.TypeS32:
-		return int64(int32(x))
-	}
-	return x
-}
-
 // kport is a constant port operand.
 type kport struct {
 	port hw.Port
@@ -122,13 +94,15 @@ type kport struct {
 }
 
 // kportOf classifies a port operand exactly as the closures' fuseOperand
-// does, accepting only its constant case.
+// does, accepting only its constant case. Kernels make no coverage
+// adds, so the operand's line (resolved against 0) goes unused, here and
+// in maskOpOf and forTail.
 func (c *compiler) kportOf(x cast.Expr) (kport, bool) {
-	o, ok := c.fuseOperand(x)
+	o, ok := c.fuseOperand(x, 0)
 	if !ok || o.slot >= 0 {
 		return kport{}, false
 	}
-	return kport{port: hw.Port(o.v), ord: macroOrd(o)}, true
+	return kport{port: hw.Port(o.v), ord: o.ord}, true
 }
 
 // affine is c + Σ coef[k]·fr[slot[k]].I over at most two locals. Its
@@ -279,11 +253,11 @@ type maskOp struct {
 // maskOpOf classifies `OP M`.
 func (c *compiler) maskOpOf(op ctoken.Kind, y cast.Expr) (maskOp, bool) {
 	f := intBinOp(op)
-	m, ok := c.fuseOperand(y)
+	m, ok := c.fuseOperand(y, 0)
 	if f == nil || !ok {
 		return maskOp{}, false
 	}
-	return maskOp{f: f, m: m.v, mord: macroOrd(m), mslot: int32(m.slot)}, true
+	return maskOp{f: f, m: m.v, mord: m.ord, mslot: m.slot}, true
 }
 
 // apply is `v OP M` with M's current value.
@@ -477,12 +451,12 @@ func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loop
 		return t
 	}
 	f := intBinOp(cond.Op)
-	xo, xok := c.fuseOperand(cond.X)
+	xo, xok := c.fuseOperand(cond.X, 0)
 	if f == nil || !xok || xo.slot < 0 {
 		return t
 	}
-	if yo, ok := c.fuseOperand(cond.Y); ok && yo.slot < 0 {
-		t.bound.c, t.bord = yo.v, macroOrd(yo)
+	if yo, ok := c.fuseOperand(cond.Y, 0); ok && yo.slot < 0 {
+		t.bound.c, t.bord = yo.v, yo.ord
 	} else {
 		bx, div := cond.Y, int64(0)
 		if d, ok := bx.(*cast.BinaryExpr); ok && d.Op == ctoken.Div {
@@ -496,7 +470,7 @@ func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loop
 		}
 		t.bound, t.div = a, div
 	}
-	t.f, t.op, t.x = f, cond.Op, int32(xo.slot)
+	t.f, t.op, t.x = f, cond.Op, xo.slot
 	return t
 }
 

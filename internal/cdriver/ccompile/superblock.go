@@ -145,11 +145,7 @@ func (c *compiler) ctlSeg(s cast.Stmt) ctlForms {
 	if !ok {
 		return ctlForms{fn: c.stmtBody(s)}
 	}
-	line := c.line(ifs.Pos())
-	prevDom := c.domLine
-	c.domLine = line
-	defer func() { c.domLine = prevDom }()
-	return c.ifStmt(ifs, line)
+	return c.ifStmt(ifs, c.line(ifs.Pos()))
 }
 
 // iter runs one iteration of the body. A careful iteration makes the

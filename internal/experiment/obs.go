@@ -41,13 +41,13 @@ const (
 	MetricBlocksCompiled = "driverlab_exec_blocks_compiled_total"
 	// MetricBlocksFusedStmts counts statements inside those blocks.
 	MetricBlocksFusedStmts = "driverlab_exec_blocks_fused_stmts_total"
-	// MetricBlocksBatchedIO counts port-I/O call sites whose port
+	// MetricIOSitesFused counts port-I/O call sites whose port
 	// operand fused into a direct closure (no argument buffer).
-	MetricBlocksBatchedIO = "driverlab_exec_blocks_batched_io_total"
-	// MetricBlocksFallback counts port-I/O call sites the block backend
+	MetricIOSitesFused = "driverlab_exec_io_sites_fused_total"
+	// MetricIOSitesGeneric counts port-I/O call sites the block backend
 	// compiled to the generic argument-buffer builtin call (a port
 	// operand that does not fuse, or a wrong arity).
-	MetricBlocksFallback = "driverlab_exec_blocks_fallback_total"
+	MetricIOSitesGeneric = "driverlab_exec_io_sites_generic_total"
 	// MetricSuperblocksCompiled counts loops the block backend compiled
 	// to single-closure superblocks (threaded loop bodies).
 	MetricSuperblocksCompiled = "driverlab_exec_superblocks_compiled_total"
@@ -74,7 +74,7 @@ const (
 // register, for the docs check and the `driverlab metrics` subcommand.
 func BootMetricNames() []string {
 	return []string{MetricBootPhase, MetricFullFrontend,
-		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricBlocksBatchedIO, MetricBlocksFallback,
+		MetricBlocksCompiled, MetricBlocksFusedStmts, MetricIOSitesFused, MetricIOSitesGeneric,
 		MetricSuperblocksCompiled, MetricSuperblockStmts, MetricLoopKernels}
 }
 
@@ -93,8 +93,8 @@ type bootObs struct {
 
 	blocksCompiled  *obs.Counter
 	blocksFused     *obs.Counter
-	blocksBatchedIO *obs.Counter
-	blocksFallback  *obs.Counter
+	ioFused         *obs.Counter
+	ioGeneric       *obs.Counter
 	superblocks     *obs.Counter
 	superblockStmts *obs.Counter
 	loopKernels     *obs.Counter
@@ -104,8 +104,8 @@ type bootObs struct {
 func (o *bootObs) addBlockStats(s ccompile.BlockStats) {
 	o.blocksCompiled.Add(s.Blocks)
 	o.blocksFused.Add(s.FusedStmts)
-	o.blocksBatchedIO.Add(s.BatchedIO)
-	o.blocksFallback.Add(s.FallbackIO)
+	o.ioFused.Add(s.FusedIO)
+	o.ioGeneric.Add(s.GenericIO)
 	o.superblocks.Add(s.Superblocks)
 	o.superblockStmts.Add(s.SuperStmts)
 	o.loopKernels.Add(s.LoopKernels)
@@ -140,10 +140,10 @@ func newBootObs(col *obs.Collector, workload string) *bootObs {
 		blocksFused: col.Counter(MetricBlocksFusedStmts,
 			"Statements inside those basic blocks.",
 			"workload", workload),
-		blocksBatchedIO: col.Counter(MetricBlocksBatchedIO,
+		ioFused: col.Counter(MetricIOSitesFused,
 			"Port-I/O call sites whose port operand fused into a direct closure.",
 			"workload", workload),
-		blocksFallback: col.Counter(MetricBlocksFallback,
+		ioGeneric: col.Counter(MetricIOSitesGeneric,
 			"Port-I/O call sites on the generic argument-buffer builtin call.",
 			"workload", workload),
 		superblocks: col.Counter(MetricSuperblocksCompiled,
