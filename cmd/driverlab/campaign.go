@@ -123,6 +123,63 @@ func storedSpec(store campaign.Store) (campaign.Spec, bool) {
 	return campaign.Spec{}, false
 }
 
+// specFlags are the campaign spec flags that `campaign run` and `serve`
+// both declare.
+type specFlags struct {
+	name, drivers, stub, backend, scenarios *string
+	sample, shards                          *int
+	seed                                    *uint64
+	permissive                              *bool
+}
+
+// addSpecFlags declares the spec flags on fs, with the -shards default
+// and the -shards and -scenario help texts the caller gives.
+func addSpecFlags(fs *flag.FlagSet, shards int, shardsUsage, scenarioUsage string) *specFlags {
+	return &specFlags{
+		name: fs.String("name", "campaign", "campaign name"),
+		drivers: fs.String("drivers", "ide_c,ide_devil",
+			"comma-separated driver list ("+strings.Join(drivers.Names(), ", ")+")"),
+		sample:     fs.Int("sample", 25, "percentage of mutants to boot (paper: 25)"),
+		seed:       fs.Uint64("seed", 2001, "sampling seed"),
+		shards:     fs.Int("shards", shards, shardsUsage),
+		stub:       fs.String("stub", "", "Devil stub mode: debug (default) or production"),
+		permissive: fs.Bool("permissive", false, "downgrade CDevil typing to plain C rules"),
+		backend:    fs.String("backend", "", "hwC execution backend: block (default) or interp"),
+		scenarios:  fs.String("scenario", "", scenarioUsage),
+	}
+}
+
+// spec builds the campaign spec the flags name. Aliases of the same
+// engine ("tree", "block" vs "") are canonicalized by Spec.Normalized,
+// so they fingerprint the same; here only validity is checked.
+func (f *specFlags) spec() (campaign.Spec, error) {
+	if _, err := experiment.ParseBackend(*f.backend); err != nil {
+		return campaign.Spec{}, err
+	}
+	return campaign.Spec{
+		Name:       *f.name,
+		Drivers:    splitList(*f.drivers),
+		SamplePct:  *f.sample,
+		Seed:       *f.seed,
+		Shards:     *f.shards,
+		StubMode:   *f.stub,
+		Permissive: *f.permissive,
+		Backend:    *f.backend,
+		Scenarios:  splitList(*f.scenarios),
+	}, nil
+}
+
+// splitList splits a comma-separated flag value, dropping blank items.
+func splitList(s string) []string {
+	var out []string
+	for _, x := range strings.Split(s, ",") {
+		if x = strings.TrimSpace(x); x != "" {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // campaignRun executes (or resumes) a campaign against a JSONL store.
 // Resume takes its spec from the store, so it only accepts execution
 // flags; the run-shaping flags are rejected rather than silently
@@ -139,21 +196,9 @@ func campaignRun(args []string, resume bool) error {
 	quiet := fs.Bool("quiet", false, "suppress live progress")
 	statusAddr := fs.String("status-addr", "",
 		"serve /metrics (Prometheus), /status (JSON) and /debug/pprof on this address while the campaign runs (e.g. :9100)")
-	var name, driversFlag, stub, backend, scenarios *string
-	var sample, shards *int
-	var seed *uint64
-	var permissive *bool
+	var sf *specFlags
 	if !resume {
-		name = fs.String("name", "campaign", "campaign name")
-		driversFlag = fs.String("drivers", "ide_c,ide_devil",
-			"comma-separated driver list ("+strings.Join(drivers.Names(), ", ")+")")
-		sample = fs.Int("sample", 25, "percentage of mutants to boot (paper: 25)")
-		seed = fs.Uint64("seed", 2001, "sampling seed")
-		shards = fs.Int("shards", 1, "shard count the work-list partitions into")
-		stub = fs.String("stub", "", "Devil stub mode: debug (default) or production")
-		permissive = fs.Bool("permissive", false, "downgrade CDevil typing to plain C rules")
-		backend = fs.String("backend", "", "hwC execution backend: block (default) or interp")
-		scenarios = fs.String("scenario", "",
+		sf = addSpecFlags(fs, 1, "shard count the work-list partitions into",
 			"comma-separated hardware scenario cells to cross with the driver list "+
 				"(see `driverlab scenarios`; e.g. pristine,flaky-bus:5,timing — default pristine only)")
 	}
@@ -171,8 +216,8 @@ func campaignRun(args []string, resume bool) error {
 		return fmt.Errorf("campaign run: -store is required")
 	}
 	shardCount := 1
-	if shards != nil {
-		shardCount = *shards
+	if sf != nil {
+		shardCount = *sf.shards
 	}
 	if err := checkExecFlags(*workers, shardCount, *flushEvery, *bootTimeout); err != nil {
 		return fmt.Errorf("campaign %s: %w", verb, err)
@@ -207,36 +252,10 @@ func campaignRun(args []string, resume bool) error {
 	} else {
 		// Run builds the spec from flags; on an existing store the engine
 		// rejects it if the fingerprint differs from the stored spec.
-		var driverList []string
-		for _, d := range strings.Split(*driversFlag, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				driverList = append(driverList, d)
-			}
-		}
-		// Aliases of the same engine ("tree", "block" vs "") are
-		// canonicalized by Spec.Normalized, so they fingerprint the same;
-		// here only validity is checked.
-		if _, err := experiment.ParseBackend(*backend); err != nil {
+		if spec, err = sf.spec(); err != nil {
 			return err
 		}
-		var scenarioList []string
-		for _, sc := range strings.Split(*scenarios, ",") {
-			if sc = strings.TrimSpace(sc); sc != "" {
-				scenarioList = append(scenarioList, sc)
-			}
-		}
-		spec = campaign.Spec{
-			Name:       *name,
-			Drivers:    driverList,
-			SamplePct:  *sample,
-			Seed:       *seed,
-			Shards:     *shards,
-			StubMode:   *stub,
-			Permissive: *permissive,
-			Backend:    *backend,
-			Scenarios:  scenarioList,
-			FlushEvery: *flushEvery,
-		}
+		spec.FlushEvery = *flushEvery
 		if *bootTimeout > 0 {
 			spec.BootTimeoutMS = int(bootTimeout.Milliseconds())
 		}

@@ -7,13 +7,11 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/campaign/fleet"
-	"repro/internal/drivers"
 	"repro/internal/experiment"
 	"repro/internal/obs"
 )
@@ -33,17 +31,8 @@ func runServe(args []string) error {
 	quiet := fs.Bool("quiet", false, "suppress live progress")
 	statusAddr := fs.String("status-addr", "",
 		"serve /metrics (Prometheus), /status (JSON) and /debug/pprof on this address while the fleet runs (e.g. :9100)")
-	name := fs.String("name", "campaign", "campaign name")
-	driversFlag := fs.String("drivers", "ide_c,ide_devil",
-		"comma-separated driver list ("+strings.Join(drivers.Names(), ", ")+")")
-	sample := fs.Int("sample", 25, "percentage of mutants to boot (paper: 25)")
-	seed := fs.Uint64("seed", 2001, "sampling seed")
-	shards := fs.Int("shards", 8, "lease granularity: shard count the work-list partitions into "+
-		"(should comfortably exceed the worker count)")
-	stub := fs.String("stub", "", "Devil stub mode: debug (default) or production")
-	permissive := fs.Bool("permissive", false, "downgrade CDevil typing to plain C rules")
-	backend := fs.String("backend", "", "hwC execution backend: block (default) or interp")
-	scenarios := fs.String("scenario", "",
+	sf := addSpecFlags(fs, 8, "lease granularity: shard count the work-list partitions into "+
+		"(should comfortably exceed the worker count)",
 		"comma-separated hardware scenario cells to cross with the driver list (see `driverlab scenarios`)")
 	flushEvery := fs.Int("flush-every", 0,
 		"store checkpoint interval in records (0: the store default of 64)")
@@ -53,7 +42,7 @@ func runServe(args []string) error {
 	if *store == "" {
 		return fmt.Errorf("serve: -store is required")
 	}
-	if err := checkExecFlags(0, *shards, *flushEvery, 0); err != nil {
+	if err := checkExecFlags(0, *sf.shards, *flushEvery, 0); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 
@@ -70,40 +59,17 @@ func runServe(args []string) error {
 			return fmt.Errorf("serve -resume: %s holds no spec record", *store)
 		}
 		spec = prior
-		if *shards != 8 {
+		if *sf.shards != 8 {
 			// The shard count is fingerprint-excluded, so a restarted
 			// coordinator may repartition the remaining work.
-			spec.Shards = *shards
+			spec.Shards = *sf.shards
 		}
 		fmt.Fprintf(os.Stderr, "serve: resuming %q from %s\n", spec.Name, *store)
 	} else {
-		var driverList []string
-		for _, d := range strings.Split(*driversFlag, ",") {
-			if d = strings.TrimSpace(d); d != "" {
-				driverList = append(driverList, d)
-			}
-		}
-		if _, err := experiment.ParseBackend(*backend); err != nil {
+		if spec, err = sf.spec(); err != nil {
 			return err
 		}
-		var scenarioList []string
-		for _, sc := range strings.Split(*scenarios, ",") {
-			if sc = strings.TrimSpace(sc); sc != "" {
-				scenarioList = append(scenarioList, sc)
-			}
-		}
-		spec = campaign.Spec{
-			Name:       *name,
-			Drivers:    driverList,
-			SamplePct:  *sample,
-			Seed:       *seed,
-			Shards:     *shards,
-			StubMode:   *stub,
-			Permissive: *permissive,
-			Backend:    *backend,
-			Scenarios:  scenarioList,
-			FlushEvery: *flushEvery,
-		}
+		spec.FlushEvery = *flushEvery
 	}
 	if spec.FlushEvery > 0 {
 		st.SetFlushEvery(spec.FlushEvery)

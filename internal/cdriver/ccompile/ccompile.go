@@ -210,7 +210,7 @@ func (s BlockStats) sub(o BlockStats) BlockStats {
 // rule, so step counts are identical to the interpreter's), compiles
 // each kernel builtin call to one generic builtin closure (a port-I/O
 // call whose port operand fuses calls hw.Bus from one direct closure
-// instead), and runs eligible loops as superblocks.
+// instead), and runs every while/for loop as a superblock.
 func Compile(prog *cast.Program, kern *kernel.Kernel, bus *hw.Bus,
 	stubs *codegen.Stubs, m *Mach) *Proc {
 	c := newCompiler(prog, stubs)

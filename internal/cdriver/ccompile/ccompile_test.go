@@ -874,7 +874,7 @@ func TestMachReuseAcrossBoots(t *testing.T) {
 // TestMultiLineOperands puts operands on lines of their own: a binary's
 // operands and operator, a port macro, a mask, a call's arguments and a
 // get_X() call, in a plain statement, an if condition, a superblock body
-// once it runs lean, and a poll kernel's condition. The interpreter
+// after its first completed iteration, and a poll kernel's condition. The interpreter
 // covers every operand's line, so a fused operand that drops a coverage
 // add it cannot prove redundant diverges here.
 func TestMultiLineOperands(t *testing.T) {
@@ -941,14 +941,14 @@ int lean(int n) {
 }
 int poll(int n) {
 	int t;
-	for (t = 0; t < n; t++) {
+	for (t = 0; t < 1000; t++) {
 		if (inb(
 			STATUS)
 			&
 			MASK)
 			return t;
 	}
-	return -1;
+	return -n;
 }
 `
 	for _, c := range []struct {
@@ -960,7 +960,7 @@ int poll(int n) {
 			if o.errText != "" {
 				t.Fatal(o.errText)
 			}
-			wantKernels(t, o, 1) // poll's loop; lean's body is too long for one
+			wantKernels(t, o, 1) // poll's loop; lean's body is no kernel shape
 		})
 	}
 

@@ -259,7 +259,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 		// A while loop is a for loop with no init and no post. It opens
 		// no scope: a bare declaration body declares into the enclosing
 		// scope, as in the interpreter.
-		return c.forStmt(&cast.ForStmt{ForPos: s.WhilePos, Cond: s.Cond, Body: s.Body}, line)
+		return c.forSuper(&cast.ForStmt{ForPos: s.WhilePos, Cond: s.Cond, Body: s.Body}, line)
 
 	case *cast.DoWhileStmt:
 		bodyFn := c.stmt(s.Body)
@@ -294,7 +294,7 @@ func (c *compiler) stmtBody(s cast.Stmt) stmtFn {
 	case *cast.ForStmt:
 		c.pushScope() // the init declaration's scope, as in the interpreter
 		defer c.popScope()
-		return c.forStmt(s, line)
+		return c.forSuper(s, line)
 
 	case *cast.SwitchStmt:
 		return c.switchStmt(s, line)
@@ -368,66 +368,7 @@ func (c *compiler) ifStmt(s *cast.IfStmt, line int) ctlForms {
 			}
 			return flowNormal, nil
 		},
-		cond: condFn, then: thenFn, els: elseFn,
-	}
-}
-
-// forStmt compiles a for loop, or a while loop as a for loop with no
-// init and no post, in the caller's scope.
-func (c *compiler) forStmt(s *cast.ForStmt, line int) stmtFn {
-	if c.loopEligible(s.Body, s.Post) {
-		return c.forSuper(s, line)
-	}
-	var initFn stmtFn
-	if s.Init != nil {
-		initFn = c.stmt(s.Init)
-	}
-	var condFn exprFn
-	if s.Cond != nil {
-		condFn = c.expr(s.Cond)
-	}
-	var postFn stmtFn
-	if s.Post != nil {
-		postFn = c.stmt(s.Post)
-	}
-	bodyFn := c.stmt(s.Body)
-	return func(st *state, fr []Value) (flow, error) {
-		st.cov.Add(line)
-		if initFn != nil {
-			if fl, err := initFn(st, fr); err != nil || fl != flowNormal {
-				return fl, err
-			}
-		}
-		for {
-			if condFn != nil {
-				cond, err := condFn(st, fr)
-				if err != nil {
-					return flowNormal, err
-				}
-				if !cond.Truthy() {
-					break
-				}
-			}
-			fl, err := bodyFn(st, fr)
-			if err != nil {
-				return flowNormal, err
-			}
-			if fl == flowBreak {
-				break
-			}
-			if fl == flowReturn {
-				return fl, nil
-			}
-			if postFn != nil {
-				if fl, err := postFn(st, fr); err != nil || fl == flowReturn {
-					return fl, err
-				}
-			}
-			if err := st.kern.Step(); err != nil {
-				return flowNormal, err
-			}
-		}
-		return flowNormal, nil
+		cond: condFn, then: thenFn,
 	}
 }
 

@@ -20,13 +20,14 @@ import (
 //     `kbuf_write{8,16}(OFF, in{b,w,l}(P))`, `v = in*(P)`,
 //     `kbuf_write*(OFF, v)`, `v = kbuf_read*(OFF)`, `out*(v, P)` and
 //     `out*(kbuf_read*(OFF), P)`.
-//   - Bounded poll: `for (…; i OP B; i++/i--) { if (C) S1 [else S2] }`.
-//     A condition `in*(P) OP M` with constant P, and M a constant or a
-//     local, reads the bus directly; any other condition, and both
-//     branches, run through the closures the if segment already compiled.
-//     Among those, a Devil stub condition (stubTest: `get_X()`,
-//     `dil_eq(get_X(), K)` or `get_X() OP M`, each also under one `!`)
-//     is one the kernel can predict.
+//   - Bounded poll: `for (…; i OP B; i++/i--) { if (C) S }` whose test
+//     the kernel can forward (below): no else, a condition that spans,
+//     and C either `in*(P) OP M` with constant P and M a constant or a
+//     local other than the post local, which reads the bus directly, or
+//     a Devil stub condition (stubTest: `get_X()`, `dil_eq(get_X(), K)`
+//     or `get_X() OP M`, each also under one `!`), which runs through
+//     the closure the if segment already compiled. S runs through its
+//     compiled closure.
 //   - Busy-wait: `while (in*(P) OP M) {}`.
 //
 // The builtins must resolve as builtins (no driver function shadows
@@ -34,24 +35,25 @@ import (
 // (fuseOperand's constant case), v is a local, and OFF is affine over
 // locals (+, -, *lit, <<lit), held as an affine form.
 //
-// A kernel takes over once the careful iterations have licensed lean
-// ones, and makes exactly the kernel, clock and bus calls a lean
-// superBlock.iter plus the loop tail make, in the same order:
-// StepN(head), the statements, the post, StepN(2), the condition.
-// Sub-expression coverage adds are dropped: every line they add is fixed
-// at compile time and was covered by the careful iteration. The loop bound B is hoisted to
-// kernel entry only when it is a constant, or affine (optionally ÷ a
-// positive literal) over locals that neither a transfer statement nor
-// the post writes; a poll's branches may write any local, so a poll
-// hoists constants only. Otherwise the kernel calls the condition's
-// closure.
+// A kernel takes over once one iteration of the superblock has
+// completed every segment, and makes exactly the kernel, clock and bus
+// calls the superblock's iterations make, in the same order, with the
+// charges nothing observable separates batched: StepN(head), the
+// statements, the post, StepN(2), the condition. Sub-expression
+// coverage adds are dropped: every line they add is fixed at compile
+// time and was covered by the completed iteration. A transfer or poll
+// kernel forms only where the loop bound B hoists to kernel entry: a
+// constant, or affine (optionally ÷ a positive literal) over locals
+// that neither a transfer statement nor the post writes; a poll's
+// branch may write any local, so a poll hoists constants only.
 //
-// Two entry checks send the rest of a loop execution back to the lean
-// iterations: a macro operand whose guard would take the late path, and
-// a Devil value in a local a kernel statement stores to (the assignment
-// would store it untruncated). Neither can change within one loop execution:
-// declsReady moves only between global initialisers, every call and
-// macro expansion restores depth, and a kernel stores only integers.
+// Two entry checks send the rest of a loop execution back to the
+// superblock's iterations: a macro operand whose guard would take the
+// late path, and a Devil value in a local a kernel statement stores to
+// (the assignment would store it untruncated). Neither can change within
+// one loop execution: declsReady moves only between global initialisers,
+// every call and macro expansion restores depth, and a kernel stores
+// only integers.
 //
 // Fast-forward: when the bus can predict the loop's port reads (see
 // hw.SteadyReader and hw.BurstReader) a kernel applies many iterations
@@ -74,11 +76,11 @@ import (
 // expr.go). The bus predicts nothing while a fault injector or tracing
 // is on, which the kernel checks once per run.
 
-// loopKernel runs every remaining lean iteration of one loop execution.
+// loopKernel runs every remaining iteration of one loop execution.
 // ran is false when an entry check failed and nothing ran; otherwise
 // fl and err are the loop statement's own result.
 type loopKernel interface {
-	run(st *state, fr []Value, head int64, cond exprFn) (fl flow, ran bool, err error)
+	run(st *state, fr []Value, head int64) (fl flow, ran bool, err error)
 }
 
 // lateOrd reports whether a macro operand's guard takes the late path;
@@ -425,9 +427,8 @@ type loopTail struct {
 	post   int32
 	delta  int8
 	ptrunc uint8 // the post local's cast.TypeKind
-	// f is the condition operator when the bound is hoisted (nil: call
-	// the condition's closure), op its token; x is the condition's left
-	// local.
+	// f is the condition operator, op its token; x is the condition's
+	// left local.
 	f     func(a, b int64) int64
 	op    ctoken.Kind
 	x     int32
@@ -438,22 +439,22 @@ type loopTail struct {
 
 // forTail compiles the tail of a for loop with a pure post. invariant
 // reports whether an affine bound's locals stay unchanged through the
-// body.
-func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loopTail {
+// body. ok is false when the bound does not hoist.
+func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) (t loopTail, ok bool) {
 	id := s.Post.(*cast.IncDecStmt)
 	ls, _ := c.lookupLocal(id.X.Name)
-	t := loopTail{post: int32(ls.idx), delta: 1, ptrunc: uint8(ls.typ.Kind), bord: -1}
+	t = loopTail{post: int32(ls.idx), delta: 1, ptrunc: uint8(ls.typ.Kind), bord: -1}
 	if id.Op == ctoken.MinusMinus {
 		t.delta = -1
 	}
 	cond, ok := s.Cond.(*cast.BinaryExpr)
 	if !ok {
-		return t
+		return t, false
 	}
 	f := intBinOp(cond.Op)
 	xo, xok := c.fuseOperand(cond.X, 0)
 	if f == nil || !xok || xo.slot < 0 {
-		return t
+		return t, false
 	}
 	if yo, ok := c.fuseOperand(cond.Y, 0); ok && yo.slot < 0 {
 		t.bound.c, t.bord = yo.v, yo.ord
@@ -466,12 +467,12 @@ func (c *compiler) forTail(s *cast.ForStmt, invariant func(a *affine) bool) loop
 		}
 		a, ok := c.affineOf(bx)
 		if !ok || a.reads(int(t.post)) || !invariant(&a) {
-			return t
+			return t, false
 		}
 		t.bound, t.div = a, div
 	}
 	t.f, t.op, t.x = f, cond.Op, xo.slot
-	return t
+	return t, true
 }
 
 // spans reports whether span can be non-zero: the hoisted condition
@@ -480,7 +481,7 @@ func (t *loopTail) spans() bool {
 	_, _, ok := kindRange(cast.TypeKind(t.ptrunc))
 	switch t.op {
 	case ctoken.Lt, ctoken.Le, ctoken.Gt, ctoken.Ge, ctoken.Ne:
-		return ok && t.f != nil && t.x == t.post
+		return ok && t.x == t.post
 	}
 	return false
 }
@@ -553,12 +554,9 @@ func (t *loopTail) advance(fr []Value, n int64) {
 	fr[t.post] = intValue(fr[t.post].I + n*int64(t.delta))
 }
 
-// entry evaluates a hoisted bound at kernel entry; ok is false when a
+// entry evaluates the hoisted bound at kernel entry; ok is false when a
 // macro bound's guard would take the late path.
 func (t *loopTail) entry(st *state, fr []Value) (b int64, ok bool) {
-	if t.f == nil {
-		return 0, true
-	}
 	if lateOrd(t.bord, st) {
 		return 0, false
 	}
@@ -570,14 +568,10 @@ func (t *loopTail) entry(st *state, fr []Value) (b int64, ok bool) {
 }
 
 // next runs the post, its two charges and the condition.
-func (t *loopTail) next(st *state, fr []Value, cond exprFn, b int64) (bool, error) {
+func (t *loopTail) next(st *state, fr []Value, b int64) (bool, error) {
 	fr[t.post] = intValue(truncTo(cast.TypeKind(t.ptrunc), fr[t.post].I+int64(t.delta)))
 	if err := st.kern.StepN(2); err != nil {
 		return false, err
-	}
-	if t.f == nil {
-		v, err := cond(st, fr)
-		return v.Truthy(), err
 	}
 	return t.f(fr[t.x].I, b) != 0, nil
 }
@@ -763,7 +757,7 @@ func (k *xferKernel) bursts() bool {
 	return k.tail.spans()
 }
 
-func (k *xferKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, bool, error) {
+func (k *xferKernel) run(st *state, fr []Value, head int64) (flow, bool, error) {
 	ops := k.ops[:k.n]
 	for i := range ops {
 		if ops[i].late(st, fr) {
@@ -789,7 +783,7 @@ func (k *xferKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, 
 				return flowNormal, true, err
 			}
 		}
-		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
+		if more, err := k.tail.next(st, fr, b); err != nil || !more {
 			return flowNormal, true, err
 		}
 	}
@@ -845,23 +839,22 @@ func (k *xferKernel) forward(st *state, fr []Value, head, b int64) error {
 	}
 }
 
-// pollKernel runs a bounded poll. cond, then and els are the if
-// segment's compiled closures; fast marks a condition test reads, stub
-// (when non-nil) one the kernel can predict, and forward a fast or stub
-// test with no else whose condition spans.
+// pollKernel runs a bounded poll whose test it can forward. cond and
+// then are the if segment's compiled closures. stub, when non-nil,
+// predicts a Devil stub condition, which runs through cond; otherwise
+// test reads the condition's port.
 type pollKernel struct {
-	fast, forward bool
-	test          portTest
-	stub          *stubTest
-	cond          exprFn
-	then, els     stmtFn
-	tail          loopTail
+	test portTest
+	stub *stubTest
+	cond exprFn
+	then stmtFn
+	tail loopTail
 }
 
 // steady predicts the forwarded test: its outcome, until when it holds,
 // and the port reads one evaluation makes.
 func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uint64, ok bool) {
-	if k.fast {
+	if k.stub == nil {
 		holds, until, ok = k.test.steady(st, fr)
 		return holds, until, 1, ok
 	}
@@ -869,15 +862,15 @@ func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uin
 	return holds, until, uint64(k.stub.acc.Fragments()), ok
 }
 
-func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, bool, error) {
-	if k.fast && k.test.late(st) {
+func (k *pollKernel) run(st *state, fr []Value, head int64) (flow, bool, error) {
+	if k.stub == nil && k.test.late(st) {
 		return flowNormal, false, nil
 	}
 	b, ok := k.tail.entry(st, fr)
 	if !ok {
 		return flowNormal, false, nil
 	}
-	forward := k.forward && st.bus.Predictable() && (k.stub == nil || !k.stub.late(st))
+	forward := st.bus.Predictable() && (k.stub == nil || !k.stub.late(st))
 	per := head + 2
 	for {
 		if forward {
@@ -898,7 +891,7 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, 
 			return flowNormal, true, err
 		}
 		var taken bool
-		if k.fast {
+		if k.stub == nil {
 			var err error
 			if taken, err = k.test.eval(st, fr); err != nil {
 				return flowNormal, true, err
@@ -910,22 +903,19 @@ func (k *pollKernel) run(st *state, fr []Value, head int64, cond exprFn) (flow, 
 			}
 			taken = cv.Truthy()
 		}
-		fl, err := flowNormal, error(nil)
 		if taken {
-			fl, err = k.then(st, fr)
-		} else if k.els != nil {
-			fl, err = k.els(st, fr)
+			fl, err := k.then(st, fr)
+			if err != nil {
+				return flowNormal, true, err
+			}
+			switch fl {
+			case flowBreak:
+				return flowNormal, true, nil
+			case flowReturn:
+				return flowReturn, true, nil
+			}
 		}
-		if err != nil {
-			return flowNormal, true, err
-		}
-		switch fl {
-		case flowBreak:
-			return flowNormal, true, nil
-		case flowReturn:
-			return flowReturn, true, nil
-		}
-		if more, err := k.tail.next(st, fr, cond, b); err != nil || !more {
+		if more, err := k.tail.next(st, fr, b); err != nil || !more {
 			return flowNormal, true, err
 		}
 	}
@@ -936,7 +926,7 @@ type spinKernel struct {
 	test portTest
 }
 
-func (k *spinKernel) run(st *state, fr []Value, head int64, _ exprFn) (flow, bool, error) {
+func (k *spinKernel) run(st *state, fr []Value, head int64) (flow, bool, error) {
 	if k.test.late(st) {
 		return flowNormal, false, nil
 	}
@@ -983,9 +973,9 @@ type (
 
 // forBlock allocates a compiled for loop's superblock, with a transfer,
 // poll or busy-wait kernel when the loop has one of those shapes.
-// purePost says the post is i++/i-- on a local; lone is the body's if
-// segment when the body is exactly one if statement.
-func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, purePost bool) *superBlock {
+// lone is the body's if segment when the body is exactly one if
+// statement.
+func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms) *superBlock {
 	if s.Cond == nil {
 		return newSuperBlock(body)
 	}
@@ -1001,7 +991,14 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 		}
 		return newSuperBlock(body)
 	}
-	if !purePost {
+	// A transfer or poll kernel batches the charges around its post, so
+	// the post must be i++/i-- on a local, which touches no device or
+	// kernel state.
+	id, ok := s.Post.(*cast.IncDecStmt)
+	if !ok {
+		return newSuperBlock(body)
+	}
+	if _, ok := c.lookupLocal(id.X.Name); !ok {
 		return newSuperBlock(body)
 	}
 	stmts := []cast.Stmt{s.Body}
@@ -1020,7 +1017,7 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 			k.n++
 		}
 		if k.n > 0 {
-			k.tail = c.forTail(s, func(a *affine) bool {
+			k.tail, ok = c.forTail(s, func(a *affine) bool {
 				for _, op := range k.ops[:k.n] {
 					if op.stores() && a.reads(int(op.slot)) {
 						return false
@@ -1028,6 +1025,9 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 				}
 				return true
 			})
+			if !ok {
+				return newSuperBlock(body)
+			}
 			k.burst = k.bursts()
 			b := &xferBlock{superBlock: body, k: k}
 			b.kern = &b.k
@@ -1035,28 +1035,32 @@ func (c *compiler) forBlock(s *cast.ForStmt, body superBlock, lone ctlForms, pur
 			return &b.superBlock
 		}
 	}
-	if lone.cond != nil {
-		k := pollKernel{cond: lone.cond, then: lone.then, els: lone.els}
-		cond := stmts[0].(*cast.IfStmt).Cond
-		k.test, k.fast = c.portTestOf(cond)
-		mslot := k.test.mslot
-		if !k.fast {
-			if k.stub = c.stubTestOf(cond); k.stub != nil {
-				mslot = k.stub.mslot
-			}
-		}
-		// The branches may store to any local, so a poll hoists only a
-		// bound that reads none.
-		k.tail = c.forTail(s, func(a *affine) bool { return a.n == 0 })
-		// Skipping an iteration needs a test that fails on every skipped
-		// read, and a mask the post leaves alone.
-		k.forward = (k.fast || k.stub != nil) && k.els == nil && k.tail.spans() && mslot != k.tail.post
-		b := &pollBlock{superBlock: body, k: k}
-		b.kern = &b.k
-		c.stats.LoopKernels++
-		return &b.superBlock
+	if lone.cond == nil || stmts[0].(*cast.IfStmt).Else != nil {
+		return newSuperBlock(body)
 	}
-	return newSuperBlock(body)
+	k := pollKernel{cond: lone.cond, then: lone.then}
+	cond := stmts[0].(*cast.IfStmt).Cond
+	var fast bool
+	k.test, fast = c.portTestOf(cond)
+	mslot := k.test.mslot
+	if !fast {
+		if k.stub = c.stubTestOf(cond); k.stub == nil {
+			return newSuperBlock(body)
+		}
+		mslot = k.stub.mslot
+	}
+	// The branch may store to any local, so a poll hoists only a bound
+	// that reads none. Skipping an iteration needs a test that fails on
+	// every skipped read, a condition that spans and a mask the post
+	// leaves alone.
+	k.tail, ok = c.forTail(s, func(a *affine) bool { return a.n == 0 })
+	if !ok || !k.tail.spans() || mslot == k.tail.post {
+		return newSuperBlock(body)
+	}
+	b := &pollBlock{superBlock: body, k: k}
+	b.kern = &b.k
+	c.stats.LoopKernels++
+	return &b.superBlock
 }
 
 func newSuperBlock(body superBlock) *superBlock {

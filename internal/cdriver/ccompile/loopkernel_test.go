@@ -12,7 +12,7 @@ import (
 // so a kernel that writes the wrong transfer-buffer offset, strobes a
 // port once too often or reads it at another virtual time fails here.
 // Each case also pins how many loops compiled to kernels, so it cannot
-// pass by falling back to the lean iterations.
+// pass by falling back to the superblock's iterations.
 
 const kernelPorts = `
 #define DATA 0x300
@@ -281,7 +281,8 @@ int g(void) {
 }
 
 // TestKernelBoundWrittenInBody writes the loop bound's local inside the
-// body, so the bound must be re-evaluated each iteration, not hoisted.
+// body, so the bound must be re-evaluated each iteration, not hoisted:
+// no kernel forms, and the loops run the superblock's iterations.
 func TestKernelBoundWrittenInBody(t *testing.T) {
 	src := kernelPorts + `
 int xfer(void) {
@@ -313,7 +314,7 @@ int poll(void) {
 `
 	for fn, want := range map[string]int64{"xfer": 20020, "xfer_div": 12028, "poll": 18018} {
 		o := runBoth(t, src, fn)
-		wantKernels(t, o, 3)
+		wantKernels(t, o, 0)
 		if o.val.I != want {
 			t.Errorf("%s() = %d, want %d", fn, o.val.I, want)
 		}
@@ -368,9 +369,11 @@ int spin(void) {
 	return inb(STATUS);
 }
 `
+	// branches has an else and shifted's test is not a port test, so
+	// neither can forward and neither is a kernel.
 	for _, fn := range []string{"rewind", "branches", "ready", "spin"} {
 		o := runBoth(t, src, fn)
-		wantKernels(t, o, 5)
+		wantKernels(t, o, 3)
 		if o.errText != "" {
 			t.Fatalf("%s(): %s", fn, o.errText)
 		}
@@ -403,8 +406,8 @@ int f(void) { return early + drain(); }
 	}
 }
 
-// TestKernelShapesNotRecognised pins loops that must stay on the lean
-// iterations:
+// TestKernelShapesNotRecognised pins loops that must stay on the
+// superblock's iterations:
 // an offset that is not affine or reads a third local, a third
 // statement, a port that is not constant, a value that is not a port
 // read or a local, and a post that is not i++/i--.

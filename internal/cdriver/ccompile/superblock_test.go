@@ -1,16 +1,17 @@
 package ccompile_test
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/cdriver/ccompile"
 	"repro/internal/cdriver/cinterp"
 )
 
-// Loop-superblock edge cases: every control-flow shape that can break a
-// fused loop out of its lean fast path must stay byte-identical — value,
-// console, coverage and step count — between the interpreter and the
-// block backend. runBoth enforces all four.
+// Loop-superblock edge cases: every control-flow shape that can leave a
+// superblock iteration early must stay byte-identical — value, console,
+// coverage and step count — between the interpreter and the block
+// backend. runBoth enforces all four.
 
 func intArg(v int64) cinterp.Value { return cinterp.Value{Kind: cinterp.ValInt, I: v} }
 
@@ -163,5 +164,208 @@ int sum(int n) {
 	}
 	if st := in.PatchStats(); st.Superblocks == 0 {
 		t.Fatalf("patch did not re-fuse the loop: stats %+v", st)
+	}
+}
+
+// directFlowSrc holds loops whose body leaves through a direct break,
+// continue or return: a bare body, the last statement of a run, and a
+// flow in mid-run after an if segment, in for and while. Such a body
+// never completes an iteration, so it never licenses a kernel.
+const directFlowSrc = `
+int g;
+int tick(void) { g = g + 1; return g; }
+int forBreakBare(int n) {
+	int i;
+	for (i = 0; i < n; i++)
+		break;
+	return i;
+}
+int whileBreakBare(int n) {
+	while (n > 0)
+		break;
+	return n;
+}
+int forContinueBare(int n) {
+	int i;
+	for (i = 0; i < n; i++)
+		continue;
+	return i;
+}
+int whileContinueBare(int n) {
+	g = 0;
+	while (tick() < n)
+		continue;
+	return g;
+}
+int forReturnBare(int n) {
+	int i;
+	for (i = 0; i < n; i++)
+		return i + 7;
+	return -1;
+}
+int whileReturnBare(int n) {
+	while (n > 0)
+		return n * 3;
+	return -1;
+}
+int forBreakLast(int n) {
+	int acc = 0;
+	int i;
+	for (i = 0; i < n; i++) {
+		acc = acc + i;
+		acc = acc * 2;
+		break;
+	}
+	return acc * 100 + i;
+}
+int whileBreakLast(int n) {
+	int acc = 1;
+	while (n > 0) {
+		acc = acc + n;
+		n = n - 1;
+		break;
+	}
+	return acc * 100 + n;
+}
+int forContinueLast(int n) {
+	int acc = 0;
+	for (int i = 0; i < n; i++) {
+		acc = acc + i;
+		acc = acc * 2;
+		continue;
+	}
+	return acc;
+}
+int whileContinueLast(int n) {
+	int acc = 0;
+	while (n > 0) {
+		acc = acc + n;
+		n = n - 1;
+		continue;
+	}
+	return acc * 100 + n;
+}
+int forReturnLast(int n) {
+	int acc = 5;
+	for (int i = 0; i < n; i++) {
+		acc = acc + i;
+		return acc;
+	}
+	return -1;
+}
+int whileReturnLast(int n) {
+	while (n > 0) {
+		n = n - 2;
+		return n;
+	}
+	return -1;
+}
+int forBreakMid(int n) {
+	int acc = 0;
+	int i;
+	for (i = 0; i < n; i++) {
+		if (i == 0) {
+			acc = acc + 100;
+		}
+		acc = acc + 1;
+		break;
+		acc = acc + 1000;
+	}
+	return acc * 100 + i;
+}
+int whileBreakMid(int n) {
+	int acc = 0;
+	while (n > 0) {
+		if (n > 2) {
+			acc = acc + 100;
+		}
+		n = n - 1;
+		break;
+		acc = acc + 1000;
+	}
+	return acc * 100 + n;
+}
+int forContinueMid(int n) {
+	int acc = 0;
+	int i;
+	for (i = 0; i < n; i++) {
+		if (i == 2) {
+			acc = acc + 100;
+		}
+		acc = acc + i;
+		continue;
+		acc = acc + 1000;
+	}
+	return acc * 100 + i;
+}
+int whileContinueMid(int n) {
+	int acc = 0;
+	while (n > 0) {
+		if (n == 3) {
+			acc = acc + 100;
+		}
+		n = n - 1;
+		continue;
+		acc = acc + 1000;
+	}
+	return acc * 100 + n;
+}
+int forReturnMid(int n) {
+	int acc = 0;
+	for (int i = 0; i < n; i++) {
+		if (i == 0) {
+			acc = acc + 100;
+		}
+		acc = acc + 1;
+		return acc;
+		acc = acc + 1000;
+	}
+	return -1;
+}
+int whileReturnMid(int n) {
+	int acc = 0;
+	while (n > 0) {
+		if (n < 10) {
+			acc = acc + 100;
+		}
+		acc = acc + n;
+		return acc;
+		acc = acc + 1000;
+	}
+	return -1;
+}
+`
+
+// directFlowWant is each directFlowSrc function's result at n = 5.
+var directFlowWant = map[string]int64{
+	"forBreakBare": 0, "whileBreakBare": 5,
+	"forContinueBare": 5, "whileContinueBare": 5,
+	"forReturnBare": 7, "whileReturnBare": 15,
+	"forBreakLast": 0, "whileBreakLast": 604,
+	"forContinueLast": 52, "whileContinueLast": 1500,
+	"forReturnLast": 5, "whileReturnLast": 3,
+	"forBreakMid": 10100, "whileBreakMid": 10004,
+	"forContinueMid": 11005, "whileContinueMid": 10000,
+	"forReturnMid": 101, "whileReturnMid": 105,
+}
+
+// TestSuperblockDirectFlow runs every directFlowSrc loop on both
+// backends: at the default budget with its expected result, and over a
+// watchdog budget sweep that trips the watchdog at each of the run's
+// charges.
+func TestSuperblockDirectFlow(t *testing.T) {
+	for fn, want := range directFlowWant {
+		t.Run(fn, func(t *testing.T) {
+			o := runBoth(t, directFlowSrc, fn, intArg(5))
+			if o.errText != "" || o.val.I != want {
+				t.Fatalf("%s(5) = %d (%q), want %d", fn, o.val.I, o.errText, want)
+			}
+			for budget := int64(1); budget < o.steps; budget++ {
+				b := runBothOn(t, rigConfig{budget: budget}, directFlowSrc, fn, intArg(5))
+				if !strings.Contains(b.errText, "watchdog") || b.steps != budget+1 {
+					t.Fatalf("%s at budget %d: %q after %d steps, want the watchdog at %d", fn, budget, b.errText, b.steps, budget+1)
+				}
+			}
+		})
 	}
 }

@@ -35,6 +35,8 @@ func FuzzRespanMatchesFullParse(f *testing.F) {
 		{"int f(void) { return 1; }", 12, int(ctoken.Semi), ";"}, // last token
 		{"#define A 1\nint g(void) { return A; }", 2, int(ctoken.Ident), "g"},
 		{"int h(int a) { return a; }", 5, int(ctoken.Ident), "b"},
+		{"#define A 0", 2, int(ctoken.HexInt), "0"}, // shorter than its 0x prefix
+		{"#define A 0", 2, int(ctoken.OctInt), "u"}, // empty once the suffix goes
 	}
 	for _, s := range seeds {
 		f.Add(s.src, s.idx, s.kind, s.lit)

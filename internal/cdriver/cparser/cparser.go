@@ -605,12 +605,18 @@ func parseCInt(t ctoken.Token) (int64, error) {
 	lit := strings.TrimRight(t.Lit, "uUlL")
 	switch t.Kind {
 	case ctoken.HexInt:
+		if len(lit) < 2 {
+			return 0, fmt.Errorf("invalid hexadecimal literal %q", t.Lit)
+		}
 		v, err := strconv.ParseUint(lit[2:], 16, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid hexadecimal literal %q", t.Lit)
 		}
 		return int64(v), nil
 	case ctoken.OctInt:
+		if len(lit) < 1 {
+			return 0, fmt.Errorf("invalid octal literal %q", t.Lit)
+		}
 		v, err := strconv.ParseUint(lit[1:], 8, 64)
 		if err != nil {
 			return 0, fmt.Errorf("invalid octal literal %q", t.Lit)
