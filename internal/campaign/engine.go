@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -437,28 +436,4 @@ func ParallelDo(n, workers int, fn func(i int)) {
 	}
 	close(next)
 	wg.Wait()
-}
-
-// ShardPlan reports how a spec's work-list distributes over its shards —
-// the operator-facing preview of a sharded campaign. Tasks are the
-// workload's pristine expansion; the spec's scenario matrix is applied
-// here, as Run does.
-func ShardPlan(spec Spec, tasks []Task) map[int]int {
-	spec = spec.Normalized()
-	_, tasks = expandMatrix(spec, nil, tasks)
-	plan := make(map[int]int, spec.Shards)
-	for _, t := range tasks {
-		plan[ShardOfTask(t, spec.Shards)]++
-	}
-	return plan
-}
-
-// SortShards returns the shard indices of a plan in order.
-func SortShards(plan map[int]int) []int {
-	out := make([]int, 0, len(plan))
-	for sh := range plan {
-		out = append(out, sh)
-	}
-	sort.Ints(out)
-	return out
 }

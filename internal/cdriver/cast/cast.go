@@ -146,8 +146,8 @@ func (p *Program) Funcs() []*FuncDecl {
 
 // Func looks a function up by name.
 func (p *Program) Func(name string) *FuncDecl {
-	for _, f := range p.Funcs() {
-		if f.Name == name {
+	for _, d := range p.Decls {
+		if f, ok := d.(*FuncDecl); ok && f.Name == name {
 			return f
 		}
 	}

@@ -75,6 +75,14 @@ import (
 // The block stubs' get_block_ reads burst the same way (burstBlock in
 // expr.go). The bus predicts nothing while a fault injector or tracing
 // is on, which the kernel checks once per run.
+//
+// The kernels keep their own per-iteration code (portTest.eval,
+// xferOp.exec, bufRead/bufWrite, the poll's port branch and spinKernel)
+// because every simpler form measured was slower on some workload, at
+// 0.21–0.89 of the boots/s: no kernels, kernels that hand each
+// iteration back to the superblock or iterate through its closures, no
+// busy-wait kernel, and tests run through the if or loop-condition
+// closure (ARCHITECTURE.md, "Loop kernels", has the ratios).
 
 // loopKernel runs every remaining iteration of one loop execution.
 // ran is false when an entry check failed and nothing ran; otherwise

@@ -7,8 +7,8 @@
 // pristine token stream once per driver into per-declaration spans — one
 // per #define, file-scope variable and function — and Respan re-parses
 // only the span containing the mutated token, yielding a fresh
-// declaration the caller splices into the cached pristine AST (and, on
-// the block backend, recompiles in place via ccompile.Incr).
+// declaration the caller re-checks against the pristine file scope
+// (ccheck.Scope) and recompiles in place (ccompile.Incr).
 //
 // The analysis is conservative: anything it cannot prove behaves exactly
 // like a full recompile is reported as ErrSpanUnsafe, and the caller

@@ -1,9 +1,6 @@
 package devil
 
-import (
-	"repro/internal/devil/codegen"
-	"repro/internal/hw"
-)
+import "repro/internal/devil/codegen"
 
 // Mode re-exports the stub generation mode.
 type Mode = codegen.Mode
@@ -30,13 +27,6 @@ type AssertError = codegen.AssertError
 // concrete bus and base-address assignment.
 func (s *Spec) Generate(cfg Config) (*Stubs, error) {
 	return codegen.Generate(s.Filename, s.Info, cfg)
-}
-
-// GenerateOn is a convenience wrapper binding every port parameter listed in
-// bases on the given bus in debug mode (the development configuration the
-// paper's evaluation studies).
-func (s *Spec) GenerateOn(bus *hw.Bus, bases map[string]hw.Port) (*Stubs, error) {
-	return s.Generate(Config{Bus: bus, Bases: bases, Mode: Debug})
 }
 
 // EmitC renders the C stub text the compiler generates for this

@@ -72,9 +72,9 @@ type execCaches struct {
 	exec  *ccompile.Mach
 	stubs map[codegen.Mode]*codegen.Stubs
 	envs  map[envKey]*ctypes.Env
-	// incr holds the incremental front end's pristine pipelines: parsed
-	// and checked pristine ASTs plus (block backend) the in-place
-	// patching compiler, one per boot configuration.
+	// incr holds the incremental front end's pristine pipelines: the
+	// pristine check scope and the in-place patching compiler, one per
+	// block boot configuration.
 	incr map[incrKey]*incrState
 	// obs is the boot pipeline's instrumentation bundle — noObs (every
 	// operation a no-op) unless an observed campaign rebinds it.
@@ -131,22 +131,26 @@ func (c *execCaches) envFor(input BootInput, stubs *codegen.Stubs) (*ctypes.Env,
 // already decided (compile-time detection or an insmod fault) and res is
 // final; otherwise res is fresh and the caller drives ex.
 //
-// With a Mutation input the incremental front end runs first: only the
-// declaration span containing the mutated token is re-parsed, re-checked
-// and recompiled against the worker's cached pristine pipeline. A
-// span-unsafe mutation materialises the full mutated stream and falls
-// through to the full pipeline below.
+// With a Mutation input the block backend runs the incremental front
+// end first: only the declaration span containing the mutated token is
+// re-parsed, re-checked and recompiled against the worker's cached
+// pristine pipeline. A span-unsafe mutation falls through to the full
+// pipeline below on the materialised mutated stream, and so does every
+// interp boot: the oracle shares no front-end state with the backend it
+// checks.
 func (c *execCaches) buildEngine(r *Rig, input BootInput) (Engine, *BootResult, error) {
 	kern, bus, generate := r.Kern, r.Bus, r.Stubs
 	if input.Mutation != nil {
-		ex, res, done, err := c.buildIncremental(r, input)
-		if err != nil {
-			return nil, nil, err
+		if input.Backend != BackendInterp {
+			ex, res, done, err := c.buildIncremental(r, input)
+			if err != nil {
+				return nil, nil, err
+			}
+			if done {
+				return ex, res, nil
+			}
+			c.obs.fullFrontend.Inc()
 		}
-		if done {
-			return ex, res, nil
-		}
-		c.obs.fullFrontend.Inc()
 		input.Tokens = input.Mutation.Apply()
 	}
 	res := &BootResult{}
@@ -203,12 +207,12 @@ func (c *execCaches) buildEngine(r *Rig, input BootInput) (Engine, *BootResult, 
 type BootInput struct {
 	// Tokens is the (possibly mutated) driver token stream.
 	Tokens []ctoken.Token
-	// Mutation, when non-nil, selects the incremental front end: the
-	// boot is of Mutation's pristine analysed source with exactly one
-	// token replaced, and Tokens is ignored (the mutated stream is only
-	// materialised on the span-unsafe fallback path). The campaign hot
-	// path boots this way; Tokens-based boots always run the full
-	// pipeline.
+	// Mutation, when non-nil, is the boot's driver instead of Tokens:
+	// Mutation's pristine analysed source with exactly one token
+	// replaced. On the block backend it selects the incremental front
+	// end, which materialises the mutated stream only on the
+	// span-unsafe fallback path; on interp the mutated stream always
+	// runs the full pipeline. Campaign workers boot this way.
 	Mutation *cincr.Mutation
 	// Devil selects the CDevil pipeline: strict typing + generated stubs.
 	Devil bool

@@ -229,7 +229,7 @@ func TestMachineReuseMatchesFreshBoots(t *testing.T) {
 			t.Fatalf("mutant %d: fresh boot: %v", id, err)
 		}
 		m.Reset()
-		reused, err := BootOn(m, input)
+		reused, err := m.Boot(input)
 		if err != nil {
 			t.Fatalf("mutant %d: reused boot: %v", id, err)
 		}
@@ -265,7 +265,7 @@ func TestReusedRigPoolsConsole(t *testing.T) {
 	var anchor *string
 	for i := 0; i < 4; i++ {
 		r.Reset()
-		res, err := BootOn(r, input)
+		res, err := r.Boot(input)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -43,26 +43,52 @@ func TestRespanRejectsOnlyKnownMutants(t *testing.T) {
 	}
 }
 
-// TestCampaignBootsThroughIncrementalFrontEnd pins that campaign workers
-// hand every boot to the incremental front end: over all mutants of
-// busmouse_c and ne2000_devil, exactly ne2000_devil's one span-unsafe
-// mutant falls back to the full pipeline.
+// TestCampaignBootsThroughIncrementalFrontEnd pins that block campaign
+// workers hand every boot to the incremental front end: over all mutants
+// of busmouse_c and ne2000_devil, exactly ne2000_devil's one span-unsafe
+// mutant falls back to the full pipeline. An interp campaign over the
+// same drivers boots every mutant through the full pipeline without
+// counting a fallback, and stores the block campaign's records.
 func TestCampaignBootsThroughIncrementalFrontEnd(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full enumerations are not short")
+		t.Skip("four full enumerations are not short")
 	}
-	col := obs.New()
-	spec := campaign.Spec{Name: "frontend", Drivers: []string{"busmouse_c", "ne2000_devil"}}
-	if _, err := campaign.Run(spec, NewObservedWorkload(col), campaign.NewMemStore(), campaign.Options{}); err != nil {
-		t.Fatal(err)
-	}
-	full := map[string]float64{"busmouse": -1, "ne2000": -1}
-	for _, s := range col.Gather() {
-		if s.Name == MetricFullFrontend {
-			full[s.Label("workload")] = s.Value
+	run := func(backend Backend) (map[string]float64, map[string]campaign.Record) {
+		col := obs.New()
+		spec := campaign.Spec{Name: "frontend", Drivers: []string{"busmouse_c", "ne2000_devil"},
+			Backend: string(backend)}
+		store := campaign.NewMemStore()
+		if _, err := campaign.Run(spec, NewObservedWorkload(col), store, campaign.Options{}); err != nil {
+			t.Fatal(err)
 		}
+		full := map[string]float64{"busmouse": -1, "ne2000": -1}
+		for _, s := range col.Gather() {
+			if s.Name == MetricFullFrontend {
+				full[s.Label("workload")] = s.Value
+			}
+		}
+		recs := make(map[string]campaign.Record)
+		for _, r := range store.Records() {
+			if r.Kind == campaign.KindResult {
+				recs[r.Key()] = r
+			}
+		}
+		return full, recs
 	}
-	if full["busmouse"] != 0 || full["ne2000"] != 1 {
-		t.Errorf("%s by workload = %v, want busmouse 0 and ne2000 1", MetricFullFrontend, full)
+	blockFull, block := run(BackendBlock)
+	if blockFull["busmouse"] != 0 || blockFull["ne2000"] != 1 {
+		t.Errorf("block: %s by workload = %v, want busmouse 0 and ne2000 1", MetricFullFrontend, blockFull)
+	}
+	interpFull, interp := run(BackendInterp)
+	if interpFull["busmouse"] != 0 || interpFull["ne2000"] != 0 {
+		t.Errorf("interp: %s by workload = %v, want 0 for both", MetricFullFrontend, interpFull)
+	}
+	if len(interp) != len(block) {
+		t.Errorf("interp stored %d results, block %d", len(interp), len(block))
+	}
+	for key, b := range block {
+		if i, ok := interp[key]; !ok || i != b {
+			t.Errorf("%s: interp record %+v, block %+v", key, i, b)
+		}
 	}
 }

@@ -1,30 +1,28 @@
 package experiment
 
 import (
-	"repro/internal/cdriver/cast"
 	"repro/internal/cdriver/ccheck"
 	"repro/internal/cdriver/ccompile"
 	"repro/internal/cdriver/cincr"
-	"repro/internal/cdriver/cinterp"
 	"repro/internal/cdriver/cparser"
 	"repro/internal/cdriver/ctoken"
-	"repro/internal/cdriver/ctypes"
 	"repro/internal/devil/codegen"
 	"repro/internal/hw"
 	"repro/internal/kernel"
 )
 
-// This file is the incremental front end of one boot: with a
+// This file is the block backend's incremental front end: with a
 // BootInput.Mutation the per-mutant work shrinks from "re-lex, re-parse,
 // re-check and re-compile the whole driver" to "re-run the front end on
 // the one declaration span containing the mutated token". The pristine
-// driver is parsed, checked and (on the block backend) compiled once
-// per worker configuration; each mutant then costs one span re-parse,
-// one declaration re-check, and one in-place declaration recompile.
-// Anything the span analysis cannot prove equivalent (cincr.ErrSpanUnsafe)
-// falls back to the full front end on the materialised mutated stream,
-// so observable behaviour is identical by construction — and verified
-// mutant-by-mutant by the differential oracle.
+// driver is parsed, checked and compiled once per worker configuration;
+// each mutant then costs one span re-parse, one declaration re-check,
+// and one in-place declaration recompile. Anything the span analysis
+// cannot prove equivalent (cincr.ErrSpanUnsafe) falls back to the full
+// front end on the materialised mutated stream. The interp oracle never
+// comes here: it boots every mutant through the full front end, so the
+// differential oracle and the golden records check this file against
+// an independent parse, check and interpretation of each mutant.
 
 // incrKey identifies one incremental pipeline: the pristine source plus
 // everything the check and compile depend on. A campaign worker boots
@@ -34,26 +32,19 @@ type incrKey struct {
 	devil      bool
 	permissive bool
 	mode       codegen.Mode
-	backend    Backend
 }
 
 // incrState is the per-worker pristine pipeline of one configuration:
-// the parsed and checked pristine AST, the collected check scope, the
-// cached stubs/env, and — for the block backend — the incremental
-// compiler with its in-place patching tables.
+// the check scope collected from the pristine AST, the cached stubs,
+// and the incremental compiler with its in-place patching tables.
 type incrState struct {
 	src   *cincr.Source
-	prog  *cast.Program
 	scope *ccheck.Scope
-	env   *ctypes.Env
 	stubs *codegen.Stubs
-	inc   *ccompile.Incr // nil on the interp backend
+	inc   *ccompile.Incr
 
 	// scratch is the span re-parse buffer, reused across boots.
 	scratch []ctoken.Token
-	// spliceDecls is the declaration list of the spliced program, reused
-	// across boots (only one boot is alive per worker at a time).
-	spliceDecls []cast.Decl
 
 	// bad marks a configuration whose pristine setup failed; every boot
 	// then uses the full front end.
@@ -74,7 +65,6 @@ func (c *execCaches) incrFor(kern *kernel.Kernel, bus *hw.Bus,
 		devil:      input.Devil,
 		permissive: input.Permissive,
 		mode:       mode,
-		backend:    input.Backend,
 	}
 	if st, ok := c.incr[key]; ok {
 		if st.bad {
@@ -98,7 +88,6 @@ func (c *execCaches) incrFor(kern *kernel.Kernel, bus *hw.Bus,
 	if err != nil {
 		return nil, err
 	}
-	st.env = env
 
 	// Parse and check the pristine stream once. The mutation model
 	// requires a clean pristine driver; anything else permanently
@@ -109,30 +98,16 @@ func (c *execCaches) incrFor(kern *kernel.Kernel, bus *hw.Bus,
 	} else if cerrs := ccheck.Check(prog, env); len(cerrs) > 0 {
 		st.bad = true
 	} else {
-		st.prog = prog
 		st.scope = ccheck.NewScope(prog, env)
-		st.spliceDecls = make([]cast.Decl, len(prog.Decls))
-		if input.Backend != BackendInterp {
-			// The pristine compile binds this machine's kernel, bus and
-			// stub accessors once.
-			st.inc = ccompile.NewIncr(prog, kern, bus, st.stubs, c.exec)
-		}
+		// The pristine compile binds this machine's kernel, bus and stub
+		// accessors once.
+		st.inc = ccompile.NewIncr(prog, kern, bus, st.stubs, c.exec)
 	}
 	c.incr[key] = st
 	if st.bad {
 		return nil, nil
 	}
 	return st, nil
-}
-
-// splice overlays the replacement declaration on the pristine AST. The
-// returned program reuses the state's declaration buffer: it is valid
-// until the next splice on this worker, which is after the current boot
-// has finished with it.
-func (st *incrState) splice(declIdx int, d cast.Decl) *cast.Program {
-	copy(st.spliceDecls, st.prog.Decls)
-	st.spliceDecls[declIdx] = d
-	return &cast.Program{Decls: st.spliceDecls}
 }
 
 // buildIncremental is the incremental counterpart of buildEngine's full
@@ -174,20 +149,15 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		return nil, res, true, nil
 	}
 
-	// Build the engine: patch the incremental compile in place, or on the
-	// interp backend interpret the spliced AST.
+	// Build the engine: patch the incremental compile in place.
 	tb := o.compile.Start()
-	if st.inc != nil {
-		p, perr := st.inc.Patch(declIdx, decl)
-		if perr != nil {
-			tb.Stop()
-			return nil, nil, false, perr
-		}
-		o.addBlockStats(st.inc.PatchStats())
-		ex, err = p, p.Init()
-	} else {
-		ex, err = cinterp.New(st.splice(declIdx, decl), st.env, kern, r.Bus, st.stubs)
+	p, err := st.inc.Patch(declIdx, decl)
+	if err != nil {
+		tb.Stop()
+		return nil, nil, false, err
 	}
+	o.addBlockStats(st.inc.PatchStats())
+	err = p.Init()
 	tb.Stop()
 	if err != nil {
 		// Global initialiser fault: machine-level failure at insmod time.
@@ -195,5 +165,5 @@ func (c *execCaches) buildIncremental(r *Rig, input BootInput) (ex Engine, res *
 		res.RunErr = err
 		return nil, res, true, nil
 	}
-	return ex, res, true, nil
+	return p, res, true, nil
 }

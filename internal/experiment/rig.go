@@ -210,8 +210,8 @@ func RegisterWorkload(d WorkloadDesc) error {
 }
 
 // registerBuiltin registers one builtin workload, recording (rather
-// than panicking on) a bad descriptor; registryErr surfaces the failure
-// from every lookup.
+// than panicking on) a bad descriptor; every lookup surfaces the failure
+// (WorkloadFor, NewRig).
 func registerBuiltin(d WorkloadDesc) {
 	if err := RegisterWorkload(d); err != nil {
 		registry.mu.Lock()
@@ -220,14 +220,6 @@ func registerBuiltin(d WorkloadDesc) {
 		}
 		registry.mu.Unlock()
 	}
-}
-
-// registryErr returns the recorded builtin-registration failure, if any.
-// Callers must not hold the registry lock.
-func registryErr() error {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	return registry.initErr
 }
 
 // unregisterWorkload removes a workload and its driver routes from the
@@ -405,14 +397,6 @@ func (r *Rig) Boot(input BootInput) (*BootResult, error) {
 	}
 	tc.Stop()
 	return res, nil
-}
-
-// BootOn compiles and boots one driver build on r. It is the generic
-// boot entry point campaign workers use to amortise machine
-// construction — and, with the block backend, stub generation, type
-// environments and execution buffers — across boots.
-func BootOn(r *Rig, input BootInput) (*BootResult, error) {
-	return r.Boot(input)
 }
 
 // BootDriver compiles and boots one driver build on a freshly built rig

@@ -95,7 +95,7 @@ func assertResetRestoresCleanBoot(t *testing.T, driver string,
 		t.Fatal(err)
 	}
 	input := BootInput{Tokens: toks, Devil: src.Devil}
-	if _, err := BootOn(m, input); err != nil {
+	if _, err := m.Boot(input); err != nil {
 		t.Fatal(err)
 	}
 	if dirty != nil {
@@ -107,7 +107,7 @@ func assertResetRestoresCleanBoot(t *testing.T, driver string,
 	if postReset != nil {
 		postReset(t, m)
 	}
-	res, err := BootOn(m, input)
+	res, err := m.Boot(input)
 	if err != nil {
 		t.Fatal(err)
 	}

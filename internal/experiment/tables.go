@@ -276,24 +276,3 @@ func FormatDriverTable(t *DriverTable, caption string) string {
 		t.DetectedPct(), t.SilentPct(), t.PartitionTableLosses)
 	return b.String()
 }
-
-// SortedRows returns the row labels present in a table, presentation order
-// first, for stable test output.
-func (t *DriverTable) SortedRows() []string {
-	var present []string
-	seen := make(map[string]bool)
-	for _, r := range RowOrder {
-		if t.Counts[r] > 0 {
-			present = append(present, r)
-			seen[r] = true
-		}
-	}
-	var extra []string
-	for r := range t.Counts {
-		if !seen[r] {
-			extra = append(extra, r)
-		}
-	}
-	sort.Strings(extra)
-	return append(present, extra...)
-}

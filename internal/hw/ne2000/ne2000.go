@@ -82,13 +82,6 @@ func (n *NIC) MAC() [6]byte {
 	return m
 }
 
-// Mem returns a copy of the on-board packet memory (test inspection).
-func (n *NIC) Mem() []byte {
-	out := make([]byte, len(n.mem))
-	copy(out, n.mem[:])
-	return out
-}
-
 // registers is the 16-port 8390 register file endpoint.
 type registers struct{ n *NIC }
 

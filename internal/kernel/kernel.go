@@ -309,10 +309,3 @@ func Classify(err error) Outcome {
 	// nothing: the machine just stops.
 	return OutcomeCrash
 }
-
-// IsCrash reports whether the error is machine-level (prints nothing).
-func IsCrash(err error) bool {
-	var busErr *hw.BusFaultError
-	var crashErr *CrashError
-	return errors.As(err, &busErr) || errors.As(err, &crashErr)
-}
