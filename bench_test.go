@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/devil"
-	"repro/internal/devil/codegen"
 	"repro/internal/drivers"
 	"repro/internal/experiment"
 	"repro/internal/hw"
@@ -76,37 +75,52 @@ func BenchmarkTable2SpecCoverage(b *testing.B) {
 	}
 }
 
-// driverBench runs a Table 3/4 experiment per iteration and reports the
-// paper's headline rows as metrics.
-func driverBench(b *testing.B, table func(experiment.MutationOptions) (*experiment.DriverTable, error),
-	opts experiment.MutationOptions) {
+// runTable runs a one-driver campaign per iteration and returns the
+// driver's last aggregated cell.
+func runTable(b *testing.B, spec campaign.Spec) *campaign.TableData {
 	b.Helper()
-	var t *experiment.DriverTable
+	var t *campaign.TableData
 	for i := 0; i < b.N; i++ {
-		res, err := table(opts)
+		tables, err := experiment.RunTables(spec, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		t = res
+		t = tables[spec.Drivers[0]]
 	}
+	return t
+}
+
+// driverBench runs a Table 3/4 experiment per iteration and reports the
+// paper's headline rows as metrics.
+func driverBench(b *testing.B, spec campaign.Spec) {
+	b.Helper()
+	t := runTable(b, spec)
 	b.ReportMetric(t.Pct(experiment.RowCompile), "%compile")
 	b.ReportMetric(t.Pct(experiment.RowRuntime), "%runtime")
 	b.ReportMetric(t.Pct(experiment.RowBoot), "%silent-boot")
 	b.ReportMetric(t.Pct(experiment.RowCrash), "%crash")
-	b.ReportMetric(t.DetectedPct(), "%detected")
-	b.ReportMetric(float64(t.TotalMutants), "mutants-booted")
+	b.ReportMetric(experiment.DetectedPct(t), "%detected")
+	b.ReportMetric(float64(t.Selected), "mutants-booted")
+}
+
+// extensionBench runs one driver's extension experiment per iteration and
+// reports its detection and silent-boot shares.
+func extensionBench(b *testing.B, driver string, sample int) {
+	b.Helper()
+	t := runTable(b, campaign.Spec{Drivers: []string{driver}, SamplePct: sample, Seed: 2001})
+	b.ReportMetric(experiment.DetectedPct(t), "%detected")
+	b.ReportMetric(experiment.SilentPct(t), "%silent-boot")
+	b.ReportMetric(float64(t.Selected), "mutants-booted")
 }
 
 // BenchmarkTable3CMutations regenerates Table 3 (C driver mutation run).
 func BenchmarkTable3CMutations(b *testing.B) {
-	driverBench(b, experiment.Table3,
-		experiment.MutationOptions{SamplePct: benchSample, Seed: 2001})
+	driverBench(b, campaign.Spec{Drivers: []string{"ide_c"}, SamplePct: benchSample, Seed: 2001})
 }
 
 // BenchmarkTable4CDevilMutations regenerates Table 4 (CDevil mutation run).
 func BenchmarkTable4CDevilMutations(b *testing.B) {
-	driverBench(b, experiment.Table4,
-		experiment.MutationOptions{SamplePct: benchSample, Seed: 2001})
+	driverBench(b, campaign.Spec{Drivers: []string{"ide_devil"}, SamplePct: benchSample, Seed: 2001})
 }
 
 // BenchmarkExtensionBusmouseMutations runs the second-driver-pair
@@ -114,20 +128,7 @@ func BenchmarkTable4CDevilMutations(b *testing.B) {
 func BenchmarkExtensionBusmouseMutations(b *testing.B) {
 	for _, drv := range []string{"busmouse_c", "busmouse_devil"} {
 		drv := drv
-		b.Run(drv, func(b *testing.B) {
-			var t *experiment.DriverTable
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.DriverMutation(drv,
-					experiment.MutationOptions{SamplePct: 50, Seed: 2001})
-				if err != nil {
-					b.Fatal(err)
-				}
-				t = res
-			}
-			b.ReportMetric(t.DetectedPct(), "%detected")
-			b.ReportMetric(t.SilentPct(), "%silent-boot")
-			b.ReportMetric(float64(t.TotalMutants), "mutants-booted")
-		})
+		b.Run(drv, func(b *testing.B) { extensionBench(b, drv, 50) })
 	}
 }
 
@@ -136,20 +137,7 @@ func BenchmarkExtensionBusmouseMutations(b *testing.B) {
 func BenchmarkExtensionNE2000Mutations(b *testing.B) {
 	for _, drv := range []string{"ne2000_c", "ne2000_devil"} {
 		drv := drv
-		b.Run(drv, func(b *testing.B) {
-			var t *experiment.DriverTable
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.DriverMutation(drv,
-					experiment.MutationOptions{SamplePct: 5, Seed: 2001})
-				if err != nil {
-					b.Fatal(err)
-				}
-				t = res
-			}
-			b.ReportMetric(t.DetectedPct(), "%detected")
-			b.ReportMetric(t.SilentPct(), "%silent-boot")
-			b.ReportMetric(float64(t.TotalMutants), "mutants-booted")
-		})
+		b.Run(drv, func(b *testing.B) { extensionBench(b, drv, 5) })
 	}
 }
 
@@ -165,20 +153,7 @@ func BenchmarkExtensionTable2Completion(b *testing.B) {
 		{"busmaster_c", 10}, {"busmaster_devil", 25},
 	} {
 		tc := tc
-		b.Run(tc.driver, func(b *testing.B) {
-			var t *experiment.DriverTable
-			for i := 0; i < b.N; i++ {
-				res, err := experiment.DriverMutation(tc.driver,
-					experiment.MutationOptions{SamplePct: tc.sample, Seed: 2001})
-				if err != nil {
-					b.Fatal(err)
-				}
-				t = res
-			}
-			b.ReportMetric(t.DetectedPct(), "%detected")
-			b.ReportMetric(t.SilentPct(), "%silent-boot")
-			b.ReportMetric(float64(t.TotalMutants), "mutants-booted")
-		})
+		b.Run(tc.driver, func(b *testing.B) { extensionBench(b, tc.driver, tc.sample) })
 	}
 }
 
@@ -248,8 +223,8 @@ func BenchmarkFigure4StubEmission(b *testing.B) {
 // downgraded to plain C rules: the compile-time column collapses, showing
 // how much of the Devil win is the distinct-struct-type encoding.
 func BenchmarkAblationWeakTyping(b *testing.B) {
-	driverBench(b, experiment.Table4, experiment.MutationOptions{
-		SamplePct: benchSample, Seed: 2001, ForcePermissive: true,
+	driverBench(b, campaign.Spec{
+		Drivers: []string{"ide_devil"}, SamplePct: benchSample, Seed: 2001, Permissive: true,
 	})
 }
 
@@ -257,8 +232,8 @@ func BenchmarkAblationWeakTyping(b *testing.B) {
 // stubs: the run-time-check row collapses, isolating the contribution of
 // the debug assertions.
 func BenchmarkAblationProductionStubs(b *testing.B) {
-	driverBench(b, experiment.Table4, experiment.MutationOptions{
-		SamplePct: benchSample, Seed: 2001, StubMode: codegen.Production,
+	driverBench(b, campaign.Spec{
+		Drivers: []string{"ide_devil"}, SamplePct: benchSample, Seed: 2001, StubMode: "production",
 	})
 }
 
@@ -340,8 +315,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		b.Run(driver, func(b *testing.B) {
 			col := obs.New()
 			wl := experiment.NewObservedWorkload(col)
-			spec := experiment.CampaignSpec(driver,
-				experiment.MutationOptions{SamplePct: 2, Seed: 2001})
+			spec := campaign.Spec{Drivers: []string{driver}, SamplePct: 2, Seed: 2001}
 			boots := 0
 			for i := 0; i < b.N; i++ {
 				store := campaign.NewMemStore()

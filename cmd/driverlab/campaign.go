@@ -99,14 +99,12 @@ func parseShards(s string) ([]int, error) {
 // checkExecFlags rejects execution-flag values the engine would
 // otherwise ignore or misread. A command without one of the flags
 // passes its neutral value (0, or 1 shard).
-func checkExecFlags(workers, shards, flushEvery int, bootTimeout time.Duration) error {
+func checkExecFlags(workers, shards int, bootTimeout time.Duration) error {
 	switch {
 	case workers < 0:
 		return fmt.Errorf("-workers %d: want 0 (GOMAXPROCS) or a positive count", workers)
 	case shards < 1:
 		return fmt.Errorf("-shards %d: want at least 1", shards)
-	case flushEvery < 0:
-		return fmt.Errorf("-flush-every %d: want 0 (the store default) or a positive record count", flushEvery)
 	case bootTimeout < 0 || bootTimeout%time.Millisecond != 0:
 		return fmt.Errorf("-boot-timeout %v: want 0 (the 30s default) or a positive whole number of milliseconds", bootTimeout)
 	}
@@ -202,11 +200,9 @@ func campaignRun(args []string, resume bool) error {
 			"comma-separated hardware scenario cells to cross with the driver list "+
 				"(see `driverlab scenarios`; e.g. pristine,flaky-bus:5,timing — default pristine only)")
 	}
-	// Execution knobs are fingerprint-excluded, so both run and resume
-	// accept them: a store started under one flush interval or boot
-	// deadline may finish under another.
-	flushEvery := fs.Int("flush-every", 0,
-		"store checkpoint interval in records (0: the store default of 64); raise on long campaigns to trade crash-loss window for fewer writes")
+	// The boot deadline is fingerprint-excluded, so both run and resume
+	// accept it: a store started under one deadline may finish under
+	// another.
 	bootTimeout := fs.Duration("boot-timeout", 0,
 		"per-boot wall-clock deadline behind the step watchdog (0: the 30s default)")
 	if help, err := parseFlags(fs, args); help || err != nil {
@@ -219,7 +215,7 @@ func campaignRun(args []string, resume bool) error {
 	if sf != nil {
 		shardCount = *sf.shards
 	}
-	if err := checkExecFlags(*workers, shardCount, *flushEvery, *bootTimeout); err != nil {
+	if err := checkExecFlags(*workers, shardCount, *bootTimeout); err != nil {
 		return fmt.Errorf("campaign %s: %w", verb, err)
 	}
 	shardSel, err := parseShards(*shard)
@@ -236,15 +232,12 @@ func campaignRun(args []string, resume bool) error {
 	var spec campaign.Spec
 	if resume {
 		// Resume takes the spec from the store itself; only the
-		// fingerprint-excluded execution knobs may be overridden.
+		// fingerprint-excluded boot deadline may be overridden.
 		prior, ok := storedSpec(st)
 		if !ok {
 			return fmt.Errorf("campaign resume: %s holds no spec record", *store)
 		}
 		spec = prior
-		if *flushEvery > 0 {
-			spec.FlushEvery = *flushEvery
-		}
 		if *bootTimeout > 0 {
 			spec.BootTimeoutMS = int(bootTimeout.Milliseconds())
 		}
@@ -255,7 +248,6 @@ func campaignRun(args []string, resume bool) error {
 		if spec, err = sf.spec(); err != nil {
 			return err
 		}
-		spec.FlushEvery = *flushEvery
 		if *bootTimeout > 0 {
 			spec.BootTimeoutMS = int(bootTimeout.Milliseconds())
 		}
@@ -449,7 +441,7 @@ func campaignReport(args []string) error {
 		}
 		caption := fmt.Sprintf("Campaign %q: mutations on %s (%d%% sample, seed %d; %s)",
 			spec.Name, cell, spec.SamplePct, spec.Seed, status)
-		fmt.Println(experiment.FormatDriverTable(experiment.TableFromCampaign(t), caption))
+		fmt.Println(experiment.FormatDriverTable(t, caption))
 	}
 	// Cross-cell summary: how each scenario cell moved the headline
 	// detection metrics against the same driver's pristine cell.
@@ -463,12 +455,11 @@ func campaignReport(args []string) error {
 		if !ok {
 			continue // no pristine cell to compare against
 		}
-		bt := experiment.TableFromCampaign(base)
-		st := experiment.TableFromCampaign(t)
+		bd, sd := experiment.DetectedPct(base), experiment.DetectedPct(t)
+		bs, ss := experiment.SilentPct(base), experiment.SilentPct(t)
 		deltas = append(deltas, fmt.Sprintf(
 			"%-28s detected %+5.1f%% (%.1f%% vs pristine %.1f%%), silent %+5.1f%% (%.1f%% vs %.1f%%)",
-			label, st.DetectedPct()-bt.DetectedPct(), st.DetectedPct(), bt.DetectedPct(),
-			st.SilentPct()-bt.SilentPct(), st.SilentPct(), bt.SilentPct()))
+			label, sd-bd, sd, bd, ss-bs, ss, bs))
 	}
 	if len(deltas) > 0 {
 		fmt.Println("Scenario detection deltas (vs the same driver's pristine cell):")

@@ -34,15 +34,13 @@ func runServe(args []string) error {
 	sf := addSpecFlags(fs, 8, "lease granularity: shard count the work-list partitions into "+
 		"(should comfortably exceed the worker count)",
 		"comma-separated hardware scenario cells to cross with the driver list (see `driverlab scenarios`)")
-	flushEvery := fs.Int("flush-every", 0,
-		"store checkpoint interval in records (0: the store default of 64)")
 	if help, err := parseFlags(fs, args); help || err != nil {
 		return err
 	}
 	if *store == "" {
 		return fmt.Errorf("serve: -store is required")
 	}
-	if err := checkExecFlags(0, *sf.shards, *flushEvery, 0); err != nil {
+	if err := checkExecFlags(0, *sf.shards, 0); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 
@@ -69,10 +67,6 @@ func runServe(args []string) error {
 		if spec, err = sf.spec(); err != nil {
 			return err
 		}
-		spec.FlushEvery = *flushEvery
-	}
-	if spec.FlushEvery > 0 {
-		st.SetFlushEvery(spec.FlushEvery)
 	}
 
 	// Live status: the tracker always runs (it feeds the progress line);
@@ -201,7 +195,7 @@ func runWorker(args []string) error {
 	if *connect == "" {
 		return fmt.Errorf("worker: -connect is required (the address `driverlab serve` printed)")
 	}
-	if err := checkExecFlags(*workers, 1, 0, 0); err != nil {
+	if err := checkExecFlags(*workers, 1, 0); err != nil {
 		return fmt.Errorf("worker: %w", err)
 	}
 	if *name == "" {

@@ -31,7 +31,7 @@ func renderStoreTables(t *testing.T, path string) string {
 		if !tables[label].Complete() {
 			t.Fatalf("cell %s incomplete: %d/%d", label, tables[label].Results, tables[label].Selected)
 		}
-		text += experiment.FormatDriverTable(experiment.TableFromCampaign(tables[label]), label)
+		text += experiment.FormatDriverTable(tables[label], label)
 	}
 	return text
 }

@@ -7,7 +7,7 @@
 //	driverlab -table 4        mutation outcomes of the CDevil IDE driver
 //	driverlab -table 5..8     the extension pairs (busmouse, NE2000,
 //	                          Permedia 2, 82371FB bus master), numbered
-//	                          from the workload registry
+//	                          from the workload table
 //	driverlab -table all      everything (the default)
 //	driverlab -figure 1       the two driver architectures side by side
 //	driverlab -figure 3       the busmouse specification (round-tripped)
@@ -43,6 +43,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/cdriver/ctoken"
 	"repro/internal/devil"
 	"repro/internal/drivers"
@@ -188,11 +189,10 @@ func run(args []string) error {
 	if !valid[*table] {
 		return fmt.Errorf("unknown table %q (want 1-%d or all)", *table, 4+len(exts))
 	}
-	backend, err := experiment.ParseBackend(*backendFlag)
-	if err != nil {
+	if _, err := experiment.ParseBackend(*backendFlag); err != nil {
 		return err
 	}
-	opts := experiment.MutationOptions{SamplePct: *sample, Seed: *seed, Backend: backend}
+	spec := campaign.Spec{SamplePct: *sample, Seed: *seed, Backend: *backendFlag}
 
 	switch *figure {
 	case "":
@@ -217,42 +217,45 @@ func run(args []string) error {
 		}
 		fmt.Println(experiment.FormatTable2(rows))
 	}
+	// Tables 3, 4 and the extension tables (one per non-IDE workload, in
+	// table order) render the cells of one campaign over every driver
+	// they show.
+	type shownTable struct{ driver, caption string }
+	var shown []shownTable
 	if want("3") {
-		t3, err := experiment.Table3(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.FormatDriverTable(t3,
-			fmt.Sprintf("Table 3: Mutations on C code (%d%% sample, seed %d)", *sample, *seed)))
+		shown = append(shown, shownTable{"ide_c",
+			fmt.Sprintf("Table 3: Mutations on C code (%d%% sample, seed %d)", *sample, *seed)})
 	}
 	if want("4") {
-		t4, err := experiment.Table4(opts)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiment.FormatDriverTable(t4,
-			fmt.Sprintf("Table 4: Mutations on CDevil code (%d%% sample, seed %d)", *sample, *seed)))
+		shown = append(shown, shownTable{"ide_devil",
+			fmt.Sprintf("Table 4: Mutations on CDevil code (%d%% sample, seed %d)", *sample, *seed)})
 	}
-	// The extension tables come straight from the workload registry: one
-	// table per registered non-IDE pair, every driver of the pair through
-	// the same generic mutation path.
 	for i, ext := range exts {
 		if !want(strconv.Itoa(5 + i)) {
 			continue
 		}
 		for _, drv := range ext.Drivers {
-			tbl, err := experiment.DriverMutation(drv, opts)
-			if err != nil {
-				return err
-			}
-			fmt.Println(experiment.FormatDriverTable(tbl,
+			shown = append(shown, shownTable{drv,
 				fmt.Sprintf("Extension (paper §6 future work): mutations on %s (%d%% sample, seed %d)",
-					drv, *sample, *seed)))
+					drv, *sample, *seed)})
+		}
+	}
+	if len(shown) > 0 {
+		tspec := spec
+		for _, t := range shown {
+			tspec.Drivers = append(tspec.Drivers, t.driver)
+		}
+		tables, err := experiment.RunTables(tspec, 0)
+		if err != nil {
+			return err
+		}
+		for _, t := range shown {
+			fmt.Println(experiment.FormatDriverTable(tables[t.driver], t.caption))
 		}
 	}
 
 	if *ablation {
-		return runAblations(opts)
+		return runAblations(spec)
 	}
 	return nil
 }
@@ -335,24 +338,25 @@ func printFigure4() error {
 	return nil
 }
 
-// runAblations quantifies the two design choices DESIGN.md calls out.
-func runAblations(opts experiment.MutationOptions) error {
+// runAblations quantifies the two design choices DESIGN.md calls out,
+// each as a campaign over the CDevil IDE driver.
+func runAblations(spec campaign.Spec) error {
+	spec.Drivers = []string{"ide_devil"}
 	fmt.Println("Ablation A: CDevil with the strict checker downgraded to plain C rules")
-	weak := opts
-	weak.ForcePermissive = true
-	t, err := experiment.Table4(weak)
+	weak := spec
+	weak.Permissive = true
+	tables, err := experiment.RunTables(weak, 0)
 	if err != nil {
 		return err
 	}
-	fmt.Println(experiment.FormatDriverTable(t, "  (stubs still active at run time)"))
+	fmt.Println(experiment.FormatDriverTable(tables["ide_devil"], "  (stubs still active at run time)"))
 
 	fmt.Println("Ablation B: CDevil with production-mode stubs (no run-time assertions)")
-	prod := opts
-	prod.StubMode = devil.Production
-	t, err = experiment.Table4(prod)
-	if err != nil {
+	prod := spec
+	prod.StubMode = "production"
+	if tables, err = experiment.RunTables(prod, 0); err != nil {
 		return err
 	}
-	fmt.Println(experiment.FormatDriverTable(t, "  (strict typing still active at compile time)"))
+	fmt.Println(experiment.FormatDriverTable(tables["ide_devil"], "  (strict typing still active at compile time)"))
 	return nil
 }

@@ -31,7 +31,8 @@ func TestFastPaths(t *testing.T) {
 }
 
 // TestAdvertisedTables runs every value the -table help text promises,
-// with a minimal sample so the mutation tables stay affordable.
+// and the ablations, with a minimal sample so the mutation tables stay
+// affordable.
 func TestAdvertisedTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full table sweep is not short")
@@ -46,6 +47,7 @@ func TestAdvertisedTables(t *testing.T) {
 		{"-table", "7", "-sample", "1"},
 		{"-table", "8", "-sample", "2"},
 		{"-table", "all", "-sample", "1"},
+		{"-ablation", "-sample", "1"},
 	} {
 		if err := run(args); err != nil {
 			t.Errorf("driverlab %v: %v", args, err)
@@ -171,12 +173,9 @@ func TestExecFlagValidation(t *testing.T) {
 		{run0, []string{"-workers", "-3"}, "-workers -3"},
 		{run0, []string{"-shards", "0"}, "-shards 0"},
 		{run0, []string{"-shards", "-3"}, "-shards -3"},
-		{run0, []string{"-flush-every", "-1"}, "-flush-every -1"},
 		{resume, []string{"-boot-timeout", "500us"}, "-boot-timeout 500µs"},
 		{resume, []string{"-workers", "-3"}, "-workers -3"},
-		{resume, []string{"-flush-every", "-1"}, "-flush-every -1"},
 		{serve, []string{"-shards", "0"}, "-shards 0"},
-		{serve, []string{"-flush-every", "-1"}, "-flush-every -1"},
 		{worker, []string{"-workers", "-3"}, "-workers -3"},
 	} {
 		args := append(append([]string(nil), tc.base...), tc.flag...)
@@ -397,11 +396,12 @@ func TestCampaignCLIErrors(t *testing.T) {
 		t.Errorf("refused resume left %d records, want only the spec record", n)
 	}
 	st.Close()
-	// A finished store written while prefix snapshotting and the front
-	// end were spec knobs: both fields were omitempty and
-	// fingerprint-excluded, so a spec record saying "snapshot":"off" and
-	// "frontend":"full" must resume under the same fingerprint, boot
-	// nothing and leave the store byte-identical.
+	// A finished store written while prefix snapshotting, the front end
+	// and the store's flush interval were CLI knobs: the fields were
+	// omitempty and fingerprint-excluded, so a spec record saying
+	// "snapshot":"off", "frontend":"full" and "flush_every":7 must resume
+	// under the same fingerprint, boot nothing and leave the store
+	// byte-identical.
 	snapStore := filepath.Join(dir, "snapshot-off.jsonl")
 	if err := run([]string{"campaign", "run", "-store", snapStore,
 		"-drivers", "busmouse_c", "-sample", "3", "-seed", "1", "-quiet"}); err != nil {
@@ -421,6 +421,7 @@ func TestCampaignCLIErrors(t *testing.T) {
 	}
 	spec["snapshot"] = json.RawMessage(`"off"`)
 	spec["frontend"] = json.RawMessage(`"full"`)
+	spec["flush_every"] = json.RawMessage(`7`)
 	if rec["spec"], err = json.Marshal(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +449,7 @@ func TestCampaignCLIErrors(t *testing.T) {
 	// The knobs themselves are gone: both verbs refuse them as undefined
 	// flags.
 	for _, verb := range []string{"run", "resume"} {
-		for _, knob := range [][]string{{"-snapshot", "off"}, {"-frontend", "full"}} {
+		for _, knob := range [][]string{{"-snapshot", "off"}, {"-frontend", "full"}, {"-flush-every", "7"}} {
 			err := run([]string{"campaign", verb, "-store", snapStore, knob[0], knob[1], "-quiet"})
 			if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+knob[0]) {
 				t.Errorf("campaign %s %s %s: err = %v, want an undefined-flag error", verb, knob[0], knob[1], err)

@@ -34,6 +34,19 @@ type TableData struct {
 // Complete reports whether every selected mutant has a stored result.
 func (d *TableData) Complete() bool { return d.Results == d.Selected }
 
+// Pct returns a row's share of the selected mutants. The denominator is
+// the selected population, so a partial store renders with its gaps
+// visible rather than silently rescaled.
+func (d *TableData) Pct(row string) float64 {
+	if d.Selected == 0 {
+		return 0
+	}
+	return 100 * float64(d.Counts[row]) / float64(d.Selected)
+}
+
+// Sites returns the number of distinct sites contributing to a row.
+func (d *TableData) Sites(row string) int { return len(d.SiteSets[row]) }
+
 // Label names the cell: the driver, or driver@scenario off the
 // pristine cell — the key the cell carries in Aggregate's map.
 func (d *TableData) Label() string { return CellLabel(d.Driver, d.Scenario) }
@@ -73,9 +86,9 @@ func Aggregate(records []Record) (map[string]*TableData, []string, error) {
 		case KindResult:
 			if r.Row == "" {
 				return nil, nil, fmt.Errorf("campaign: result record for %s has no row",
-					recordKey(r))
+					r.Key())
 			}
-			key := recordKey(r)
+			key := r.Key()
 			if seen[key] {
 				continue
 			}
@@ -148,7 +161,7 @@ func Merge(dst Store, sources ...Store) error {
 		case KindMeta:
 			haveMeta[CellLabel(r.Driver, r.Scenario)] = true
 		case KindResult:
-			seen[recordKey(r)] = true
+			seen[r.Key()] = true
 		}
 	}
 	for i, src := range sources {
@@ -173,7 +186,7 @@ func Merge(dst Store, sources ...Store) error {
 					}
 				}
 			case KindResult:
-				key := recordKey(r)
+				key := r.Key()
 				if seen[key] {
 					continue
 				}

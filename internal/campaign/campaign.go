@@ -62,9 +62,11 @@ type Spec struct {
 	// optional ":param" suffixes); "" and "pristine" are the same cell.
 	Scenarios []string `json:"scenarios,omitempty"`
 	// FlushEvery overrides the file store's flush interval (records per
-	// checkpoint; 0 keeps the store's default). Long campaigns raise it
-	// to trade crash-loss window for fewer write(2) calls. A durability
-	// knob, not a workload change: excluded from the fingerprint.
+	// checkpoint; 0 keeps the store's default of 64). No CLI verb sets
+	// it; the benchmark harness's store wrapper forwards it. A
+	// durability knob, not a workload change: excluded from the
+	// fingerprint, so stores whose spec record carries it resume
+	// unchanged.
 	FlushEvery int `json:"flush_every,omitempty"`
 	// BootTimeoutMS overrides the per-boot wall-clock deadline in
 	// milliseconds (0 keeps the workload's default). The deadline is the
@@ -159,18 +161,12 @@ func (t Task) FaultSeed() uint64 {
 	return h.Sum64()
 }
 
-// TaskKey builds the stable identity of a pristine (driver, mutant)
-// pair — the record key every pre-matrix store used.
-func TaskKey(driver string, mutant int) string {
-	return fmt.Sprintf("%s#%d", driver, mutant)
-}
-
 // CellKey builds the stable identity of a (driver, mutant, scenario)
 // boot. The pristine cell keeps the historical two-part key, so matrix
 // machinery resumes and merges pre-matrix stores unchanged.
 func CellKey(driver string, mutant int, scenario string) string {
 	if scenario == "" {
-		return TaskKey(driver, mutant)
+		return fmt.Sprintf("%s#%d", driver, mutant)
 	}
 	return fmt.Sprintf("%s#%d@%s", driver, mutant, scenario)
 }
@@ -184,22 +180,10 @@ func CellLabel(driver, scenario string) string {
 	return driver + "@" + scenario
 }
 
-// recordKey is a result record's stable identity — CellKey over its
-// driver, mutant and scenario fields.
-func recordKey(r Record) string {
-	return CellKey(r.Driver, r.Mutant, r.Scenario)
-}
-
 // Key is a result record's stable task identity — the same CellKey the
 // matching Task carries, so stores, coordinators and workers agree on
 // which task a record decides.
-func (r Record) Key() string { return recordKey(r) }
-
-// ShardOf assigns a pristine task to a shard by hashing its stable key;
-// ShardOfTask is the scenario-aware form.
-func ShardOf(driver string, mutant int, shards int) int {
-	return ShardOfTask(Task{Driver: driver, Mutant: mutant}, shards)
-}
+func (r Record) Key() string { return CellKey(r.Driver, r.Mutant, r.Scenario) }
 
 // ShardOfTask assigns a task to a shard by hashing its stable key, so
 // the partition is independent of enumeration order and worker count —

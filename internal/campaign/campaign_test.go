@@ -397,19 +397,19 @@ func TestOpenFileRejectsForeignFile(t *testing.T) {
 func TestShardAssignmentIsStable(t *testing.T) {
 	counts := make(map[int]int)
 	for i := 0; i < 65; i++ {
-		sh := campaign.ShardOf("alpha", i, 4)
+		sh := campaign.ShardOfTask(campaign.Task{Driver: "alpha", Mutant: i}, 4)
 		if sh < 0 || sh >= 4 {
 			t.Fatalf("shard %d outside range", sh)
 		}
 		counts[sh]++
-		if sh != campaign.ShardOf("alpha", i, 4) {
+		if sh != campaign.ShardOfTask(campaign.Task{Driver: "alpha", Mutant: i}, 4) {
 			t.Fatal("shard assignment not deterministic")
 		}
 	}
 	if len(counts) != 4 {
 		t.Errorf("only %d of 4 shards populated: %v", len(counts), counts)
 	}
-	if campaign.ShardOf("alpha", 3, 1) != 0 {
+	if campaign.ShardOfTask(campaign.Task{Driver: "alpha", Mutant: 3}, 1) != 0 {
 		t.Error("single-shard campaign must map everything to shard 0")
 	}
 }

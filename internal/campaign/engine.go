@@ -203,7 +203,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 		case KindMeta:
 			haveMeta[CellLabel(r.Driver, r.Scenario)] = true
 		case KindResult:
-			key := recordKey(r)
+			key := r.Key()
 			if _, dup := storedRow[key]; !dup {
 				storedRow[key] = r.Row
 			}

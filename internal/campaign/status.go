@@ -324,7 +324,7 @@ func SnapshotFromRecords(records []Record) *Snapshot {
 			d.selected = r.Selected
 			d.hasMeta = true
 		case KindResult:
-			key := recordKey(r)
+			key := r.Key()
 			if seen[key] {
 				continue
 			}

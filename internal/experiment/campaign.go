@@ -15,37 +15,12 @@ import (
 
 // This file binds the generic campaign engine (internal/campaign) to the
 // repository's drivers: how a spec expands into an enumerated, sampled
-// work-list, and how one task boots. The in-memory table entry points
-// (DriverMutation, and Table3/Table4 over it) run a one-driver campaign
-// against an in-memory store, so the serial paths and the sharded,
-// persisted `driverlab campaign` paths share every line of execution
-// logic and aggregate to identical tables.
-
-// CampaignSpec translates the historical MutationOptions form into a
-// one-driver campaign spec.
-func CampaignSpec(driver string, opts MutationOptions) campaign.Spec {
-	return campaign.Spec{
-		Name:       "inline",
-		Drivers:    []string{driver},
-		SamplePct:  opts.SamplePct,
-		Seed:       opts.Seed,
-		StubMode:   stubModeName(opts.StubMode),
-		Permissive: opts.ForcePermissive,
-		Budget:     ExperimentBudget,
-		Backend:    string(opts.Backend),
-	}
-}
-
-func stubModeName(m codegen.Mode) string {
-	switch m {
-	case codegen.Production:
-		return "production"
-	case codegen.Debug:
-		return "debug"
-	default:
-		return ""
-	}
-}
+// work-list, and how one task boots. Every table — driverlab's -table
+// and -ablation, and `campaign report` over a persisted store — is
+// campaign.Aggregate's cells rendered by FormatDriverTable; RunTables is
+// the in-memory entry point, so the serial tables and the sharded,
+// persisted `driverlab campaign` runs share every line of execution and
+// aggregation logic.
 
 func stubModeFromName(name string) (codegen.Mode, error) {
 	switch name {
@@ -55,22 +30,6 @@ func stubModeFromName(name string) (codegen.Mode, error) {
 		return codegen.Production, nil
 	default:
 		return 0, fmt.Errorf("unknown stub mode %q", name)
-	}
-}
-
-// TableFromCampaign renders aggregated campaign data as the DriverTable
-// the paper's formatting works on. TotalMutants is the selected
-// population of the spec, so a partial store renders with its gaps
-// visible rather than silently rescaled.
-func TableFromCampaign(d *campaign.TableData) *DriverTable {
-	return &DriverTable{
-		Driver:               d.Driver,
-		Counts:               d.Counts,
-		SiteSets:             d.SiteSets,
-		TotalSites:           d.TotalSites,
-		TotalMutants:         d.Selected,
-		Enumerated:           d.Enumerated,
-		PartitionTableLosses: d.Losses,
 	}
 }
 
@@ -95,8 +54,7 @@ type workload struct {
 
 // NewWorkload returns the campaign workload that enumerates and boots
 // this repository's embedded drivers, routing every driver to its
-// registered boot rig (with per-worker rig reuse) through the workload
-// registry.
+// workload's boot rig (with per-worker rig reuse).
 func NewWorkload() campaign.Workload {
 	return &workload{plans: make(map[string]*driverPlan)}
 }
@@ -201,9 +159,7 @@ func (w *workload) Expand(spec campaign.Spec) ([]campaign.Meta, []campaign.Task,
 		if err != nil {
 			return nil, nil, err
 		}
-		selected := selectMutants(len(p.res.Mutants), MutationOptions{
-			SamplePct: spec.SamplePct, Seed: spec.Seed,
-		})
+		selected := selectMutants(len(p.res.Mutants), spec.SamplePct, spec.Seed)
 		metas = append(metas, campaign.Meta{
 			Driver:     driver,
 			Sites:      len(p.res.Sites),
@@ -232,7 +188,7 @@ func (w *workload) NewWorker(spec campaign.Spec) (campaign.Worker, error) {
 }
 
 // worker boots tasks on a single goroutine, reusing one rig per
-// workload — looked up through the registry, Reset instead of rebuilt
+// workload — looked up in the workload table, Reset instead of rebuilt
 // between boots. The mutated token stream is never materialised: the
 // boot input is the shared pristine span analysis plus one replacement
 // token, and only the declaration containing it re-runs the
@@ -308,31 +264,18 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 }
 
 // Close implements campaign.Worker: the heavyweight rigs are released,
-// but the pool stays usable — a Boot after Close rebuilds its rig, as
-// the pre-registry workers did.
+// but the pool stays usable — a Boot after Close rebuilds its rig.
 func (wk *worker) Close() { wk.rigs = make(rigSet) }
 
-// DriverMutation runs the full per-driver mutation experiment (any
-// embedded driver — the workload registry routes each one to its
-// registered boot rig) as a one-driver campaign against an in-memory
-// store and renders the aggregate, so the serial tables and the
-// sharded, persisted `driverlab campaign` runs share execution and
-// aggregation logic end to end.
-func DriverMutation(driver string, opts MutationOptions) (*DriverTable, error) {
-	spec := CampaignSpec(driver, opts)
+// RunTables runs one campaign over spec's drivers against an in-memory
+// store on workers boot workers (0: GOMAXPROCS) and returns its
+// aggregated cells, keyed by cell label (the bare driver name for the
+// pristine cell).
+func RunTables(spec campaign.Spec, workers int) (map[string]*campaign.TableData, error) {
 	store := campaign.NewMemStore()
-	if _, err := campaign.Run(spec, NewWorkload(), store, campaign.Options{
-		Workers: opts.Workers,
-	}); err != nil {
+	if _, err := campaign.Run(spec, NewWorkload(), store, campaign.Options{Workers: workers}); err != nil {
 		return nil, err
 	}
 	tables, _, err := campaign.Aggregate(store.Records())
-	if err != nil {
-		return nil, err
-	}
-	t, ok := tables[driver]
-	if !ok {
-		return nil, fmt.Errorf("campaign produced no data for driver %s", driver)
-	}
-	return TableFromCampaign(t), nil
+	return tables, err
 }

@@ -37,7 +37,7 @@ func assertCampaignDeterminism(t *testing.T, spec campaign.Spec) map[string]*cam
 			if !tables[d].Complete() {
 				t.Fatalf("%s incomplete: %d/%d", d, tables[d].Results, tables[d].Selected)
 			}
-			text += FormatDriverTable(TableFromCampaign(tables[d]), d)
+			text += FormatDriverTable(tables[d], d)
 		}
 		return text, tables
 	}
@@ -161,7 +161,7 @@ func TestCampaignDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign determinism test is not short")
 	}
-	spec := CampaignSpec("ide_c", MutationOptions{SamplePct: 2, Seed: 7})
+	spec := campaign.Spec{Drivers: []string{"ide_c"}, SamplePct: 2, Seed: 7}
 	spec.Name = "determinism"
 	spec.Shards = 4
 	assertCampaignDeterminism(t, spec)
@@ -216,7 +216,7 @@ func TestMachineReuseMatchesFreshBoots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	selected := selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 1, Seed: 3})
+	selected := selectMutants(len(p.res.Mutants), 1, 3)
 	m, err := NewRig("ide")
 	if err != nil {
 		t.Fatal(err)
@@ -308,7 +308,7 @@ func TestCampaignMatrixDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign matrix determinism test is not short")
 	}
-	spec := CampaignSpec("busmouse_devil", MutationOptions{SamplePct: 10, Seed: 11})
+	spec := campaign.Spec{Drivers: []string{"busmouse_devil"}, SamplePct: 10, Seed: 11}
 	spec.Name = "matrix-determinism"
 	spec.Shards = 4
 	spec.Scenarios = []string{"pristine", "flaky-bus:10", "timing:16"}
@@ -329,7 +329,7 @@ func TestCampaignMatrixCrashResume(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign crash-resume test is not short")
 	}
-	spec := CampaignSpec("busmouse_devil", MutationOptions{SamplePct: 10, Seed: 11})
+	spec := campaign.Spec{Drivers: []string{"busmouse_devil"}, SamplePct: 10, Seed: 11}
 	spec.Name = "matrix-crash"
 	spec.Scenarios = []string{"pristine", "flaky-bus:10"}
 	spec.FlushEvery = 3
@@ -346,7 +346,7 @@ func TestCampaignMatrixCrashResume(t *testing.T) {
 			if !tables[d].Complete() {
 				t.Fatalf("cell %s incomplete after resume: %d/%d", d, tables[d].Results, tables[d].Selected)
 			}
-			text += FormatDriverTable(TableFromCampaign(tables[d]), d)
+			text += FormatDriverTable(tables[d], d)
 		}
 		return text
 	}

@@ -22,7 +22,7 @@ import (
 
 // diffRig reuses one rig per workload per backend × front end through
 // the same rigSet pool a campaign worker uses: drivers route through
-// the registry, not a name switch.
+// the workload table, not a name switch.
 type diffRig struct {
 	backend     Backend
 	incremental bool
@@ -176,7 +176,7 @@ func TestDifferentialOracle(t *testing.T) {
 			if testing.Short() {
 				pct = tc.shortPct
 			}
-			selected := selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: pct, Seed: 2001})
+			selected := selectMutants(len(p.res.Mutants), pct, 2001)
 			ref := &diffRig{backend: BackendInterp, scenario: tc.scenario}
 			variants := []struct {
 				name string
@@ -217,6 +217,16 @@ func TestDifferentialTables(t *testing.T) {
 	if testing.Short() {
 		sample = 1
 	}
+	spec := campaign.Spec{Drivers: []string{"ide_c", "ide_devil"}, SamplePct: sample, Seed: 2001}
+	block, err := RunTables(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Backend = string(BackendInterp)
+	interp, err := RunTables(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		driver  string
 		caption string
@@ -224,18 +234,8 @@ func TestDifferentialTables(t *testing.T) {
 		{"ide_c", "Table 3"},
 		{"ide_devil", "Table 4"},
 	} {
-		opts := MutationOptions{SamplePct: sample, Seed: 2001, Backend: BackendBlock}
-		block, err := DriverMutation(tc.driver, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Backend = BackendInterp
-		interp, err := DriverMutation(tc.driver, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bt := FormatDriverTable(block, tc.caption)
-		it := FormatDriverTable(interp, tc.caption)
+		bt := FormatDriverTable(block[tc.driver], tc.caption)
+		it := FormatDriverTable(interp[tc.driver], tc.caption)
 		if bt != it {
 			t.Errorf("%s differs between backends:\nblock:\n%s\ninterp:\n%s", tc.caption, bt, it)
 		}
@@ -247,7 +247,7 @@ func TestDifferentialTables(t *testing.T) {
 // fused-closure hot path (per-site I/O handle caches, pooled machines)
 // across concurrent workers.
 func TestCampaignBlockBackendSmoke(t *testing.T) {
-	spec := CampaignSpec("busmouse_c", MutationOptions{SamplePct: 30, Seed: 7})
+	spec := campaign.Spec{Drivers: []string{"busmouse_c"}, SamplePct: 30, Seed: 7}
 	spec.Backend = "block"
 	spec.Shards = 2
 	store := campaign.NewMemStore()
@@ -265,7 +265,7 @@ func TestCampaignBlockBackendSmoke(t *testing.T) {
 // per-statement backend old stores may name — is rejected at expansion
 // with a message naming the valid choices.
 func TestCampaignBackendField(t *testing.T) {
-	spec := CampaignSpec("busmouse_devil", MutationOptions{SamplePct: 20, Seed: 5})
+	spec := campaign.Spec{Drivers: []string{"busmouse_devil"}, SamplePct: 20, Seed: 5}
 	spec.Backend = "interp"
 	store := campaign.NewMemStore()
 	if _, err := campaign.Run(spec, NewWorkload(), store, campaign.Options{}); err != nil {

@@ -63,21 +63,17 @@ func TestBMMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
-	opts := MutationOptions{SamplePct: 25, Seed: 7}
-	c, err := DriverMutation("busmaster_c", opts)
+	tables, err := RunTables(campaign.Spec{Drivers: []string{"busmaster_c", "busmaster_devil"}, SamplePct: 25, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DriverMutation("busmaster_devil", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, d := tables["busmaster_c"], tables["busmaster_devil"]
 	t.Logf("\n%s\n%s",
 		FormatDriverTable(c, "Extension: mutations on the C bus-master driver"),
 		FormatDriverTable(d, "Extension: mutations on the CDevil bus-master driver"))
-	if d.DetectedPct() <= c.DetectedPct() {
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
 	if d.Counts[RowRuntime] == 0 {
 		t.Error("CDevil driver produced no run-time checks")
@@ -106,11 +102,11 @@ func TestNewDeviceCampaignDeterminism(t *testing.T) {
 		{"permedia_c", "permedia_devil"},
 		{"busmaster_c", "busmaster_devil"},
 	} {
-		c := TableFromCampaign(tables[pair.c])
-		d := TableFromCampaign(tables[pair.devil])
-		if d.DetectedPct() <= c.DetectedPct() {
+		c := tables[pair.c]
+		d := tables[pair.devil]
+		if DetectedPct(d) <= DetectedPct(c) {
 			t.Errorf("%s detection (%.1f%%) should exceed %s (%.1f%%)",
-				pair.devil, d.DetectedPct(), pair.c, c.DetectedPct())
+				pair.devil, DetectedPct(d), pair.c, DetectedPct(c))
 		}
 	}
 }

@@ -46,7 +46,7 @@ func TestFleetCampaignSurvivesKilledWorker(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet chaos test is not short")
 	}
-	spec := CampaignSpec("busmouse_c", MutationOptions{SamplePct: 6, Seed: 13})
+	spec := campaign.Spec{Drivers: []string{"busmouse_c"}, SamplePct: 6, Seed: 13}
 	spec.Name = "fleet-chaos"
 	spec.Shards = 4
 
@@ -61,7 +61,7 @@ func TestFleetCampaignSurvivesKilledWorker(t *testing.T) {
 			if !tables[d].Complete() {
 				t.Fatalf("%s incomplete: %d/%d", d, tables[d].Results, tables[d].Selected)
 			}
-			text += FormatDriverTable(TableFromCampaign(tables[d]), d)
+			text += FormatDriverTable(tables[d], d)
 		}
 		return text
 	}

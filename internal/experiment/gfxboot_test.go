@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/drivers"
 	"repro/internal/hw/permedia"
 	"repro/internal/kernel"
@@ -63,21 +64,17 @@ func TestGfxMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
-	opts := MutationOptions{SamplePct: 10, Seed: 7}
-	c, err := DriverMutation("permedia_c", opts)
+	tables, err := RunTables(campaign.Spec{Drivers: []string{"permedia_c", "permedia_devil"}, SamplePct: 10, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DriverMutation("permedia_devil", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, d := tables["permedia_c"], tables["permedia_devil"]
 	t.Logf("\n%s\n%s",
 		FormatDriverTable(c, "Extension: mutations on the C Permedia driver"),
 		FormatDriverTable(d, "Extension: mutations on the CDevil Permedia driver"))
-	if d.DetectedPct() <= c.DetectedPct() {
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
 	if d.Counts[RowRuntime] == 0 {
 		t.Error("CDevil driver produced no run-time checks")

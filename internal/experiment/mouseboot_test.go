@@ -3,6 +3,7 @@ package experiment
 import (
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/drivers"
 	"repro/internal/kernel"
 )
@@ -47,20 +48,16 @@ func TestBusmouseMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
-	opts := MutationOptions{SamplePct: 20, Seed: 7}
-	c, err := DriverMutation("busmouse_c", opts)
+	tables, err := RunTables(campaign.Spec{Drivers: []string{"busmouse_c", "busmouse_devil"}, SamplePct: 20, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DriverMutation("busmouse_devil", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, d := tables["busmouse_c"], tables["busmouse_devil"]
 	t.Logf("\n%s\n%s",
 		FormatDriverTable(c, "Extension: mutations on the C busmouse driver"),
 		FormatDriverTable(d, "Extension: mutations on the CDevil busmouse driver"))
-	if d.DetectedPct() <= c.DetectedPct() {
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
 }

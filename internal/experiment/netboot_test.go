@@ -58,21 +58,17 @@ func TestNetMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
-	opts := MutationOptions{SamplePct: 10, Seed: 7}
-	c, err := DriverMutation("ne2000_c", opts)
+	tables, err := RunTables(campaign.Spec{Drivers: []string{"ne2000_c", "ne2000_devil"}, SamplePct: 10, Seed: 7}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := DriverMutation("ne2000_devil", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, d := tables["ne2000_c"], tables["ne2000_devil"]
 	t.Logf("\n%s\n%s",
 		FormatDriverTable(c, "Extension: mutations on the C NE2000 driver"),
 		FormatDriverTable(d, "Extension: mutations on the CDevil NE2000 driver"))
-	if d.DetectedPct() <= c.DetectedPct() {
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
 	if d.Counts[RowRuntime] == 0 {
 		t.Error("CDevil driver produced no run-time checks")
@@ -97,10 +93,10 @@ func TestNetCampaignDeterminism(t *testing.T) {
 	}
 	tables := assertCampaignDeterminism(t, spec)
 
-	c := TableFromCampaign(tables["ne2000_c"])
-	d := TableFromCampaign(tables["ne2000_devil"])
-	if d.DetectedPct() <= c.DetectedPct() {
+	c := tables["ne2000_c"]
+	d := tables["ne2000_devil"]
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
 }

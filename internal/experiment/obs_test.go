@@ -15,7 +15,7 @@ func TestObservedCampaignMetrics(t *testing.T) {
 	col := obs.New()
 	wl := NewObservedWorkload(col)
 	store := campaign.NewMemStore()
-	spec := CampaignSpec("busmouse_c", MutationOptions{SamplePct: 3, Seed: 11})
+	spec := campaign.Spec{Drivers: []string{"busmouse_c"}, SamplePct: 3, Seed: 11}
 	spec.Name = "observed"
 	sum, err := campaign.Run(spec, wl, store, campaign.Options{
 		Workers: 2,
@@ -74,7 +74,7 @@ func TestObservedCampaignMetrics(t *testing.T) {
 // results — the same spec aggregates identically with and without the
 // collector.
 func TestObservedMatchesUnobserved(t *testing.T) {
-	spec := CampaignSpec("busmouse_c", MutationOptions{SamplePct: 2, Seed: 5})
+	spec := campaign.Spec{Drivers: []string{"busmouse_c"}, SamplePct: 2, Seed: 5}
 	plain := campaign.NewMemStore()
 	if _, err := campaign.Run(spec, NewWorkload(), plain, campaign.Options{}); err != nil {
 		t.Fatal(err)
@@ -96,7 +96,7 @@ func TestObservedMatchesUnobserved(t *testing.T) {
 	}
 	for d, w := range want {
 		g := got[d]
-		if g == nil || FormatDriverTable(TableFromCampaign(g), d) != FormatDriverTable(TableFromCampaign(w), d) {
+		if g == nil || FormatDriverTable(g, d) != FormatDriverTable(w, d) {
 			t.Errorf("driver %s: observed table differs from unobserved", d)
 		}
 	}

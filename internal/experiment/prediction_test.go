@@ -77,7 +77,7 @@ func TestPredictionAblation(t *testing.T) {
 		for _, mode := range modes {
 			plain.rig.stubMode, hidden.rig.stubMode = mode, mode
 			var steps, forwarded int64
-			for _, id := range selectMutants(len(p.res.Mutants), MutationOptions{SamplePct: 5, Seed: 2001}) {
+			for _, id := range selectMutants(len(p.res.Mutants), 5, 2001) {
 				var res [2]*BootResult
 				var stats [2][2]uint64
 				for i, s := range []*side{plain, hidden} {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,7 +16,7 @@ import (
 	"repro/internal/specs"
 )
 
-// This file is the workload registry and the generic boot rig. A
+// This file is the workload table and the generic boot rig. A
 // workload — one driver pair booting against one simulated device — is
 // declared as a WorkloadDesc: which drivers route to it, which Devil
 // specification its stubs compile from, how its devices assemble on the
@@ -23,7 +24,7 @@ import (
 // the driver through its kernel duty and audits the result. Everything
 // else — machine assembly, per-worker caches, both execution backends,
 // both front ends, campaign routing, table rendering — is shared: adding
-// a device family to the evaluation is a registry entry, a driver pair
+// a device family to the evaluation is a table entry, a driver pair
 // and (if the device is new) a hardware model, never a fourth copy of
 // the boot loop.
 
@@ -64,7 +65,7 @@ type Engine interface {
 	Coverage() *ccov.Set
 }
 
-// WorkloadDesc declares one registered workload: a driver pair, its
+// WorkloadDesc declares one workload: a driver pair, its
 // specification, and the three hooks (Build, Reset, Run) that are the
 // only per-device code in the evaluation.
 type WorkloadDesc struct {
@@ -145,147 +146,31 @@ func (d *WorkloadDesc) NewRig() (*Rig, error) {
 	return r, nil
 }
 
-// registry holds the registered workloads in registration order. The
-// built-in workloads register from a single init below, so the order —
-// which numbers the extension tables in cmd/driverlab — is explicit
-// rather than file-name-dependent.
-var registry = struct {
-	mu       sync.RWMutex
-	order    []*WorkloadDesc
-	byName   map[string]*WorkloadDesc
-	byDriver map[string]*WorkloadDesc
-	// initErr records the first builtin registration failure. A bad
-	// builtin descriptor must not panic the process at import time (the
-	// campaign engine is built to survive per-boot faults, not init
-	// crashes): every lookup surfaces the error instead, so a campaign
-	// over a broken registry fails cleanly with the root cause.
-	initErr error
-}{
-	byName:   make(map[string]*WorkloadDesc),
-	byDriver: make(map[string]*WorkloadDesc),
-}
+// workloads is the fixed workload table. Its order is presentation
+// order: the paper's IDE pair first, then the extension pairs in the
+// order they joined the evaluation (driverlab numbers its extension
+// tables from it). Workload names and driver names share one lookup
+// space (NewRig), and each driver routes to exactly one workload;
+// TestRegistryValidation checks both over the table.
+var workloads = []*WorkloadDesc{&ideWorkload, &mouseWorkload, &netWorkload, &gfxWorkload, &dmaWorkload}
 
-// RegisterWorkload adds a workload to the registry. It rejects
-// descriptors missing a name, drivers, Build or Run hook, and names or
-// drivers already claimed — each driver routes to exactly one workload.
-func RegisterWorkload(d WorkloadDesc) error {
-	if d.Name == "" {
-		return fmt.Errorf("register workload: empty name")
-	}
-	if len(d.Drivers) == 0 {
-		return fmt.Errorf("register workload %s: no drivers", d.Name)
-	}
-	if d.Build == nil || d.Run == nil {
-		return fmt.Errorf("register workload %s: Build and Run hooks are required", d.Name)
-	}
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	// Names and drivers share NewRig's lookup space, so collisions are
-	// rejected across both namespaces: a driver may not shadow another
-	// workload's name, nor a name another workload's driver.
-	if _, ok := registry.byName[d.Name]; ok {
-		return fmt.Errorf("register workload %s: name already registered", d.Name)
-	}
-	if prev, ok := registry.byDriver[d.Name]; ok {
-		return fmt.Errorf("register workload %s: name collides with a driver of %s",
-			d.Name, prev.Name)
-	}
-	for _, drv := range d.Drivers {
-		if prev, ok := registry.byDriver[drv]; ok {
-			return fmt.Errorf("register workload %s: driver %s already routed to %s",
-				d.Name, drv, prev.Name)
-		}
-		if prev, ok := registry.byName[drv]; ok {
-			return fmt.Errorf("register workload %s: driver %s collides with workload name %s",
-				d.Name, drv, prev.Name)
-		}
-	}
-	desc := d
-	registry.byName[d.Name] = &desc
-	for _, drv := range d.Drivers {
-		registry.byDriver[drv] = &desc
-	}
-	registry.order = append(registry.order, &desc)
-	return nil
-}
-
-// registerBuiltin registers one builtin workload, recording (rather
-// than panicking on) a bad descriptor; every lookup surfaces the failure
-// (WorkloadFor, NewRig).
-func registerBuiltin(d WorkloadDesc) {
-	if err := RegisterWorkload(d); err != nil {
-		registry.mu.Lock()
-		if registry.initErr == nil {
-			registry.initErr = fmt.Errorf("builtin workload registry: %w", err)
-		}
-		registry.mu.Unlock()
-	}
-}
-
-// unregisterWorkload removes a workload and its driver routes from the
-// registry. Registration is meant to be init-time and permanent; this
-// exists so tests that register synthetic workloads can clean up after
-// themselves (t.Cleanup), keeping repeated in-process runs independent.
-func unregisterWorkload(name string) {
-	registry.mu.Lock()
-	defer registry.mu.Unlock()
-	d, ok := registry.byName[name]
-	if !ok {
-		return
-	}
-	delete(registry.byName, name)
-	for _, drv := range d.Drivers {
-		delete(registry.byDriver, drv)
-	}
-	for i, o := range registry.order {
-		if o == d {
-			registry.order = append(registry.order[:i], registry.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func init() {
-	// Registration order is presentation order: the paper's IDE pair
-	// first, then the extension pairs in the order they joined the
-	// evaluation (driverlab numbers its extension tables from it).
-	for _, d := range []WorkloadDesc{
-		ideWorkload,
-		mouseWorkload,
-		netWorkload,
-		gfxWorkload,
-		dmaWorkload,
-	} {
-		registerBuiltin(d)
-	}
-}
-
-// WorkloadFor routes a driver name to its registered workload.
+// WorkloadFor routes a driver name to its workload.
 func WorkloadFor(driver string) (*WorkloadDesc, error) {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	if registry.initErr != nil {
-		return nil, registry.initErr
-	}
-	if d, ok := registry.byDriver[driver]; ok {
-		return d, nil
+	for _, d := range workloads {
+		if slices.Contains(d.Drivers, driver) {
+			return d, nil
+		}
 	}
 	var known []string
-	for drv := range registry.byDriver {
-		known = append(known, drv)
+	for _, d := range workloads {
+		known = append(known, d.Drivers...)
 	}
 	sort.Strings(known)
 	return nil, fmt.Errorf("no workload registered for driver %q (known: %v)", driver, known)
 }
 
-// Workloads returns the registered workloads in registration order.
-func Workloads() []*WorkloadDesc {
-	registry.mu.RLock()
-	defer registry.mu.RUnlock()
-	out := make([]*WorkloadDesc, len(registry.order))
-	copy(out, registry.order)
-	return out
-}
+// Workloads returns the workloads in presentation order.
+func Workloads() []*WorkloadDesc { return slices.Clone(workloads) }
 
 // Rig is one assembled simulated PC booting one workload: clock, bus
 // (system board plus the workload's devices), kernel, the workload's
@@ -317,20 +202,12 @@ type Rig struct {
 // NewRig builds a rig for the named driver (or, if no driver matches,
 // the named workload).
 func NewRig(name string) (*Rig, error) {
-	registry.mu.RLock()
-	initErr := registry.initErr
-	d, ok := registry.byDriver[name]
-	if !ok {
-		d = registry.byName[name]
+	for _, d := range workloads {
+		if d.Name == name || slices.Contains(d.Drivers, name) {
+			return d.NewRig()
+		}
 	}
-	registry.mu.RUnlock()
-	if initErr != nil {
-		return nil, initErr
-	}
-	if d == nil {
-		return nil, fmt.Errorf("no workload registered for %q", name)
-	}
-	return d.NewRig()
+	return nil, fmt.Errorf("no workload registered for %q", name)
 }
 
 // Reset returns the rig to its power-on state: the workload's devices

@@ -9,11 +9,11 @@ import (
 	"repro/internal/kernel"
 )
 
-// The registry is tested apart from the five real device workloads: a
-// synthetic in-test descriptor exercises registration validation, the
-// generic boot path, worker rig reuse with Reset, and unknown-driver
-// rejection, so the abstraction itself has coverage independent of any
-// hardware model.
+// The generic rig is tested apart from the five real device workloads:
+// a synthetic in-test descriptor exercises the generic boot path and
+// Reset, so the abstraction itself has coverage independent of any
+// hardware model; the fixed workload table's invariants, worker rig
+// reuse and unknown-driver rejection are tested over the real table.
 
 // synthDev is the synthetic workload's device handle: hook counters the
 // test asserts on.
@@ -38,12 +38,13 @@ int probe(void)
 }
 `
 
-func registerSynthetic(t *testing.T) *synthDev {
-	t.Helper()
+// syntheticWorkload returns the synthetic workload's descriptor and the
+// device handle its hooks count on.
+func syntheticWorkload() (*WorkloadDesc, *synthDev) {
 	dev := &synthDev{}
-	err := RegisterWorkload(WorkloadDesc{
-		Name:    "synthetic-" + t.Name(),
-		Drivers: []string{"synthetic_c-" + t.Name()},
+	return &WorkloadDesc{
+		Name:    "synthetic",
+		Drivers: []string{"synthetic_c"},
 		Build: func(r *Rig) (any, error) {
 			dev.builds++
 			return dev, nil
@@ -62,17 +63,10 @@ func registerSynthetic(t *testing.T) *synthDev {
 			r.Kern.Printk("synthetic: probed")
 			return nil, false
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Registration is process-global; clean up so repeated in-process
-	// runs (-count=2, stress reruns) stay independent.
-	t.Cleanup(func() { unregisterWorkload("synthetic-" + t.Name()) })
-	return dev
+	}, dev
 }
 
-// assertResetRestoresCleanBoot is the registry-driven rig-reuse
+// assertResetRestoresCleanBoot is the table-driven rig-reuse
 // regression shared by every workload: boot the clean driver once to
 // dirty the rig, scribble kernel state (console, watchdog), optionally
 // dirty device state further, Reset, then require a clean re-boot with
@@ -122,18 +116,22 @@ func assertResetRestoresCleanBoot(t *testing.T, driver string,
 	return res
 }
 
-// TestRegistryBootAndReuse: a registered synthetic workload boots
-// through the generic rig on both backends, and a campaign worker
-// reuses one rig per workload with Reset between boots.
+// TestRegistryBootAndReuse: a synthetic workload boots through the
+// generic rig on both backends, Rig.Reset runs the descriptor's hook and
+// rewinds the kernel, and a campaign worker reuses one rig per workload
+// with Reset between boots.
 func TestRegistryBootAndReuse(t *testing.T) {
-	dev := registerSynthetic(t)
-	driver := "synthetic_c-" + t.Name()
+	desc, dev := syntheticWorkload()
 	toks, err := ParseDriver(synthSource)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, backend := range []Backend{BackendBlock, BackendInterp} {
-		res, err := BootDriver(driver, BootInput{Tokens: toks, Backend: backend})
+		r, err := desc.NewRig()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := r.Boot(BootInput{Tokens: toks, Backend: backend})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,55 +141,58 @@ func TestRegistryBootAndReuse(t *testing.T) {
 		if len(res.Console) == 0 || res.Console[0] != "synthetic: probed" {
 			t.Errorf("%s: console = %v", backend, res.Console)
 		}
+		// Rig.Reset runs the descriptor's hook and rewinds the kernel.
+		r.Reset()
+		if len(r.Kern.ConsoleView()) != 0 {
+			t.Errorf("%s: console after Reset = %v", backend, r.Kern.ConsoleView())
+		}
 	}
-	if dev.builds != 2 || dev.runs != 2 {
-		t.Errorf("fresh-rig boots: builds=%d runs=%d, want 2/2", dev.builds, dev.runs)
+	if dev.builds != 2 || dev.runs != 2 || dev.resets != 2 {
+		t.Errorf("fresh-rig boots: builds=%d runs=%d resets=%d, want 2/2/2",
+			dev.builds, dev.runs, dev.resets)
 	}
 
 	// A worker's rig pool builds the workload's rig once and Resets it
 	// on every later request — the campaign hot-path contract.
 	rigs := make(rigSet)
-	r1, err := rigs.rigFor(driver, "")
+	r1, err := rigs.rigFor("busmouse_c", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := rigs.rigFor(driver, "")
+	r1.Kern.Printk("stale")
+	r2, err := rigs.rigFor("busmouse_devil", "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1 != r2 {
-		t.Error("worker built a second rig instead of reusing the first")
+		t.Error("worker built a second rig for the busmouse pair instead of reusing the first")
 	}
-	if dev.builds != 3 {
-		t.Errorf("builds = %d after worker reuse, want 3", dev.builds)
-	}
-	if dev.resets != 1 {
-		t.Errorf("resets = %d after worker reuse, want 1", dev.resets)
-	}
-	// Rig.Reset also rewinds the kernel.
-	r1.Kern.Printk("stale")
-	r1.Reset()
-	if dev.resets != 2 || len(r1.Kern.ConsoleView()) != 0 {
-		t.Errorf("Reset: resets=%d console=%v", dev.resets, r1.Kern.ConsoleView())
+	if len(r2.Kern.ConsoleView()) != 0 {
+		t.Errorf("reused rig not Reset: console = %v", r2.Kern.ConsoleView())
 	}
 }
 
-// TestRegistryValidation: structurally invalid descriptors and
-// double-registrations are rejected.
+// TestRegistryValidation: every workload of the fixed table carries a
+// name, drivers and the Build and Run hooks, and names and drivers are
+// unique across both namespaces — NewRig resolves either, so a driver
+// may not shadow another workload's name, nor a name another workload's
+// driver, and each driver routes to exactly one workload.
 func TestRegistryValidation(t *testing.T) {
-	noop := func(r *Rig) (any, error) { return nil, nil }
-	run := func(r *Rig, ex Engine, res *BootResult) (error, bool) { return nil, false }
-	for name, d := range map[string]WorkloadDesc{
-		"empty name":              {Drivers: []string{"x_c"}, Build: noop, Run: run},
-		"no drivers":              {Name: "no-drivers-" + t.Name(), Build: noop, Run: run},
-		"no hooks":                {Name: "no-hooks-" + t.Name(), Drivers: []string{"y_c"}},
-		"duplicate name":          {Name: "ide", Drivers: []string{"z_c"}, Build: noop, Run: run},
-		"claimed driver":          {Name: "other-" + t.Name(), Drivers: []string{"ide_c"}, Build: noop, Run: run},
-		"name shadowing a driver": {Name: "ide_c", Drivers: []string{"w_c"}, Build: noop, Run: run},
-		"driver shadowing a name": {Name: "shadow-" + t.Name(), Drivers: []string{"ide"}, Build: noop, Run: run},
-	} {
-		if err := RegisterWorkload(d); err == nil {
-			t.Errorf("%s: registration accepted", name)
+	claimed := make(map[string]string) // name or driver -> owning workload
+	claim := func(key, owner string) {
+		if prev, ok := claimed[key]; ok {
+			t.Errorf("%q is claimed by workload %s and by workload %s", key, prev, owner)
+		}
+		claimed[key] = owner
+	}
+	for _, d := range Workloads() {
+		if d.Name == "" || len(d.Drivers) == 0 || d.Build == nil || d.Run == nil {
+			t.Errorf("workload %q: want a name, drivers, Build and Run (drivers %v, Build %t, Run %t)",
+				d.Name, d.Drivers, d.Build != nil, d.Run != nil)
+		}
+		claim(d.Name, d.Name)
+		for _, drv := range d.Drivers {
+			claim(drv, d.Name)
 		}
 	}
 }
@@ -215,13 +216,10 @@ func TestRegistryUnknownDriver(t *testing.T) {
 }
 
 // TestRegistryCoversCorpus: every embedded driver routes to a workload
-// whose descriptor lists it, and the registered workloads carry the
+// whose descriptor lists it, and the table's workloads carry the
 // spec/bases a Devil driver needs.
 func TestRegistryCoversCorpus(t *testing.T) {
 	for _, d := range Workloads() {
-		if strings.HasPrefix(d.Name, "synthetic") {
-			continue
-		}
 		if d.Spec == "" {
 			t.Errorf("workload %s has no specification", d.Name)
 		}
@@ -235,7 +233,7 @@ func TestRegistryCoversCorpus(t *testing.T) {
 				continue
 			}
 			if back.Name != d.Name {
-				t.Errorf("driver %s routes to %s, registered under %s", drv, back.Name, d.Name)
+				t.Errorf("driver %s routes to %s, listed under %s", drv, back.Name, d.Name)
 			}
 		}
 	}

@@ -72,8 +72,8 @@ func RegisterScenario(d ScenarioDesc) error {
 	return nil
 }
 
-// unregisterScenario removes a scenario; like unregisterWorkload it
-// exists only so tests can clean up synthetic registrations.
+// unregisterScenario removes a scenario; it exists only so tests can
+// clean up synthetic registrations.
 func unregisterScenario(name string) {
 	scenarioRegistry.mu.Lock()
 	defer scenarioRegistry.mu.Unlock()

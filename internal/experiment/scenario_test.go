@@ -193,27 +193,20 @@ int probe(void)
     return 0;
 }
 `
-	name := "wall-deadline-" + t.Name()
-	err := RegisterWorkload(WorkloadDesc{
-		Name:    name,
-		Drivers: []string{name + "_c"},
+	desc := &WorkloadDesc{
+		Name:    "wall-deadline",
+		Drivers: []string{"wall-deadline_c"},
 		Build:   func(r *Rig) (any, error) { return nil, nil },
 		Run: func(r *Rig, ex Engine, res *BootResult) (error, bool) {
 			_, err := ex.Call("probe")
 			return err, false
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	t.Cleanup(func() { unregisterWorkload(name) })
-
 	toks, err := ParseDriver(loopSource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rigs := rigSet{}
-	r, err := rigs.rigFor(name+"_c", "")
+	r, err := desc.NewRig()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,18 @@ import (
 	"time"
 
 	"repro/internal/campaign"
-	"repro/internal/devil/codegen"
 	"repro/internal/kernel"
 	"repro/internal/mutation"
 	"repro/internal/mutation/cmut"
 	"repro/internal/mutation/devilmut"
 	"repro/internal/specs"
 )
+
+// This file holds the paper's tables: Table 2 (the Devil compiler over
+// every specification's mutants), the driver-table row taxonomy that
+// classifyRow assigns, and FormatDriverTable, which renders one
+// aggregated campaign cell as Table 3 or 4. The driver tables themselves
+// come from a campaign (RunTables, or a persisted store).
 
 // ExperimentBudget is the watchdog budget used for mutant boots: ~23× a
 // clean boot (17k steps), and comfortably above the longest legitimate
@@ -79,24 +84,6 @@ func Table2Row(s specs.Spec) (SpecRow, error) {
 	return row, nil
 }
 
-// DriverTable is the outcome histogram of Table 3 / Table 4.
-type DriverTable struct {
-	Driver string
-	// Rows maps a row label to its mutant count.
-	Counts map[string]int
-	// SiteSets maps a row label to the set of sites contributing to it.
-	SiteSets map[string]map[int]bool
-	// TotalSites is the number of mutation sites enumerated.
-	TotalSites int
-	// TotalMutants is the number of mutants booted (after sampling).
-	TotalMutants int
-	// Enumerated is the full mutant population before sampling.
-	Enumerated int
-	// PartitionTableLosses counts runs that destroyed the partition table
-	// (the paper's "required re-formatting the disk" anecdote).
-	PartitionTableLosses int
-}
-
 // Row labels, in the paper's presentation order.
 const (
 	RowCompile = "Compile-time check"
@@ -114,62 +101,18 @@ var RowOrder = []string{
 	RowCompile, RowRuntime, RowCrash, RowLoop, RowHalt, RowDamaged, RowBoot, RowDead,
 }
 
-// Pct returns a row's share of booted mutants.
-func (t *DriverTable) Pct(row string) float64 {
-	if t.TotalMutants == 0 {
-		return 0
-	}
-	return 100 * float64(t.Counts[row]) / float64(t.TotalMutants)
-}
-
-// Sites returns the number of distinct sites contributing to a row.
-func (t *DriverTable) Sites(row string) int { return len(t.SiteSets[row]) }
-
 // DetectedPct is the paper's headline metric: mutants detected either at
-// compile time or by a run-time check.
-func (t *DriverTable) DetectedPct() float64 {
-	if t.TotalMutants == 0 {
+// compile time or by a run-time check, as a share of the selected ones.
+func DetectedPct(t *campaign.TableData) float64 {
+	if t.Selected == 0 {
 		return 0
 	}
-	return 100 * float64(t.Counts[RowCompile]+t.Counts[RowRuntime]) / float64(t.TotalMutants)
+	return 100 * float64(t.Counts[RowCompile]+t.Counts[RowRuntime]) / float64(t.Selected)
 }
 
 // SilentPct is the worst-case metric: mutants that boot with no observable
 // effect.
-func (t *DriverTable) SilentPct() float64 {
-	if t.TotalMutants == 0 {
-		return 0
-	}
-	return 100 * float64(t.Counts[RowBoot]) / float64(t.TotalMutants)
-}
-
-// MutationOptions configures a Table 3/4 run.
-type MutationOptions struct {
-	// SamplePct selects the percentage of mutants to boot (the paper used
-	// 25%); 0 or 100 boots everything.
-	SamplePct int
-	// Seed drives the deterministic sampler.
-	Seed uint64
-	// Workers overrides the boot worker count (default: GOMAXPROCS).
-	Workers int
-	// StubMode overrides the Devil stub mode (ablation support).
-	StubMode codegen.Mode
-	// ForcePermissive downgrades CDevil type checking to plain C rules
-	// (ablation: how much of Table 4 comes from strict typing alone).
-	ForcePermissive bool
-	// Backend selects the hwC execution engine (block when empty).
-	Backend Backend
-}
-
-// Table3 mutates the C IDE driver and boots every (sampled) mutant.
-func Table3(opts MutationOptions) (*DriverTable, error) {
-	return DriverMutation("ide_c", opts)
-}
-
-// Table4 mutates the CDevil IDE driver and boots every (sampled) mutant.
-func Table4(opts MutationOptions) (*DriverTable, error) {
-	return DriverMutation("ide_devil", opts)
-}
+func SilentPct(t *campaign.TableData) float64 { return t.Pct(RowBoot) }
 
 // classifyRow maps a boot result to its table row, applying the dead-code
 // rule: a clean boot whose mutation site never executed is an irrelevant
@@ -197,8 +140,9 @@ func classifyRow(br *BootResult, site cmut.Site) string {
 	}
 }
 
-func selectMutants(n int, opts MutationOptions) []int {
-	pct := opts.SamplePct
+// selectMutants picks the pct% sample (every mutant for 0 or 100) of an
+// n-mutant enumeration, deterministically in seed.
+func selectMutants(n, pct int, seed uint64) []int {
 	if pct <= 0 || pct >= 100 {
 		all := make([]int, n)
 		for i := range all {
@@ -210,7 +154,7 @@ func selectMutants(n int, opts MutationOptions) []int {
 	if k < 1 {
 		k = 1
 	}
-	return mutation.Sample(n, k, opts.Seed)
+	return mutation.Sample(n, k, seed)
 }
 
 // parallelCount runs pred over [0,n) on all cores and counts true results,
@@ -240,8 +184,9 @@ func FormatTable2(rows []SpecRow) string {
 	return b.String()
 }
 
-// FormatDriverTable renders Table 3 or 4 in the paper's layout.
-func FormatDriverTable(t *DriverTable, caption string) string {
+// FormatDriverTable renders one aggregated cell as Table 3 or 4 in the
+// paper's layout.
+func FormatDriverTable(t *campaign.TableData, caption string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", caption)
 	fmt.Fprintf(&b, "%-22s %8s %10s %12s\n",
@@ -271,8 +216,8 @@ func FormatDriverTable(t *DriverTable, caption string) string {
 			row, t.Sites(row), t.Counts[row], t.Pct(row))
 	}
 	fmt.Fprintf(&b, "%-22s %8d %10d (of %d enumerated)\n",
-		"Total", t.TotalSites, t.TotalMutants, t.Enumerated)
+		"Total", t.TotalSites, t.Selected, t.Enumerated)
 	fmt.Fprintf(&b, "Detected (compile or run-time): %.1f%%   Silent boots: %.1f%%   Partition table lost: %d\n",
-		t.DetectedPct(), t.SilentPct(), t.PartitionTableLosses)
+		DetectedPct(t), SilentPct(t), t.Losses)
 	return b.String()
 }

@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/specs"
 )
 
@@ -35,24 +37,43 @@ func TestDriverMutationSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mutation smoke test is not short")
 	}
-	opts := MutationOptions{SamplePct: 5, Seed: 42}
-	c, err := Table3(opts)
+	tables, err := RunTables(campaign.Spec{Drivers: []string{"ide_c", "ide_devil"}, SamplePct: 5, Seed: 42}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := Table4(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, d := tables["ide_c"], tables["ide_devil"]
 	t.Logf("\n%s\n%s",
 		FormatDriverTable(c, "Table 3: Mutations on C code"),
 		FormatDriverTable(d, "Table 4: Mutations on CDevil code"))
-	if d.DetectedPct() <= c.DetectedPct() {
+	if DetectedPct(d) <= DetectedPct(c) {
 		t.Errorf("Devil detection (%.1f%%) should exceed C detection (%.1f%%)",
-			d.DetectedPct(), c.DetectedPct())
+			DetectedPct(d), DetectedPct(c))
 	}
-	if d.SilentPct() >= c.SilentPct() {
+	if SilentPct(d) >= SilentPct(c) {
 		t.Errorf("Devil silent boots (%.1f%%) should be below C (%.1f%%)",
-			d.SilentPct(), c.SilentPct())
+			SilentPct(d), SilentPct(c))
+	}
+}
+
+// TestMultiDriverTablesMatchSingle: one campaign over several drivers
+// aggregates each driver's cell exactly as a one-driver campaign does —
+// driverlab -table all renders every mutation table from one campaign.
+func TestMultiDriverTablesMatchSingle(t *testing.T) {
+	spec := campaign.Spec{Drivers: []string{"busmouse_c", "busmouse_devil"}, SamplePct: 10, Seed: 7}
+	both, err := RunTables(spec, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, driver := range spec.Drivers {
+		one := spec
+		one.Drivers = []string{driver}
+		alone, err := RunTables(one, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(both[driver], alone[driver]) {
+			t.Errorf("%s: two-driver cell %+v differs from the one-driver cell %+v",
+				driver, both[driver], alone[driver])
+		}
 	}
 }

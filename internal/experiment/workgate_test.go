@@ -158,7 +158,7 @@ func workDiff(g, w workRow) []string {
 // and on an observed worker, one testing.AllocsPerRun each.
 func measureWork(t *testing.T, driver string) workRow {
 	t.Helper()
-	spec := CampaignSpec(driver, MutationOptions{SamplePct: 5, Seed: 2001})
+	spec := campaign.Spec{Drivers: []string{driver}, SamplePct: 5, Seed: 2001}
 	col := obs.New()
 	plainWL := NewWorkload()
 	_, tasks, err := plainWL.Expand(spec)

@@ -16,7 +16,7 @@
 //     (internal/cdriver).
 //   - The evaluation: the §3 mutation rules (internal/mutation, cmut,
 //     devilmut) and the experiment harness regenerating Tables 1–4 and
-//     Figures 1/3/4. A workload registry (experiment.RegisterWorkload)
+//     Figures 1/3/4. A fixed workload table (experiment.Workloads)
 //     routes every driver pair to a declarative rig descriptor —
 //     devices-on-bus assembly, reset hook, boot script, success audit —
 //     so all five Table-2 devices (IDE, busmouse, NE2000, Permedia 2,
@@ -28,8 +28,8 @@
 //     machine reuse, and streamed as JSONL records to an append-only
 //     store — so runs persist, resume after interruption, merge across
 //     shards, and re-derive the paper's tables purely from stored
-//     records. The in-memory Table 3/4 paths are thin wrappers over the
-//     same engine.
+//     records. The in-memory tables (experiment.RunTables) run one
+//     campaign on the same engine into an in-memory store.
 //
 // Binaries: cmd/devilc (the compiler), cmd/devilmut (spec mutation),
 // cmd/driverlab (the full evaluation, including the `driverlab campaign`
