@@ -73,8 +73,12 @@ import (
 // and, in debug mode, a value that fails the read assertion; dil_eq's
 // type mismatch refuses too, so the closures raise either at its step.
 // The block stubs' get_block_ reads burst the same way (burstBlock in
-// expr.go). The bus predicts nothing while a fault injector or tracing
-// is on, which the kernel checks once per run.
+// expr.go). The bus predicts nothing while tracing is on, which the
+// kernel checks once per run. Under a fault injector it predicts, and
+// a window also stops before the first read that rolls a fault, with
+// each read landing the injector's latency later (window; Bus.Burst
+// bounds a transfer's burst itself). Accessor.Steady refuses there, so
+// a stub test reads every iteration.
 //
 // The kernels keep their own per-iteration code (portTest.eval,
 // xferOp.exec, bufRead/bufWrite, the poll's port branch and spinKernel)
@@ -319,10 +323,11 @@ func (t *portTest) eval(st *state, fr []Value) (bool, error) {
 	return t.apply(int64(v), fr), nil
 }
 
-// steady predicts the test's outcome, and until when it holds.
-func (t *portTest) steady(st *state, fr []Value) (holds bool, until uint64, ok bool) {
-	v, until, ok := st.bus.Steady(t.port.port, t.width)
-	return ok && t.apply(int64(v), fr), until, ok
+// steady predicts the test's outcome, the value it reads, and until
+// when both hold.
+func (t *portTest) steady(st *state, fr []Value) (holds bool, v uint32, until uint64, ok bool) {
+	v, until, ok = st.bus.Steady(t.port.port, t.width)
+	return ok && t.apply(int64(v), fr), v, until, ok
 }
 
 // stubTest is a poll condition over one Devil stub read, portTest's
@@ -427,6 +432,24 @@ func horizon(first, until uint64, per int64) int64 {
 		return 0
 	}
 	return int64(min((until-1-first)/uint64(per), math.MaxInt64-1)) + 1
+}
+
+// window bounds a forward of at most n iterations that each charge per
+// steps and read port once, head steps after the iteration starts, by
+// the steady horizon until. On a bus with a fault injector it also
+// stops before the first read that rolls a fault, and each read lands
+// the injector's latency later and adds it to the iteration's ticks
+// (the injector ticks the clock the kernel reads).
+func window(st *state, port hw.Port, n, head, per int64, until uint64) int64 {
+	if n <= 0 {
+		return 0
+	}
+	first := st.kern.Now() + uint64(head)
+	if st.bus.Injector() != nil {
+		clean, lat := st.bus.CleanReads(port, uint64(n))
+		n, first, per = int64(clean), first+lat, per+int64(lat)
+	}
+	return min(n, horizon(first, until, per))
 }
 
 // loopTail is a kernel for loop's iteration tail: the pure i++/i-- post
@@ -737,6 +760,20 @@ func (op *xferOp) exec(st *state, fr []Value) error {
 	}
 }
 
+// tame is how many of the offsets off, off+step, off+2·step, … lie in
+// [0, hi], up to the first that does not.
+func tame(off, step, hi int64) int64 {
+	switch {
+	case off < 0 || off > hi:
+		return 0
+	case step > 0:
+		return (hi-off)/step + 1
+	case step < 0:
+		return off/-step + 1
+	}
+	return math.MaxInt64
+}
+
 // burstChunk is the most port reads a transfer kernel bursts at once.
 const burstChunk = 256
 
@@ -808,16 +845,10 @@ func (k *xferKernel) forward(st *state, fr []Value, head, b int64) error {
 	}
 	buf := st.kern.Buf()
 	for {
-		n := min(k.tail.span(fr, b), st.kern.Room()/per, burstChunk)
 		off := sink.off.eval(fr)
 		step := int64(k.tail.delta) * sink.off.coefOf(int(k.tail.post))
 		// A burst cannot be undone: stop before the first wild offset.
-		for i := int64(0); i < n; i++ {
-			if o := off + i*step; o < 0 || o > int64(len(buf))-w {
-				n = i
-				break
-			}
-		}
+		n := min(k.tail.span(fr, b), st.kern.Room()/per, burstChunk, tame(off, step, int64(len(buf))-w))
 		if n == 0 {
 			return nil
 		}
@@ -860,14 +891,22 @@ type pollKernel struct {
 }
 
 // steady predicts the forwarded test: its outcome, until when it holds,
-// and the port reads one evaluation makes.
-func (k *pollKernel) steady(st *state, fr []Value) (holds bool, until, reads uint64, ok bool) {
+// and, for a port test, the value it reads.
+func (k *pollKernel) steady(st *state, fr []Value) (holds bool, v uint32, until uint64, ok bool) {
 	if k.stub == nil {
-		holds, until, ok = k.test.steady(st, fr)
-		return holds, until, 1, ok
+		return k.test.steady(st, fr)
 	}
 	holds, until, ok = k.stub.steady(st, fr)
-	return holds, until, uint64(k.stub.acc.Fragments()), ok
+	return holds, 0, until, ok
+}
+
+// skip accounts n skipped evaluations of the test that read v.
+func (k *pollKernel) skip(st *state, v uint32, n int64) {
+	if k.stub == nil {
+		st.bus.SkipReads(k.test.port.port, v, uint64(n))
+	} else {
+		k.stub.acc.Skip(uint64(n))
+	}
 }
 
 func (k *pollKernel) run(st *state, fr []Value, head int64) (flow, bool, error) {
@@ -883,12 +922,14 @@ func (k *pollKernel) run(st *state, fr []Value, head int64) (flow, bool, error) 
 	for {
 		if forward {
 			// Skip the iterations whose test reads steady ports and
-			// fails: each only charges, reads and counts.
-			if holds, until, reads, ok := k.steady(st, fr); ok && !holds {
-				n := min(k.tail.span(fr, b), st.kern.Room()/per, horizon(st.kern.Now()+uint64(head), until, per))
+			// fails: each only charges, reads and counts. A stub test
+			// predicts only on a bus without an injector, where window
+			// needs no port.
+			if holds, v, until, ok := k.steady(st, fr); ok && !holds {
+				n := window(st, k.test.port.port, min(k.tail.span(fr, b), st.kern.Room()/per), head, per, until)
 				if n > 0 {
 					k.tail.advance(fr, n)
-					st.bus.CountReads(uint64(n) * reads)
+					k.skip(st, v, n)
 					if err := st.kern.Forward(n * per); err != nil {
 						return flowNormal, true, err
 					}
@@ -943,10 +984,10 @@ func (k *spinKernel) run(st *state, fr []Value, head int64) (flow, bool, error) 
 		if forward {
 			// Skip the iterations whose test reads a steady port and
 			// holds.
-			if holds, until, _ := k.test.steady(st, fr); holds {
-				n := min(st.kern.Room()/head, horizon(st.kern.Now()+uint64(head), until, head))
+			if holds, v, until, _ := k.test.steady(st, fr); holds {
+				n := window(st, k.test.port.port, st.kern.Room()/head, head, head, until)
 				if n > 0 {
-					st.bus.CountReads(uint64(n))
+					st.bus.SkipReads(k.test.port.port, v, uint64(n))
 					if err := st.kern.Forward(n * head); err != nil {
 						return flowNormal, true, err
 					}

@@ -495,17 +495,18 @@ func (a *Accessor) Get() (Value, error) {
 	return Value{File: s.filename, Type: a.typeID, Val: assembled}, nil
 }
 
-// Fragments is the number of port reads one Get makes.
-func (a *Accessor) Fragments() int { return len(a.frags) }
-
 // Steady predicts Get without making it (see hw.Bus.Steady): Get would
 // return v now and at every clock time before until, with no side
-// effect. ok is false when a fragment's register has pre-actions, when
-// the bus cannot predict a fragment's port, and in debug mode when v
-// fails the read assertion, so that the Get that raises it is made. The
-// caller accounts each Get it skips as Fragments reads.
+// effect. ok is false on a bus with a fault injector, when a fragment's
+// register has pre-actions, when the bus cannot predict a fragment's
+// port, and in debug mode when v fails the read assertion, so that the
+// Get that raises it is made. The caller accounts the Gets it skips
+// with Skip.
 func (a *Accessor) Steady() (v Value, until uint64, ok bool) {
 	s := a.s
+	if s.bus.Injector() != nil { // a Get's fragments roll separately
+		return Value{}, 0, false
+	}
 	until = hw.Forever
 	var assembled uint32
 	for i := range a.frags {
@@ -524,6 +525,15 @@ func (a *Accessor) Steady() (v Value, until uint64, ok bool) {
 		return Value{}, 0, false
 	}
 	return Value{File: s.filename, Type: a.typeID, Val: assembled}, until, true
+}
+
+// Skip accounts n Gets that Steady predicted as Get would: n reads of
+// each fragment's port. Steady answers only on a bus without an
+// injector, where a skipped read latches no value, so Skip passes none.
+func (a *Accessor) Skip(n uint64) {
+	for i := range a.frags {
+		a.s.bus.SkipReads(a.frags[i].reg.readPort, 0, n)
+	}
 }
 
 // Burst makes up to len(dst) Gets that do not depend on the clock (see

@@ -180,7 +180,7 @@ func TestAccessorPredictions(t *testing.T) {
 					}
 					if ok {
 						steadyOK++
-						reads := uint64(0)
+						gets := uint64(0)
 						for k := rng.Intn(4); k >= 0 && a.clock.Now() < until; k-- {
 							g := uint64(rng.Int63n(int64(min(until-a.clock.Now(), 200))))
 							if k == 0 && rng.Intn(2) == 0 {
@@ -192,10 +192,10 @@ func TestAccessorPredictions(t *testing.T) {
 								t.Fatalf("%s: Steady = %+v until %d, but a Get at %d returned %+v, %v",
 									what, v, until, a.clock.Now(), got, err)
 							}
-							reads += uint64(accA.Fragments())
+							gets++
 						}
 						b.clock.Tick(a.clock.Now() - b.clock.Now())
-						b.bus.CountReads(reads)
+						accB.Skip(gets)
 					}
 					if err := a.same(b); err != nil {
 						t.Fatalf("%s: Gets predicted by Steady moved the machine: %v", what, err)
@@ -225,5 +225,35 @@ func TestAccessorPredictions(t *testing.T) {
 	t.Logf("%d steady answers, %d refusals for a failing assertion, %d burst Gets", steadyOK, assertRefused, bursts)
 	if steadyOK == 0 || assertRefused == 0 || bursts == 0 {
 		t.Fatal("a prediction case never occurred")
+	}
+}
+
+// TestAccessorSteadyRefusesInjector: on a bus with a fault injector,
+// even a transparent one, Steady predicts no variable, because each
+// fragment of a Get rolls its own fault.
+func TestAccessorSteadyRefusesInjector(t *testing.T) {
+	spec, err := devil.Compile("testdev.dil", testSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tw := newTwin(t, spec, codegen.Production)
+	steady := 0
+	for _, sig := range tw.stubs.Interface().Vars {
+		if acc, _ := tw.stubs.Accessor(sig.Name); sig.Readable {
+			if _, _, ok := acc.Steady(); ok {
+				steady++
+			}
+		}
+	}
+	if steady == 0 {
+		t.Fatal("no variable predicts without an injector")
+	}
+	tw.bus.SetInjector(hw.NewInjector(hw.InjectorConfig{}, tw.clock))
+	for _, sig := range tw.stubs.Interface().Vars {
+		if acc, _ := tw.stubs.Accessor(sig.Name); sig.Readable {
+			if _, _, ok := acc.Steady(); ok {
+				t.Errorf("%s: Steady answered on a bus with an injector", sig.Name)
+			}
+		}
 	}
 }

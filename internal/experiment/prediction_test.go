@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -41,14 +42,19 @@ func hidePredictions(t *testing.T, bus *hw.Bus) {
 // in both stub modes, twice: on plain rigs, where the loop kernels and
 // the block stubs fast-forward over predicted reads, and on rigs whose
 // devices hide the prediction interfaces, where every read reaches the
-// device. Records, steps, console, coverage and the bus accounting of
-// every boot must be identical. It logs both wall times and the share of
-// steps fast-forwarded, in total and per driver and mode, and requires
-// the Devil drivers that poll predictable registers or read a FIFO block
-// to fast-forward in both modes.
+// device. It does so on pristine hardware for every driver, under the
+// flaky-bus and timing injectors for every C driver, and under
+// flaky-bus for ide_devil, whose stub polls would forward were
+// Accessor.Steady not to refuse on a bus with an injector. Records,
+// steps, console, coverage, the bus accounting and the injector's fault
+// counts of every boot must be identical. It logs both wall times and
+// the share of steps fast-forwarded, in total and per cell and mode, and
+// requires the Devil drivers that poll predictable registers or read a
+// FIFO block to fast-forward in both modes on pristine hardware, and
+// every C driver that fast-forwards there to do so under both injectors.
 func TestPredictionAblation(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots the work gate's sample twice")
+		t.Skip("boots the work gate's sample twice per cell")
 	}
 	wl := NewWorkload().(*workload)
 	type side struct {
@@ -60,8 +66,22 @@ func TestPredictionAblation(t *testing.T) {
 	plain := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
 	hidden := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
 	mustForward := map[string]bool{"ide_devil": true, "ne2000_devil": true, "permedia_devil": true, "busmaster_devil": true}
+	forwards := make(map[string]bool) // drivers that forward on pristine hardware
+	type cell struct{ driver, scenario string }
+	var cells []cell
 	for _, driver := range drivers.Names() {
-		r, err := hidden.rig.rigs.rigFor(driver, "")
+		cells = append(cells, cell{driver, ""})
+	}
+	for _, driver := range drivers.Names() {
+		if strings.HasSuffix(driver, "_c") {
+			cells = append(cells, cell{driver, "flaky-bus"}, cell{driver, "timing"})
+		}
+	}
+	cells = append(cells, cell{"ide_devil", "flaky-bus"})
+	for _, c := range cells {
+		driver := c.driver
+		plain.rig.scenario, hidden.rig.scenario = c.scenario, c.scenario
+		r, err := hidden.rig.rigs.rigFor(driver, c.scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,9 +99,9 @@ func TestPredictionAblation(t *testing.T) {
 			var steps, forwarded int64
 			for _, id := range selectMutants(len(p.res.Mutants), 5, 2001) {
 				var res [2]*BootResult
-				var stats [2][2]uint64
+				var stats [2][5]uint64
 				for i, s := range []*side{plain, hidden} {
-					r, err := s.rig.rigs.rigFor(driver, "")
+					r, err := s.rig.rigs.rigFor(driver, c.scenario)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +110,10 @@ func TestPredictionAblation(t *testing.T) {
 					res[i] = s.rig.boot(t, p, driver, id)
 					s.wall += time.Since(start)
 					a, f := r.Bus.Stats()
-					stats[i] = [2]uint64{a - accesses, f - faults}
+					stats[i][0], stats[i][1] = a-accesses, f-faults
+					if r.Injector != nil {
+						stats[i][2], stats[i][3], stats[i][4] = r.Injector.Stats()
+					}
 					s.steps += res[i].Steps
 					s.forwarded += r.Kern.Forwarded()
 					if i == 0 {
@@ -109,18 +132,25 @@ func TestPredictionAblation(t *testing.T) {
 				// the hidden one.
 				diffOne(t, driver, p, id, res[0], res[1])
 				if stats[0] != stats[1] {
-					t.Errorf("%s %v mutant %d: bus accesses/faults %v with prediction, %v without", driver, mode, id, stats[0], stats[1])
+					t.Errorf("%s %s %v mutant %d: bus accesses/faults and injected drops/dups/stales %v with prediction, %v without",
+						driver, c.scenario, mode, id, stats[0], stats[1])
 				}
 				if t.Failed() {
-					t.Fatalf("%s %v: hiding predictions changed mutant %d", driver, mode, id)
+					t.Fatalf("%s %s %v: hiding predictions changed mutant %d", driver, c.scenario, mode, id)
 				}
 			}
 			name := driver
+			if c.scenario != "" {
+				name += "@" + c.scenario
+			}
 			if p.src.Devil {
 				name += " " + mode.String()
 			}
-			t.Logf("%-26s %10d steps, %5.1f%% fast-forwarded", name, steps, 100*float64(forwarded)/float64(max(steps, 1)))
-			if mustForward[driver] && forwarded == 0 {
+			t.Logf("%-36s %10d steps, %5.1f%% fast-forwarded", name, steps, 100*float64(forwarded)/float64(max(steps, 1)))
+			if c.scenario == "" && forwarded > 0 {
+				forwards[driver] = true
+			}
+			if (c.scenario == "" && mustForward[driver] || c.scenario != "" && !p.src.Devil && forwards[driver]) && forwarded == 0 {
 				t.Errorf("%s: no step fast-forwarded", name)
 			}
 		}

@@ -35,7 +35,10 @@ const workGateTolerance = 0.02
 // as testing.AllocsPerRun's warm-up and once measured.
 type workRow struct {
 	Driver string `json:"driver"`
-	Tasks  int    `json:"tasks"`
+	// Scenario is the hardware scenario of a faulted row, empty for a
+	// pristine one.
+	Scenario string `json:"scenario,omitempty"`
+	Tasks    int    `json:"tasks"`
 	// Allocs sums the measured boots' allocations.
 	Allocs uint64 `json:"allocs"`
 	// Bytes sums the bytes allocated over each task's warm-up and
@@ -48,6 +51,11 @@ type workRow struct {
 	// Forwarded sums the measured boots' steps that the loop kernels and
 	// block stubs fast-forwarded over predicted reads.
 	Forwarded int64 `json:"forwarded"`
+	// Drops, Dups and Stales sum the faults the injector made over the
+	// measured boots of a faulted row.
+	Drops  uint64 `json:"drops,omitempty"`
+	Dups   uint64 `json:"dups,omitempty"`
+	Stales uint64 `json:"stales,omitempty"`
 	// Counters holds the observed worker's block-backend and fallback
 	// counter totals, keyed by metric family.
 	Counters map[string]uint64 `json:"counters"`
@@ -61,10 +69,19 @@ var workCounters = []string{
 	MetricLoopKernels,
 }
 
+// key names a row: its driver, and its scenario after an @.
+func (r workRow) key() string {
+	if r.Scenario == "" {
+		return r.Driver
+	}
+	return r.Driver + "@" + r.Scenario
+}
+
 // TestWorkGate pins each driver's per-boot work against
-// testdata/workgate.json: allocations and bytes within
-// workGateTolerance, and exactly the steps, fast-forwarded steps, port
-// accesses and block-backend counters. It also requires the enabled
+// testdata/workgate.json, on pristine hardware and, for each C driver,
+// under the flaky-bus injector at its default rate: allocations and
+// bytes within workGateTolerance, and exactly the steps, fast-forwarded
+// steps, injected faults, port accesses and block-backend counters. It also requires the enabled
 // metric collector to add zero allocations to every task's boot. Unlike
 // wall-clock throughput, every one of these is a function of the code
 // alone. Run with -update after an intended change: it rewrites only
@@ -77,7 +94,12 @@ func TestWorkGate(t *testing.T) {
 
 	var got []workRow
 	for _, driver := range drivers.Names() {
-		got = append(got, measureWork(t, driver))
+		got = append(got, measureWork(t, driver, ""))
+	}
+	for _, driver := range drivers.Names() {
+		if strings.HasSuffix(driver, "_c") {
+			got = append(got, measureWork(t, driver, "flaky-bus"))
+		}
 	}
 	var base []workRow
 	data, err := os.ReadFile(workGatePath)
@@ -89,11 +111,11 @@ func TestWorkGate(t *testing.T) {
 	}
 	want := make(map[string]workRow, len(base))
 	for _, r := range base {
-		want[r.Driver] = r
+		want[r.key()] = r
 	}
 	rows := make([]workRow, 0, len(got))
 	for _, g := range got {
-		w, ok := want[g.Driver]
+		w, ok := want[g.key()]
 		fails := []string{"no baseline row"}
 		if ok {
 			fails = workDiff(g, w)
@@ -104,11 +126,11 @@ func TestWorkGate(t *testing.T) {
 		case *update:
 			// Only a failing row takes fresh values: the others keep
 			// their baseline bytes, so the diff shows what moved.
-			t.Logf("%s: rewritten: %s", g.Driver, strings.Join(fails, "; "))
+			t.Logf("%s: rewritten: %s", g.key(), strings.Join(fails, "; "))
 			rows = append(rows, g)
 		default:
 			for _, f := range fails {
-				t.Errorf("%s: %s", g.Driver, f)
+				t.Errorf("%s: %s", g.key(), f)
 			}
 		}
 	}
@@ -145,6 +167,10 @@ func workDiff(g, w workRow) []string {
 	if g.Forwarded != w.Forwarded {
 		fails = append(fails, fmt.Sprintf("%d steps fast-forwarded, baseline %d", g.Forwarded, w.Forwarded))
 	}
+	if g.Drops != w.Drops || g.Dups != w.Dups || g.Stales != w.Stales {
+		fails = append(fails, fmt.Sprintf("%d/%d/%d drops/dups/stales injected, baseline %d/%d/%d",
+			g.Drops, g.Dups, g.Stales, w.Drops, w.Dups, w.Stales))
+	}
 	if g.PortAccesses != w.PortAccesses {
 		fails = append(fails, fmt.Sprintf("%d port accesses, baseline %d", g.PortAccesses, w.PortAccesses))
 	}
@@ -154,14 +180,18 @@ func workDiff(g, w workRow) []string {
 	return fails
 }
 
-// measureWork boots every task of driver's 5% gate sample on a plain
-// and on an observed worker, one testing.AllocsPerRun each.
-func measureWork(t *testing.T, driver string) workRow {
+// measureWork boots every task of driver's 5% gate sample, under
+// scenario when it is not empty, on a plain and on an observed worker,
+// one testing.AllocsPerRun each.
+func measureWork(t *testing.T, driver, scenario string) workRow {
 	t.Helper()
 	spec := campaign.Spec{Drivers: []string{driver}, SamplePct: 5, Seed: 2001}
+	if scenario != "" {
+		spec.Scenarios = []string{scenario}
+	}
 	col := obs.New()
 	plainWL := NewWorkload()
-	_, tasks, err := plainWL.Expand(spec)
+	_, tasks, err := campaign.ExpandPlan(spec, plainWL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,14 +213,14 @@ func measureWork(t *testing.T, driver string) workRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := workRow{Driver: driver, Tasks: len(tasks), Counters: make(map[string]uint64)}
+	row := workRow{Driver: driver, Scenario: scenario, Tasks: len(tasks), Counters: make(map[string]uint64)}
 	var ms runtime.MemStats
 	for _, task := range tasks {
 		var out campaign.Outcome
 		boot := func(wk campaign.Worker) func() {
 			return func() {
 				if out, err = wk.Boot(task); err != nil {
-					t.Fatalf("%s mutant %d: %v", driver, task.Mutant, err)
+					t.Fatalf("%s %s mutant %d: %v", driver, scenario, task.Mutant, err)
 				}
 			}
 		}
@@ -207,11 +237,19 @@ func measureWork(t *testing.T, driver string) workRow {
 		steps := out.Steps
 		row.Steps += steps
 		row.Forwarded += rigForwarded(plain)
+		for _, r := range plain.(*worker).rigs {
+			if r.Injector != nil {
+				drops, dups, stales := r.Injector.Stats()
+				row.Drops += drops
+				row.Dups += dups
+				row.Stales += stales
+			}
+		}
 
 		obsAllocs := testing.AllocsPerRun(1, boot(observed))
 		if out.Steps != steps {
 			t.Errorf("%s mutant %d: %d steps with the collector enabled, %d without",
-				driver, task.Mutant, out.Steps, steps)
+				row.key(), task.Mutant, out.Steps, steps)
 		}
 		// The runtime fills its type-assertion caches on a random 1 in
 		// 1024 of misses (errors.As in kernel.Classify takes that path),
@@ -223,12 +261,12 @@ func measureWork(t *testing.T, driver string) workRow {
 		}
 		if obsAllocs != allocs {
 			t.Errorf("%s mutant %d: %v allocs with the collector enabled, %v without",
-				driver, task.Mutant, obsAllocs, allocs)
+				row.key(), task.Mutant, obsAllocs, allocs)
 		}
 	}
 	row.PortAccesses = rigAccesses(plain)
 	if got := rigAccesses(observed); got != row.PortAccesses {
-		t.Errorf("%s: %d port accesses with the collector enabled, %d without", driver, got, row.PortAccesses)
+		t.Errorf("%s: %d port accesses with the collector enabled, %d without", row.key(), got, row.PortAccesses)
 	}
 	for _, s := range col.Gather() {
 		for _, name := range workCounters {

@@ -97,6 +97,24 @@ type mapping struct {
 	dev    Device
 	steady SteadyReader
 	burst  BurstReader
+	// latch holds an attached injector's stale-read latch per port of
+	// the range, allocated on the first injected read of the range.
+	latch []latch
+}
+
+// latch is the value a port last read, live while gen is the attached
+// injector's.
+type latch struct {
+	v   uint32
+	gen uint64
+}
+
+// latchAt is port's latch entry.
+func (m *mapping) latchAt(port Port) *latch {
+	if m.latch == nil {
+		m.latch = make([]latch, m.size)
+	}
+	return &m.latch[port-m.base]
 }
 
 // Bus is a port-mapped I/O space. The zero value is unusable; construct with
@@ -138,21 +156,22 @@ func (b *Bus) SetFloating(on bool) {
 }
 
 // SetInjector attaches (or, with nil, detaches) a fault injector to the
-// mapped-device data path. Like Map, it is a machine-assembly call: the
-// data path reads the field without locking, so it must not race with
-// execution. A bus without an injector pays one nil check per access.
+// mapped-device data path and drops every latch an earlier injector
+// left. Like Map, it is a machine-assembly call: the data path reads
+// the field without locking, so it must not race with execution. A bus
+// without an injector pays one nil check per access.
 func (b *Bus) SetInjector(inj *Injector) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.inj = inj
+	for i := range b.mappings {
+		b.mappings[i].latch = nil
+	}
 }
 
-// Injector returns the attached fault injector, if any.
-func (b *Bus) Injector() *Injector {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.inj
-}
+// Injector returns the attached fault injector, if any. Like the data
+// path, it reads the field without locking.
+func (b *Bus) Injector() *Injector { return b.inj }
 
 // Map claims the port range [base, base+size) for dev. Overlapping claims are
 // rejected, mirroring resource conflicts on a real bus.
@@ -309,13 +328,15 @@ func (b *Bus) Write(port Port, width AccessWidth, value uint32) error {
 	return nil
 }
 
-// Predictable reports whether reads may be predicted: no fault injector
-// is attached and tracing is off. Steady and Burst answer only then.
-func (b *Bus) Predictable() bool { return b.inj == nil && !b.tracing }
+// Predictable reports whether reads may be predicted: tracing is off,
+// so no trace expects every read. Steady and Burst answer only then. On
+// a bus with a fault injector a caller also keeps the reads it predicts
+// within what CleanReads leaves clean, each landing its latency later.
+func (b *Bus) Predictable() bool { return !b.tracing }
 
 // Steady predicts a read of port (see SteadyReader) without making it.
 // A floating bus answers for unmapped ports itself: they read all ones
-// Forever. The caller accounts each read it skips with CountReads.
+// Forever. The caller accounts each read it skips with SkipReads.
 func (b *Bus) Steady(port Port, width AccessWidth) (v uint32, until uint64, ok bool) {
 	if !b.Predictable() {
 		return 0, 0, false
@@ -334,35 +355,73 @@ func (b *Bus) Steady(port Port, width AccessWidth) (v uint32, until uint64, ok b
 	return v & widthMask(width), until, ok
 }
 
-// CountReads accounts n reads of a port that Steady predicted, exactly
-// as Read would have accounted them.
-func (b *Bus) CountReads(n uint64) { b.accesses += n }
+// SkipReads accounts n reads of port that Steady predicted would return
+// v, exactly as Read would account them: the bus counts them, and on a
+// mapped port an attached injector consumes their ordinals, charges
+// their latency and latches v. The caller keeps n within the injector's
+// Clean.
+func (b *Bus) SkipReads(port Port, v uint32, n uint64) {
+	b.accesses += n
+	if b.inj == nil || n == 0 {
+		return
+	}
+	if m := b.find(port); m != nil {
+		b.inj.skip(m, port, v, n)
+	}
+}
+
+// CleanReads reports what an attached injector does to reads of port:
+// how many of the next max roll no fault (see Injector.Clean), and the
+// latency ticks each charges. Without an injector, and on an unmapped
+// port, all max are clean and cost nothing.
+func (b *Bus) CleanReads(port Port, max uint64) (clean, latency uint64) {
+	if b.inj == nil || b.find(port) == nil {
+		return max, 0
+	}
+	return b.inj.Clean(max), b.inj.latency()
+}
+
+// Latched reports the value an attached injector's stale reads of port
+// would return, if one is latched.
+func (b *Bus) Latched(port Port) (v uint32, ok bool) {
+	m := b.find(port)
+	if b.inj == nil || m == nil || m.latch == nil {
+		return 0, false
+	}
+	l := m.latch[port-m.base]
+	return l.v, l.gen == b.inj.gen
+}
 
 // Burst makes up to len(dst) reads of port that do not depend on the
 // clock (see BurstReader), stores their masked values in dst, accounts
 // them as Read would, and returns how many it made. Unmapped ports on a
-// floating bus always burst.
+// floating bus always burst. On a mapped port an attached injector
+// bounds the burst by its Clean.
 func (b *Bus) Burst(port Port, width AccessWidth, dst []uint32) int {
 	if !b.Predictable() {
 		return 0
 	}
 	m := b.find(port)
-	var n int
 	switch {
 	case m == nil && b.floating:
 		for i := range dst {
 			dst[i] = widthMask(width)
 		}
-		n = len(dst)
+		b.accesses += uint64(len(dst))
+		return len(dst)
 	case m == nil || m.burst == nil:
 		return 0
-	default:
-		n = m.burst.Burst(port-m.base, width, dst)
-		for i := range dst[:n] {
-			dst[i] &= widthMask(width)
-		}
 	}
-	b.accesses += uint64(n)
+	if b.inj != nil {
+		dst = dst[:b.inj.Clean(uint64(len(dst)))]
+	}
+	n := m.burst.Burst(port-m.base, width, dst)
+	for i := range dst[:n] {
+		dst[i] &= widthMask(width)
+	}
+	if n > 0 {
+		b.SkipReads(port, dst[n-1], uint64(n))
+	}
 	return n
 }
 

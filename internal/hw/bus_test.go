@@ -297,10 +297,33 @@ func (r *steadyRAM) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
 	return n
 }
 
+// fifoRAM is a steadyRAM whose last cell is a FIFO head: each read
+// strobe, one at a time or in a burst, returns the next count.
+type fifoRAM struct {
+	steadyRAM
+	n uint32
+}
+
+func (r *fifoRAM) Read(off hw.Port, w hw.AccessWidth) (uint32, error) {
+	if off == 15 {
+		r.n++
+		return r.n, nil
+	}
+	return r.steadyRAM.Read(off, w)
+}
+
+func (r *fifoRAM) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
+	for i := range dst {
+		r.n++
+		dst[i] = r.n
+	}
+	return len(dst)
+}
+
 // TestBusPredictions pins the bus side of read prediction: what it
 // answers for unmapped ports, devices without the interfaces, and
-// devices with them; the masking and accounting of predicted reads; and
-// the silence of a bus with an injector or tracing on.
+// devices with them; the masking and accounting of predicted reads; the
+// silence of a bus with tracing on; and predictions through an injector.
 func TestBusPredictions(t *testing.T) {
 	dev := &steadyRAM{ram: ram{name: "s"}, until: 77, burst: 3}
 	dev.cells[2] = 0x1ff
@@ -355,7 +378,7 @@ func TestBusPredictions(t *testing.T) {
 	if n := bus.Burst(0x80, hw.Width16, dst); n != 5 || dst[4] != 0xffff {
 		t.Errorf("Burst of a floating port = %d %#x, want 5 all 0xffff", n, dst)
 	}
-	bus.CountReads(4)
+	bus.SkipReads(2, 0xff, 4)
 	if acc, faults := bus.Stats(); acc != 3+5+4 || faults != 0 {
 		t.Errorf("stats = %d/%d, want %d/0", acc, faults, 3+5+4)
 	}
@@ -363,13 +386,103 @@ func TestBusPredictions(t *testing.T) {
 		t.Errorf("a strict bus burst %d unmapped reads", n)
 	}
 
-	traced, injected := newBus(true), newBus(true)
+	traced := newBus(true)
 	traced.SetTracing(true)
-	injected.SetInjector(hw.NewInjector(hw.InjectorConfig{}, nil))
-	for name, b := range map[string]*hw.Bus{"tracing": traced, "injector": injected} {
-		_, _, ok := b.Steady(2, hw.Width8)
-		if b.Predictable() || ok || b.Burst(15, hw.Width8, dst) != 0 || b.Burst(0x80, hw.Width8, dst) != 0 {
-			t.Errorf("a bus with %s on predicted a read", name)
+	if _, _, ok := traced.Steady(2, hw.Width8); traced.Predictable() || ok ||
+		traced.Burst(15, hw.Width8, dst) != 0 || traced.Burst(0x80, hw.Width8, dst) != 0 {
+		t.Error("a bus with tracing on predicted a read")
+	}
+
+	// A bus with an injector predicts the reads the injector leaves
+	// clean: a burst stops before the first read that rolls a fault, and
+	// the reads it makes or SkipReads skips advance the injector's
+	// ordinal, the clock and the port's latch exactly as Read would.
+	cfg := hw.InjectorConfig{DropPerMyriad: 400, DupPerMyriad: 400, StalePerMyriad: 400, LatencyTicks: 3}
+	for seed := uint64(1); seed <= 40; seed++ {
+		var buses [2]*hw.Bus
+		var injs [2]*hw.Injector
+		var clocks [2]*hw.Clock
+		for i := range buses {
+			buses[i], clocks[i] = hw.NewBus(), &hw.Clock{}
+			fifo := &fifoRAM{steadyRAM: steadyRAM{ram: ram{name: "f"}, until: hw.Forever}}
+			fifo.cells[2] = 0x42
+			if err := buses[i].Map(0, 16, fifo); err != nil {
+				t.Fatal(err)
+			}
+			injs[i] = hw.NewInjector(cfg, clocks[i])
+			buses[i].SetInjector(injs[i])
+			injs[i].Reseed(seed)
+		}
+		pred, read := buses[0], buses[1]
+		// A stale roll stops Clean even before a port latches, where
+		// Read strobes the device anyway: latch both ports first.
+		for _, port := range []hw.Port{2, 15} {
+			for {
+				if _, ok := read.Latched(port); ok {
+					break
+				}
+				for _, b := range buses {
+					if _, err := b.Read(port, hw.Width8); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		// faulted reports whether read's next read of port rolls a fault.
+		faulted := func(port hw.Port) bool {
+			d, u, s := injs[1].Stats()
+			if _, err := read.Read(port, hw.Width8); err != nil {
+				t.Fatal(err)
+			}
+			d2, u2, s2 := injs[1].Stats()
+			return d+u+s != d2+u2+s2
+		}
+		same := func(what string, port hw.Port) {
+			t.Helper()
+			pv, pok := pred.Latched(port)
+			rv, rok := read.Latched(port)
+			pa, _ := pred.Stats()
+			ra, _ := read.Stats()
+			var ps, rs [3]uint64
+			ps[0], ps[1], ps[2] = injs[0].Stats()
+			rs[0], rs[1], rs[2] = injs[1].Stats()
+			if injs[0].Ordinal() != injs[1].Ordinal() || clocks[0].Now() != clocks[1].Now() ||
+				pv != rv || pok != rok || pa != ra || ps != rs {
+				t.Errorf("seed %d: %s: ordinal %d, clock %d, latch %#x/%v, accesses %d, faults %v; reading: %d, %d, %#x/%v, %d, %v",
+					seed, what, injs[0].Ordinal(), clocks[0].Now(), pv, pok, pa, ps,
+					injs[1].Ordinal(), clocks[1].Now(), rv, rok, ra, rs)
+			}
+		}
+
+		burst := make([]uint32, 64)
+		n := pred.Burst(15, hw.Width8, burst)
+		for i, want := range burst[:n] {
+			if got, err := read.Read(15, hw.Width8); err != nil || got != want {
+				t.Fatalf("seed %d: burst read %d = %#x, a read returned %#x (%v)", seed, i, want, got, err)
+			}
+		}
+		same("after a burst", 15)
+		if n < len(burst) && !faulted(15) {
+			t.Errorf("seed %d: burst stopped after %d reads, before a clean one", seed, n)
+		}
+		if n < len(burst) {
+			_, _ = pred.Read(15, hw.Width8) // the faulted read, on both sides
+		}
+
+		v, _, ok := pred.Steady(2, hw.Width8)
+		clean, lat := pred.CleanReads(2, 20)
+		if !ok || lat != 3 {
+			t.Fatalf("seed %d: Steady ok=%v, latency %d", seed, ok, lat)
+		}
+		pred.SkipReads(2, v, clean)
+		for range clean {
+			if got, err := read.Read(2, hw.Width8); err != nil || got != v {
+				t.Fatalf("seed %d: a skipped read returned %#x (%v), predicted %#x", seed, got, err, v)
+			}
+		}
+		same("after skipped reads", 2)
+		if clean < 20 && !faulted(2) {
+			t.Errorf("seed %d: Clean stopped after %d reads, before a clean one", seed, clean)
 		}
 	}
 

@@ -46,20 +46,26 @@ type Model struct {
 	Ops  []Op
 }
 
-// Check replays script on two machines of the model. Before each step
-// it picks a probe and checks, on the two machines in the same state:
+// Check replays script on two machines of the model. With a non-nil
+// faults, both buses carry a fault injector of that configuration,
+// armed at one seed the rng draws. Before each step Check picks a probe
+// and checks, on the two machines in the same state:
 //
 //   - whenever Steady answers, the first machine read at random times
 //     before until, often the last of them, returns v every time, and
 //     ends in the state of the second, whose clock only moved and whose
-//     bus counted the reads;
+//     bus skipped the reads (SkipReads); under an injector the reads are
+//     the ones it leaves clean (CleanReads), each landing its latency
+//     later;
 //   - a Burst of n reads on the first machine returns what n reads of
 //     the second, with random ticks between them, return, and both end
 //     in the same state.
 //
-// The checks keep the machines in step, so the script goes on from
-// there. Check returns the first mismatch.
-func Check(m Model, script []Op, rng *rand.Rand) error {
+// The state compared is the clock, the bus accounting, the model's
+// state and, under an injector, its read ordinal, its fault counts and
+// every probe port's latch. The checks keep the machines in step, so
+// the script goes on from there. Check returns the first mismatch.
+func Check(m Model, faults *hw.InjectorConfig, script []Op, rng *rand.Rand) error {
 	var probes []Op
 	for _, o := range m.Ops {
 		if !o.Write && o.Ticks == 0 {
@@ -67,12 +73,21 @@ func Check(m Model, script []Op, rng *rand.Rand) error {
 		}
 	}
 	a, b := m.New(), m.New()
+	if faults != nil {
+		seed := rng.Uint64()
+		for _, mc := range []*Machine{a, b} {
+			inj := hw.NewInjector(*faults, mc.Clock)
+			inj.Reseed(seed)
+			mc.Bus.SetInjector(inj)
+		}
+	}
+	c := &checker{a: a, b: b, probes: probes, rng: rng}
 	for i, o := range script {
 		p := probes[rng.Intn(len(probes))]
-		if err := checkSteady(a, b, p, rng); err != nil {
+		if err := c.steady(p); err != nil {
 			return fmt.Errorf("%s, before step %d: %w", m.Name, i, err)
 		}
-		if err := checkBurst(a, b, p, rng); err != nil {
+		if err := c.burst(p); err != nil {
 			return fmt.Errorf("%s, before step %d: %w", m.Name, i, err)
 		}
 		for _, mc := range []*Machine{a, b} {
@@ -82,6 +97,13 @@ func Check(m Model, script []Op, rng *rand.Rand) error {
 		}
 	}
 	return nil
+}
+
+// checker holds the twin machines of one Check.
+type checker struct {
+	a, b   *Machine
+	probes []Op
+	rng    *rand.Rand
 }
 
 func (mc *Machine) step(o Op) error {
@@ -96,9 +118,10 @@ func (mc *Machine) step(o Op) error {
 	return err
 }
 
-// same reports where two machines differ: clock, bus accounting or
-// model state.
-func same(a, b *Machine) error {
+// same reports where the two machines differ: clock, bus accounting,
+// injector or model state.
+func (c *checker) same() error {
+	a, b := c.a, c.b
 	if an, bn := a.Clock.Now(), b.Clock.Now(); an != bn {
 		return fmt.Errorf("clocks at %d and %d", an, bn)
 	}
@@ -106,6 +129,24 @@ func same(a, b *Machine) error {
 	ba, bf := b.Bus.Stats()
 	if aa != ba || af != bf {
 		return fmt.Errorf("bus stats %d/%d and %d/%d", aa, af, ba, bf)
+	}
+	if ai, bi := a.Bus.Injector(), b.Bus.Injector(); ai != nil {
+		if ao, bo := ai.Ordinal(), bi.Ordinal(); ao != bo {
+			return fmt.Errorf("injector ordinals %d and %d", ao, bo)
+		}
+		var as, bs [3]uint64
+		as[0], as[1], as[2] = ai.Stats()
+		bs[0], bs[1], bs[2] = bi.Stats()
+		if as != bs {
+			return fmt.Errorf("injector drops/dups/stales %v and %v", as, bs)
+		}
+		for _, p := range c.probes {
+			av, aok := a.Bus.Latched(p.Port)
+			bv, bok := b.Bus.Latched(p.Port)
+			if aok != bok || av != bv {
+				return fmt.Errorf("port %#x latches %#x (%v) and %#x (%v)", p.Port, av, aok, bv, bok)
+			}
+		}
 	}
 	sa, sb := a.State(), b.State()
 	t := reflect.TypeOf(sa)
@@ -116,45 +157,47 @@ func same(a, b *Machine) error {
 	return nil
 }
 
-func checkSteady(a, b *Machine, p Op, rng *rand.Rand) error {
+func (c *checker) steady(p Op) error {
+	a, b, rng := c.a, c.b, c.rng
 	v, until, ok := a.Bus.Steady(p.Port, p.Width)
-	if err := same(a, b); err != nil {
+	if err := c.same(); err != nil {
 		return fmt.Errorf("Steady(%#x, %v) moved the model: %w", p.Port, p.Width, err)
 	}
 	if !ok {
 		return nil
 	}
 	start := a.Clock.Now()
+	clean, lat := a.Bus.CleanReads(p.Port, uint64(1+rng.Intn(5)))
 	reads := uint64(0)
-	for k := rng.Intn(5); k >= 0; k-- {
+	for ; reads < clean; reads++ {
 		now := a.Clock.Now()
-		if now >= until {
+		if now+lat >= until {
 			break
 		}
-		gap := uint64(rng.Int63n(int64(min(until-now, 300))))
-		if k == 0 && until-now <= 5000 && rng.Intn(2) == 0 {
-			gap = until - 1 - now // the last tick the prediction covers
+		gap := uint64(rng.Int63n(int64(min(until-now-lat, 300))))
+		if reads == clean-1 && until-now <= 5000 && rng.Intn(2) == 0 {
+			gap = until - 1 - now - lat // the last tick the prediction covers
 		}
 		a.Clock.Tick(gap)
 		got, err := a.Bus.Read(p.Port, p.Width)
 		if err != nil {
 			return err
 		}
-		reads++
 		if got != v {
 			return fmt.Errorf("Steady(%#x, %v) at %d = %#x until %d, but a read at %d returned %#x",
 				p.Port, p.Width, start, v, until, a.Clock.Now(), got)
 		}
 	}
-	b.Clock.Tick(a.Clock.Now() - b.Clock.Now())
-	b.Bus.CountReads(reads)
-	if err := same(a, b); err != nil {
+	b.Clock.Tick(a.Clock.Now() - b.Clock.Now() - reads*lat)
+	b.Bus.SkipReads(p.Port, v, reads)
+	if err := c.same(); err != nil {
 		return fmt.Errorf("%d reads predicted by Steady(%#x, %v) moved the model: %w", reads, p.Port, p.Width, err)
 	}
 	return nil
 }
 
-func checkBurst(a, b *Machine, p Op, rng *rand.Rand) error {
+func (c *checker) burst(p Op) error {
+	a, b, rng := c.a, c.b, c.rng
 	dst := make([]uint32, 1+rng.Intn([]int{8, 40, 300}[rng.Intn(3)]))
 	n := a.Bus.Burst(p.Port, p.Width, dst)
 	for i, want := range dst[:n] {
@@ -168,7 +211,7 @@ func checkBurst(a, b *Machine, p Op, rng *rand.Rand) error {
 		}
 	}
 	a.Clock.Tick(b.Clock.Now() - a.Clock.Now())
-	if err := same(a, b); err != nil {
+	if err := c.same(); err != nil {
 		return fmt.Errorf("Burst(%#x, %v) of %d reads: %w", p.Port, p.Width, n, err)
 	}
 	return nil

@@ -174,7 +174,7 @@ func TestPredictionsMatchReads(t *testing.T) {
 			}
 			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: width, Value: o.value, Ticks: o.ticks})
 		}
-		if err := hwtest.Check(hwtest.IDE(), script, rng); err != nil {
+		if err := hwtest.Check(hwtest.IDE(), nil, script, rng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -18,6 +18,13 @@ package hw
 // oracle hold observables byte-identical under every scenario. Campaign
 // workers reseed per boot from the task's fingerprint, so serial,
 // sharded and resumed runs of one cell see the same faults.
+//
+// Because the decisions are known in advance, the bus predicts reads
+// through an injector (see Bus.Steady and Bus.Burst): Clean says how
+// many upcoming reads roll no fault, and a read the bus skips or
+// bursts within that many advances the ordinal, charges the latency
+// and latches its value exactly as read does, so the fault counts do
+// not move.
 
 // InjectorConfig sets the per-access fault rates. The three read-fault
 // rates are per ten thousand reads of mapped ports; their sum must stay
@@ -45,7 +52,9 @@ type Injector struct {
 	clock *Clock
 	seed  uint64
 	n     uint64 // read ordinal since the last Reseed
-	last  map[Port]uint32
+	// gen names the current boot's latches: a mapping's latch entry is
+	// live only while its gen matches (see mapping.latch).
+	gen uint64
 
 	drops  uint64
 	dups   uint64
@@ -55,17 +64,18 @@ type Injector struct {
 // NewInjector builds an injector with the given rates. The clock, when
 // non-nil, is charged LatencyTicks per mapped access.
 func NewInjector(cfg InjectorConfig, clock *Clock) *Injector {
-	return &Injector{cfg: cfg, clock: clock, last: make(map[Port]uint32)}
+	return &Injector{cfg: cfg, clock: clock, gen: 1}
 }
 
 // Reseed rewinds the injector to the start of a boot under the given
 // seed: the read ordinal, the per-port latches and the fault counters
 // all reset, so one (seed, access sequence) pair always yields the same
-// faults.
+// faults. Moving to a new latch generation drops every latch without
+// touching, or allocating, any.
 func (i *Injector) Reseed(seed uint64) {
 	i.seed = seed
 	i.n = 0
-	clear(i.last)
+	i.gen++
 	i.drops, i.dups, i.stales = 0, 0, 0
 }
 
@@ -74,10 +84,20 @@ func (i *Injector) Stats() (drops, dups, stales uint64) {
 	return i.drops, i.dups, i.stales
 }
 
-// roll consumes one read ordinal and returns its splitmix64 mix.
-func (i *Injector) roll() uint64 {
-	x := i.seed + (i.n+1)*0x9E3779B97F4A7C15
-	i.n++
+// Ordinal is the number of reads rolled since the last Reseed.
+func (i *Injector) Ordinal() uint64 { return i.n }
+
+// latency is the device time each mapped access charges to the clock.
+func (i *Injector) latency() uint64 {
+	if i.clock == nil {
+		return 0
+	}
+	return i.cfg.LatencyTicks
+}
+
+// mix is the splitmix64 mix of a read ordinal (counted from 1).
+func (i *Injector) mix(ord uint64) uint64 {
+	x := i.seed + ord*0x9E3779B97F4A7C15
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -86,10 +106,50 @@ func (i *Injector) roll() uint64 {
 	return x
 }
 
+// roll consumes one read ordinal and returns its mix.
+func (i *Injector) roll() uint64 {
+	i.n++
+	return i.mix(i.n)
+}
+
+// faulty is the per-myriad threshold below which a roll faults.
+func (i *Injector) faulty() uint64 {
+	return uint64(i.cfg.DropPerMyriad) + uint64(i.cfg.DupPerMyriad) + uint64(i.cfg.StalePerMyriad)
+}
+
+// Clean reports how many of the next max reads roll no fault: no drop,
+// no doubled strobe and no stale latch. A stale roll stops it even on a
+// port with no live latch, where read would strobe the device anyway.
+// It changes nothing and costs one mix per ordinal it looks at; with
+// zero fault rates it looks at none.
+func (i *Injector) Clean(max uint64) uint64 {
+	t := i.faulty()
+	if t == 0 {
+		return max
+	}
+	for k := uint64(0); k < max; k++ {
+		if i.mix(i.n+1+k)%10_000 < t {
+			return k
+		}
+	}
+	return max
+}
+
+// skip accounts n reads of port on m that Clean cleared and that
+// returned v, as read would: it consumes their ordinals, charges their
+// latency and latches v.
+func (i *Injector) skip(m *mapping, port Port, v uint32, n uint64) {
+	i.n += n
+	if l := i.latency(); l > 0 {
+		i.clock.Tick(n * l)
+	}
+	*m.latchAt(port) = latch{v: v, gen: i.gen}
+}
+
 // delay charges the configured access latency to the clock.
 func (i *Injector) delay() {
-	if i.cfg.LatencyTicks > 0 && i.clock != nil {
-		i.clock.Tick(i.cfg.LatencyTicks)
+	if l := i.latency(); l > 0 {
+		i.clock.Tick(l)
 	}
 }
 
@@ -98,8 +158,7 @@ func (i *Injector) delay() {
 // fast path stays a single nil check.
 func (i *Injector) read(b *Bus, m *mapping, port Port, width AccessWidth) (uint32, error) {
 	i.delay()
-	r := i.roll() % 10_000
-	mode := r
+	mode := i.roll() % 10_000
 	switch {
 	case mode < uint64(i.cfg.DropPerMyriad):
 		// Dropped strobe: the device never sees the read and the driver
@@ -117,9 +176,9 @@ func (i *Injector) read(b *Bus, m *mapping, port Port, width AccessWidth) (uint3
 		// Delayed latch: the port returns what it last read. Before the
 		// first successful read there is nothing latched and the strobe
 		// goes through normally.
-		if v, ok := i.last[port]; ok {
+		if l := m.latchAt(port); l.gen == i.gen {
 			i.stales++
-			v &= widthMask(width)
+			v := l.v & widthMask(width)
 			b.record(Access{Port: port, Width: width, Value: v})
 			return v, nil
 		}
@@ -130,7 +189,7 @@ func (i *Injector) read(b *Bus, m *mapping, port Port, width AccessWidth) (uint3
 	if err != nil {
 		return 0, deviceError(m, err)
 	}
-	i.last[port] = v
+	*m.latchAt(port) = latch{v: v, gen: i.gen}
 	return v, nil
 }
 

@@ -1,6 +1,8 @@
 package hw
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -217,5 +219,77 @@ func TestInjectorLatency(t *testing.T) {
 	}
 	if got := clock.Now() - start; got != 0 {
 		t.Fatalf("unmapped access charged %d ticks, want 0", got)
+	}
+}
+
+// TestInjectorClean: Clean(max) is the number of leading reads, of at
+// most max, that read makes with no drop, dup or stale, over random
+// seeds and rates, zero rates included; it changes nothing, and with
+// zero rates it answers any max at once.
+func TestInjectorClean(t *testing.T) {
+	rng := rand.New(rand.NewSource(2001))
+	for trial := 0; trial < 400; trial++ {
+		var cfg InjectorConfig
+		if trial%4 != 0 {
+			cfg = InjectorConfig{
+				DropPerMyriad:  uint32(rng.Intn(1500)),
+				DupPerMyriad:   uint32(rng.Intn(1500)),
+				StalePerMyriad: uint32(rng.Intn(1500)),
+			}
+		}
+		b, inj, _ := injectedBus(t, cfg, nil)
+		inj.Reseed(rng.Uint64())
+		// Latch the port first: before that, a stale roll strobes the
+		// device as a clean read does, and Clean stops at it anyway.
+		for {
+			if _, ok := b.Latched(0x100); ok {
+				break
+			}
+			readStream(t, b, 1)
+		}
+		max := uint64(rng.Intn(120))
+		clean, ord := inj.Clean(max), inj.Ordinal()
+		if again := inj.Clean(max); again != clean || inj.Ordinal() != ord {
+			t.Fatalf("trial %d: Clean moved the injector: %d then %d, ordinal %d then %d", trial, clean, again, ord, inj.Ordinal())
+		}
+		var made uint64
+		for made < max {
+			d, u, s := inj.Stats()
+			readStream(t, b, 1)
+			if d2, u2, s2 := inj.Stats(); d2+u2+s2 != d+u+s {
+				break
+			}
+			made++
+		}
+		if made != clean {
+			t.Fatalf("trial %d (%+v): Clean(%d) = %d, but %d reads went unperturbed", trial, cfg, max, clean, made)
+		}
+	}
+	_, inj, _ := injectedBus(t, InjectorConfig{LatencyTicks: 8}, nil)
+	if got := inj.Clean(math.MaxUint64); got != math.MaxUint64 {
+		t.Fatalf("zero-rate Clean(MaxUint64) = %d", got)
+	}
+}
+
+// TestInjectorReseedAllocs: once the first boot has allocated the
+// mappings' latches, Reseed and a replay of reads, faults and stale
+// latches included, allocate nothing.
+func TestInjectorReseedAllocs(t *testing.T) {
+	b, inj, dev := injectedBus(t, InjectorConfig{DropPerMyriad: 1000, DupPerMyriad: 1000, StalePerMyriad: 1000, LatencyTicks: 2}, &Clock{})
+	replay := func() {
+		inj.Reseed(7)
+		dev.n = 0
+		for k := 0; k < 200; k++ {
+			if _, err := b.Read(0x100+Port(k%4), Width8); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	replay()
+	if _, _, stales := inj.Stats(); stales == 0 {
+		t.Fatal("the replay made no stale read")
+	}
+	if allocs := testing.AllocsPerRun(20, replay); allocs != 0 {
+		t.Errorf("Reseed and replay allocated %v times", allocs)
 	}
 }

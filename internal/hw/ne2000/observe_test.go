@@ -48,7 +48,7 @@ func randomScript(rng *rand.Rand) []hwtest.Op {
 func TestPredictionsMatchReads(t *testing.T) {
 	for seed := int64(1); seed <= 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		if err := hwtest.Check(hwtest.NE2000(), randomScript(rng), rng); err != nil {
+		if err := hwtest.Check(hwtest.NE2000(), nil, randomScript(rng), rng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -162,7 +162,7 @@ func TestPredictionsMatchReads(t *testing.T) {
 		for _, o := range randomScript(rng) {
 			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: o.width, Value: o.value, Ticks: o.ticks})
 		}
-		if err := hwtest.Check(hwtest.PCI(), script, rng); err != nil {
+		if err := hwtest.Check(hwtest.PCI(), nil, script, rng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -198,7 +198,7 @@ func TestPredictionsMatchReads(t *testing.T) {
 		for _, o := range randomScript(rng) {
 			script = append(script, hwtest.Op{Write: o.write, Port: o.port, Width: hw.Width32, Value: o.value, Ticks: o.ticks})
 		}
-		if err := hwtest.Check(hwtest.Permedia(), script, rng); err != nil {
+		if err := hwtest.Check(hwtest.Permedia(), nil, script, rng); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
