@@ -58,7 +58,7 @@ func runMetrics(args []string) error {
 	return nil
 }
 
-// runScenarios lists the registered hardware scenarios — the values
+// runScenarios lists the hardware scenarios — the values
 // `campaign run -scenario` accepts. With -names it prints bare names
 // only; scripts/check_docs.sh greps that list against the docs.
 func runScenarios(args []string) error {

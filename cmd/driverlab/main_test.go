@@ -69,7 +69,7 @@ func TestUsageEnumeratesSurface(t *testing.T) {
 		"serve", "worker", "-connect",
 	}
 	wants = append(wants, drivers.Names()...)
-	// Every registered scenario must be named in the usage text, so the
+	// Every scenario of the table must be named in the usage text, so the
 	// matrix axis is discoverable without reading the source.
 	for _, sc := range experiment.Scenarios() {
 		wants = append(wants, sc.Name)
@@ -518,7 +518,7 @@ func TestCampaignCLIErrors(t *testing.T) {
 	_ = os.Remove(filepath.Join(dir, "s.jsonl"))
 }
 
-// TestScenariosCLI: the scenarios subcommand lists every registered
+// TestScenariosCLI: the scenarios subcommand lists every
 // scenario, -names emits the machine-readable form the docs gate
 // consumes, and positional arguments are rejected.
 func TestScenariosCLI(t *testing.T) {

@@ -971,9 +971,8 @@ func (c *compiler) blockCall(name, varName string, reading bool,
 			}
 		}
 		off, count := args[0].I, args[1].I
-		burst := canBurst && st.bus.Predictable()
 		for k := int64(0); k < count; k++ {
-			if burst {
+			if canBurst {
 				n, err := burstBlock(st, acc, off+k*elem, count-k, elem)
 				if k += n; err != nil || k == count {
 					return voidValue, err

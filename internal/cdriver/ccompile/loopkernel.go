@@ -61,24 +61,23 @@ import (
 // iterations it applies are those of a poll whose test reads steady
 // ports and fails, of a busy-wait whose test reads a steady port and
 // holds, and of a transfer whose first statement reads the port into
-// the buffer. Their number n is the smallest of the condition's span
-// (iterations after which a hoisted `i OP B` still holds), the steady
-// horizon (reads that land before the value can change) and the
-// watchdog's room, so the one batched charge never trips the watchdog;
-// a transfer also stops before its first wild buffer offset. The post
-// local moves by n steps, the bus counts n reads (n per fragment of a
-// stub test's variable), a transfer stores the n values, and everything
-// else runs the per-iteration code. A stub test predicts through
-// codegen.Accessor.Steady, which refuses a register with pre-actions
-// and, in debug mode, a value that fails the read assertion; dil_eq's
-// type mismatch refuses too, so the closures raise either at its step.
-// The block stubs' get_block_ reads burst the same way (burstBlock in
-// expr.go). The bus predicts nothing while tracing is on, which the
-// kernel checks once per run. Under a fault injector it predicts, and
-// a window also stops before the first read that rolls a fault, with
-// each read landing the injector's latency later (window; Bus.Burst
-// bounds a transfer's burst itself). Accessor.Steady refuses there, so
-// a stub test reads every iteration.
+// the buffer. A poll or busy-wait bounds its n by the condition's span
+// (iterations after which a hoisted `i OP B` still holds) and the
+// watchdog's room, so the one batched charge never trips the watchdog,
+// and hands the bound, the time of its first read and its steps per
+// iteration to hw.Bus.Skip (codegen.Accessor.Skip for a stub test),
+// which accounts the reads that stay steady and clean of injected
+// faults and returns how many: n. A transfer bounds its chunk the same
+// way, and also before its first wild buffer offset, and hw.Bus.Burst
+// returns how many reads it made. The post local moves by n steps, a
+// transfer stores the n values, and everything else runs the
+// per-iteration code. A stub test predicts through
+// codegen.Accessor.Steady, which refuses a register with pre-actions,
+// a bus with a fault injector and, in debug mode, a value that fails
+// the read assertion; dil_eq's type mismatch refuses too, so the
+// closures raise either at its step. The block stubs' get_block_ reads
+// burst the same way (burstBlock in expr.go). The bus predicts nothing
+// while tracing is on.
 //
 // The kernels keep their own per-iteration code (portTest.eval,
 // xferOp.exec, bufRead/bufWrite, the poll's port branch and spinKernel)
@@ -330,6 +329,16 @@ func (t *portTest) steady(st *state, fr []Value) (holds bool, v uint32, until ui
 	return ok && t.apply(int64(v), fr), v, until, ok
 }
 
+// skip accounts up to max evaluations of the test that steady predicted
+// read v before until, the first head steps from now and then one every
+// per, and returns how many hw.Bus.Skip accounted.
+func (t *portTest) skip(st *state, v uint32, max, head, per int64, until uint64) int64 {
+	if max <= 0 {
+		return 0
+	}
+	return int64(st.bus.Skip(t.port.port, v, uint64(max), st.kern.Now()+uint64(head), uint64(per), until))
+}
+
 // stubTest is a poll condition over one Devil stub read, portTest's
 // twin for the Devil drivers: `get_X()`, `dil_eq(get_X(), K)` with K a
 // Devil enum constant, or `get_X() OP M`, each also under one `!`. The
@@ -423,33 +432,6 @@ func (t *stubTest) steady(st *state, fr []Value) (holds bool, until uint64, ok b
 		holds = v.Truthy()
 	}
 	return holds != t.not, until, true
-}
-
-// horizon is how many reads, the first at time first and then one every
-// per ticks, land before until.
-func horizon(first, until uint64, per int64) int64 {
-	if until <= first {
-		return 0
-	}
-	return int64(min((until-1-first)/uint64(per), math.MaxInt64-1)) + 1
-}
-
-// window bounds a forward of at most n iterations that each charge per
-// steps and read port once, head steps after the iteration starts, by
-// the steady horizon until. On a bus with a fault injector it also
-// stops before the first read that rolls a fault, and each read lands
-// the injector's latency later and adds it to the iteration's ticks
-// (the injector ticks the clock the kernel reads).
-func window(st *state, port hw.Port, n, head, per int64, until uint64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	first := st.kern.Now() + uint64(head)
-	if st.bus.Injector() != nil {
-		clean, lat := st.bus.CleanReads(port, uint64(n))
-		n, first, per = int64(clean), first+lat, per+int64(lat)
-	}
-	return min(n, horizon(first, until, per))
 }
 
 // loopTail is a kernel for loop's iteration tail: the pure i++/i-- post
@@ -813,9 +795,8 @@ func (k *xferKernel) run(st *state, fr []Value, head int64) (flow, bool, error) 
 	if !ok {
 		return flowNormal, false, nil
 	}
-	burst := k.burst && st.bus.Predictable()
 	for {
-		if burst {
+		if k.burst {
 			if err := k.forward(st, fr, head, b); err != nil {
 				return flowNormal, true, err
 			}
@@ -900,13 +881,17 @@ func (k *pollKernel) steady(st *state, fr []Value) (holds bool, v uint32, until 
 	return holds, 0, until, ok
 }
 
-// skip accounts n skipped evaluations of the test that read v.
-func (k *pollKernel) skip(st *state, v uint32, n int64) {
-	if k.stub == nil {
-		st.bus.SkipReads(k.test.port.port, v, uint64(n))
-	} else {
-		k.stub.acc.Skip(uint64(n))
+// skip accounts up to max skipped evaluations of the test, which read
+// v, and returns how many: portTest.skip, or its twin through
+// codegen.Accessor.Skip for a stub test.
+func (k *pollKernel) skip(st *state, v uint32, max, head, per int64, until uint64) int64 {
+	switch {
+	case k.stub == nil:
+		return k.test.skip(st, v, max, head, per, until)
+	case max <= 0:
+		return 0
 	}
+	return int64(k.stub.acc.Skip(uint64(max), st.kern.Now()+uint64(head), uint64(per), until))
 }
 
 func (k *pollKernel) run(st *state, fr []Value, head int64) (flow, bool, error) {
@@ -917,19 +902,15 @@ func (k *pollKernel) run(st *state, fr []Value, head int64) (flow, bool, error) 
 	if !ok {
 		return flowNormal, false, nil
 	}
-	forward := st.bus.Predictable() && (k.stub == nil || !k.stub.late(st))
+	forward := k.stub == nil || !k.stub.late(st)
 	per := head + 2
 	for {
 		if forward {
 			// Skip the iterations whose test reads steady ports and
-			// fails: each only charges, reads and counts. A stub test
-			// predicts only on a bus without an injector, where window
-			// needs no port.
+			// fails: each only charges, reads and counts.
 			if holds, v, until, ok := k.steady(st, fr); ok && !holds {
-				n := window(st, k.test.port.port, min(k.tail.span(fr, b), st.kern.Room()/per), head, per, until)
-				if n > 0 {
+				if n := k.skip(st, v, min(k.tail.span(fr, b), st.kern.Room()/per), head, per, until); n > 0 {
 					k.tail.advance(fr, n)
-					k.skip(st, v, n)
 					if err := st.kern.Forward(n * per); err != nil {
 						return flowNormal, true, err
 					}
@@ -979,18 +960,12 @@ func (k *spinKernel) run(st *state, fr []Value, head int64) (flow, bool, error) 
 	if k.test.late(st) {
 		return flowNormal, false, nil
 	}
-	forward := st.bus.Predictable()
 	for {
-		if forward {
-			// Skip the iterations whose test reads a steady port and
-			// holds.
-			if holds, v, until, _ := k.test.steady(st, fr); holds {
-				n := window(st, k.test.port.port, st.kern.Room()/head, head, head, until)
-				if n > 0 {
-					st.bus.SkipReads(k.test.port.port, v, uint64(n))
-					if err := st.kern.Forward(n * head); err != nil {
-						return flowNormal, true, err
-					}
+		// Skip the iterations whose test reads a steady port and holds.
+		if holds, v, until, _ := k.test.steady(st, fr); holds {
+			if n := k.test.skip(st, v, st.kern.Room()/head, head, head, until); n > 0 {
+				if err := st.kern.Forward(n * head); err != nil {
+					return flowNormal, true, err
 				}
 			}
 		}

@@ -527,13 +527,17 @@ func (a *Accessor) Steady() (v Value, until uint64, ok bool) {
 	return Value{File: s.filename, Type: a.typeID, Val: assembled}, until, true
 }
 
-// Skip accounts n Gets that Steady predicted as Get would: n reads of
-// each fragment's port. Steady answers only on a bus without an
-// injector, where a skipped read latches no value, so Skip passes none.
-func (a *Accessor) Skip(n uint64) {
+// Skip accounts the Gets that Steady predicted before until, issued at
+// first, first+per, …, at most max of them, as Get would, and returns
+// how many: hw.Bus.Skip accounts that many reads of each fragment's
+// port. Steady answers only on a bus without an injector, where every
+// fragment skips the same count and a skipped read latches no value,
+// so Skip passes none.
+func (a *Accessor) Skip(max, first, per, until uint64) uint64 {
 	for i := range a.frags {
-		a.s.bus.SkipReads(a.frags[i].reg.readPort, 0, n)
+		max = a.s.bus.Skip(a.frags[i].reg.readPort, 0, max, first, per, until)
 	}
+	return max
 }
 
 // Burst makes up to len(dst) Gets that do not depend on the clock (see

@@ -117,6 +117,17 @@ func (a *twin) same(b *twin) error {
 	return nil
 }
 
+// splitSpec has a variable of two fragments whose registers predict:
+// no embedded specification has one.
+const splitSpec = `
+device splitdev (base : bit[8] port @ {1..2})
+{
+    register lo = read base @ 1 : bit[8];
+    register hi = read base @ 2 : bit[8];
+    variable Word = hi # lo, volatile : int(16);
+}
+`
+
 // TestAccessorPredictions checks Accessor.Steady and Accessor.Burst
 // against Get, in the style of hwtest.Check, for every readable variable
 // of every embedded specification and testSpec in both modes. Two twin
@@ -131,8 +142,9 @@ func (a *twin) same(b *twin) error {
 // fails its read assertion.
 func TestAccessorPredictions(t *testing.T) {
 	rng := rand.New(rand.NewSource(2001))
-	var steadyOK, assertRefused, bursts int
-	sources := append(specs.All(), specs.Spec{Filename: "testdev.dil", Source: testSpec})
+	var steadyOK, assertRefused, bursts, multiSkips int
+	sources := append(specs.All(), specs.Spec{Filename: "testdev.dil", Source: testSpec},
+		specs.Spec{Filename: "splitdev.dil", Source: splitSpec})
 	for _, sp := range sources {
 		spec, err := devil.Compile(sp.Filename, sp.Source)
 		if err != nil {
@@ -180,22 +192,50 @@ func TestAccessorPredictions(t *testing.T) {
 					}
 					if ok {
 						steadyOK++
-						gets := uint64(0)
+						get := func() {
+							t.Helper()
+							got, err := accA.Get()
+							if err != nil || got != v {
+								t.Fatalf("%s: Steady = %+v until %d, but a Get at %d returned %+v, %v",
+									what, v, until, a.clock.Now(), got, err)
+							}
+						}
+						// Gets at random times, skipped one by one.
 						for k := rng.Intn(4); k >= 0 && a.clock.Now() < until; k-- {
 							g := uint64(rng.Int63n(int64(min(until-a.clock.Now(), 200))))
 							if k == 0 && rng.Intn(2) == 0 {
 								g = until - 1 - a.clock.Now()
 							}
 							a.clock.Tick(g)
-							got, err := accA.Get()
-							if err != nil || got != v {
-								t.Fatalf("%s: Steady = %+v until %d, but a Get at %d returned %+v, %v",
-									what, v, until, a.clock.Now(), got, err)
+							b.clock.Tick(g)
+							if n := accB.Skip(1, b.clock.Now(), 1, until); n != 1 {
+								t.Fatalf("%s: Skip of one Get at %d before %d = %d", what, b.clock.Now(), until, n)
 							}
-							gets++
+							get()
+						}
+						// Gets every per ticks: every fragment's port
+						// skips the same count.
+						max, per, first := uint64(rng.Intn(6)), uint64(rng.Intn(60)), b.clock.Now()
+						before, _ := b.bus.Stats()
+						n := accB.Skip(max, first, per, until)
+						after, _ := b.bus.Stats()
+						if frags := uint64(len(vi.Fragments)); after-before != n*frags {
+							t.Fatalf("%s: Skip of %d Gets accounted %d reads of %d fragments", what, n, after-before, frags)
+						}
+						if len(vi.Fragments) > 1 && n > 0 {
+							multiSkips++
+						}
+						for i := range n {
+							if i > 0 {
+								a.clock.Tick(per)
+							}
+							get()
+						}
+						if n < max && first+n*per < until {
+							t.Fatalf("%s: Skip from %d every %d until %d stopped after %d of %d Gets",
+								what, first, per, until, n, max)
 						}
 						b.clock.Tick(a.clock.Now() - b.clock.Now())
-						accB.Skip(gets)
 					}
 					if err := a.same(b); err != nil {
 						t.Fatalf("%s: Gets predicted by Steady moved the machine: %v", what, err)
@@ -222,8 +262,9 @@ func TestAccessorPredictions(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d steady answers, %d refusals for a failing assertion, %d burst Gets", steadyOK, assertRefused, bursts)
-	if steadyOK == 0 || assertRefused == 0 || bursts == 0 {
+	t.Logf("%d steady answers, %d refusals for a failing assertion, %d burst Gets, %d skips of a multi-fragment variable",
+		steadyOK, assertRefused, bursts, multiSkips)
+	if steadyOK == 0 || assertRefused == 0 || bursts == 0 || multiSkips == 0 {
 		t.Fatal("a prediction case never occurred")
 	}
 }

@@ -410,9 +410,3 @@ func ParseDriver(src string) ([]ctoken.Token, error) {
 	}
 	return toks, nil
 }
-
-// Program parses a token stream without checking (test helper).
-func Program(toks []ctoken.Token) (*cast.Program, error) {
-	prog, errs := cparser.ParseTokens(toks)
-	return prog, errs.Err()
-}

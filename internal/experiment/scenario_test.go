@@ -11,43 +11,22 @@ import (
 	"repro/internal/kernel"
 )
 
-// TestScenarioRegistryValidation: registration rejects the malformed
-// shapes parseScenario depends on catching early.
+// TestScenarioRegistryValidation: every scenario of the table has a
+// Transform and a non-empty name, unique and free of the ":" parameter
+// separator parseScenario cuts at, and each parses by its own name.
 func TestScenarioRegistryValidation(t *testing.T) {
-	noop := func(_ int, d WorkloadDesc) WorkloadDesc { return d }
-	cases := []struct {
-		desc ScenarioDesc
-		want string
-	}{
-		{ScenarioDesc{Name: "", Transform: noop}, "empty name"},
-		{ScenarioDesc{Name: "a:b", Transform: noop}, "':'"},
-		{ScenarioDesc{Name: "no-transform"}, "Transform is required"},
-		{ScenarioDesc{Name: "pristine", Transform: noop}, "already registered"},
-	}
-	for _, c := range cases {
-		err := RegisterScenario(c.desc)
-		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("RegisterScenario(%q) = %v, want error containing %q", c.desc.Name, err, c.want)
-		}
-	}
-
-	// A valid registration round-trips and unregisters cleanly.
-	name := "synthetic-scenario-" + t.Name()
-	if err := RegisterScenario(ScenarioDesc{Name: name, Help: "h", Transform: noop}); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { unregisterScenario(name) })
-	if _, _, err := parseScenario(name); err != nil {
-		t.Errorf("parseScenario(%s) = %v", name, err)
-	}
-	found := false
+	seen := make(map[string]bool)
 	for _, d := range Scenarios() {
-		if d.Name == name {
-			found = true
+		if d.Name == "" || strings.ContainsRune(d.Name, ':') || d.Transform == nil {
+			t.Errorf("scenario %q: want a name without ':' and a Transform (Transform %t)", d.Name, d.Transform != nil)
 		}
-	}
-	if !found {
-		t.Error("registered scenario missing from Scenarios()")
+		if seen[d.Name] {
+			t.Errorf("scenario %q appears twice in the table", d.Name)
+		}
+		seen[d.Name] = true
+		if sc, _, err := parseScenario(d.Name); err != nil || sc != d {
+			t.Errorf("parseScenario(%q) = %v, %v", d.Name, sc, err)
+		}
 	}
 }
 

@@ -328,17 +328,12 @@ func (b *Bus) Write(port Port, width AccessWidth, value uint32) error {
 	return nil
 }
 
-// Predictable reports whether reads may be predicted: tracing is off,
-// so no trace expects every read. Steady and Burst answer only then. On
-// a bus with a fault injector a caller also keeps the reads it predicts
-// within what CleanReads leaves clean, each landing its latency later.
-func (b *Bus) Predictable() bool { return !b.tracing }
-
 // Steady predicts a read of port (see SteadyReader) without making it.
 // A floating bus answers for unmapped ports itself: they read all ones
-// Forever. The caller accounts each read it skips with SkipReads.
+// Forever. A bus with tracing on answers nothing, so a trace holds every
+// read. The caller accounts the reads it skips with Skip.
 func (b *Bus) Steady(port Port, width AccessWidth) (v uint32, until uint64, ok bool) {
-	if !b.Predictable() {
+	if b.tracing {
 		return 0, 0, false
 	}
 	m := b.find(port)
@@ -355,30 +350,42 @@ func (b *Bus) Steady(port Port, width AccessWidth) (v uint32, until uint64, ok b
 	return v & widthMask(width), until, ok
 }
 
-// SkipReads accounts n reads of port that Steady predicted would return
-// v, exactly as Read would account them: the bus counts them, and on a
-// mapped port an attached injector consumes their ordinals, charges
-// their latency and latches v. The caller keeps n within the injector's
-// Clean.
-func (b *Bus) SkipReads(port Port, v uint32, n uint64) {
+// Skip accounts the reads of port that Steady predicted would return v
+// before until, issued at first, first+per, first+2·per, …, at most max
+// of them, exactly as Read would account them, and returns how many it
+// accounted. It stops at the steady horizon: the last read it accounts
+// lands before until. On a mapped port with a fault injector it also
+// stops before the first read that rolls a fault (Injector.Clean), each
+// read lands the injector's latency later (first+lat, then every
+// per+lat ticks), and the reads consume their ordinals, tick their
+// latency and latch v. A bus without an injector looks up no mapping.
+func (b *Bus) Skip(port Port, v uint32, max, first, per, until uint64) uint64 {
+	if b.inj != nil {
+		if m := b.find(port); m != nil {
+			lat := b.inj.latency()
+			n := b.inj.Clean(horizon(max, first+lat, per+lat, until))
+			b.accesses += n
+			if n > 0 {
+				b.inj.skip(m, port, v, n)
+			}
+			return n
+		}
+	}
+	n := horizon(max, first, per, until)
 	b.accesses += n
-	if b.inj == nil || n == 0 {
-		return
-	}
-	if m := b.find(port); m != nil {
-		b.inj.skip(m, port, v, n)
-	}
+	return n
 }
 
-// CleanReads reports what an attached injector does to reads of port:
-// how many of the next max roll no fault (see Injector.Clean), and the
-// latency ticks each charges. Without an injector, and on an unmapped
-// port, all max are clean and cost nothing.
-func (b *Bus) CleanReads(port Port, max uint64) (clean, latency uint64) {
-	if b.inj == nil || b.find(port) == nil {
-		return max, 0
+// horizon is how many of at most max reads, the first at time first and
+// then one every per ticks, land before until.
+func horizon(max, first, per, until uint64) uint64 {
+	switch {
+	case until <= first:
+		return 0
+	case per == 0:
+		return max
 	}
-	return b.inj.Clean(max), b.inj.latency()
+	return min(max, (until-1-first)/per+1)
 }
 
 // Latched reports the value an attached injector's stale reads of port
@@ -395,10 +402,10 @@ func (b *Bus) Latched(port Port) (v uint32, ok bool) {
 // Burst makes up to len(dst) reads of port that do not depend on the
 // clock (see BurstReader), stores their masked values in dst, accounts
 // them as Read would, and returns how many it made. Unmapped ports on a
-// floating bus always burst. On a mapped port an attached injector
-// bounds the burst by its Clean.
+// floating bus always burst; a bus with tracing on never bursts. On a
+// mapped port an attached injector bounds the burst by its Clean.
 func (b *Bus) Burst(port Port, width AccessWidth, dst []uint32) int {
-	if !b.Predictable() {
+	if b.tracing {
 		return 0
 	}
 	m := b.find(port)
@@ -419,8 +426,9 @@ func (b *Bus) Burst(port Port, width AccessWidth, dst []uint32) int {
 	for i := range dst[:n] {
 		dst[i] &= widthMask(width)
 	}
-	if n > 0 {
-		b.SkipReads(port, dst[n-1], uint64(n))
+	b.accesses += uint64(n)
+	if b.inj != nil && n > 0 {
+		b.inj.skip(m, port, dst[n-1], uint64(n))
 	}
 	return n
 }

@@ -322,8 +322,10 @@ func (r *fifoRAM) Burst(off hw.Port, w hw.AccessWidth, dst []uint32) int {
 
 // TestBusPredictions pins the bus side of read prediction: what it
 // answers for unmapped ports, devices without the interfaces, and
-// devices with them; the masking and accounting of predicted reads; the
-// silence of a bus with tracing on; and predictions through an injector.
+// devices with them; the masking and accounting of predicted reads;
+// where Skip stops (at max, at the steady horizon, before a faulted
+// roll); the silence of a bus with tracing on; and predictions through
+// an injector.
 func TestBusPredictions(t *testing.T) {
 	dev := &steadyRAM{ram: ram{name: "s"}, until: 77, burst: 3}
 	dev.cells[2] = 0x1ff
@@ -341,9 +343,6 @@ func TestBusPredictions(t *testing.T) {
 		return bus
 	}
 	bus := newBus(true)
-	if !bus.Predictable() {
-		t.Fatal("a plain bus is not predictable")
-	}
 	type steady struct {
 		v     uint32
 		until uint64
@@ -378,9 +377,22 @@ func TestBusPredictions(t *testing.T) {
 	if n := bus.Burst(0x80, hw.Width16, dst); n != 5 || dst[4] != 0xffff {
 		t.Errorf("Burst of a floating port = %d %#x, want 5 all 0xffff", n, dst)
 	}
-	bus.SkipReads(2, 0xff, 4)
-	if acc, faults := bus.Stats(); acc != 3+5+4 || faults != 0 {
-		t.Errorf("stats = %d/%d, want %d/0", acc, faults, 3+5+4)
+	// Skip stops at max, or at the horizon: reads at 6, 16, …, 76 land
+	// before 77, the next at 86 does not.
+	for _, c := range []struct{ max, first, per, want uint64 }{
+		{4, 0, 1, 4},
+		{0, 0, 1, 0},
+		{100, 6, 10, 8},
+		{100, 7, 10, 7},
+		{100, 77, 10, 0},
+		{100, 5, 0, 100}, // every read at 5
+	} {
+		if n := bus.Skip(2, 0xff, c.max, c.first, c.per, 77); n != c.want {
+			t.Errorf("Skip(max %d, first %d, per %d, until 77) = %d, want %d", c.max, c.first, c.per, n, c.want)
+		}
+	}
+	if acc, faults := bus.Stats(); acc != 3+5+4+8+7+100 || faults != 0 {
+		t.Errorf("stats = %d/%d, want %d/0", acc, faults, 3+5+4+8+7+100)
 	}
 	if n := newBus(false).Burst(0x80, hw.Width8, dst); n != 0 {
 		t.Errorf("a strict bus burst %d unmapped reads", n)
@@ -388,16 +400,17 @@ func TestBusPredictions(t *testing.T) {
 
 	traced := newBus(true)
 	traced.SetTracing(true)
-	if _, _, ok := traced.Steady(2, hw.Width8); traced.Predictable() || ok ||
+	if _, _, ok := traced.Steady(2, hw.Width8); ok ||
 		traced.Burst(15, hw.Width8, dst) != 0 || traced.Burst(0x80, hw.Width8, dst) != 0 {
 		t.Error("a bus with tracing on predicted a read")
 	}
 
 	// A bus with an injector predicts the reads the injector leaves
 	// clean: a burst stops before the first read that rolls a fault, and
-	// the reads it makes or SkipReads skips advance the injector's
-	// ordinal, the clock and the port's latch exactly as Read would.
+	// the reads it makes or Skip skips advance the injector's ordinal,
+	// the clock and the port's latch exactly as Read would.
 	cfg := hw.InjectorConfig{DropPerMyriad: 400, DupPerMyriad: 400, StalePerMyriad: 400, LatencyTicks: 3}
+	faultStops := 0
 	for seed := uint64(1); seed <= 40; seed++ {
 		var buses [2]*hw.Bus
 		var injs [2]*hw.Injector
@@ -470,19 +483,63 @@ func TestBusPredictions(t *testing.T) {
 		}
 
 		v, _, ok := pred.Steady(2, hw.Width8)
-		clean, lat := pred.CleanReads(2, 20)
-		if !ok || lat != 3 {
-			t.Fatalf("seed %d: Steady ok=%v, latency %d", seed, ok, lat)
+		if !ok {
+			t.Fatalf("seed %d: Steady refused", seed)
 		}
-		pred.SkipReads(2, v, clean)
-		for range clean {
+		n = int(pred.Skip(2, v, 20, clocks[0].Now(), 0, hw.Forever))
+		for range n {
 			if got, err := read.Read(2, hw.Width8); err != nil || got != v {
 				t.Fatalf("seed %d: a skipped read returned %#x (%v), predicted %#x", seed, got, err, v)
 			}
 		}
 		same("after skipped reads", 2)
-		if clean < 20 && !faulted(2) {
-			t.Errorf("seed %d: Clean stopped after %d reads, before a clean one", seed, clean)
+		if n < 20 {
+			faultStops++
+			if !faulted(2) {
+				t.Errorf("seed %d: Skip stopped after %d reads, before a clean one", seed, n)
+			}
+		}
+		_, _ = pred.Read(2, hw.Width8) // both sides' clocks and ordinals back in step
+		ord, now := injs[0].Ordinal(), clocks[0].Now()
+		if pred.Skip(2, 0x99, 0, now, 1, hw.Forever) != 0 || injs[0].Ordinal() != ord || clocks[0].Now() != now {
+			t.Errorf("seed %d: Skip of at most 0 reads moved the injector or the clock", seed)
+		}
+		if lv, _ := pred.Latched(2); lv == 0x99 {
+			t.Errorf("seed %d: Skip of at most 0 reads latched its value", seed)
+		}
+	}
+	if faultStops == 0 {
+		t.Error("no Skip stopped before a faulted roll")
+	}
+
+	// Under an injector each read lands its latency later: issued at 3,
+	// 13, …, 73, the reads land at 6, 16, …, 76, the last tick before
+	// until 77. Skip ticks the latency, its caller the rest, and a twin
+	// reading at those times ends at the same time.
+	for _, c := range []struct{ until, want uint64 }{{77, 8}, {76, 7}} {
+		var clocks [2]*hw.Clock
+		var buses [2]*hw.Bus
+		for i := range buses {
+			clocks[i], buses[i] = &hw.Clock{}, newBus(true)
+			buses[i].SetInjector(hw.NewInjector(hw.InjectorConfig{LatencyTicks: 3}, clocks[i]))
+		}
+		clocks[0].Tick(3)
+		n := buses[0].Skip(2, 0xff, 100, 3, 7, c.until)
+		if n != c.want {
+			t.Errorf("Skip under latency 3 from 3 every 7 until %d = %d, want %d", c.until, n, c.want)
+		}
+		clocks[0].Tick((n - 1) * 7)
+		clocks[1].Tick(3)
+		for i := range n {
+			if i > 0 {
+				clocks[1].Tick(7)
+			}
+			if _, err := buses[1].Read(2, hw.Width8); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if clocks[0].Now() != clocks[1].Now() || clocks[1].Now() != 6+10*(n-1) {
+			t.Errorf("until %d: Skip left the clock at %d, %d reads at %d", c.until, clocks[0].Now(), n, clocks[1].Now())
 		}
 	}
 

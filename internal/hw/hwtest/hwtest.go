@@ -51,12 +51,14 @@ type Model struct {
 // armed at one seed the rng draws. Before each step Check picks a probe
 // and checks, on the two machines in the same state:
 //
-//   - whenever Steady answers, the first machine read at random times
-//     before until, often the last of them, returns v every time, and
-//     ends in the state of the second, whose clock only moved and whose
-//     bus skipped the reads (SkipReads); under an injector the reads are
-//     the ones it leaves clean (CleanReads), each landing its latency
-//     later;
+//   - whenever Steady answers, reads of the first machine return v at
+//     every time and in every number that the second machine's bus
+//     skips (Skip): first one at a time at random times, often the last
+//     tick before until, then as many as one Skip call accounts, at the
+//     evenly spaced times it names. Each run ends with the first machine
+//     in the state of the second, whose clock only moved. A Skip that
+//     stops short of its max stops where the next read would land at or
+//     after until, or would roll a fault;
 //   - a Burst of n reads on the first machine returns what n reads of
 //     the second, with random ticks between them, return, and both end
 //     in the same state.
@@ -82,6 +84,9 @@ func Check(m Model, faults *hw.InjectorConfig, script []Op, rng *rand.Rand) erro
 		}
 	}
 	c := &checker{a: a, b: b, probes: probes, rng: rng}
+	if faults != nil {
+		c.lat = faults.LatencyTicks
+	}
 	for i, o := range script {
 		p := probes[rng.Intn(len(probes))]
 		if err := c.steady(p); err != nil {
@@ -104,6 +109,7 @@ type checker struct {
 	a, b   *Machine
 	probes []Op
 	rng    *rand.Rand
+	lat    uint64 // the injector's latency per mapped access
 }
 
 func (mc *Machine) step(o Op) error {
@@ -158,7 +164,7 @@ func (c *checker) same() error {
 }
 
 func (c *checker) steady(p Op) error {
-	a, b, rng := c.a, c.b, c.rng
+	a, b, rng, lat := c.a, c.b, c.rng, c.lat
 	v, until, ok := a.Bus.Steady(p.Port, p.Width)
 	if err := c.same(); err != nil {
 		return fmt.Errorf("Steady(%#x, %v) moved the model: %w", p.Port, p.Width, err)
@@ -167,18 +173,9 @@ func (c *checker) steady(p Op) error {
 		return nil
 	}
 	start := a.Clock.Now()
-	clean, lat := a.Bus.CleanReads(p.Port, uint64(1+rng.Intn(5)))
-	reads := uint64(0)
-	for ; reads < clean; reads++ {
-		now := a.Clock.Now()
-		if now+lat >= until {
-			break
-		}
-		gap := uint64(rng.Int63n(int64(min(until-now-lat, 300))))
-		if reads == clean-1 && until-now <= 5000 && rng.Intn(2) == 0 {
-			gap = until - 1 - now - lat // the last tick the prediction covers
-		}
-		a.Clock.Tick(gap)
+	// read makes the first machine's read, issued now, that the second
+	// machine's bus skipped.
+	read := func() error {
 		got, err := a.Bus.Read(p.Port, p.Width)
 		if err != nil {
 			return err
@@ -187,11 +184,68 @@ func (c *checker) steady(p Op) error {
 			return fmt.Errorf("Steady(%#x, %v) at %d = %#x until %d, but a read at %d returned %#x",
 				p.Port, p.Width, start, v, until, a.Clock.Now(), got)
 		}
+		return nil
 	}
-	b.Clock.Tick(a.Clock.Now() - b.Clock.Now() - reads*lat)
-	b.Bus.SkipReads(p.Port, v, reads)
+	// Reads at random times, skipped one by one.
+	reads := uint64(0)
+	for k := rng.Intn(4); k > 0; k-- {
+		now := a.Clock.Now()
+		if now+lat >= until {
+			break
+		}
+		gap := uint64(rng.Int63n(int64(min(until-now-lat, 300))))
+		if k == 1 && until-now <= 5000 && rng.Intn(2) == 0 {
+			gap = until - 1 - now - lat // the last tick the prediction covers
+		}
+		a.Clock.Tick(gap)
+		b.Clock.Tick(gap)
+		if b.Bus.Skip(p.Port, v, 1, b.Clock.Now(), 1, until) == 0 {
+			break
+		}
+		if err := read(); err != nil {
+			return err
+		}
+		reads++
+	}
 	if err := c.same(); err != nil {
 		return fmt.Errorf("%d reads predicted by Steady(%#x, %v) moved the model: %w", reads, p.Port, p.Width, err)
+	}
+	// One run of evenly spaced reads, often one whose last read the
+	// horizon lands on until-1.
+	now := a.Clock.Now()
+	max, gap, per := uint64(rng.Intn(6)), uint64(rng.Intn(300)), uint64(rng.Intn(300))
+	if now+lat < until && until-now <= 5000 && rng.Intn(2) == 0 {
+		left := until - 1 - now - lat
+		per = left / uint64(1+rng.Intn(6))
+		if per+lat == 0 {
+			per = 1
+		}
+		gap, max = left%(per+lat), left/(per+lat)+1+uint64(rng.Intn(2))
+	}
+	first := now + gap
+	n := b.Bus.Skip(p.Port, v, max, first, per, until)
+	if n > max {
+		return fmt.Errorf("Skip(%#x) of at most %d reads accounted %d", p.Port, max, n)
+	}
+	a.Clock.Tick(gap)
+	for i := uint64(0); i < n; i++ {
+		if i > 0 {
+			a.Clock.Tick(per)
+		}
+		if err := read(); err != nil {
+			return fmt.Errorf("skipped read %d of %d from %d every %d: %w", i, n, first, per, err)
+		}
+	}
+	if n < max {
+		next := first + lat + n*(per+lat)
+		if inj := a.Bus.Injector(); next < until && (inj == nil || inj.Clean(1) == 1) {
+			return fmt.Errorf("Skip(%#x) from %d every %d until %d stopped after %d of %d reads, before a clean one at %d",
+				p.Port, first, per, until, n, max, next)
+		}
+	}
+	b.Clock.Tick(a.Clock.Now() - b.Clock.Now())
+	if err := c.same(); err != nil {
+		return fmt.Errorf("%d reads skipped from %d every %d by Steady(%#x, %v): %w", n, first, per, p.Port, p.Width, err)
 	}
 	return nil
 }

@@ -20,11 +20,11 @@ package hw
 // sharded and resumed runs of one cell see the same faults.
 //
 // Because the decisions are known in advance, the bus predicts reads
-// through an injector (see Bus.Steady and Bus.Burst): Clean says how
-// many upcoming reads roll no fault, and a read the bus skips or
-// bursts within that many advances the ordinal, charges the latency
-// and latches its value exactly as read does, so the fault counts do
-// not move.
+// through an injector: Clean says how many upcoming reads roll no
+// fault, Bus.Skip and Bus.Burst stop before the first that does, and
+// each read they account advances the ordinal, charges the latency and
+// latches its value exactly as read does, so the fault counts do not
+// move.
 
 // InjectorConfig sets the per-access fault rates. The three read-fault
 // rates are per ten thousand reads of mapped ports; their sum must stay
