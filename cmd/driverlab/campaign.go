@@ -303,13 +303,9 @@ func campaignRun(args []string, resume bool) error {
 		Status:    tracker,
 		Interrupt: interrupt,
 	}
-	if !*quiet {
-		opts.Progress = progressPrinter(tracker)
-	}
+	stopProgress := drawProgress(tracker, !*quiet)
 	sum, err := campaign.Run(spec, wl, st, opts)
-	if !*quiet {
-		fmt.Fprintln(os.Stderr)
-	}
+	stopProgress()
 	if errors.Is(err, campaign.ErrInterrupted) {
 		if ferr := st.Flush(); ferr != nil {
 			return ferr
@@ -353,22 +349,6 @@ func fallbackSummary(col *obs.Collector) string {
 		return ""
 	}
 	return fmt.Sprintf("%.0f boots re-ran the full front end (span-unsafe mutations)", full)
-}
-
-// progressPrinter returns a rate-limited live progress callback. The
-// line is rendered from the same campaign.Snapshot the /status
-// endpoint serves, clamped to the terminal width.
-func progressPrinter(tracker *campaign.StatusTracker) func(done, total int) {
-	width := termWidth()
-	var last time.Time
-	return func(done, total int) {
-		now := time.Now()
-		if done < total && now.Sub(last) < 200*time.Millisecond {
-			return
-		}
-		last = now
-		fmt.Fprintf(os.Stderr, "\r%s\x1b[K", progressLine(tracker.Snapshot(), width))
-	}
 }
 
 // campaignMerge folds shard stores into one.

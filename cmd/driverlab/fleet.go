@@ -57,11 +57,14 @@ func runServe(args []string) error {
 			return fmt.Errorf("serve -resume: %s holds no spec record", *store)
 		}
 		spec = prior
-		if *sf.shards != 8 {
-			// The shard count is fingerprint-excluded, so a restarted
-			// coordinator may repartition the remaining work.
-			spec.Shards = *sf.shards
-		}
+		// The shard count is fingerprint-excluded, so a restarted
+		// coordinator may repartition the remaining work: an explicit
+		// -shards, its default value included, overrides the store's.
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "shards" {
+				spec.Shards = *sf.shards
+			}
+		})
 		fmt.Fprintf(os.Stderr, "serve: resuming %q from %s\n", spec.Name, *store)
 	} else {
 		if spec, err = sf.spec(); err != nil {
@@ -134,26 +137,9 @@ func runServe(args []string) error {
 		os.Exit(130)
 	}()
 
-	if !*quiet {
-		go func() {
-			width := termWidth()
-			tick := time.NewTicker(500 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-co.Done():
-					return
-				case <-tick.C:
-					fmt.Fprintf(os.Stderr, "\r%s\x1b[K", progressLine(tracker.Snapshot(), width))
-				}
-			}
-		}()
-	}
-
+	stopProgress := drawProgress(tracker, !*quiet)
 	err = co.Wait()
-	if !*quiet {
-		fmt.Fprintln(os.Stderr)
-	}
+	stopProgress()
 	if errors.Is(err, fleet.ErrClosed) {
 		if ferr := st.Flush(); ferr != nil {
 			return ferr

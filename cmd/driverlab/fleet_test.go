@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,30 +37,15 @@ func renderStoreTables(t *testing.T, path string) string {
 	return text
 }
 
-// TestFleetCLI drives the fleet lifecycle through the subcommand
-// surface: `serve` coordinates, two `worker` processes (in-process
-// here) lease and boot, and the canonical store's report tables are
-// byte-identical to a serial `campaign run` of the same spec.
-func TestFleetCLI(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fleet CLI test is not short")
-	}
-	dir := t.TempDir()
-	fleetStore := filepath.Join(dir, "fleet.jsonl")
-	serialStore := filepath.Join(dir, "serial.jsonl")
-	addrFile := filepath.Join(dir, "addr.txt")
-
-	if err := run([]string{"campaign", "run", "-store", serialStore,
-		"-drivers", "busmouse_c", "-sample", "8", "-seed", "11", "-quiet"}); err != nil {
-		t.Fatalf("serial campaign run: %v", err)
-	}
-
+// serveFleet runs `serve` over store with the extra flags and workers
+// in-process `worker`s until the campaign drains.
+func serveFleet(t *testing.T, store string, flags []string, workers int) {
+	t.Helper()
+	addrFile := filepath.Join(t.TempDir(), "addr.txt")
 	serveDone := make(chan error, 1)
 	go func() {
-		serveDone <- run([]string{"serve", "-store", fleetStore,
-			"-addr", "127.0.0.1:0", "-addr-file", addrFile,
-			"-drivers", "busmouse_c", "-sample", "8", "-seed", "11",
-			"-shards", "4", "-quiet"})
+		serveDone <- run(append([]string{"serve", "-store", store,
+			"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-quiet"}, flags...))
 	}()
 	var addr string
 	for deadline := time.Now().Add(10 * time.Second); addr == ""; {
@@ -74,13 +60,12 @@ func TestFleetCLI(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	workerErrs := make([]error, 2)
-	for i := 0; i < 2; i++ {
+	workerErrs := make([]error, workers)
+	for i := range workerErrs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			name := []string{"cli-w0", "cli-w1"}[i]
-			workerErrs[i] = run([]string{"worker", "-connect", addr, "-name", name, "-quiet"})
+			workerErrs[i] = run([]string{"worker", "-connect", addr, "-name", fmt.Sprintf("cli-w%d", i), "-quiet"})
 		}(i)
 	}
 	wg.Wait()
@@ -92,6 +77,26 @@ func TestFleetCLI(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
+}
+
+// TestFleetCLI drives the fleet lifecycle through the subcommand
+// surface: `serve` coordinates, two `worker` processes (in-process
+// here) lease and boot, and the canonical store's report tables are
+// byte-identical to a serial `campaign run` of the same spec.
+func TestFleetCLI(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet CLI test is not short")
+	}
+	dir := t.TempDir()
+	fleetStore := filepath.Join(dir, "fleet.jsonl")
+	serialStore := filepath.Join(dir, "serial.jsonl")
+
+	if err := run([]string{"campaign", "run", "-store", serialStore,
+		"-drivers", "busmouse_c", "-sample", "8", "-seed", "11", "-quiet"}); err != nil {
+		t.Fatalf("serial campaign run: %v", err)
+	}
+
+	serveFleet(t, fleetStore, []string{"-drivers", "busmouse_c", "-sample", "8", "-seed", "11", "-shards", "4"}, 2)
 
 	want := renderStoreTables(t, serialStore)
 	got := renderStoreTables(t, fleetStore)
@@ -100,6 +105,58 @@ func TestFleetCLI(t *testing.T) {
 	}
 	if err := run([]string{"campaign", "report", "-store", fleetStore}); err != nil {
 		t.Errorf("campaign report over the fleet store: %v", err)
+	}
+}
+
+// TestServeResumeShards: `serve -resume` over a store of a 16-shard
+// spec partitions the work by an explicit -shards, also when it names
+// the flag's default of 8, and keeps the store's 16 without the flag.
+// The partition the coordinator served is the one every streamed result
+// record carries.
+func TestServeResumeShards(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet CLI test is not short")
+	}
+	for _, tc := range []struct {
+		flags  []string
+		shards int
+	}{
+		{[]string{"-shards", "8"}, 8},
+		{nil, 16},
+	} {
+		store := filepath.Join(t.TempDir(), "fleet.jsonl")
+		st, err := campaign.OpenFile(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := campaign.Spec{Name: "reshard", Drivers: []string{"busmouse_c"}, SamplePct: 8, Seed: 11, Shards: 16}
+		if err := st.Append(campaign.SpecRecord(spec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		serveFleet(t, store, append([]string{"-resume"}, tc.flags...), 1)
+
+		st, err = campaign.OpenFile(store)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results := 0
+		for _, r := range st.Records() {
+			if r.Kind != campaign.KindResult {
+				continue
+			}
+			results++
+			want := campaign.ShardOfTask(campaign.Task{Driver: r.Driver, Mutant: r.Mutant, Scenario: r.Scenario}, tc.shards)
+			if r.Shard != want {
+				t.Errorf("serve -resume %v: %s in shard %d, want %d of %d", tc.flags, r.Key(), r.Shard, want, tc.shards)
+			}
+		}
+		st.Close()
+		if results == 0 {
+			t.Errorf("serve -resume %v stored no results", tc.flags)
+		}
 	}
 }
 

@@ -187,6 +187,39 @@ func progressLine(s campaign.Snapshot, width int) string {
 	return line
 }
 
+// drawProgress redraws the live progress line from tracker's snapshot on
+// its own goroutine, every 200ms, for `campaign run` and `serve` alike.
+// The returned stop ends the goroutine, draws the line a last time and
+// ends it, so what the command prints next starts on a line of its own.
+// Off (-quiet), it draws nothing and stop does nothing.
+func drawProgress(tracker *campaign.StatusTracker, on bool) (stop func()) {
+	if !on {
+		return func() {}
+	}
+	width := termWidth()
+	draw := func() { fmt.Fprintf(os.Stderr, "\r%s\x1b[K", progressLine(tracker.Snapshot(), width)) }
+	quit, exited := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(exited)
+		tick := time.NewTicker(200 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tick.C:
+				draw()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-exited
+		draw()
+		fmt.Fprintln(os.Stderr)
+	}
+}
+
 // termWidth reads the terminal width from $COLUMNS (the shell
 // convention; the CLI takes no termios dependency), defaulting to 80.
 func termWidth() int {

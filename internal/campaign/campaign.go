@@ -28,7 +28,9 @@ import (
 // sampling policy and execution knobs. Specs are pure data — the same
 // spec always expands to the same work-list — and are persisted as the
 // first record of every store so a campaign can be resumed or audited
-// from the file alone.
+// from the file alone. The per-boot watchdog step budget is the
+// workload's, not a spec field: a stored spec that names one fingerprints
+// differently and is refused on resume.
 type Spec struct {
 	// Name labels the campaign in stores and reports.
 	Name string `json:"name"`
@@ -47,8 +49,6 @@ type Spec struct {
 	StubMode string `json:"stub_mode,omitempty"`
 	// Permissive downgrades CDevil type checking to plain C rules.
 	Permissive bool `json:"permissive,omitempty"`
-	// Budget overrides the per-boot watchdog budget when non-zero.
-	Budget int64 `json:"budget,omitempty"`
 	// Backend forces the hwC execution backend: "" (the block-compiled
 	// default), "block" or "interp" (the tree-walking reference oracle).
 	Backend string `json:"backend,omitempty"`

@@ -1,6 +1,7 @@
 package campaign_test
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,9 +14,13 @@ import (
 
 // fakeWorkload is a deterministic synthetic workload: driver "alpha" has
 // 40 mutants, "beta" 25; the outcome row is a pure function of the task.
+// With interrupt set, the stopAfter-th boot closes it, as a signal
+// handler would mid-campaign.
 type fakeWorkload struct {
-	mu    sync.Mutex
-	boots int
+	mu        sync.Mutex
+	boots     int
+	stopAfter int
+	interrupt chan struct{}
 }
 
 var fakeRows = []string{"Boot", "Crash", "Halt"}
@@ -46,6 +51,9 @@ type fakeWorker struct{ f *fakeWorkload }
 func (w *fakeWorker) Boot(t campaign.Task) (campaign.Outcome, error) {
 	w.f.mu.Lock()
 	w.f.boots++
+	if w.f.interrupt != nil && w.f.boots == w.f.stopAfter {
+		close(w.f.interrupt)
+	}
 	w.f.mu.Unlock()
 	return campaign.Outcome{
 		Row:   fakeRows[t.Mutant%len(fakeRows)],
@@ -414,6 +422,100 @@ func TestShardAssignmentIsStable(t *testing.T) {
 	}
 }
 
+// TestReconcile pins the one resume scan Run and the fleet coordinator
+// share: what it appends through put, what it refuses, and which stored
+// result it returns per task key.
+func TestReconcile(t *testing.T) {
+	spec := spec2()
+	other := spec2()
+	other.Seed = 99
+	metas := []campaign.Meta{
+		{Driver: "alpha", Sites: 20, Enumerated: 40, Selected: 40},
+		{Driver: "beta", Sites: 12, Enumerated: 25, Selected: 25},
+	}
+	result := func(mutant int, row string) campaign.Record {
+		return campaign.Record{Kind: campaign.KindResult, Driver: "alpha", Mutant: mutant, Row: row}
+	}
+	diskFull := errors.New("disk full")
+	for _, tc := range []struct {
+		name    string
+		store   []campaign.Record
+		putErr  error
+		wantPut []campaign.Record // every record put was called with
+		wantRow map[string]string // returned task key -> row
+		wantErr string
+	}{
+		{
+			name:    "fresh store gets the spec and every meta",
+			wantPut: []campaign.Record{campaign.SpecRecord(spec), campaign.MetaRecord(metas[0]), campaign.MetaRecord(metas[1])},
+			wantRow: map[string]string{},
+		},
+		{
+			name:    "store with some metas gets only the missing ones",
+			store:   []campaign.Record{campaign.SpecRecord(spec), campaign.MetaRecord(metas[1])},
+			wantPut: []campaign.Record{campaign.MetaRecord(metas[0])},
+			wantRow: map[string]string{},
+		},
+		{
+			name:    "foreign fingerprint is refused and nothing appended",
+			store:   []campaign.Record{campaign.SpecRecord(other)},
+			wantErr: "store belongs to a different spec (fingerprint " + other.Fingerprint() + ", want " + spec.Fingerprint() + ")",
+		},
+		{
+			name: "duplicate results resolve first-record-wins",
+			store: []campaign.Record{campaign.SpecRecord(spec), campaign.MetaRecord(metas[0]), campaign.MetaRecord(metas[1]),
+				result(3, "Boot"), result(4, "Halt"), result(3, "Crash")},
+			wantRow: map[string]string{"alpha#3": "Boot", "alpha#4": "Halt"},
+		},
+		{
+			name:    "failing put returns its error",
+			putErr:  diskFull,
+			wantPut: []campaign.Record{campaign.SpecRecord(spec)},
+			wantErr: diskFull.Error(),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := campaign.NewMemStore()
+			for _, r := range tc.store {
+				if err := store.Append(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var put []campaign.Record
+			stored, err := campaign.Reconcile(spec, metas, store, func(r campaign.Record) error {
+				put = append(put, r)
+				return tc.putErr
+			})
+			if tc.wantErr != "" {
+				if err == nil || err.Error() != tc.wantErr {
+					t.Errorf("err = %v, want %q", err, tc.wantErr)
+				}
+				if tc.putErr != nil && !errors.Is(err, tc.putErr) {
+					t.Errorf("err = %v does not wrap put's error", err)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(put, tc.wantPut) {
+				t.Errorf("put %+v, want %+v", put, tc.wantPut)
+			}
+			if tc.wantErr != "" {
+				return
+			}
+			rows := make(map[string]string, len(stored))
+			for key, r := range stored {
+				if r.Key() != key {
+					t.Errorf("stored[%s] holds the record of %s", key, r.Key())
+				}
+				rows[key] = r.Row
+			}
+			if !reflect.DeepEqual(rows, tc.wantRow) {
+				t.Errorf("stored rows %v, want %v", rows, tc.wantRow)
+			}
+		})
+	}
+}
+
 // TestMergeRejectsForeignStore: merging stores of different specs fails.
 func TestMergeRejectsForeignStore(t *testing.T) {
 	a := campaign.NewMemStore()
@@ -493,28 +595,5 @@ func TestFlushEveryKnob(t *testing.T) {
 			t.Errorf("%s incomplete after crash-resume at FlushEvery=7: %d/%d",
 				d, tables[d].Results, tables[d].Selected)
 		}
-	}
-}
-
-// TestProgressReachesTotal: the callback's final done equals the total.
-func TestProgressReachesTotal(t *testing.T) {
-	store := campaign.NewMemStore()
-	var mu sync.Mutex
-	maxDone, total := 0, 0
-	_, err := campaign.Run(spec2(), &fakeWorkload{}, store, campaign.Options{
-		Progress: func(d, tot int) {
-			mu.Lock()
-			if d > maxDone {
-				maxDone = d
-			}
-			total = tot
-			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if maxDone != 65 || total != 65 {
-		t.Errorf("progress peaked at %d/%d, want 65/65", maxDone, total)
 	}
 }

@@ -46,14 +46,11 @@ type Options struct {
 	// Shards selects which shard indices to run; nil means all of them.
 	// Tasks of unselected shards are neither run nor counted in Total.
 	Shards []int
-	// Progress, when non-nil, is called after every recorded boot with
-	// the number of selected tasks already in the store and the total.
-	Progress func(done, total int)
 	// Metrics, when non-nil, receives boot/outcome/store-latency
 	// instrumentation. The disabled (nil) bundle costs nothing.
 	Metrics *Metrics
 	// Status, when non-nil, accumulates the live progress the /status
-	// endpoint and progress line render.
+	// endpoint and the CLI's progress line render from its snapshots.
 	Status *StatusTracker
 	// Interrupt, when non-nil, stops feeding new tasks once it is
 	// closed; in-flight boots finish and are recorded, then Run
@@ -67,7 +64,8 @@ type Options struct {
 // campaign resumes by re-running the same spec against the same store.
 var ErrInterrupted = errors.New("campaign interrupted")
 
-// Summary reports what one Run did.
+// Summary counts what one Run did. The outcomes themselves are the
+// store's result records.
 type Summary struct {
 	// Total is the number of selected tasks (after shard filtering).
 	Total int
@@ -78,8 +76,6 @@ type Summary struct {
 	// Panics is how many boots the harness panicked on; each was
 	// recovered, recorded as RowHarnessPanic and quarantined.
 	Panics int
-	// Rows histograms the outcomes recorded this run.
-	Rows map[string]int
 }
 
 // expandMatrix crosses a workload's pristine expansion with the spec's
@@ -131,11 +127,12 @@ func bootSafely(w Worker, t Task) (out Outcome, err error, panicMsg string) {
 	return out, err, ""
 }
 
-// Run executes a campaign: expand, shard, skip already-stored results,
-// boot the remainder on a worker pool, and append every outcome to the
-// store. Run is idempotent — rerunning a completed campaign boots
-// nothing — and crash-safe: killing it mid-run loses at most one record,
-// and the next Run picks up where the store ends.
+// Run executes a campaign: expand, reconcile the store (Reconcile),
+// shard, skip already-stored results, boot the remainder on a worker
+// pool, and append every outcome to the store. Run is idempotent —
+// rerunning a completed campaign boots nothing — and crash-safe:
+// killing it mid-run loses at most one record, and the next Run picks
+// up where the store ends.
 func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 	spec = spec.Normalized()
 	fp := spec.Fingerprint()
@@ -171,7 +168,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 			err = base(r)
 		}
 		if err != nil {
-			return fmt.Errorf("campaign: store append failed after %d attempts: %w",
+			return fmt.Errorf("store append failed after %d attempts: %w",
 				len(storeBackoff)+1, err)
 		}
 		return nil
@@ -189,42 +186,13 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 		wantShard = func(sh int) bool { return sel[sh] }
 	}
 
-	storedRow := make(map[string]string) // first stored outcome per task key
-	haveSpec := false
-	haveMeta := make(map[string]bool)
-	for _, r := range store.Records() {
-		switch r.Kind {
-		case KindSpec:
-			if r.Fingerprint != fp {
-				return nil, fmt.Errorf("campaign: store belongs to a different spec (fingerprint %s, want %s)",
-					r.Fingerprint, fp)
-			}
-			haveSpec = true
-		case KindMeta:
-			haveMeta[CellLabel(r.Driver, r.Scenario)] = true
-		case KindResult:
-			key := r.Key()
-			if _, dup := storedRow[key]; !dup {
-				storedRow[key] = r.Row
-			}
-		}
-	}
-
 	metas, tasks, err := ExpandPlan(spec, wl)
 	if err != nil {
 		return nil, err
 	}
-	if !haveSpec {
-		if err := put(SpecRecord(spec)); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range metas {
-		if !haveMeta[CellLabel(m.Driver, m.Scenario)] {
-			if err := put(MetaRecord(m)); err != nil {
-				return nil, err
-			}
-		}
+	stored, err := Reconcile(spec, metas, store, put)
+	if err != nil {
+		return nil, fmt.Errorf("campaign: %w", err)
 	}
 
 	workers := opts.Workers
@@ -235,7 +203,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 		opts.Status.Begin(spec.Name, fp, workers)
 	}
 
-	sum := &Summary{Rows: make(map[string]int)}
+	sum := &Summary{}
 
 	var pending []Task
 	for _, t := range tasks {
@@ -247,11 +215,11 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 		if opts.Status != nil {
 			opts.Status.Plan(cell, t.Shard)
 		}
-		if row, ok := storedRow[t.Key()]; ok {
+		if r, ok := stored[t.Key()]; ok {
 			sum.Skipped++
-			opts.Metrics.skip(cell, row)
+			opts.Metrics.skip(cell, r.Row)
 			if opts.Status != nil {
-				opts.Status.Record(cell, t.Shard, row, RecordSkip)
+				opts.Status.Record(cell, t.Shard, r.Row, RecordSkip)
 			}
 			continue
 		}
@@ -266,8 +234,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 	}
 
 	var (
-		mu       sync.Mutex // guards sum, recorded, firstErr
-		recorded = sum.Skipped
+		mu       sync.Mutex // guards sum and firstErr
 		firstErr error
 		stopped  atomic.Bool // aborts the feed after the first error
 	)
@@ -331,7 +298,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 					Steps: out.Steps, Shard: t.Shard,
 					HarnessPanic: panicked, Panic: panicMsg}
 				if err := put(rec); err != nil {
-					fail(err)
+					fail(fmt.Errorf("campaign: %w", err))
 					continue
 				}
 				kind := RecordRan
@@ -350,13 +317,7 @@ func Run(spec Spec, wl Workload, store Store, opts Options) (*Summary, error) {
 				} else {
 					sum.Ran++
 				}
-				sum.Rows[out.Row]++
-				recorded++
-				prog := recorded
 				mu.Unlock()
-				if opts.Progress != nil {
-					opts.Progress(prog, sum.Total)
-				}
 			}
 		}(i)
 	}
@@ -384,6 +345,50 @@ feedLoop:
 		return sum, ErrInterrupted
 	}
 	return sum, nil
+}
+
+// Reconcile is the one resume scan of a campaign store, shared by Run
+// and the fleet coordinator. It refuses a store whose spec record has
+// another fingerprint than spec's, appends through put the spec record
+// if the store lacks it and the meta record of every cell of metas the
+// store lacks, and returns the first stored result record per task key
+// (first-record-wins, as in aggregation). Its errors carry no package
+// prefix; each caller adds its own.
+func Reconcile(spec Spec, metas []Meta, store Store, put func(Record) error) (map[string]Record, error) {
+	fp := spec.Fingerprint()
+	stored := make(map[string]Record)
+	haveSpec := false
+	haveMeta := make(map[string]bool)
+	for _, r := range store.Records() {
+		switch r.Kind {
+		case KindSpec:
+			if r.Fingerprint != fp {
+				return nil, fmt.Errorf("store belongs to a different spec (fingerprint %s, want %s)",
+					r.Fingerprint, fp)
+			}
+			haveSpec = true
+		case KindMeta:
+			haveMeta[CellLabel(r.Driver, r.Scenario)] = true
+		case KindResult:
+			key := r.Key()
+			if _, dup := stored[key]; !dup {
+				stored[key] = r
+			}
+		}
+	}
+	if !haveSpec {
+		if err := put(SpecRecord(spec)); err != nil {
+			return nil, err
+		}
+	}
+	for _, m := range metas {
+		if !haveMeta[CellLabel(m.Driver, m.Scenario)] {
+			if err := put(MetaRecord(m)); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return stored, nil
 }
 
 // ExpandPlan derives a spec's complete work plan: the workload's

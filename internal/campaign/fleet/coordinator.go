@@ -78,7 +78,6 @@ type conn struct {
 type Coordinator struct {
 	spec    campaign.Spec
 	fp      string
-	wl      campaign.Workload
 	store   campaign.Store
 	ttl     time.Duration
 	status  *campaign.StatusTracker
@@ -104,11 +103,12 @@ type Coordinator struct {
 	wg      sync.WaitGroup
 }
 
-// NewCoordinator expands the spec, reconciles the store (appending the
-// spec and meta records a fresh store lacks, refusing a store that
-// belongs to a different spec), and computes the remaining work per
-// shard. A coordinator over a complete store is valid: Wait returns
-// immediately and every lease request drains.
+// NewCoordinator expands the spec, reconciles the store through
+// campaign.Reconcile (appending the spec and meta records a fresh store
+// lacks, refusing a store that belongs to a different spec), and
+// computes the remaining work per shard. A coordinator over a complete
+// store is valid: Wait returns immediately and every lease request
+// drains.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	spec := cfg.Spec.Normalized()
 	fp := spec.Fingerprint()
@@ -123,7 +123,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c := &Coordinator{
 		spec:    spec,
 		fp:      fp,
-		wl:      cfg.Workload,
 		store:   cfg.Store,
 		ttl:     ttl,
 		status:  cfg.Status,
@@ -142,39 +141,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 
-	// Reconcile the store, exactly as campaign.Run would on resume:
-	// fingerprint-check the spec record, note stored metas and results.
-	existing := cfg.Store.Records()
-	haveSpec := false
-	haveMeta := make(map[string]bool)
-	doneRow := make(map[string]campaign.Record)
-	for _, r := range existing {
-		switch r.Kind {
-		case campaign.KindSpec:
-			if r.Fingerprint != fp {
-				return nil, fmt.Errorf("fleet: store belongs to a different spec (fingerprint %s, want %s)",
-					r.Fingerprint, fp)
-			}
-			haveSpec = true
-		case campaign.KindMeta:
-			haveMeta[campaign.CellLabel(r.Driver, r.Scenario)] = true
-		case campaign.KindResult:
-			if _, ok := doneRow[r.Key()]; !ok {
-				doneRow[r.Key()] = r
-			}
-		}
-	}
-	if !haveSpec {
-		if err := cfg.Store.Append(campaign.SpecRecord(spec)); err != nil {
-			return nil, err
-		}
-	}
-	for _, m := range metas {
-		if !haveMeta[campaign.CellLabel(m.Driver, m.Scenario)] {
-			if err := cfg.Store.Append(campaign.MetaRecord(m)); err != nil {
-				return nil, err
-			}
-		}
+	// The resume scan campaign.Run makes too. The stored records stay
+	// whole: a grant hands its shard's to the worker.
+	stored, err := campaign.Reconcile(spec, metas, cfg.Store, cfg.Store.Append)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
 	}
 
 	if c.status != nil {
@@ -191,7 +162,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if c.status != nil {
 			c.status.Plan(cell, t.Shard)
 		}
-		if r, ok := doneRow[key]; ok {
+		if r, ok := stored[key]; ok {
 			c.seen[key] = true
 			st.records = append(st.records, r)
 			if c.status != nil {
@@ -254,9 +225,6 @@ func (c *Coordinator) Addr() string {
 	}
 	return c.ln.Addr().String()
 }
-
-// Done is closed when every shard is complete.
-func (c *Coordinator) Done() <-chan struct{} { return c.done }
 
 // Wait blocks until the campaign completes (nil) or the coordinator is
 // closed first (ErrClosed).

@@ -566,7 +566,8 @@ func TestCoordinatorOverCompleteStore(t *testing.T) {
 }
 
 // TestCoordinatorRejectsForeignStore: a store whose spec record carries
-// a different fingerprint is refused at construction.
+// a different fingerprint is refused at construction, with campaign.
+// Reconcile's error under the fleet's prefix, naming both fingerprints.
 func TestCoordinatorRejectsForeignStore(t *testing.T) {
 	other := fleetSpec()
 	other.Seed = 99
@@ -577,8 +578,14 @@ func TestCoordinatorRejectsForeignStore(t *testing.T) {
 	_, err := NewCoordinator(CoordinatorConfig{
 		Spec: fleetSpec(), Workload: &fleetWorkload{}, Store: store,
 	})
-	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Fatalf("foreign store accepted: %v", err)
+	if err == nil {
+		t.Fatal("foreign store accepted")
+	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "fleet: ") || strings.HasPrefix(msg, "fleet: campaign:") ||
+		!strings.Contains(msg, other.Fingerprint()) || !strings.Contains(msg, fleetSpec().Fingerprint()) {
+		t.Errorf("err = %q, want one prefixed fleet: naming %s and %s",
+			msg, other.Fingerprint(), fleetSpec().Fingerprint())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/campaign"
@@ -166,14 +165,10 @@ func TestSnapshotFromRecordsMatchesLive(t *testing.T) {
 // an uninterrupted run.
 func TestInterruptStopsFeedAndResumes(t *testing.T) {
 	store := campaign.NewMemStore()
-	interrupt := make(chan struct{})
-	var once sync.Once
-	sum, err := campaign.Run(spec2(), &fakeWorkload{}, store, campaign.Options{
+	wl := &fakeWorkload{stopAfter: 1, interrupt: make(chan struct{})}
+	sum, err := campaign.Run(spec2(), wl, store, campaign.Options{
 		Workers:   1,
-		Interrupt: interrupt,
-		Progress: func(done, total int) {
-			once.Do(func() { close(interrupt) })
-		},
+		Interrupt: wl.interrupt,
 	})
 	if !errors.Is(err, campaign.ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -204,7 +199,9 @@ func TestInterruptStopsFeedAndResumes(t *testing.T) {
 // a large FlushEvery, a signal-style stop (interrupt, then Flush, as
 // the CLI does) persists everything recorded so far, while a crash at
 // the same point loses the unflushed tail — and both converge on
-// resume.
+// resume. The stop comes after 62 of the 65 boots, when the store holds
+// 65 records: more than the default checkpoint interval of 64, so a
+// store that missed FlushEvery would keep all but the last one.
 func TestSignalFlushBeatsCrash(t *testing.T) {
 	spec := spec2()
 	spec.FlushEvery = 1000 // never checkpoint on its own
@@ -215,16 +212,10 @@ func TestSignalFlushBeatsCrash(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interrupt := make(chan struct{})
-		var once sync.Once
-		_, err = campaign.Run(spec, &fakeWorkload{}, st, campaign.Options{
+		wl := &fakeWorkload{stopAfter: 62, interrupt: make(chan struct{})}
+		_, err = campaign.Run(spec, wl, st, campaign.Options{
 			Workers:   1,
-			Interrupt: interrupt,
-			Progress: func(done, total int) {
-				if done >= 10 {
-					once.Do(func() { close(interrupt) })
-				}
-			},
+			Interrupt: wl.interrupt,
 		})
 		if !errors.Is(err, campaign.ErrInterrupted) {
 			t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -257,8 +248,9 @@ func TestSignalFlushBeatsCrash(t *testing.T) {
 	}
 	reopened.Close()
 
-	// Crash path: no flush. The unflushed tail (everything, at
-	// FlushEvery=1000) is gone; resume reruns it.
+	// Crash path: no flush. The unflushed tail (all but the records the
+	// file store's write buffer spilled, at FlushEvery=1000) is gone;
+	// resume reruns it.
 	crashPath := filepath.Join(dir, "crash.jsonl")
 	_, crashMem := runInterrupted(crashPath)
 	crashReopened, err := campaign.OpenFile(crashPath)
@@ -266,9 +258,8 @@ func TestSignalFlushBeatsCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer crashReopened.Close()
-	onDisk := len(crashReopened.Records())
-	if onDisk >= crashMem {
-		t.Errorf("crash lost nothing (%d on disk, %d recorded); FlushEvery not in effect?",
+	if onDisk := len(crashReopened.Records()); onDisk >= 64 {
+		t.Errorf("crash kept %d of %d records, as a checkpoint every 64 would; FlushEvery not in effect?",
 			onDisk, crashMem)
 	}
 	sum, err = campaign.Run(spec, &fakeWorkload{}, crashReopened, campaign.Options{})

@@ -209,37 +209,22 @@ type worker struct {
 
 // Boot implements campaign.Worker.
 func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
-	p, err := wk.w.plan(t.Driver)
+	_, out, err := wk.boot(t)
+	return out, err
+}
+
+// boot boots task t and returns its result with the outcome Boot
+// records. A harness-level failure of the rig comes back as a crash
+// outcome without a result, as the in-memory path always classified it.
+func (wk *worker) boot(t campaign.Task) (*BootResult, campaign.Outcome, error) {
+	input, p, err := wk.input(t)
 	if err != nil {
-		return campaign.Outcome{}, err
-	}
-	if t.Mutant < 0 || t.Mutant >= len(p.res.Mutants) {
-		return campaign.Outcome{}, fmt.Errorf("driver %s: mutant %d outside enumeration (%d mutants)",
-			t.Driver, t.Mutant, len(p.res.Mutants))
+		return nil, campaign.Outcome{}, err
 	}
 	m := p.res.Mutants[t.Mutant]
-	site := p.res.Sites[m.SiteIndex]
-	wk.mut = cincr.Mutation{Src: p.incr, Index: m.TokenIndex, Replacement: m.Replacement}
-	input := BootInput{
-		Devil:      p.src.Devil,
-		StubMode:   wk.mode,
-		Permissive: wk.spec.Permissive,
-		Budget:     wk.spec.Budget,
-		Backend:    wk.backend,
-		FaultSeed:  t.FaultSeed(),
-		WallBudget: DefaultBootWallBudget,
-		Mutation:   &wk.mut,
-	}
-	if wk.spec.BootTimeoutMS > 0 {
-		input.WallBudget = time.Duration(wk.spec.BootTimeoutMS) * time.Millisecond
-	}
-	if input.Budget == 0 {
-		input.Budget = ExperimentBudget
-	}
-
 	rig, err := wk.rigs.rigFor(t.Driver, t.Scenario)
 	if err != nil {
-		return campaign.Outcome{}, err
+		return nil, campaign.Outcome{}, err
 	}
 	if wk.w.col != nil {
 		o, ok := wk.obs[rig.Desc.Name]
@@ -251,16 +236,44 @@ func (wk *worker) Boot(t campaign.Task) (campaign.Outcome, error) {
 	}
 	br, err := rig.Boot(input)
 	if err != nil {
-		// Harness-level failure: classified as a crash, like the in-memory
-		// path always has.
-		return campaign.Outcome{Row: RowCrash, Site: m.SiteIndex}, nil
+		return nil, campaign.Outcome{Row: RowCrash, Site: m.SiteIndex}, nil
 	}
-	return campaign.Outcome{
-		Row:   classifyRow(br, site),
+	return br, campaign.Outcome{
+		Row:   classifyRow(br, p.res.Sites[m.SiteIndex]),
 		Site:  m.SiteIndex,
 		Lost:  br.PartitionTableLost,
 		Steps: br.Steps,
 	}, nil
+}
+
+// input builds task t's boot input: the driver's pristine span analysis
+// with the mutant's one replacement token, in the worker's reused
+// Mutation cell. It returns the driver's plan alongside.
+func (wk *worker) input(t campaign.Task) (BootInput, *driverPlan, error) {
+	p, err := wk.w.plan(t.Driver)
+	if err != nil {
+		return BootInput{}, nil, err
+	}
+	if t.Mutant < 0 || t.Mutant >= len(p.res.Mutants) {
+		return BootInput{}, nil, fmt.Errorf("driver %s: mutant %d outside enumeration (%d mutants)",
+			t.Driver, t.Mutant, len(p.res.Mutants))
+	}
+	m := p.res.Mutants[t.Mutant]
+	wk.mut = cincr.Mutation{Src: p.incr, Index: m.TokenIndex, Replacement: m.Replacement}
+	input := BootInput{
+		Devil:      p.src.Devil,
+		StubMode:   wk.mode,
+		Permissive: wk.spec.Permissive,
+		Budget:     ExperimentBudget,
+		Backend:    wk.backend,
+		FaultSeed:  t.FaultSeed(),
+		WallBudget: DefaultBootWallBudget,
+		Mutation:   &wk.mut,
+	}
+	if wk.spec.BootTimeoutMS > 0 {
+		input.WallBudget = time.Duration(wk.spec.BootTimeoutMS) * time.Millisecond
+	}
+	return input, p, nil
 }
 
 // Close implements campaign.Worker: the heavyweight rigs are released,

@@ -6,72 +6,65 @@ import (
 	"testing"
 
 	"repro/internal/campaign"
-	"repro/internal/cdriver/cincr"
-	"repro/internal/devil/codegen"
+	"repro/internal/cdriver/ctoken"
 )
 
 // The differential oracle: the block backend and its incremental front
 // end exist for throughput, the tree-walking interpreter over a full
 // per-mutant parse and check for trust. These tests boot generated
-// mutants on the block backend through both front ends — and through
-// the same per-worker machine-reuse pattern the campaign engine uses —
-// and require the interpreter's observable results: compile-time
+// mutants on the block backend through both front ends — through the
+// campaign worker's own input builder and rig pool — and require the
+// interpreter's observable results: compile-time
 // detection, outcome class, terminating error text, console log,
 // covered-line set, watchdog step count, and the Table 3/4 row the
 // mutant lands in.
 
-// diffRig reuses one rig per workload per backend × front end through
-// the same rigSet pool a campaign worker uses: drivers route through
-// the workload table, not a name switch.
-type diffRig struct {
-	backend     Backend
-	incremental bool
-	// scenario, when non-empty, boots every mutant under the named
-	// hardware scenario with the campaign's task-derived fault seed.
-	scenario string
-	// stubMode is the Devil drivers' stub mode (debug when zero).
-	stubMode codegen.Mode
-	rigs     rigSet
+// newWorker builds a campaign worker of wl for spec: the oracle boots
+// through the worker's input builder and rig pool, as a campaign does.
+func newWorker(tb testing.TB, wl *workload, spec campaign.Spec) *worker {
+	tb.Helper()
+	w, err := wl.NewWorker(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return w.(*worker)
 }
 
-func (r *diffRig) boot(t *testing.T, p *driverPlan, driver string, mutantID int) *BootResult {
+// bootTask boots task on wk exactly as its campaign would.
+func bootTask(t *testing.T, wk *worker, task campaign.Task) *BootResult {
 	t.Helper()
-	m := p.res.Mutants[mutantID]
-	input := BootInput{
-		Devil:    p.src.Devil,
-		StubMode: r.stubMode,
-		Budget:   ExperimentBudget,
-		Backend:  r.backend,
-		// The seed a campaign task of this cell would derive — the
-		// scenario determinism contract is that THIS seed, not run
-		// structure, decides the fault pattern.
-		FaultSeed: campaign.Task{Driver: driver, Mutant: mutantID, Scenario: r.scenario}.FaultSeed(),
+	br, _, err := wk.boot(task)
+	if err == nil && br == nil {
+		err = fmt.Errorf("harness error (classified %s)", RowCrash)
 	}
-	if r.incremental {
-		if p.incr == nil {
-			t.Fatalf("%s: no span analysis for incremental rig", driver)
-		}
-		input.Mutation = &cincr.Mutation{Src: p.incr, Index: m.TokenIndex, Replacement: m.Replacement}
-	} else {
-		input.Tokens = p.res.Apply(m)
-	}
-	br, err := r.bootInput(driver, input)
 	if err != nil {
-		t.Fatalf("%s mutant %d (%s): harness error: %v", driver, mutantID, r.backend, err)
+		t.Fatalf("%s (%s): %v", task.Key(), wk.backend, err)
 	}
 	return br
 }
 
-// bootInput boots one prepared input on the rig's pooled machine.
-func (r *diffRig) bootInput(driver string, input BootInput) (*BootResult, error) {
-	if r.rigs == nil {
-		r.rigs = make(rigSet)
-	}
-	rig, err := r.rigs.rigFor(driver, r.scenario)
+// bootFull boots task's input on wk over a full compile: toks, or when
+// nil the input's mutation materialised, in place of the incremental
+// front end's Mutation.
+func bootFull(t *testing.T, wk *worker, task campaign.Task, toks []ctoken.Token) *BootResult {
+	t.Helper()
+	input, _, err := wk.input(task)
 	if err != nil {
-		return nil, err
+		t.Fatal(err)
 	}
-	return rig.Boot(input)
+	if toks == nil {
+		toks = input.Mutation.Apply()
+	}
+	input.Tokens, input.Mutation = toks, nil
+	rig, err := wk.rigs.rigFor(task.Driver, task.Scenario)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := rig.Boot(input)
+	if err != nil {
+		t.Fatalf("%s (%s, full front end): harness error: %v", task.Key(), wk.backend, err)
+	}
+	return br
 }
 
 func errText(err error) string {
@@ -177,26 +170,31 @@ func TestDifferentialOracle(t *testing.T) {
 				pct = tc.shortPct
 			}
 			selected := selectMutants(len(p.res.Mutants), pct, 2001)
-			ref := &diffRig{backend: BackendInterp, scenario: tc.scenario}
+			ref := newWorker(t, wl, campaign.Spec{Backend: string(BackendInterp)})
+			full, incr := newWorker(t, wl, campaign.Spec{}), newWorker(t, wl, campaign.Spec{})
 			variants := []struct {
 				name string
-				rig  *diffRig
+				boot func(campaign.Task) *BootResult
 			}{
-				{"block/full", &diffRig{backend: BackendBlock, scenario: tc.scenario}},
-				{"block/incremental", &diffRig{backend: BackendBlock, incremental: true, scenario: tc.scenario}},
+				{"block/full", func(task campaign.Task) *BootResult { return bootFull(t, full, task, nil) }},
+				{"block/incremental", func(task campaign.Task) *BootResult { return bootTask(t, incr, task) }},
 			}
 			for _, id := range selected {
-				rb := ref.boot(t, p, tc.driver, id)
+				// The task a campaign of this cell would boot: its key
+				// derives the fault seed, so the scenario's fault pattern
+				// is the campaign's.
+				task := campaign.Task{Driver: tc.driver, Mutant: id, Scenario: tc.scenario}
+				rb := bootTask(t, ref, task)
 				// The reference result aliases pooled buffers that the next
-				// boot on the same rig overwrites; the variants use separate
-				// rigs, but the reference must survive both comparisons.
+				// boot on the same rig overwrites; the variants boot on
+				// their own workers' rigs, but the reference must survive
+				// both comparisons.
 				rb.Console = append([]string(nil), rb.Console...)
 				if rb.Coverage != nil {
 					rb.Coverage = rb.Coverage.Clone()
 				}
 				for _, v := range variants {
-					vb := v.rig.boot(t, p, tc.driver, id)
-					diffOne(t, tc.driver, p, id, rb, vb)
+					diffOne(t, tc.driver, p, id, rb, v.boot(task))
 					if t.Failed() {
 						t.Fatalf("%s: %s diverged from interp/full at mutant %d",
 							tc.driver, v.name, id)

@@ -94,7 +94,6 @@ func TestNewDeviceCampaignDeterminism(t *testing.T) {
 		SamplePct: 5,
 		Seed:      11,
 		Shards:    2,
-		Budget:    ExperimentBudget,
 	}
 	tables := assertCampaignDeterminism(t, spec)
 

@@ -89,7 +89,6 @@ func TestNetCampaignDeterminism(t *testing.T) {
 		SamplePct: 5,
 		Seed:      11,
 		Shards:    3,
-		Budget:    ExperimentBudget,
 	}
 	tables := assertCampaignDeterminism(t, spec)
 

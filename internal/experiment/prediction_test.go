@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/campaign"
 	"repro/internal/devil/codegen"
 	"repro/internal/drivers"
 	"repro/internal/hw"
@@ -38,8 +39,8 @@ func hidePredictions(t *testing.T, bus *hw.Bus) {
 }
 
 // TestPredictionAblation boots TestWorkGate's sample (5%, seed 2001, on
-// the block backend and the incremental front end), each Devil driver's
-// in both stub modes, twice: on plain rigs, where the loop kernels and
+// two block-backend campaign workers), each Devil driver's in both stub
+// modes, twice: on plain rigs, where the loop kernels and
 // the block stubs fast-forward over predicted reads, and on rigs whose
 // devices hide the prediction interfaces, where every read reaches the
 // device. It does so on pristine hardware for every driver, under the
@@ -58,13 +59,13 @@ func TestPredictionAblation(t *testing.T) {
 	}
 	wl := NewWorkload().(*workload)
 	type side struct {
-		rig       *diffRig
+		wk        *worker
 		wall      time.Duration
 		steps     int64
 		forwarded int64
 	}
-	plain := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
-	hidden := &side{rig: &diffRig{backend: BackendBlock, incremental: true, rigs: make(rigSet)}}
+	plain := &side{wk: newWorker(t, wl, campaign.Spec{})}
+	hidden := &side{wk: newWorker(t, wl, campaign.Spec{})}
 	mustForward := map[string]bool{"ide_devil": true, "ne2000_devil": true, "permedia_devil": true, "busmaster_devil": true}
 	forwards := make(map[string]bool) // drivers that forward on pristine hardware
 	type cell struct{ driver, scenario string }
@@ -80,8 +81,7 @@ func TestPredictionAblation(t *testing.T) {
 	cells = append(cells, cell{"ide_devil", "flaky-bus"})
 	for _, c := range cells {
 		driver := c.driver
-		plain.rig.scenario, hidden.rig.scenario = c.scenario, c.scenario
-		r, err := hidden.rig.rigs.rigFor(driver, c.scenario)
+		r, err := hidden.wk.rigs.rigFor(driver, c.scenario)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -90,24 +90,25 @@ func TestPredictionAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		modes := []codegen.Mode{0}
+		modes := []codegen.Mode{codegen.Debug}
 		if p.src.Devil {
 			modes = []codegen.Mode{codegen.Debug, codegen.Production}
 		}
 		for _, mode := range modes {
-			plain.rig.stubMode, hidden.rig.stubMode = mode, mode
+			plain.wk.mode, hidden.wk.mode = mode, mode
 			var steps, forwarded int64
 			for _, id := range selectMutants(len(p.res.Mutants), 5, 2001) {
 				var res [2]*BootResult
 				var stats [2][5]uint64
+				task := campaign.Task{Driver: driver, Mutant: id, Scenario: c.scenario}
 				for i, s := range []*side{plain, hidden} {
-					r, err := s.rig.rigs.rigFor(driver, c.scenario)
+					r, err := s.wk.rigs.rigFor(driver, c.scenario)
 					if err != nil {
 						t.Fatal(err)
 					}
 					accesses, faults := r.Bus.Stats()
 					start := time.Now()
-					res[i] = s.rig.boot(t, p, driver, id)
+					res[i] = bootTask(t, s.wk, task)
 					s.wall += time.Since(start)
 					a, f := r.Bus.Stats()
 					stats[i][0], stats[i][1] = a-accesses, f-faults
